@@ -10,9 +10,9 @@ is what any full-stream consumer (flight recorder, JSONL writer)
 already pays.  The delta over that floor is pure causality: the
 engines' cause-register threading and the per-payload ``cause``
 stamp.  And the PR 9 campaign
-telemetry must be invisible: it rides an OS pipe, never the TraceBus,
-so a vectorized campaign with a live progress line must run at the
-same speed and produce the byte-identical report.
+telemetry must be invisible: it never touches the TraceBus, so a
+serial campaign with a live progress line must run at the same speed
+and produce the byte-identical report.
 
 Measured:
 
@@ -21,14 +21,13 @@ Measured:
   ``CausalIndex(keep_events=False)`` — interpreted and compiled;
 * exporter throughput: span-JSONL and Perfetto records/second over
   the captured stream;
-* wall time of a vectorized multi-seed campaign with telemetry off
-  vs. on (plus the report byte-identity check).
+* wall time of a serial multi-seed campaign with telemetry off vs. on
+  (plus the report byte-identity check).
 
 Acceptance (PR 9): full causal indexing costs <= 10% over the
-materialization floor and telemetry costs <= 2% on the vectorized
-campaign — both measured on an idle machine and recorded in
-BENCH_PR9.json; the CI shape test only asserts loose bounds because
-shared runners jitter.
+materialization floor and telemetry costs <= 2% on the campaign —
+both measured on an idle machine and recorded in BENCH_PR9.json; the
+CI shape test only asserts loose bounds because shared runners jitter.
 """
 
 import io
@@ -167,13 +166,12 @@ def _campaign_once(spec, telemetry_on):
         telemetry = CampaignTelemetry(len(spec.seeds), name=spec.name,
                                       stream=io.StringIO(), enabled=True)
     start = time.perf_counter()
-    result = run_campaign(spec, vectorize=True,
-                          progress=telemetry)
+    result = run_campaign(spec, progress=telemetry)
     return time.perf_counter() - start, result
 
 
 def telemetry_rows():
-    """Vectorized campaign wall time, telemetry off vs. on."""
+    """Serial campaign wall time, telemetry off vs. on."""
     with tempfile.TemporaryDirectory() as tmp_dir:
         spec = campaign_spec(tmp_dir)
         off = min(_campaign_once(spec, False)[0] for _ in range(REPEATS))
@@ -187,10 +185,10 @@ def telemetry_rows():
                 report_on = result.to_json()
     overhead = round(100.0 * (best_on - off) / off, 1)
     return [
-        {"engine": "vectorized", "mode": "campaign, telemetry off",
+        {"engine": "serial", "mode": "campaign, telemetry off",
          "seeds": len(spec.seeds), "wall_s": round(off, 3),
          "overhead_pct": 0.0, "report_identical": True},
-        {"engine": "vectorized", "mode": "campaign, telemetry on",
+        {"engine": "serial", "mode": "campaign, telemetry on",
          "seeds": len(spec.seeds), "wall_s": round(best_on, 3),
          "overhead_pct": overhead,
          "report_identical": report_on == report_off},

@@ -37,7 +37,6 @@ QUICK_KNOBS = {
     "LOOKUPS": 20,
     "LOCKSTEP_TIME": 40.0,
     "CAMPAIGN_TIME": 20.0,
-    "BATCH_WIDTHS": (8,),
     "REPEATS": 1,
 }
 
@@ -70,8 +69,6 @@ EXPERIMENTS = {
             "observability overhead & coverage closure"),
     "d14": ("bench_d14_recovery",
             "rollback recovery & campaign-runner scaling"),
-    "d15": ("bench_d15_batched",
-            "batched execution & campaign vectorization"),
     "d16": ("bench_d16_properties",
             "online property checking & pass-rate curves"),
     "d17": ("bench_d17_store",

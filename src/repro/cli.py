@@ -48,6 +48,7 @@ from typing import List, Optional
 
 from . import metamodel as mm
 from . import xmi
+from .engine import ENGINE_MODES
 from .errors import ReproError, SimulationError
 
 # ---------------------------------------------------------------------------
@@ -263,7 +264,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         with SystemSimulation(top, quantum=args.quantum,
                               compile=args.compiled,
                               engine=args.engine,
-                              batch_min=args.batch,
                               faults=campaign, fault_seed=args.seed,
                               on_part_error=args.on_part_error,
                               checkpoint_interval=args.checkpoint_interval,
@@ -276,14 +276,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                              or args.perfetto_file),
                               properties=suite,
                               on_violation=args.on_violation) as simulation:
-            if simulation.engine_mode == "batched" \
-                    and simulation.batch_degraded:
-                print(f"batched: {len(simulation.batch_degraded)} "
-                      f"part(s) fell back to their serial engine:",
-                      file=sys.stderr)
-                for name, reason in sorted(
-                        simulation.batch_degraded.items()):
-                    print(f"  {name}: {reason}", file=sys.stderr)
             simulation.incident_hooks.append(
                 lambda reason, detail: incidents.append(reason))
             try:
@@ -454,7 +446,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                           resume=args.resume,
                           run_timeout=args.run_timeout,
                           max_retries=args.retries,
-                          vectorize=args.vectorize,
                           progress=True if args.progress else None)
     resilience = result.resilience()
     print(f"campaign {result.name!r}: {len(result.rows)}/{len(seeds)} "
@@ -824,10 +815,6 @@ def cmd_trace_to_sequence(args: argparse.Namespace) -> int:
                 raise ReproError(
                     f"{source}:{line_number}: not a JSON trace "
                     f"record: {error}") from error
-            # synthetic engine meta-events (batched parts degrading to
-            # their serial engine at t=0) are bookkeeping, not traffic
-            if record.get("kind") == "engine_degraded":
-                continue
             if args.part and record.get("part") not in args.part \
                     and record.get("sender") not in args.part:
                 continue
@@ -931,16 +918,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--compiled", action="store_true",
                           help="compile state machines to dispatch "
                                "tables (interpreter fallback per part)")
-    simulate.add_argument("--engine", default=None,
-                          choices=("interpreted", "compiled", "batched"),
-                          help="execution engine (overrides --compiled; "
-                               "batched runs identical parts through "
-                               "one shared dispatch table, degrading "
-                               "singletons to their serial engine)")
-    simulate.add_argument("--batch", type=int, default=2, metavar="N",
-                          help="minimum identical-part population for "
-                               "a batch group under --engine batched "
-                               "(default 2)")
+    simulate.add_argument("--engine", default=None, choices=ENGINE_MODES,
+                          help="execution engine (overrides --compiled)")
     simulate.add_argument("--faults", default="",
                           help="fault campaign JSON file to inject "
                                "(see docs/FAULTS.md)")
@@ -1046,14 +1025,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "campaign's base seed")
     campaign.add_argument("--until", type=float, default=100.0)
     campaign.add_argument("--quantum", type=float, default=1.0)
-    campaign.add_argument("--engine", default=None,
-                          choices=("interpreted", "compiled", "batched"),
+    campaign.add_argument("--engine", default=None, choices=ENGINE_MODES,
                           help="execution engine for every seed "
                                "(overrides --compiled)")
-    campaign.add_argument("--vectorize", action="store_true",
-                          help="interleave all seeds in one process "
-                               "over a single parsed/compiled model "
-                               "(mutually exclusive with --parallel)")
     campaign.add_argument("--compiled", action="store_true",
                           help="compile state machines to dispatch "
                                "tables")
@@ -1123,9 +1097,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--store", default="", dest="store_dir",
                           metavar="DIR",
                           help="artifact store shared with campaign "
-                               "workers (serial, fork-pool and "
-                               "vectorized paths; default: "
-                               "$REPRO_STORE when set)")
+                               "workers (serial and fork-pool paths; "
+                               "default: $REPRO_STORE when set)")
     campaign.set_defaults(handler=cmd_campaign)
 
     serve = commands.add_parser(
@@ -1186,8 +1159,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "campaign's base seed")
     submit.add_argument("--until", type=float, default=100.0)
     submit.add_argument("--quantum", type=float, default=1.0)
-    submit.add_argument("--engine", default=None,
-                        choices=("interpreted", "compiled", "batched"))
+    submit.add_argument("--engine", default=None, choices=ENGINE_MODES)
     submit.add_argument("--on-part-error", default="raise",
                         choices=("raise", "quarantine", "restart",
                                  "restore"),

@@ -7,7 +7,6 @@ calling convention and :mod:`repro.engine.trace` for the event
 vocabulary.
 """
 
-from .batched import BatchedRuntime, BatchGroup
 from .protocol import (
     PROTOCOL_ATTRIBUTES,
     PROTOCOL_METHODS,
@@ -15,19 +14,17 @@ from .protocol import (
     conforms,
 )
 from .registry import (
+    ENGINE_MODES,
     EngineBinding,
     EngineBuilder,
     EngineFactory,
-    build_batched_binding,
     build_engine_factory,
-    plan_batch_groups,
     register_engine,
     registered_behavior_types,
     supports,
 )
 from .trace import (
     CHECKPOINT,
-    ENGINE_DEGRADED,
     ENGINE_KINDS,
     EVENT,
     FAULT,
@@ -57,14 +54,11 @@ __all__ = [
     "conforms",
     "PROTOCOL_METHODS",
     "PROTOCOL_ATTRIBUTES",
-    "BatchGroup",
-    "BatchedRuntime",
+    "ENGINE_MODES",
     "EngineBinding",
     "EngineBuilder",
     "EngineFactory",
-    "build_batched_binding",
     "build_engine_factory",
-    "plan_batch_groups",
     "register_engine",
     "registered_behavior_types",
     "supports",
@@ -88,7 +82,6 @@ __all__ = [
     "PART_RESTORED",
     "SUPERVISOR_DECISION",
     "CHECKPOINT",
-    "ENGINE_DEGRADED",
     "PROPERTY_VIOLATION",
     "ENGINE_KINDS",
     "KINDS",

@@ -38,6 +38,11 @@ from ..statemachines.flatten import (
 from ..statemachines.kernel import StateMachine
 from ..statemachines.runtime import StateMachineRuntime
 
+#: Valid explicit engine selections: the run-to-completion interpreter
+#: and the dispatch-table compiled runtime (``engine=`` of
+#: :class:`~repro.simulation.SystemSimulation` and of campaign specs).
+ENGINE_MODES = ("interpreted", "compiled")
+
 #: A zero-arg factory producing a fresh, unstarted engine.
 EngineFactory = Callable[[], Any]
 
@@ -86,87 +91,6 @@ def _build_activity(behavior: Activity, context: Dict[str, Any],
         return ActivityRuntime(_behavior, context=dict(_context),
                                signal_sink=_sink)
     return "token-engine", activity_factory
-
-
-def plan_batch_groups(behaviors: Dict[str, Any], batch_min: int = 2,
-                      trace_bus: Any = None,
-                      ) -> Tuple[Dict[str, Any], Dict[str, str], List[Any]]:
-    """Group identical compilable state machines for batched execution.
-
-    ``behaviors`` maps part name → classifier behavior (None allowed),
-    in part-declaration order.  Parts sharing one compilable
-    :class:`~repro.statemachines.kernel.StateMachine` object — the
-    normal shape of a SoC model instantiating an IP block N times —
-    are grouped; each group of at least ``batch_min`` members gets one
-    :class:`~repro.engine.batched.BatchGroup` over one shared compiled
-    dispatch table.
-
-    Returns ``(plan, degraded, groups)``: ``plan`` maps batchable part
-    name → its group; ``degraded`` maps every *other* part to a
-    human-readable reason it cannot batch (no behavior, not a state
-    machine, outside the compilable subset, or population below
-    ``batch_min``); ``groups`` lists the created groups in first-member
-    order.
-    """
-    from .batched import BatchGroup
-    from ..statemachines.flatten import compile_machine_cached
-
-    populations: Dict[int, List[str]] = {}
-    keyed: Dict[int, Any] = {}
-    degraded: Dict[str, str] = {}
-    for name, behavior in behaviors.items():
-        if behavior is None:
-            degraded[name] = "no behavior"
-            continue
-        if not isinstance(behavior, StateMachine):
-            degraded[name] = (f"{type(behavior).__name__} behaviors "
-                              "run on their own engine")
-            continue
-        reason = compile_fallback_reason(behavior)
-        if reason is not None:
-            degraded[name] = reason
-            continue
-        populations.setdefault(id(behavior), []).append(name)
-        keyed[id(behavior)] = behavior
-    plan: Dict[str, Any] = {}
-    groups: List[Any] = []
-    for key, names in populations.items():
-        behavior = keyed[key]
-        if len(names) < batch_min:
-            for name in names:
-                degraded[name] = (
-                    f"only {len(names)} instance(s) of behavior "
-                    f"{behavior.name!r} (batch_min={batch_min})")
-            continue
-        group = BatchGroup(behavior.name or "batch",
-                           compile_machine_cached(behavior),
-                           trace_bus=trace_bus)
-        groups.append(group)
-        for name in names:
-            plan[name] = group
-    return plan, degraded, groups
-
-
-def build_batched_binding(group: Any, part_name: str,
-                          context: Dict[str, Any],
-                          signal_sink: Any) -> EngineBinding:
-    """Bind one part to a lane of a :class:`~repro.engine.batched.BatchGroup`.
-
-    The fourth engine label, ``"batched"``.  Unlike the other builders
-    this one is not type-dispatched through :data:`_BUILDERS` — batching
-    is a *population* decision (the harness groups identical compilable
-    state machines and asks for a lane per member), not a property of a
-    single behavior.  The returned factory implements the restart
-    policy: it resets the member's lane to a pristine unstarted state
-    and hands back the same protocol view, so the harness's
-    engine-agnostic restart path works unchanged.
-    """
-    PERF.incr("cosim.batched_parts")
-    view = group.add_member(part_name, context, signal_sink)
-
-    def batched_factory(_view=view):
-        return _view.reset()
-    return "batched", batched_factory
 
 
 #: (behavior type, builder), most-recently-registered first.

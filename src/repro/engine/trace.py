@@ -68,10 +68,6 @@ PART_RESTORED = "part_restored"
 SUPERVISOR_DECISION = "supervisor_decision"
 #: The harness took a periodic per-part recovery checkpoint.
 CHECKPOINT = "checkpoint"
-#: A part requested one engine tier but fell back to another (e.g. the
-#: batched SoA engine degrading to compiled/interpreted for a part with
-#: no identical peers) — degradation is observable, never silent.
-ENGINE_DEGRADED = "engine_degraded"
 #: The online property checker detected a temporal-assertion violation.
 #: Emitted by :class:`repro.properties.PropertyChecker` as a nested
 #: event immediately after the witnessing record (or at finalization
@@ -88,7 +84,7 @@ ENGINE_KINDS = (EVENT, TRANSITION, STATE_ENTER, STATE_EXIT, TOKEN)
 KINDS = ENGINE_KINDS + (MESSAGE_ROUTED, MESSAGE_DELIVERED, MESSAGE_DROPPED,
                         FAULT, PART_QUARANTINED, PART_RESTARTED,
                         PART_RESTORED, SUPERVISOR_DECISION, CHECKPOINT,
-                        ENGINE_DEGRADED, PROPERTY_VIOLATION)
+                        PROPERTY_VIOLATION)
 
 _ENGINE_KIND_SET = frozenset(ENGINE_KINDS)
 _KIND_SET = frozenset(KINDS)

@@ -25,13 +25,7 @@ the sweep as robust as the models it is torturing:
   sweeps over the same seeds serialize byte-identically;
 * **graceful degradation** — without usable process support (or with
   ``workers <= 1``) the sweep runs serially in-process through the
-  exact same journal/merge path;
-* **seed vectorization** — ``run_campaign(vectorize=True)`` parses and
-  compiles the model once, then interleaves *all* seeds through one
-  process: one :class:`~repro.simulation.SystemSimulation` per seed
-  over the shared top, each with its own injector RNG and trace
-  ordinal stream, advanced in segments so the compiled dispatch tables
-  stay hot across seeds.  Rows are byte-identical to a serial sweep.
+  exact same journal/merge path.
 
 Before forking workers the parent warms the model and compile caches
 (:func:`_warm_spec`), so on fork-capable hosts every child inherits
@@ -57,6 +51,7 @@ import signal
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..engine import ENGINE_MODES
 from ..errors import FaultError, ReproError
 from ..perf import PERF
 from .campaign import FaultCampaign
@@ -91,6 +86,16 @@ def backoff_delay(base: float, attempt: int, token: Any = 0) -> float:
                              digest_size=8).digest()
     fraction = int.from_bytes(digest, "big") / 2.0 ** 64
     return window * (0.5 + fraction)
+
+
+def _coerce(field: str, value: Any, kind: type) -> Any:
+    """``kind(value)``, or a :class:`FaultError` naming the spec field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "a number" if kind is float else "an integer"
+        raise FaultError(f"campaign spec {field} must be {noun}, "
+                         f"got {value!r}") from None
 
 
 class CampaignSpec:
@@ -142,28 +147,31 @@ class CampaignSpec:
             raise FaultError(
                 f"builder must be 'package.module:function', "
                 f"got {builder!r}")
-        seeds = [int(seed) for seed in seeds]
+        try:
+            seeds = [int(seed) for seed in seeds]
+        except (TypeError, ValueError):
+            raise FaultError(f"campaign spec seeds must be a list of "
+                             f"integers, got {seeds!r}") from None
         if not seeds:
             raise FaultError("campaign spec needs at least one seed")
         if len(set(seeds)) != len(seeds):
             raise FaultError(f"duplicate seeds in {seeds}")
-        if engine not in (None, "interpreted", "compiled", "batched"):
+        if engine is not None and engine not in ENGINE_MODES:
             raise FaultError(
-                f"unknown engine {engine!r}: pick interpreted, "
-                "compiled or batched")
+                f"unknown engine {engine!r}; choose from {ENGINE_MODES}")
         self.model = model
         self.top = top
         self.builder = builder
         self.campaign = campaign
         self.seeds = seeds
-        self.until = float(until)
-        self.quantum = float(quantum)
+        self.until = _coerce("until", until, float)
+        self.quantum = _coerce("quantum", quantum, float)
         self.compiled = bool(compiled)
         self.engine = engine
         self.on_part_error = on_part_error
         self.checkpoint_interval = checkpoint_interval
-        self.max_restarts = int(max_restarts)
-        self.max_restores = int(max_restores)
+        self.max_restarts = _coerce("max_restarts", max_restarts, int)
+        self.max_restores = _coerce("max_restores", max_restores, int)
         self.coverage = bool(coverage)
         self.name = name
         #: temporal-property suite checked on every seed: a path to a
@@ -195,6 +203,14 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CampaignSpec":
+        """Rebuild a spec from plain data (a journal header, a socket
+        request); a malformed field raises :class:`FaultError`."""
+        unknown = [key for key in data if key not in cls.__slots__]
+        if unknown:
+            raise FaultError(f"unknown campaign spec field(s): "
+                             f"{', '.join(map(str, unknown))}")
+        if "seeds" not in data:
+            raise FaultError("campaign spec needs a 'seeds' list")
         return cls(**data)
 
     def build_top(self):
@@ -298,11 +314,11 @@ def _warm_suite(spec: CampaignSpec):
 
 def _warm_spec(spec: CampaignSpec) -> None:
     """Pre-fork warm-up: parse the model and compile every compilable
-    classifier behavior in the parent, so forked workers (and the
-    vectorized runner) start with hot dispatch-table caches."""
+    classifier behavior in the parent, so forked workers start with hot
+    dispatch-table caches."""
     top, _campaign = _warm_model(spec)
     _warm_suite(spec)
-    if not (spec.compiled or spec.engine in ("compiled", "batched")):
+    if not (spec.compiled or spec.engine == "compiled"):
         return
     from ..statemachines.flatten import (compile_fallback_reason,
                                          compile_machine_cached)
@@ -558,8 +574,8 @@ class CampaignResult:
 
         Aggregated with
         :func:`repro.properties.aggregate_reports` — order-independent
-        and keyed by seed, so serial, parallel, vectorized and resumed
-        sweeps produce the identical artifact.  ``None`` when no row
+        and keyed by seed, so serial, parallel and resumed sweeps
+        produce the identical artifact.  ``None`` when no row
         carries property verdicts.
         """
         per_seed = {row["seed"]: row["properties"]
@@ -633,7 +649,6 @@ def run_campaign(spec: CampaignSpec,
                  run_timeout: Optional[float] = None,
                  max_retries: int = DEFAULT_MAX_RETRIES,
                  retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-                 vectorize: bool = False,
                  progress: Any = None,
                  ) -> CampaignResult:
     """Sweep every seed of ``spec``, robustly.
@@ -641,10 +656,7 @@ def run_campaign(spec: CampaignSpec,
     ``workers`` > 1 fans seeds over that many processes (0/1, or a host
     without multiprocessing, runs serially in-process; the parent warms
     the model and compile caches before forking so children inherit
-    them).  ``vectorize=True`` instead interleaves all seeds through
-    one process over a single parsed/compiled model — usually the
-    fastest option when per-seed runs are short, and byte-identical to
-    a serial sweep.  ``journal`` appends a JSONL row per finished seed;
+    them).  ``journal`` appends a JSONL row per finished seed;
     ``resume=True`` first reads it back and re-runs only the seeds
     without an ``ok`` row.  The returned :class:`CampaignResult`
     serializes identically however the sweep was executed or
@@ -661,10 +673,6 @@ def run_campaign(spec: CampaignSpec,
         raise FaultError(f"run_timeout must be positive, got {run_timeout}")
     if max_retries < 0:
         raise FaultError(f"max_retries cannot be negative, got {max_retries}")
-    if vectorize and workers > 1:
-        raise FaultError(
-            "vectorize=True runs all seeds in-process; "
-            "it cannot be combined with workers > 1")
     completed: Dict[int, Dict[str, Any]] = {}
     resumed: List[int] = []
     if journal and resume and os.path.exists(journal):
@@ -696,16 +704,12 @@ def run_campaign(spec: CampaignSpec,
             _journal_append(journal_handle,
                             {"status": "header", "spec": spec.to_dict()})
     try:
-        parallel = (not vectorize and workers > 1 and len(todo) > 1
-                    and _processes_usable())
+        parallel = workers > 1 and len(todo) > 1 and _processes_usable()
         if parallel:
             _warm_spec(spec)  # children fork with hot model/compile caches
             rows, failures = _run_parallel(
                 spec, todo, workers, journal_handle, run_timeout,
                 max_retries, retry_backoff, telemetry)
-        elif vectorize:
-            rows, failures = _run_vectorized(spec, todo, journal_handle,
-                                             telemetry)
         else:
             rows, failures = _run_serial(spec, todo, journal_handle,
                                          telemetry)
@@ -715,12 +719,10 @@ def run_campaign(spec: CampaignSpec,
         if telemetry is not None:
             telemetry.finish()
     rows.extend(completed.values())
-    mode = ("parallel" if parallel
-            else "vectorized" if vectorize else "serial")
     return CampaignResult(spec.name, rows, failures=failures,
                           resumed_seeds=resumed,
                           workers_used=workers if parallel else 1,
-                          mode=mode)
+                          mode="parallel" if parallel else "serial")
 
 
 def _run_serial(spec: CampaignSpec, todo: Sequence[int], journal_handle,
@@ -746,97 +748,6 @@ def _run_serial(spec: CampaignSpec, todo: Sequence[int], journal_handle,
             _journal_append(journal_handle,
                             {"status": "ok", "seed": seed, "attempt": 1,
                              "row": row})
-    return rows, []
-
-
-#: Number of time segments the vectorized runner interleaves seeds over.
-VECTOR_SEGMENTS = 8
-
-
-def _run_vectorized(spec: CampaignSpec, todo: Sequence[int], journal_handle,
-                    telemetry=None
-                    ) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
-    """All seeds interleaved through one process over one parsed model.
-
-    One :class:`~repro.simulation.SystemSimulation` per seed is built
-    over the *shared* warm top — each with its own kernel, trace bus
-    (own ordinal stream) and fault-injector RNG — then all of them are
-    advanced in lockstep over :data:`VECTOR_SEGMENTS` fixed time
-    boundaries.  Interleaving keeps every seed's working set warm in
-    the shared compiled dispatch tables, which is where the campaign
-    wins its wall-clock over a fork-per-seed pool on short runs.
-
-    Per-seed semantics replicate :func:`run_seed` exactly — the same
-    ``_arm_run``/kernel-run/``_finish_run`` sequence, the same error
-    capture (a deterministic in-simulation error deactivates only its
-    own seed and lands in that row's ``sim_error``) — so the rows, and
-    therefore the merged report, are byte-identical to a serial sweep.
-    """
-    from ..simulation import SystemSimulation
-
-    _warm_spec(spec)
-    top, campaign = _warm_model(spec)
-    suite = _warm_suite(spec)
-    #: [seed, simulation, sim_error] — error marks the lane finished
-    lanes: List[List[Any]] = []
-    try:
-        for seed in todo:
-            simulation = SystemSimulation(
-                top, quantum=spec.quantum,
-                compile=spec.compiled,
-                engine=spec.engine,
-                faults=campaign, fault_seed=seed,
-                on_part_error=spec.on_part_error,
-                max_restarts=spec.max_restarts,
-                max_restores=spec.max_restores,
-                checkpoint_interval=spec.checkpoint_interval,
-                coverage=spec.coverage or spec.obs,
-                profile=spec.obs,
-                causality=spec.obs,
-                properties=suite,
-                on_violation=spec.on_violation)
-            simulation._arm_run(spec.until)
-            lanes.append([seed, simulation, ""])
-            if telemetry is not None:
-                telemetry.seed_started(seed)
-        PERF.incr("campaign.vectorized_seeds", len(lanes))
-        for segment in range(1, VECTOR_SEGMENTS + 1):
-            boundary = spec.until * segment / VECTOR_SEGMENTS
-            for lane in lanes:
-                if lane[2]:
-                    continue
-                try:
-                    lane[1].simulator.run(until=boundary)
-                except ReproError as error:
-                    lane[1]._handle_run_error(error)
-                    lane[2] = f"{type(error).__name__}: {error}"
-                if telemetry is not None:
-                    telemetry.beat(
-                        lane[0], getattr(lane[1].simulator,
-                                         "events_processed", 0))
-        for lane in lanes:
-            if lane[2]:
-                continue
-            try:
-                lane[1]._finish_run(spec.until)
-            except ReproError as error:
-                lane[1]._handle_run_error(error)
-                lane[2] = f"{type(error).__name__}: {error}"
-        rows: List[Dict[str, Any]] = []
-        for seed, simulation, sim_error in lanes:
-            row = _collect_row(simulation, spec, seed, sim_error)
-            rows.append(row)
-            if telemetry is not None:
-                telemetry.seed_done(
-                    seed, getattr(simulation.simulator,
-                                  "events_processed", 0))
-            if journal_handle is not None:
-                _journal_append(journal_handle,
-                                {"status": "ok", "seed": seed,
-                                 "attempt": 1, "row": row})
-    finally:
-        for _seed, simulation, _error in lanes:
-            simulation.close()
     return rows, []
 
 

@@ -6,9 +6,8 @@ table.  This module streams worker heartbeats over a plain OS pipe so
 the parent can render a live progress line and a ``campaign.live``
 Prometheus snapshot *without touching the TraceBus* — subscribing
 telemetry to the bus would change which events are emitted and shift
-ordinals, breaking the serial == parallel == vectorized report
-byte-identity guarantee of PR 6.  A pipe is invisible to the
-simulation.
+ordinals, breaking the serial == parallel report byte-identity
+guarantee.  A pipe is invisible to the simulation.
 
 Protocol (one short line per beat, written atomically — every line is
 far below ``PIPE_BUF``):
@@ -199,14 +198,10 @@ class CampaignTelemetry:
             # loop decides terminal failure (seed_failed)
             self.running.pop(seed, None)
 
-    # -- direct feeds (serial / vectorized runners, reap loop) -------------
+    # -- direct feeds (serial runner, reap loop) ---------------------------
 
     def seed_started(self, seed: int) -> None:
         self.running.setdefault(seed, 0)
-
-    def beat(self, seed: int, events: int) -> None:
-        self.running[seed] = int(events)
-        self.render()
 
     def seed_done(self, seed: int, events: int = 0) -> None:
         sampled = self.running.pop(seed, 0)

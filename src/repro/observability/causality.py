@@ -21,8 +21,8 @@ distributed tracing (Dapper / OpenTelemetry), reconstructed here by
   :func:`perfetto_json` as Chrome/Perfetto ``trace_event`` JSON (one
   track per part, flow arrows for cross-part causality) — both pure
   functions of the event stream, hence byte-identical wherever the
-  stream is (interpreted == compiled == batched, plain or faulted,
-  through supervised rollback).
+  stream is (interpreted == compiled, plain or faulted, through
+  supervised rollback).
 
 Attaching a :class:`CausalIndex` turns the bus fully observed (every
 kind) and flips :attr:`~repro.engine.TraceBus.causal` on; without one

@@ -11,9 +11,9 @@ next to the usual coverage/property payloads.
 
 Determinism: everything here is a sorted-key fold over simulation
 -derived row data — no wall-clock, no completion order — so serial,
-parallel, vectorized and resumed sweeps over the same seeds produce a
-byte-identical report, which is what lets it be stored (and deduped)
-in the PR 8 artifact store under a campaign fingerprint.
+parallel and resumed sweeps over the same seeds produce a byte-identical
+report, which is what lets it be stored (and deduped) in the PR 8
+artifact store under a campaign fingerprint.
 """
 
 from __future__ import annotations

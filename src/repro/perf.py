@@ -31,18 +31,9 @@ count, and the p50/p95/p99 estimates (bucket upper bound at the
 cumulative rank, clamped to the observed min/max) are deterministic —
 the same observation sequence always yields the same export.
 
-The batched engine (PR 6) reports its effectiveness here too, all
-surfaced by the ``stats`` subcommand:
-
-* ``batch.occupancy`` — observation of each batch group's lane count
-  at build time (how wide the populations actually are);
-* ``batch.fused_dispatches`` — count of fused delivery sweeps (one
-  scheduler callback that drained a whole same-timestamp run);
-* ``batch.events_per_dispatch`` — observation of how many messages
-  each fused sweep delivered (mean ≫ 1 means coalescing is winning);
-* ``campaign.model_builds`` / ``campaign.model_warm_hits`` /
-  ``campaign.vectorized_seeds`` — the campaign runner's model warm-up
-  memo and seed-vectorization activity.
+The campaign runner reports its model warm-up memo here too, surfaced
+by the ``stats`` subcommand: ``campaign.model_builds`` /
+``campaign.model_warm_hits``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ temporal assertions (:func:`response`, :func:`precedence`,
 :func:`interaction_conformance`) over the typed TraceBus stream, let
 the :class:`PropertyChecker` evaluate them online as monitor automata
 over simulated time — engine-agnostic, byte-identical across the
-interpreted/compiled/batched engines, checkpoint/restore-transparent —
+interpreted/compiled engines, checkpoint/restore-transparent —
 and aggregate per-property pass rates across campaign seeds with
 :func:`aggregate_reports`.  See ``docs/PROPERTIES.md``.
 """

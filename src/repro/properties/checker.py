@@ -7,7 +7,7 @@ simulated time* — deadline expiry is detected when an observed event
 (or the run's finalization) carries a time past the deadline, never by
 a wall clock — so verdicts, violation records, and the ordinals of the
 emitted ``property_violation`` events are deterministic and identical
-across the interpreted, compiled and batched engines.
+across the interpreted and compiled engines.
 
 Violations are first-class robustness events.  Each one
 

@@ -5,7 +5,7 @@ A :class:`PropertyReport` is the serialized outcome of one checked run
 records and the time-to-first-violation.  JSON output is key-sorted so
 reports are byte-comparable: two runs that behaved identically produce
 identical bytes, which is how the engine-lockstep and
-serial == parallel == vectorized == resumed guarantees are asserted.
+serial == parallel == resumed guarantees are asserted.
 
 :func:`aggregate_reports` folds per-seed reports into the campaign
 artifact: per-property pass rates across seeds, violated-seed lists and

@@ -6,8 +6,8 @@ module makes them report **correctness**.  A :class:`Property` is a
 declarative temporal assertion over :class:`~repro.engine.TraceEvent`
 records — evaluated online by :class:`~repro.properties.PropertyChecker`
 as a small monitor automaton over *simulated* time, so verdicts are
-deterministic and byte-identical across the interpreted, compiled and
-batched engines.
+deterministic and byte-identical across the interpreted and compiled
+engines.
 
 The vocabulary follows the classic specification-pattern catalogue:
 
@@ -50,7 +50,7 @@ class EventMatch:
     ``part`` against the event's (receiving) part.  The default kind is
     ``message_delivered`` — the one stream every engine emits
     identically regardless of engine tier, which is what keeps property
-    verdicts byte-identical across interpreted/compiled/batched runs.
+    verdicts byte-identical across interpreted and compiled runs.
     """
 
     __slots__ = ("kind", "signal", "part", "sender")

@@ -94,7 +94,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..asl import SentSignal
 from ..engine import (
     CHECKPOINT,
-    ENGINE_DEGRADED,
+    ENGINE_MODES,
     MESSAGE_DELIVERED,
     MESSAGE_DROPPED,
     MESSAGE_ROUTED,
@@ -102,13 +102,10 @@ from ..engine import (
     PART_RESTARTED,
     PART_RESTORED,
     SUPERVISOR_DECISION,
-    BatchGroup,
     ExecutionEngine,
     TraceBus,
     TraceEvent,
-    build_batched_binding,
     build_engine_factory,
-    plan_batch_groups,
 )
 from ..errors import ReproError, SimulationError
 from ..faults import FaultCampaign, FaultInjector, ResilienceReport
@@ -120,9 +117,6 @@ from .supervisor import Supervisor
 
 #: Valid part-error policies.
 PART_ERROR_POLICIES = ("raise", "quarantine", "restart", "restore")
-
-#: Valid explicit engine selections (``engine=`` constructor argument).
-ENGINE_MODES = ("interpreted", "compiled", "batched")
 
 
 class PartInstance:
@@ -163,7 +157,6 @@ class SystemSimulation:
                  strict_routing: bool = False,
                  compile: bool = False,
                  engine: Optional[str] = None,
-                 batch_min: int = 2,
                  faults: Optional[FaultCampaign] = None,
                  fault_seed: Optional[int] = None,
                  on_part_error: str = "raise",
@@ -187,9 +180,6 @@ class SystemSimulation:
         if engine is not None and engine not in ENGINE_MODES:
             raise SimulationError(
                 f"unknown engine {engine!r}; choose from {ENGINE_MODES}")
-        if batch_min < 2:
-            raise SimulationError(
-                f"batch_min must be at least 2, got {batch_min}")
         if checkpoint_interval is not None and checkpoint_interval <= 0:
             raise SimulationError(
                 f"checkpoint_interval must be positive, "
@@ -203,21 +193,10 @@ class SystemSimulation:
         self.trace_enabled = trace
         self.strict_routing = strict_routing
         #: resolved engine selection: ``engine=`` wins over the legacy
-        #: ``compile`` flag ("batched" implies the compiled fast path
-        #: for parts that cannot batch)
+        #: ``compile`` flag
         self.engine_mode = engine if engine is not None \
             else ("compiled" if compile else "interpreted")
-        self.compile_enabled = self.engine_mode in ("compiled", "batched")
-        self.batch_min = batch_min
-        #: batch groups in first-member order (empty unless batched)
-        self.batch_groups: List[BatchGroup] = []
-        #: part name -> why it degraded out of the batched engine
-        self.batch_degraded: Dict[str, str] = {}
-        self._batch_plan: Dict[str, BatchGroup] = {}
-        #: batched part name -> (group, lane index): the fused fast path
-        self._lane_map: Dict[str, Tuple[BatchGroup, int]] = {}
-        self._nonbatched: List[PartInstance] = []
-        self._fused = False
+        self.compile_enabled = self.engine_mode == "compiled"
         self.on_part_error = on_part_error
         self.max_restarts = max_restarts
         self.max_restores = max_restores
@@ -285,14 +264,6 @@ class SystemSimulation:
         # a state entry action) and that send must route and be subject
         # to the campaign like any other.
         self._build_parts(context or {})
-        # Fused delivery needs lanes to sweep and an unbounded queue —
-        # coalesced messages do not occupy individual queue slots, so a
-        # bounded kernel falls back to one event per message to keep
-        # backpressure accounting identical to the serial engines.
-        self._fused = bool(self._lane_map) \
-            and self.simulator.max_queue is None
-        self._nonbatched = [instance for name, instance in self.parts.items()
-                            if name not in self._lane_map]
         self._build_routes()
         if faults is not None:
             self.attach_faults(faults, seed=fault_seed)
@@ -354,16 +325,10 @@ class SystemSimulation:
                       ) -> Optional[ExecutionEngine]:
         """Resolve a behavior to an engine via the registry; None when
         no registered engine executes it."""
-        group = self._batch_plan.get(part_name)
-        if group is not None:
-            binding = build_batched_binding(
-                group, part_name, initial_context,
-                self._make_sink(part_name))
-        else:
-            binding = build_engine_factory(
-                behavior, context=initial_context,
-                signal_sink=self._make_sink(part_name),
-                prefer_compiled=self.compile_enabled)
+        binding = build_engine_factory(
+            behavior, context=initial_context,
+            signal_sink=self._make_sink(part_name),
+            prefer_compiled=self.compile_enabled)
         if binding is None:
             return None
         label, build = binding
@@ -377,20 +342,9 @@ class SystemSimulation:
             runtime.trace_part = _name
             return runtime
         self._part_factories[part_name] = factory
-        runtime = factory()
-        if group is not None:
-            self._lane_map[part_name] = (group, runtime.lane)
-        return runtime
+        return factory()
 
     def _build_parts(self, contexts: Dict[str, Dict[str, Any]]) -> None:
-        if self.engine_mode == "batched":
-            behaviors = {
-                part.name: part.type.classifier_behavior
-                for part in self.top.parts
-                if isinstance(part.type, UmlClass)}
-            self._batch_plan, self.batch_degraded, self.batch_groups = \
-                plan_batch_groups(behaviors, self.batch_min,
-                                  trace_bus=self._bus)
         for part in self.top.parts:
             part_type = part.type
             if not isinstance(part_type, UmlClass):
@@ -409,17 +363,6 @@ class SystemSimulation:
         if not self.parts:
             raise SimulationError(
                 f"component {self.top.name!r} has no executable parts")
-        if self.engine_mode == "batched":
-            for group in self.batch_groups:
-                PERF.observe("batch.occupancy", group.width)
-            bus = self._bus
-            if bus is not None and self.batch_degraded \
-                    and ENGINE_DEGRADED in bus.active_kinds:
-                for name, reason in sorted(self.batch_degraded.items()):
-                    bus.emit(ENGINE_DEGRADED, 0.0, name,
-                             {"reason": reason,
-                              "engine": self.compile_report.get(
-                                  name, "no behavior")})
 
     def _start_parts(self) -> None:
         for instance in self.parts.values():
@@ -708,34 +651,6 @@ class SystemSimulation:
         # (a routed message, a fault injection, a transition self-send).
         bus = self._bus
         cause = bus.cause if bus is not None and bus.causal else None
-        if self._fused:
-            entry = self._lane_map.get(part_name)
-            if entry is not None and latency >= 0 \
-                    and not self.simulator._closed:
-                group, lane = entry
-                simulator = self.simulator
-                due = simulator.now + latency
-                message = (part_name, lane, signal, arguments, sender,
-                           cause)
-                if group._open_rid >= 0 and group._open_t == due \
-                        and group._open_seq == simulator._seq:
-                    # No scheduler event was interleaved since this
-                    # bucket's last append, so a serial run would pop
-                    # the two deliveries back-to-back — safe to ride
-                    # the same sweep.  Consume a sequence number
-                    # exactly as the serial per-message push would, so
-                    # the no-interleaving check stays exact across
-                    # groups and recurring ticks.
-                    group._runs[group._open_rid].append(message)
-                    simulator._seq += 1
-                    group._open_seq = simulator._seq
-                    return
-                rid = group.open_run(due, -1)
-                group._runs[rid].append(message)
-                simulator.schedule_call(latency, self._drain_run,
-                                        (group, rid))
-                group._open_seq = simulator._seq
-                return
 
         def deliver() -> None:
             instance = self.parts[part_name]
@@ -780,84 +695,6 @@ class SystemSimulation:
                 bus.cause = None
         self.simulator.schedule(latency, deliver)
 
-    def _drain_run(self, payload: Tuple[BatchGroup, int]) -> None:
-        """Sweep one coalesced delivery run of a batch group.
-
-        Replicates the serial ``deliver`` closure per message —
-        quarantine check, lane time sync, delivery accounting, trace
-        emits, engine send, part-failure policy — with the lookup chain
-        hoisted out of the loop.  Self-sends appended to the live run
-        during the sweep are processed in the same pass (index
-        iteration), exactly where the serial scheduler would pop them.
-        Under the ``"raise"`` policy an escaping part error aborts the
-        simulation mid-run, as it does mid-queue serially.
-        """
-        group, rid = payload
-        run = group._runs.get(rid)
-        if run is None:
-            return
-        parts = self.parts
-        simulator = self.simulator
-        now = simulator.now
-        quarantined = self._quarantined
-        bus = self._bus
-        delivered_active = bus is not None \
-            and MESSAGE_DELIVERED in bus.active_kinds
-        causal = bus is not None and bus.causal
-        trace_enabled = self.trace_enabled
-        trace = self.trace
-        lanes = group.lanes
-        clock = lanes.clock
-        index = 0
-        try:
-            while index < len(run):
-                part_name, lane, signal, arguments, sender, cause \
-                    = run[index]
-                index += 1
-                if causal:
-                    bus.cause = cause
-                if part_name in quarantined:
-                    self._drop_quarantined(part_name, signal, sender)
-                    continue
-                if clock[lane] < now:
-                    if causal:
-                        # timer chains fired by the sync are roots,
-                        # like the serial _sync_runtime path
-                        bus.cause = None
-                    try:
-                        lanes.advance_lane(lane, now)
-                    except Exception as error:  # noqa: BLE001
-                        self._part_failed(part_name, error)
-                    if causal:
-                        bus.cause = cause
-                    if part_name in quarantined:
-                        # the time sync itself failed the part
-                        self._drop_quarantined(part_name, signal, sender)
-                        continue
-                parts[part_name].received += 1
-                self.messages_delivered += 1
-                if delivered_active:
-                    record = bus.emit(MESSAGE_DELIVERED, now, part_name,
-                                      {"signal": signal, "sender": sender})
-                    if causal and record is not None:
-                        bus.cause = record.ordinal
-                if trace_enabled:
-                    trace.append((now, f"{signal} -> {part_name}"))
-                try:
-                    lanes.send_lane(lane, signal, arguments)
-                except Exception as error:  # noqa: BLE001
-                    self._part_failed(part_name, error)
-            if causal:
-                bus.cause = None
-        finally:
-            # logical-event parity: serially each message is one kernel
-            # event; fused it is one event per run, so account for the
-            # difference (the kernel already counted this run as 1)
-            simulator.events_processed += index - 1
-            PERF.incr("batch.fused_dispatches")
-            PERF.observe("batch.events_per_dispatch", index)
-        group.close_run(rid)
-
     def _drop_quarantined(self, part_name: str, signal: str,
                           sender: str) -> None:
         if self._bus is not None \
@@ -889,26 +726,6 @@ class SystemSimulation:
                 self._part_failed(instance.name, error)
 
     def _sync_all(self) -> None:
-        groups = self.batch_groups
-        if groups and not self._quarantined:
-            now = self.simulator.now
-            quiet = True
-            for group in groups:
-                if group.min_due() <= now:
-                    quiet = False
-                    break
-            if quiet:
-                # No lane has a due timer: a serial per-part step() would
-                # fire nothing and emit nothing, so bulk clock assignment
-                # is observably identical.  Degraded parts still sync
-                # individually (their relative order is preserved; the
-                # skipped lane steps were no-ops, so interleaving with
-                # them is unobservable).
-                for group in groups:
-                    group.bulk_clock(now)
-                for instance in self._nonbatched:
-                    self._sync_runtime(instance)
-                return
         for instance in self.parts.values():
             self._sync_runtime(instance)
 
@@ -948,20 +765,39 @@ class SystemSimulation:
         """
         start = _time.perf_counter()
         events_before = self.simulator.events_processed
-        self._arm_run(until)
+        self.simulator.every(self.quantum, self._sync_all, until=until)
+        if self.checkpoint_interval is not None:
+            # armed after the quantum sync at equal timestamps, so a
+            # snapshot always captures the parts *after* they advanced
+            # to the tick's time
+            self.simulator.every(self.checkpoint_interval,
+                                 self.take_part_checkpoints, until=until)
         try:
             self.simulator.run(until=until, max_events=max_events,
                                timeout=timeout,
                                max_events_at_instant=max_events_at_instant,
                                detect_deadlock=detect_deadlock)
-            self._finish_run(until)
-        except SimulationError as error:
-            self._handle_run_error(error)
-            raise
+            if self._injector is not None:
+                # deliver reorder-held messages that never found a partner
+                leftovers = self._injector.flush()
+                if leftovers:
+                    for peer, signal, arguments in leftovers:
+                        self._schedule_delivery(peer, signal, arguments,
+                                                0.0, sender="fault-flush")
+                    self.simulator.run(until=until)
+            for instance in self.parts.values():
+                if instance.runtime is not None \
+                        and instance.runtime.time < until:
+                    self._final_advance(instance, until)
         except ReproError as error:
-            # part-behavior errors under the raise policy: not a kernel
-            # incident, but the black box should still hit the ground
-            self._handle_run_error(error)
+            # kernel incidents land in the resilience report; part
+            # behavior errors under the raise policy are not kernel
+            # incidents, but the black box should still hit the ground
+            if isinstance(error, SimulationError):
+                self.resilience.record_kernel_incident(
+                    self.simulator.now, type(error).__name__, str(error))
+            self._fire_incident("simulation_error",
+                                f"{type(error).__name__}: {error}")
             raise
         finally:
             elapsed = _time.perf_counter() - start
@@ -971,43 +807,6 @@ class SystemSimulation:
             PERF.incr("cosim.kernel_events",
                       self.simulator.events_processed - events_before)
         return self
-
-    def _arm_run(self, until: float) -> None:
-        """Arm the per-run recurrences (quantum sync, periodic
-        checkpoints).  Split out of :meth:`run` so the vectorized
-        campaign runner can interleave several simulations over one
-        process with exactly :meth:`run`'s semantics."""
-        self.simulator.every(self.quantum, self._sync_all, until=until)
-        if self.checkpoint_interval is not None:
-            # armed after the quantum sync at equal timestamps, so a
-            # snapshot always captures the parts *after* they advanced
-            # to the tick's time
-            self.simulator.every(self.checkpoint_interval,
-                                 self.take_part_checkpoints, until=until)
-
-    def _finish_run(self, until: float) -> None:
-        """Post-run epilogue: flush reorder-held fault messages, then
-        advance every engine clock to the horizon."""
-        if self._injector is not None:
-            # deliver reorder-held messages that never found a partner
-            leftovers = self._injector.flush()
-            if leftovers:
-                for peer, signal, arguments in leftovers:
-                    self._schedule_delivery(peer, signal, arguments,
-                                            0.0, sender="fault-flush")
-                self.simulator.run(until=until)
-        for instance in self.parts.values():
-            if instance.runtime is not None \
-                    and instance.runtime.time < until:
-                self._final_advance(instance, until)
-
-    def _handle_run_error(self, error: BaseException) -> None:
-        """Record an escaping run error (incident hooks + resilience)."""
-        if isinstance(error, SimulationError):
-            self.resilience.record_kernel_incident(
-                self.simulator.now, type(error).__name__, str(error))
-        self._fire_incident("simulation_error",
-                            f"{type(error).__name__}: {error}")
 
     def _final_advance(self, instance: PartInstance, until: float) -> None:
         if instance.name in self._quarantined:
@@ -1061,10 +860,6 @@ class SystemSimulation:
                               if self.observability is not None else None),
             "properties": (self.property_checker.checkpoint()
                            if self.property_checker is not None else None),
-            # pending fused-delivery buckets (lane state itself rides in
-            # the parts section through each view's checkpoint)
-            "batched": [group.checkpoint_runs()
-                        for group in self.batch_groups],
         }
 
     def restore(self, snap: Dict[str, Any]) -> None:
@@ -1094,9 +889,6 @@ class SystemSimulation:
         if self.property_checker is not None \
                 and snap.get("properties") is not None:
             self.property_checker.restore(snap["properties"])
-        for group, group_snap in zip(self.batch_groups,
-                                     snap.get("batched", ())):
-            group.restore_runs(group_snap)
 
     # ------------------------------------------------------------------
     # property verdicts
@@ -1153,8 +945,6 @@ class SystemSimulation:
             "mode": self.engine_mode,
             "parts": len(self.parts),
             "compiled_parts": compiled,
-            "batched_parts": len(self._lane_map),
-            "batch_groups": len(self.batch_groups),
             "kernel_events": events,
             "messages_delivered": self.messages_delivered,
             "messages_dropped": self.messages_dropped,

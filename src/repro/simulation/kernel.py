@@ -143,7 +143,7 @@ class _RecurringTick:
             simulator._seq = seq = simulator._seq + 1
             heapq.heappush(
                 simulator._queue,
-                (simulator.now + self.interval, seq, self._fire, None))
+                (simulator.now + self.interval, seq, self._fire))
         else:
             # expired: mark stopped so the tick registry can be pruned
             self.stopped = True
@@ -175,7 +175,7 @@ class Simulator:
         self.events_dropped = 0
         self.max_queue = max_queue
         self.overflow_policy = overflow_policy
-        self._queue: List[Tuple[float, int, Callable, Any]] = []
+        self._queue: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self._processes: List[ProcessHandle] = []
         self._ticks: List[_RecurringTick] = []
@@ -194,30 +194,7 @@ class Simulator:
                 and not self._admit_over_capacity():
             return
         self._seq = seq = self._seq + 1
-        heapq.heappush(self._queue, (self.now + delay, seq, action, None))
-
-    def schedule_call(self, delay: float, action: Callable[[Any], None],
-                      payload: Any) -> None:
-        """Run ``action(payload)`` after ``delay`` simulated time.
-
-        Like :meth:`schedule`, but the payload rides in the (previously
-        unused) fourth slot of the heap entry instead of a closure — the
-        fused-delivery fast path schedules thousands of these without
-        allocating a function object per event.  ``payload`` must not be
-        None (a None payload is the zero-argument convention).
-        """
-        if self._closed:
-            raise SimulationError("cannot schedule on a closed simulator")
-        if delay < 0:
-            raise SimulationError("cannot schedule into the past")
-        if payload is None:
-            raise SimulationError("schedule_call needs a non-None payload")
-        if self.max_queue is not None \
-                and len(self._queue) >= self.max_queue \
-                and not self._admit_over_capacity():
-            return
-        self._seq = seq = self._seq + 1
-        heapq.heappush(self._queue, (self.now + delay, seq, action, payload))
+        heapq.heappush(self._queue, (self.now + delay, seq, action))
 
     def _admit_over_capacity(self) -> bool:
         """Apply the overflow policy; True when the new event may enter."""
@@ -257,7 +234,7 @@ class Simulator:
         tick = _RecurringTick(self, interval, action, until)
         self._ticks.append(tick)
         self._seq = seq = self._seq + 1
-        heapq.heappush(self._queue, (self.now, seq, tick._fire, None))
+        heapq.heappush(self._queue, (self.now, seq, tick._fire))
         return tick
 
     def event(self) -> SimEvent:
@@ -282,7 +259,7 @@ class Simulator:
         heapq.heappush(
             self._queue,
             (self.now + delay, seq,
-             lambda: self._resume(handle, value), None))
+             lambda: self._resume(handle, value)))
 
     def _resume(self, handle: ProcessHandle, value: Any) -> None:
         if not handle.alive:
@@ -313,15 +290,12 @@ class Simulator:
         """Process the next scheduled action; False when queue is empty."""
         if not self._queue:
             return False
-        time, _seq, action, payload = heapq.heappop(self._queue)
+        time, _seq, action = heapq.heappop(self._queue)
         if time < self.now:
             raise SimulationError("scheduler time went backwards")
         self.now = time
         self.events_processed += 1
-        if payload is None:
-            action()
-        else:
-            action(payload)
+        action()
         return True
 
     def run(self, until: Optional[float] = None,

@@ -40,7 +40,6 @@ from .flatten import (
     flatten,
     flatten_cached,
 )
-from .soa import SoaLanes
 from .compose import clone_machine, connection_point, inline_submachine
 from . import analysis
 
@@ -52,7 +51,6 @@ __all__ = [
     "ELSE_GUARD", "StateMachineRuntime",
     "CompiledMachine", "CompiledRuntime", "CompilePlan",
     "FlatStateMachine",
-    "SoaLanes",
     "compile_fallback_reason", "compile_machine",
     "compile_machine_cached",
     "default_alphabet", "flatten", "flatten_cached",

@@ -554,15 +554,11 @@ class CompiledTransition:
 class CompiledState:
     """A state with precompiled entry/exit actions and dispatch tables."""
 
-    __slots__ = ("name", "index", "entry", "do_activity", "exit", "by_key",
+    __slots__ = ("name", "entry", "do_activity", "exit", "by_key",
                  "by_timer", "timer_specs")
 
-    def __init__(self, name: str, index: int = -1):
+    def __init__(self, name: str):
         self.name = name
-        #: position in the owning machine's ``state_order`` (the
-        #: index-addressable handle the SoA batched runtime stores in its
-        #: active-state array instead of an object reference)
-        self.index = index
         self.entry: Optional[Callable] = None
         self.do_activity: Optional[Callable] = None
         self.exit: Optional[Callable] = None
@@ -580,8 +576,7 @@ class CompiledState:
 class CompiledMachine:
     """The immutable compile artifact: share one across many runtimes."""
 
-    __slots__ = ("machine", "states", "state_order", "state_index",
-                 "initial_state", "initial_effect")
+    __slots__ = ("machine", "states", "initial_state", "initial_effect")
 
     def __init__(self, machine: StateMachine,
                  states: Dict[str, CompiledState],
@@ -589,14 +584,6 @@ class CompiledMachine:
                  initial_effect: Optional[Callable]):
         self.machine = machine
         self.states = states
-        #: states in declaration order — ``state_order[s.index] is s``,
-        #: so an active configuration is addressable by a plain integer
-        #: (what the batched SoA runtime keeps per lane)
-        self.state_order: Tuple[CompiledState, ...] = tuple(
-            sorted(states.values(), key=lambda s: s.index))
-        #: state name -> index into :attr:`state_order`
-        self.state_index: Dict[str, int] = {
-            s.name: s.index for s in self.state_order}
         self.initial_state = initial_state
         self.initial_effect = initial_effect
 
@@ -674,8 +661,8 @@ def compile_machine(machine: StateMachine,
         ordered = machine.all_transitions()
         cstates: Dict[int, CompiledState] = {}
         by_name: Dict[str, CompiledState] = {}
-        for position, state in enumerate(machine.all_states()):
-            cstate = CompiledState(state.name, position)
+        for state in machine.all_states():
+            cstate = CompiledState(state.name)
             cstate.entry = _compile_action(state.entry, plan)
             cstate.do_activity = _compile_action(state.do_activity, plan)
             cstate.exit = _compile_action(state.exit, plan)
@@ -733,8 +720,7 @@ def compile_machine_cached(machine: StateMachine) -> CompiledMachine:
     Keyed on identity plus the owning tree's generation counter, so a
     machine edited after compilation recompiles while N identical part
     instances (and N campaign seeds over one parsed model) share a
-    single dispatch table — the warm-compile path of batched execution
-    and the pre-fork campaign warm-up.
+    single dispatch table, which the pre-fork campaign warm-up relies on.
 
     When an artifact store is active (:func:`repro.store.
     get_active_store`), in-memory misses consult the per-machine

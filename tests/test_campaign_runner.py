@@ -88,6 +88,29 @@ class TestSpecValidation:
         assert CampaignSpec.from_dict(spec.to_dict()).to_dict() \
             == spec.to_dict()
 
+    @pytest.mark.parametrize("engine", ("warp", "batched"))
+    def test_engine_field_validated(self, engine):
+        with pytest.raises(FaultError):
+            CampaignSpec(seeds=[1], builder="m:f", engine=engine)
+
+    def test_spec_round_trips_engine(self, model_file, campaign_file):
+        spec = make_spec(model_file, campaign_file, engine="compiled")
+        assert CampaignSpec.from_dict(spec.to_dict()).engine == "compiled"
+
+    @pytest.mark.parametrize("data, field", [
+        ({"seeds": [1], "builder": "m:f", "bogus": 1}, "bogus"),
+        ({"builder": "m:f"}, "seeds"),
+        ({"seeds": 5, "builder": "m:f"}, "seeds"),
+        ({"seeds": ["x"], "builder": "m:f"}, "seeds"),
+        ({"seeds": [1], "builder": "m:f", "until": "soon"}, "until"),
+        ({"seeds": [1], "builder": "m:f", "engine": "batched"}, "engine"),
+    ], ids=["unknown-key", "missing-seeds", "scalar-seeds",
+            "non-integer-seed", "non-numeric-until", "batched-engine"])
+    def test_malformed_dict_raises_fault_error(self, data, field):
+        # specs arrive as plain data from the socket API and journals
+        with pytest.raises(FaultError, match=field):
+            CampaignSpec.from_dict(data)
+
 
 class TestSerialSweep:
     def test_run_seed_is_deterministic(self, model_file, campaign_file):

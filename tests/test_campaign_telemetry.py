@@ -115,7 +115,7 @@ class TestAggregation:
 
     def test_done_keeps_the_larger_event_count(self):
         telemetry = make_telemetry()
-        telemetry.beat(5, 900)  # last heartbeat sample
+        telemetry._apply("hb 5 900")  # last heartbeat sample
         telemetry.seed_done(5, 0)  # reap loop knows no count
         assert telemetry.events_done == 900
 
@@ -134,7 +134,7 @@ class TestAggregation:
         clock.advance(2.0)
         telemetry.seed_done(1, 1000)
         telemetry.seed_done(2, 1000)
-        telemetry.beat(3, 500)
+        telemetry._apply("hb 3 500")
         assert telemetry.events_total() == 2500
         assert telemetry.events_per_second() == pytest.approx(1250.0)
         # pace 1 s/seed, 2 remaining, one running seed counts half-done
@@ -283,12 +283,14 @@ class TestRunnerIntegration:
             assert row["causal_edges"]["kinds"]
             assert "coverage" in row
 
-    def test_obs_rows_identical_serial_vs_vectorized(self, spec_files):
+    def test_obs_rows_identical_serial_vs_parallel(self, spec_files):
+        # the fork pool hands rows back through JSON result files
         spec = make_spec(spec_files, obs=True)
         serial = run_campaign(spec)
-        vectorized = run_campaign(spec, vectorize=True)
+        parallel = run_campaign(spec, workers=2)
+        assert parallel.mode == "parallel"
         key = lambda rows: sorted(rows, key=lambda r: r["seed"])
-        assert key(serial.rows) == key(vectorized.rows)
+        assert key(serial.rows) == key(parallel.rows)
 
     def test_telemetry_does_not_change_the_report(self, spec_files):
         spec = make_spec(spec_files)

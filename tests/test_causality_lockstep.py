@@ -1,11 +1,11 @@
 """Byte-identity of the causal span exports across engines (PR 9).
 
 The span JSONL and Perfetto renderings are pure functions of the trace
-stream, and the stream is lockstep-identical across the interpreted,
-compiled and batched engines — so the exports must be byte-identical
-too: plain, under a seeded fault campaign, and through supervised
-rollback recovery (where the only engine-divergent data is the free
-error text, which the exporters exclude by contract).
+stream, and the stream is lockstep-identical across the interpreted and
+compiled engines — so the exports must be byte-identical too: plain,
+under a seeded fault campaign, and through supervised rollback recovery
+(where the only engine-divergent data is the free error text, which the
+exporters exclude by contract).
 """
 
 import pytest
@@ -16,7 +16,7 @@ from repro.hw import make_memory, make_soc, make_traffic_generator
 from repro.simulation import SystemSimulation
 from repro.statemachines import StateMachine, TransitionKind
 
-ENGINES = ("interpreted", "compiled", "batched")
+ENGINES = ("interpreted", "compiled")
 
 
 def soc_top():
@@ -56,17 +56,9 @@ def make_fragile_top(fail_on="Poke"):
     return top
 
 
-def engine_kwargs(mode):
-    if mode == "compiled":
-        return {"compile": True}
-    if mode == "batched":
-        return {"engine": "batched"}
-    return {}
-
-
 def export(mode, until=120.0, faults=None, seed=None):
     with SystemSimulation(soc_top(), causality=True, faults=faults,
-                          fault_seed=seed, **engine_kwargs(mode)) as sim:
+                          fault_seed=seed, engine=mode) as sim:
         sim.run(until=until)
         causal = sim.observability.causal
         return {"spans": causal.to_span_jsonl(),
@@ -77,8 +69,7 @@ def export(mode, until=120.0, faults=None, seed=None):
 def export_recovery(mode):
     sim = SystemSimulation(make_fragile_top(), causality=True,
                            on_part_error="restore",
-                           checkpoint_interval=5.0,
-                           **engine_kwargs(mode))
+                           checkpoint_interval=5.0, engine=mode)
     with sim:
         sim.send("frag", "Ping", delay=1.0)
         sim.send("frag", "Ping", delay=2.0)
@@ -97,19 +88,16 @@ class TestPlainRuns:
 
     def test_spans_byte_identical(self, exports):
         assert exports["interpreted"]["spans"] \
-            == exports["compiled"]["spans"] \
-            == exports["batched"]["spans"]
+            == exports["compiled"]["spans"]
         assert exports["interpreted"]["spans"].count("\n") > 100
 
     def test_perfetto_byte_identical(self, exports):
         assert exports["interpreted"]["perfetto"] \
-            == exports["compiled"]["perfetto"] \
-            == exports["batched"]["perfetto"]
+            == exports["compiled"]["perfetto"]
 
     def test_edge_counts_identical_and_cross_part(self, exports):
         edges = exports["interpreted"]["edges"]
         assert edges == exports["compiled"]["edges"]
-        assert edges == exports["batched"]["edges"]
         assert any("->" in edge for edge in edges["parts"])
 
 
@@ -117,8 +105,7 @@ class TestFaultedRuns:
     def test_campaign_exports_byte_identical(self):
         runs = {mode: export(mode, faults=campaign(), seed=7)
                 for mode in ENGINES}
-        assert runs["interpreted"] == runs["compiled"] \
-            == runs["batched"]
+        assert runs["interpreted"] == runs["compiled"]
         # faults appear in the stream, with provenance
         assert '"kind":"fault"' in runs["interpreted"]["spans"]
 
@@ -132,8 +119,7 @@ class TestFaultedRuns:
 class TestSupervisedRecovery:
     def test_rollback_exports_byte_identical(self):
         runs = {mode: export_recovery(mode) for mode in ENGINES}
-        assert runs["interpreted"] == runs["compiled"] \
-            == runs["batched"]
+        assert runs["interpreted"] == runs["compiled"]
         # the recovery path is present — and survived the volatile-text
         # exclusion that makes the engines comparable
         assert '"kind":"part_restored"' in runs["interpreted"]["spans"]

@@ -1,7 +1,7 @@
 """CLI surface of PR 9: ``simulate --trace -`` streaming,
 ``--spans``/``--perfetto`` exports, the ``trace-to-sequence``
-``--part``/``--signal`` filters (and the engine_degraded skip), and
-``campaign --obs-report`` including the stored ``report`` artifact."""
+``--part``/``--signal`` filters, and ``campaign --obs-report``
+including the stored ``report`` artifact."""
 
 import io
 import json
@@ -139,6 +139,8 @@ class TestTraceToSequenceFilters:
 
     def test_engine_degraded_records_are_skipped(self, trace_file,
                                                  tmp_path, capsys):
+        # trace files written by older versions carry engine meta
+        # records; the sequence renders from message deliveries only
         baseline = self.render(capsys, trace_file)
         noisy = tmp_path / "noisy.jsonl"
         meta = json.dumps({"ordinal": 0, "t": 0.0,

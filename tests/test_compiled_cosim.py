@@ -6,14 +6,16 @@ The compiled fast path (``repro.statemachines.flatten.compile_machine``
 contexts (including ASL temporary leakage), same emitted signals in the
 same order, same simulated clocks.  These tests drive both engines in
 lockstep over crafted semantic corner cases, randomized machines and
-whole randomized SoC assemblies.
+whole randomized or replicated SoC assemblies.
 """
 
 import random
 
 import pytest
 
+from repro.engine import TraceBus, TraceRecorder
 from repro.errors import StateMachineError
+from repro.faults import FaultCampaign, FaultSpec
 from repro.hw import (
     make_memory,
     make_soc,
@@ -309,3 +311,78 @@ class TestCosimLockstep:
             assert interpreted.context_of(part) == \
                 compiled.context_of(part)
         assert interpreted.messages_delivered > 0
+
+
+def replicated_top(pairs=4):
+    """N point-to-point cpu<->ram channels over two Components, so every
+    compiled part of a kind shares one dispatch table."""
+    cpu = make_traffic_generator("Cpu", period=2.0, address_range=0x1000)
+    ram = make_memory("Ram", size_bytes=0x800)
+    top = Component("Soc")
+    for index in range(pairs):
+        cpu_part = top.add_part(f"cpu{index}", cpu)
+        ram_part = top.add_part(f"ram{index}", ram)
+        top.connect(cpu.port("bus"), ram.port("bus"),
+                    cpu_part, ram_part, check=False)
+    return top
+
+
+def replicated_campaign():
+    return FaultCampaign(
+        [FaultSpec("drop", signal="ReadResp", probability=0.25),
+         FaultSpec("delay", signal="WriteAck", delay=3.0, jitter=2.0,
+                   probability=0.3)],
+        name="lockstep", seed=1234)
+
+
+class TestReplicatedTopLockstep:
+    """Parts sharing one compiled machine keep separate state."""
+
+    @staticmethod
+    def full_trace(engine, faults=None, seed=None):
+        bus = TraceBus()
+        recorder = TraceRecorder(bus)
+        with SystemSimulation(replicated_top(), engine=engine, bus=bus,
+                              faults=faults, fault_seed=seed) as sim:
+            sim.run(until=80.0)
+            return recorder, sim.stats()["kernel_events"]
+
+    def test_plain_byte_identical(self):
+        interpreted, _ = self.full_trace("interpreted")
+        compiled, _ = self.full_trace("compiled")
+        assert interpreted.to_jsonl(), "trace must not be empty"
+        assert interpreted.to_jsonl() == compiled.to_jsonl()
+
+    def test_kernel_event_parity(self):
+        # one kernel event per delivered message on both engines
+        _, interpreted_events = self.full_trace("interpreted")
+        _, compiled_events = self.full_trace("compiled")
+        assert interpreted_events == compiled_events > 0
+
+    def test_under_fault_campaign_byte_identical(self):
+        interpreted, _ = self.full_trace(
+            "interpreted", faults=replicated_campaign(), seed=7)
+        compiled, _ = self.full_trace(
+            "compiled", faults=replicated_campaign(), seed=7)
+        assert interpreted.to_jsonl() == compiled.to_jsonl()
+        assert any(event.kind == "fault" for event in compiled.events)
+
+    @pytest.mark.parametrize("faults", (False, True),
+                             ids=("plain", "faulted"))
+    def test_observer_artifacts_byte_identical(self, faults):
+        artifacts = {}
+        for engine in ("interpreted", "compiled"):
+            with SystemSimulation(
+                    replicated_top(), engine=engine,
+                    faults=replicated_campaign() if faults else None,
+                    fault_seed=7, coverage=True, profile=True,
+                    flight_recorder=128) as sim:
+                sim.run(until=100.0)
+                suite = sim.observability
+                artifacts[engine] = (
+                    suite.coverage_report().to_json(indent=2),
+                    "\n".join(suite.profile_lines("steps")),
+                    suite.recorder.dump_text(sim, reason="lockstep",
+                                             detail="end-of-run"))
+        assert artifacts["interpreted"] == artifacts["compiled"]
+        assert '"total_percent"' in artifacts["compiled"][0]

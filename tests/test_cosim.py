@@ -64,6 +64,11 @@ class TestBasics:
         with pytest.raises(SimulationError):
             SystemSimulation(mm.Component("Empty"))
 
+    @pytest.mark.parametrize("engine", ("warp", "batched"))
+    def test_unknown_engine_rejected(self, engine):
+        with pytest.raises(SimulationError, match="unknown engine"):
+            SystemSimulation(build_pair(), engine=engine)
+
     def test_attribute_defaults_seed_context(self):
         sim = SystemSimulation(build_pair())
         assert sim.context_of("echo")["count"] == 0

@@ -1,12 +1,11 @@
 """Property-checker lockstep (PR 7): verdicts, violation records and
 ``property_violation`` ordinals must be byte-identical across the
-interpreted, compiled and batched engines — plain, under seeded fault
+interpreted and compiled engines — plain, under seeded fault
 campaigns, and across checkpoint/restore rollback.  At campaign level
-the aggregated PropertyReport must be identical for serial, parallel,
-vectorized and journal-resumed sweeps (including ``--vectorize
---resume``), and a seeded corrupt-payload injection must flip a
-response property from pass to violated with a flight-recorder
-post-mortem attached."""
+the aggregated PropertyReport must be identical for serial, parallel
+and journal-resumed sweeps, and a seeded corrupt-payload injection
+must flip a response property from pass to violated with a
+flight-recorder post-mortem attached."""
 
 import json
 
@@ -25,7 +24,6 @@ from repro.faults import (
     CampaignSpec,
     FaultCampaign,
     FaultSpec,
-    read_journal,
     run_campaign,
 )
 from repro.hw import make_memory, make_soc, make_traffic_generator
@@ -39,11 +37,11 @@ from repro.properties import (
 )
 from repro.simulation import SystemSimulation
 
-ENGINES = ("interpreted", "compiled", "batched")
+ENGINES = ("interpreted", "compiled")
 
 
 def replicated_top(pairs=4):
-    """Homogeneous point-to-point channels (every part batches)."""
+    """Homogeneous point-to-point channels: N parts share each machine."""
     cpu = make_traffic_generator("Cpu", period=2.0, address_range=0x800)
     ram = make_memory("Ram", size_bytes=0x800)
     top = mm.Component("Soc")
@@ -139,18 +137,18 @@ class TestThreeEngineLockstep:
     def test_plain_runs_byte_identical(self):
         runs = {engine: checked_run(engine) for engine in ENGINES}
         assert runs["interpreted"]["stream"], "trace must not be empty"
-        assert runs["interpreted"] == runs["compiled"] == runs["batched"]
-        report = json.loads(runs["batched"]["report"])
+        assert runs["interpreted"] == runs["compiled"]
+        report = json.loads(runs["compiled"]["report"])
         assert report["verdict"] == "pass"
         assert report["properties"]["read-handshake"]["stats"]["consumed"] > 0
 
     def test_under_faults_byte_identical_with_violations(self):
         runs = {engine: checked_run(engine, faults=fault_campaign(), seed=7)
                 for engine in ENGINES}
-        assert runs["interpreted"] == runs["compiled"] == runs["batched"]
-        report = json.loads(runs["batched"]["report"])
+        assert runs["interpreted"] == runs["compiled"]
+        report = json.loads(runs["compiled"]["report"])
         assert report["verdict"] == "violated"  # not vacuous
-        assert runs["batched"]["violation_ordinals"]
+        assert runs["compiled"]["violation_ordinals"]
 
     def test_violation_events_ride_the_shared_ordinal_space(self):
         run = checked_run("compiled", faults=fault_campaign(), seed=7)
@@ -166,15 +164,14 @@ class TestThreeEngineLockstep:
             if witness is not None:
                 assert witness["t"] == violation["t"]
 
-    def test_degraded_batched_run_keeps_verdicts(self):
-        # singleton populations degrade batched parts to serial; the
-        # checker subscribes to message kinds only, so verdicts and
-        # ordinals still match the other engines exactly
+    def test_bus_routed_run_keeps_verdicts(self):
+        # the same lockstep on a bus-routed top, where every signal
+        # takes a hop through the generated bus part
         runs = {engine: checked_run(engine, top_builder=flat_top,
                                     suite=bus_suite,
                                     faults=fault_campaign(), seed=11)
                 for engine in ENGINES}
-        assert runs["interpreted"] == runs["compiled"] == runs["batched"]
+        assert runs["interpreted"] == runs["compiled"]
 
     def test_different_seeds_diverge(self):
         one = checked_run("compiled", faults=fault_campaign(), seed=1)
@@ -185,7 +182,7 @@ class TestThreeEngineLockstep:
 class TestRollbackTransparency:
     def test_restore_rewinds_monitors_and_violations(self):
         suite = channel_suite()
-        sim = SystemSimulation(replicated_top(), engine="batched",
+        sim = SystemSimulation(replicated_top(), engine="compiled",
                                faults=fault_campaign(), fault_seed=11,
                                properties=suite)
         sim.run(until=40.0)
@@ -251,14 +248,10 @@ def make_spec(campaign_files, seeds=(1, 2, 3, 4, 5), **kwargs):
 
 
 class TestCampaignAggregation:
-    def test_serial_parallel_vectorized_byte_identical(self,
-                                                       campaign_files):
+    def test_serial_parallel_byte_identical(self, campaign_files):
         serial = run_campaign(make_spec(campaign_files))
         parallel = run_campaign(make_spec(campaign_files), workers=2)
-        vectorized = run_campaign(make_spec(campaign_files),
-                                  vectorize=True)
-        assert serial.to_json() == parallel.to_json() \
-            == vectorized.to_json()
+        assert serial.to_json() == parallel.to_json()
         merged = serial.properties()
         assert merged is not None
         assert merged["seeds"] == [1, 2, 3, 4, 5]
@@ -306,23 +299,6 @@ class TestCampaignAggregation:
         assert len(resumed.resumed_seeds) == 2  # reused journal rows
         assert resumed.to_json() == reference.to_json()
         assert resumed.properties() == reference.properties()
-
-    def test_vectorize_resume_composes(self, campaign_files, tmp_path):
-        # satellite: --vectorize --resume reuses a partial journal from
-        # any mode and still reproduces the reference bytes
-        journal = str(tmp_path / "vector-resume.jsonl")
-        reference = run_campaign(make_spec(campaign_files))
-        run_campaign(make_spec(campaign_files), journal=journal)
-        lines = open(journal, encoding="utf-8").read().splitlines()
-        with open(journal, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines[:2]) + "\n")
-        resumed = run_campaign(make_spec(campaign_files), journal=journal,
-                               resume=True, vectorize=True)
-        assert resumed.mode == "vectorized"
-        assert resumed.resumed_seeds == [1]  # the surviving journal row
-        assert resumed.to_json() == reference.to_json()
-        _, completed, _ = read_journal(journal)
-        assert sorted(completed) == [1, 2, 3, 4, 5]
 
     def test_spec_round_trips_properties(self, campaign_files):
         spec = make_spec(campaign_files, on_violation="record")

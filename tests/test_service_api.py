@@ -12,6 +12,7 @@ from repro import xmi
 from repro.errors import ServiceError
 from repro.faults import FaultCampaign, FaultSpec
 from repro.hw import make_memory, make_soc, make_traffic_generator
+from repro.perf import PERF
 from repro.service import ServiceClient, ServiceServer, SimulationService
 
 
@@ -75,6 +76,17 @@ class TestDispatch:
         response = server.handle_line(b'{"op": "submit"}')
         assert response["ok"] is False
         assert "spec" in response["error"]
+
+    def test_malformed_spec_is_a_typed_envelope(self, server):
+        before = PERF.counter("service.internal_errors")
+        response = server.handle_line(json.dumps(
+            {"op": "submit",
+             "spec": {"seeds": [1], "builder": "m:f",
+                      "engine": "batched"}}).encode("utf-8"))
+        assert response["ok"] is False
+        assert response["error"].startswith("FaultError: ")
+        assert "engine" in response["error"]
+        assert PERF.counter("service.internal_errors") == before
 
     def test_refusals_are_envelopes_not_crashes(self, server):
         response = server.handle_line(

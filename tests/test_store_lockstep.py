@@ -1,7 +1,7 @@
 """The warm-start lockstep gate (PR 8): serving pipeline artifacts
 from the store must be unobservable.  A simulation whose compiles
 replay stored plans owes byte-identical trace streams to a cold build
-and to a store-less reference — on all three engines, plain and under a
+and to a store-less reference — on both engines, plain and under a
 seeded fault campaign — and a campaign sweep run against a warm store
 owes byte-identical reports.  The store may only ever change *when*
 work happens, never *what* comes out."""
@@ -21,7 +21,7 @@ from repro.hw import make_memory, make_soc, make_traffic_generator
 from repro.simulation import SystemSimulation
 from repro.store import STORE_ENV, ArtifactStore, using_store
 
-ENGINES = ("interpreted", "compiled", "batched")
+ENGINES = ("interpreted", "compiled")
 
 
 @pytest.fixture(autouse=True)
@@ -82,7 +82,7 @@ class TestWarmStartLockstep:
         assert reference  # non-vacuous: the trace has events
         assert cold == reference
         assert warm == reference
-        if engine in ("compiled", "batched"):
+        if engine == "compiled":
             # the warm run really was served from the store
             assert warm_store.graph.built("compile") == 0
             assert warm_store.graph.reused("compile") > 0
@@ -140,9 +140,3 @@ class TestCampaignWithStore:
         assert cold.to_json() == reference.to_json()
         assert warm.to_json() == reference.to_json()
 
-    def test_vectorized_sweep_with_store(self, tmp_path):
-        spec = self._spec(tmp_path, "compiled")
-        reference = run_campaign(spec, workers=0)
-        with using_store(ArtifactStore(tmp_path / "store")):
-            vectorized = run_campaign(spec, workers=0, vectorize=True)
-        assert vectorized.to_json() == reference.to_json()

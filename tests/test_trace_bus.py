@@ -51,7 +51,6 @@ class TestKindVocabulary:
         assert PART_RESTARTED == "part_restarted"
         from repro.engine import (
             CHECKPOINT,
-            ENGINE_DEGRADED,
             PART_RESTORED,
             PROPERTY_VIOLATION,
             SUPERVISOR_DECISION,
@@ -60,12 +59,11 @@ class TestKindVocabulary:
         assert PART_RESTORED == "part_restored"
         assert SUPERVISOR_DECISION == "supervisor_decision"
         assert CHECKPOINT == "checkpoint"
-        assert ENGINE_DEGRADED == "engine_degraded"
         assert PROPERTY_VIOLATION == "property_violation"
 
     def test_engine_kinds_subset(self):
         assert set(ENGINE_KINDS) < set(KINDS)
-        assert len(set(KINDS)) == len(KINDS) == 16
+        assert len(set(KINDS)) == len(KINDS) == 15
 
 
 class TestTraceEvent:
