@@ -37,7 +37,7 @@ import repro
 import repro.metamodel as mm
 from repro.codegen import generate_units
 from repro.hw import make_memory, make_traffic_generator
-from repro.mda import TransformCache, hardware_transformation
+from repro.mda import hardware_transformation
 from repro.metamodel import Model
 from repro.profiles import create_soc_profile
 from repro.profiles.core import apply_stereotype
@@ -199,8 +199,7 @@ def stage_rows():
             store = ArtifactStore(scratch / "transform")
             start = time.perf_counter()
             with using_store(store):
-                transformation.transform_cached(pim, [profile],
-                                                cache=TransformCache())
+                transformation.transform_cached(pim, [profile])
             rows.append({
                 "experiment": "stages",
                 "stage": "transform",

@@ -130,34 +130,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    from .codegen import (
-        VALIDATORS,
-        generate_all_parallel,
-        python_gen,
-        systemc,
-        verilog,
-        vhdl,
-    )
+    from .codegen import BACKENDS, VALIDATORS, generate_all
     from .codegen.testbench import (
         generate_verilog_testbench,
         generate_vhdl_testbench,
     )
 
-    generators = {
-        "vhdl": vhdl.generate,
-        "verilog": verilog.generate,
-        "systemc": systemc.generate,
-        "python": lambda scope: {"generated.py":
-                                 python_gen.generate_module(scope)},
-    }
     document = _load(args.model)
-    if args.backend == "all":
-        # every backend, fanned out over the parallel pipeline
-        per_backend = generate_all_parallel(document.model,
-                                            executor=args.executor)
-    else:
-        per_backend = {args.backend: generators[args.backend](
-            document.model)}
+    per_backend = generate_all(
+        document.model,
+        BACKENDS if args.backend == "all" else (args.backend,))
     if args.testbench:
         from .codegen.base import hardware_components
 
@@ -201,14 +183,10 @@ def cmd_transform(args: argparse.Namespace) -> int:
     _register_model(store, document)
     transformation = (hardware_transformation() if args.platform == "hw"
                       else software_transformation())
-    if store is not None:
-        # the store-backed build-graph path: warm PSM artifacts are
-        # deserialized instead of re-running the rule sweep
-        result = transformation.transform_cached(
-            document.model, profiles=document.profiles)
-    else:
-        result = transformation.transform(document.model,
-                                          profiles=document.profiles)
+    # with a store, a warm PSM artifact is deserialized instead of
+    # re-running the rule sweep
+    result = transformation.transform_cached(document.model,
+                                             profiles=document.profiles)
     print(f"applied {result.rules_applied} rule application(s); "
           f"completeness {result.completeness():.0%}")
     xmi.write_file(args.output, result.psm, profiles=document.profiles)
@@ -885,11 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--backend", default="vhdl",
                           choices=("vhdl", "verilog", "systemc",
                                    "python", "all"))
-    generate.add_argument("--executor", default="auto",
-                          choices=("auto", "thread", "process",
-                                   "sequential"),
-                          help="pool for --backend all (default: size "
-                               "heuristic)")
     generate.add_argument("--testbench", action="store_true",
                           help="also emit a testbench per component "
                                "(vhdl/verilog)")

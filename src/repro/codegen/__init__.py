@@ -12,13 +12,10 @@ Four backends share one analysis of the PSM:
 structural validity of the results.
 """
 
-from typing import Dict
-
-from ..metamodel.element import Element
 from . import python_gen, systemc, testbench, validators, verilog, vhdl
 from .pipeline import (
     BACKENDS,
-    choose_executor,
+    generate_all,
     generate_all_parallel,
     generate_units,
 )
@@ -49,16 +46,6 @@ from .validators import (
 )
 
 
-def generate_all(scope: Element) -> Dict[str, Dict[str, str]]:
-    """Run every backend; returns {backend: {filename: text}}."""
-    return {
-        "vhdl": vhdl.generate(scope),
-        "verilog": verilog.generate(scope),
-        "systemc": systemc.generate(scope),
-        "python": {"generated.py": python_gen.generate_module(scope)},
-    }
-
-
 __all__ = [
     "python_gen", "systemc", "testbench", "validators", "verilog", "vhdl",
     "CodeWriter", "MachineView", "TransitionView", "analyze_machine",
@@ -68,7 +55,5 @@ __all__ = [
     "to_verilog_expression", "to_vhdl_expression",
     "VALIDATORS", "check_python", "check_systemc", "check_verilog",
     "check_vhdl",
-    "generate_all",
-    "BACKENDS", "choose_executor", "generate_all_parallel",
-    "generate_units",
+    "BACKENDS", "generate_all", "generate_all_parallel", "generate_units",
 ]

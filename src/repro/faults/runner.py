@@ -16,8 +16,9 @@ the sweep as robust as the models it is torturing:
 * **crash isolation** — a dying worker records a failure row and the
   campaign continues with the remaining seeds;
 * **append-only journal** — every completed seed is appended to a JSONL
-  journal as it finishes, so an interrupted sweep resumes with
-  ``resume=True`` re-running only the missing seeds;
+  journal (:class:`repro.durable.Journal`) as it finishes, so an
+  interrupted sweep resumes with ``resume=True`` re-running only the
+  missing seeds;
 * **order-independent aggregation** — per-seed
   :class:`~repro.faults.ResilienceReport` and
   :class:`~repro.observability.CoverageReport` rows merge via their
@@ -32,9 +33,10 @@ Before forking workers the parent warms the model and compile caches
 the parsed top and hot dispatch tables instead of re-paying the
 compile cost per seed.
 
-Workers hand results back through temp files renamed into place (never
-queues or pipes, which a SIGKILL can corrupt mid-message): a result
-file that exists is complete, a missing one means the worker died.
+Workers hand results back through files renamed into place
+(:func:`repro.durable.atomic_write`; never queues or pipes, which a
+SIGKILL can corrupt mid-message): a result file that exists is
+complete, a missing one means the worker died.
 
 The ``REPRO_CAMPAIGN_TEST_KILL`` environment variable
 (``"<seed>"`` or ``"<seed>:<max_attempt>"``) makes the worker for that
@@ -51,6 +53,7 @@ import signal
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..durable import Journal, atomic_write
 from ..engine import ENGINE_MODES
 from ..errors import FaultError, ReproError
 from ..perf import PERF
@@ -459,10 +462,8 @@ def _worker_main(spec_data: Dict[str, Any], seed: int, attempt: int,
     finally:
         if heartbeat is not None:
             heartbeat.close(ok=ok)
-    scratch = f"{result_path}.tmp"
-    with open(scratch, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, default=str)
-    os.replace(scratch, result_path)
+    atomic_write(result_path, json.dumps(payload, sort_keys=True,
+                                         default=str))
     if not payload["ok"]:
         raise SystemExit(1)
 
@@ -470,11 +471,6 @@ def _worker_main(spec_data: Dict[str, Any], seed: int, attempt: int,
 # ---------------------------------------------------------------------------
 # the journal
 # ---------------------------------------------------------------------------
-
-def _journal_append(handle, record: Dict[str, Any]) -> None:
-    handle.write(json.dumps(record, sort_keys=True, default=str) + "\n")
-    handle.flush()
-
 
 def read_journal(path: str) -> Tuple[Optional[Dict[str, Any]],
                                      Dict[int, Dict[str, Any]],
@@ -487,27 +483,30 @@ def read_journal(path: str) -> Tuple[Optional[Dict[str, Any]],
     every torn record bumps the ``journal.torn_records`` counter in
     :data:`~repro.perf.PERF`, so a sweep that resumed past damage
     shows it in ``--stats`` / Prometheus output instead of hiding it.
+    A journal with no complete record has no header.  A complete
+    record of the wrong shape, or a first record that is not the
+    header (another tool's JSONL file), is a :class:`FaultError`
+    naming the file and line.
     """
     header: Optional[Dict[str, Any]] = None
     completed: Dict[int, Dict[str, Any]] = {}
     failures: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                PERF.incr("journal.torn_records")
-                break  # torn tail write; ignore the rest
-            status = record.get("status")
-            if status == "header":
-                header = record
-            elif status == "ok":
-                completed[int(record["seed"])] = record["row"]
-            elif status == "failed":
-                failures.append(record)
+    for number, record in Journal(path).records():
+        fields = record if isinstance(record, dict) else {}
+        status, seed = fields.get("status"), fields.get("seed")
+        if header is None:
+            if status != "header":
+                raise FaultError(f"journal {path!r} line {number}: not a "
+                                 f"campaign journal (no header record)")
+            header = fields
+        elif status == "ok" and type(seed) is int \
+                and isinstance(fields.get("row"), dict):
+            completed[seed] = fields["row"]
+        elif status == "failed" and type(seed) is int:
+            failures.append(fields)
+        else:
+            raise FaultError(f"journal {path!r} line {number}: malformed "
+                             f"record {json.dumps(record)[:80]}")
     return header, completed, failures
 
 
@@ -675,7 +674,8 @@ def run_campaign(spec: CampaignSpec,
         raise FaultError(f"max_retries cannot be negative, got {max_retries}")
     completed: Dict[int, Dict[str, Any]] = {}
     resumed: List[int] = []
-    if journal and resume and os.path.exists(journal):
+    header = None
+    if journal and resume:
         header, journaled, _ = read_journal(journal)
         if header is not None and header.get("spec") != spec.to_dict():
             raise FaultError(
@@ -695,27 +695,23 @@ def run_campaign(spec: CampaignSpec,
                                             name=spec.name))
         for seed in resumed:
             telemetry.seed_done(seed)
-    journal_handle = None
-    if journal:
-        fresh = not (resume and os.path.exists(journal))
-        journal_handle = open(journal, "w" if fresh else "a",
-                              encoding="utf-8")
-        if fresh:
-            _journal_append(journal_handle,
-                            {"status": "header", "spec": spec.to_dict()})
+    rows_journal = Journal(journal) if journal else None
+    if rows_journal is not None and header is None:
+        rows_journal.truncate()
+        rows_journal.append({"status": "header", "spec": spec.to_dict()})
     try:
         parallel = workers > 1 and len(todo) > 1 and _processes_usable()
         if parallel:
             _warm_spec(spec)  # children fork with hot model/compile caches
             rows, failures = _run_parallel(
-                spec, todo, workers, journal_handle, run_timeout,
+                spec, todo, workers, rows_journal, run_timeout,
                 max_retries, retry_backoff, telemetry)
         else:
-            rows, failures = _run_serial(spec, todo, journal_handle,
+            rows, failures = _run_serial(spec, todo, rows_journal,
                                          telemetry)
     finally:
-        if journal_handle is not None:
-            journal_handle.close()
+        if rows_journal is not None:
+            rows_journal.close()
         if telemetry is not None:
             telemetry.finish()
     rows.extend(completed.values())
@@ -725,8 +721,8 @@ def run_campaign(spec: CampaignSpec,
                           mode="parallel" if parallel else "serial")
 
 
-def _run_serial(spec: CampaignSpec, todo: Sequence[int], journal_handle,
-                telemetry=None
+def _run_serial(spec: CampaignSpec, todo: Sequence[int],
+                journal: Optional[Journal], telemetry=None
                 ) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
     """The degraded (and reference) path: every seed inline."""
     rows: List[Dict[str, Any]] = []
@@ -744,15 +740,15 @@ def _run_serial(spec: CampaignSpec, todo: Sequence[int], journal_handle,
                       if kernel_box else 0)
             telemetry.seed_done(seed, events)
             telemetry.render()
-        if journal_handle is not None:
-            _journal_append(journal_handle,
-                            {"status": "ok", "seed": seed, "attempt": 1,
-                             "row": row})
+        if journal is not None:
+            journal.append({"status": "ok", "seed": seed, "attempt": 1,
+                            "row": row})
     return rows, []
 
 
 def _run_parallel(spec: CampaignSpec, todo: Sequence[int], workers: int,
-                  journal_handle, run_timeout: Optional[float],
+                  journal: Optional[Journal],
+                  run_timeout: Optional[float],
                   max_retries: int, retry_backoff: float,
                   telemetry=None,
                   ) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
@@ -773,10 +769,9 @@ def _run_parallel(spec: CampaignSpec, todo: Sequence[int], workers: int,
 
     def record_failure(seed: int, attempt: int, error: str) -> None:
         last_error[seed] = error
-        if journal_handle is not None:
-            _journal_append(journal_handle,
-                            {"status": "failed", "seed": seed,
-                             "attempt": attempt, "error": error})
+        if journal is not None:
+            journal.append({"status": "failed", "seed": seed,
+                            "attempt": attempt, "error": error})
         if attempt <= max_retries:
             ready_at = time.monotonic() \
                 + backoff_delay(retry_backoff, attempt, token=seed)
@@ -835,10 +830,9 @@ def _run_parallel(spec: CampaignSpec, todo: Sequence[int], workers: int,
                     rows.append(row)
                     if telemetry is not None:
                         telemetry.seed_done(seed)
-                    if journal_handle is not None:
-                        _journal_append(journal_handle,
-                                        {"status": "ok", "seed": seed,
-                                         "attempt": attempt, "row": row})
+                    if journal is not None:
+                        journal.append({"status": "ok", "seed": seed,
+                                        "attempt": attempt, "row": row})
                 elif payload is not None:
                     record_failure(seed, attempt,
                                    payload.get("error", "worker error"))

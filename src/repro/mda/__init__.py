@@ -17,22 +17,13 @@ from .rules import (
     TransformationResult,
     TransformationRule,
 )
-from .engine import (
-    DEFAULT_TRANSFORM_CACHE,
-    TRANSFORM_CACHE_SIZE_ENV,
-    TransformCache,
-    Transformation,
-    clone_model,
-    configure_default_cache,
-)
+from .engine import Transformation, clone_model
 from .mappings import hardware_transformation, software_transformation
 
 __all__ = [
     "HARDWARE_PLATFORM", "Platform", "PlatformKind", "SOFTWARE_PLATFORM",
     "ModelRule", "TraceLink", "TransformationContext",
     "TransformationResult", "TransformationRule",
-    "DEFAULT_TRANSFORM_CACHE", "TRANSFORM_CACHE_SIZE_ENV",
-    "TransformCache", "Transformation", "clone_model",
-    "configure_default_cache",
+    "Transformation", "clone_model",
     "hardware_transformation", "software_transformation",
 ]

@@ -9,25 +9,22 @@
 3. the result carries the full trace, per-rule application counts and a
    completeness measure (experiment D6 asserts completeness == 100%).
 
-Memoization: :meth:`Transformation.transform_cached` keys results in a
-:class:`TransformCache` by the transformation's identity plus the
-content fingerprints of the PIM and its profiles
-(:func:`repro.metamodel.model.model_fingerprint`).  A repeat transform
-of an unchanged model is a dict lookup; any element mutation bumps the
-model's generation counter, changes its fingerprint and misses the
-cache naturally — no explicit invalidation API needed.
+Caching: :meth:`Transformation.transform_cached` serves the result
+from the active :mod:`repro.store`, keyed by the transformation's
+identity plus the content fingerprints of the PIM and its profiles
+(:func:`repro.metamodel.model.model_fingerprint`).  Any element
+mutation changes the fingerprint and misses naturally — no explicit
+invalidation API needed.  Without an active store it is
+:meth:`~Transformation.transform`.
 """
 
 from __future__ import annotations
 
-import os
-from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import TransformError
 from ..metamodel.element import Element
 from ..metamodel.model import Model, model_fingerprint
-from ..perf import PERF
 from ..profiles.core import Profile
 from ..xmi.reader import read_model
 from ..xmi.writer import write_model
@@ -48,98 +45,6 @@ def clone_model(model: Model,
     if document.model is None:
         raise TransformError("clone round-trip lost the model root")
     return document.model
-
-
-class TransformCache:
-    """An LRU cache of transformation results keyed by model content.
-
-    Keys combine the transformation identity (name, platform, rule
-    names) with the content fingerprints of the PIM and every profile,
-    so results are reused exactly when the inputs are byte-equivalent.
-    The cached :class:`TransformationResult` (including its PSM) is
-    returned *shared* — treat cached PSMs as read-only, or clone them
-    with :func:`clone_model` before mutating.
-    """
-
-    def __init__(self, max_entries: int = 32):
-        if max_entries <= 0:
-            raise TransformError("cache size must be positive")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[Tuple, TransformationResult]" = \
-            OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, key: Tuple) -> Optional[TransformationResult]:
-        result = self._entries.get(key)
-        if result is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            PERF.incr("mda.cache_hit")
-            PERF.incr("transform.cache.hit")
-        else:
-            self.misses += 1
-            PERF.incr("mda.cache_miss")
-            PERF.incr("transform.cache.miss")
-        return result
-
-    def store(self, key: Tuple, result: TransformationResult) -> None:
-        self._entries[key] = result
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-            PERF.incr("transform.cache.evict")
-
-    def resize(self, max_entries: int) -> None:
-        """Change the capacity, evicting LRU entries when shrinking."""
-        if max_entries <= 0:
-            raise TransformError("cache size must be positive")
-        self.max_entries = max_entries
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-            PERF.incr("transform.cache.evict")
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __repr__(self) -> str:
-        return (f"<TransformCache {len(self._entries)}/{self.max_entries} "
-                f"hits={self.hits} misses={self.misses} "
-                f"evictions={self.evictions}>")
-
-
-#: Environment override for the default cache's capacity.
-TRANSFORM_CACHE_SIZE_ENV = "REPRO_TRANSFORM_CACHE_SIZE"
-
-
-def _default_cache_size() -> int:
-    """Capacity for the module default: env override or 32."""
-    raw = os.environ.get(TRANSFORM_CACHE_SIZE_ENV, "")
-    try:
-        size = int(raw)
-    except ValueError:
-        return 32
-    return size if size > 0 else 32
-
-
-#: Module-level default cache used by ``transform_cached(cache=None)``.
-DEFAULT_TRANSFORM_CACHE = TransformCache(_default_cache_size())
-
-
-def configure_default_cache(max_entries: int) -> TransformCache:
-    """Resize the module-default transform cache (PR 1 LRU); returns it.
-
-    ``REPRO_TRANSFORM_CACHE_SIZE`` sets the initial capacity at import
-    time; this call reconfigures a live process.
-    """
-    DEFAULT_TRANSFORM_CACHE.resize(max_entries)
-    return DEFAULT_TRANSFORM_CACHE
 
 
 class Transformation:
@@ -203,7 +108,7 @@ class Transformation:
 
     def cache_key(self, pim: Model,
                   profiles: Sequence[Profile] = ()) -> Tuple:
-        """The content-addressed cache key for transforming ``pim``."""
+        """The content-addressed identity of transforming ``pim``."""
         return (
             self.name,
             self.platform.name,
@@ -214,35 +119,8 @@ class Transformation:
 
     def transform_cached(self, pim: Model,
                          profiles: Sequence[Profile] = (),
-                         profile: Optional[Profile] = None,
-                         cache: Optional[TransformCache] = None
+                         profile: Optional[Profile] = None
                          ) -> TransformationResult:
-        """Like :meth:`transform`, memoized on model content.
-
-        An unchanged (transformation, PIM, profiles) triple returns the
-        previously computed result in O(fingerprint) — a dict lookup
-        when the model's generation counter is unchanged.  Mutating any
-        element of the PIM or a profile invalidates automatically.  The
-        returned result is shared between callers; clone the PSM before
-        mutating it.
-        """
-        if cache is None:
-            cache = DEFAULT_TRANSFORM_CACHE
-        with PERF.timed("mda.transform_cached_s"):
-            key = self.cache_key(pim, profiles)
-            result = cache.lookup(key)
-            if result is None:
-                result = self._transform_via_store(key, pim, profiles,
-                                                   profile)
-                cache.store(key, result)
-            return result
-
-    # -- disk-backed transform artifacts (repro.store) -------------------
-
-    def _transform_via_store(self, key: Tuple, pim: Model,
-                             profiles: Sequence[Profile],
-                             profile: Optional[Profile]
-                             ) -> TransformationResult:
         """Run :meth:`transform`, persisting/serving the PSM artifact.
 
         With an active artifact store the ``transform`` stage becomes a
@@ -257,10 +135,12 @@ class Transformation:
         if store is None:
             return self.transform(pim, profiles, profile)
 
-        inputs = list(key[3:4]) + list(key[4])  # model fp + profile fps
+        key = self.cache_key(pim, profiles)
+        inputs = [key[3], *key[4]]  # model fp + profile fps
         store_key = store.make_key("transform", *map(str, key))
+        label = f"{self.name}->{self.platform.name}"
         payload = store.load("transform", store_key, inputs=inputs,
-                             label=f"{self.name}->{self.platform.name}")
+                             label=label)
         if payload is not None:
             result = self._result_from_payload(payload, pim)
             if result is not None:
@@ -271,7 +151,7 @@ class Transformation:
                    meta={"transformation": self.name,
                          "platform": self.platform.name,
                          "pim": pim.name},
-                   label=f"{self.name}->{self.platform.name}")
+                   label=label)
         return result
 
     def _result_to_payload(self,

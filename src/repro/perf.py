@@ -3,9 +3,9 @@
 One process-wide registry (:data:`PERF`) collects named counters and
 timing observations from the hot paths added by the compiled pipeline:
 state-machine compilation (``cosim.compiled_parts``, ``sm.compile_s``),
-transform memoization (``mda.cache_hit`` / ``mda.cache_miss``) and the
-parallel code generators (``codegen.<backend>.wall_s``).  The registry
-is deliberately simple — plain dicts behind one lock — so recording a
+the artifact store (``store.hit`` / ``store.miss``) and the code
+generators (``codegen.<backend>.wall_s``).  The registry is
+deliberately simple — plain dicts behind one lock — so recording a
 counter costs a dict update, not a measurable fraction of the thing
 being measured.
 
@@ -13,7 +13,7 @@ Usage::
 
     from repro.perf import PERF
 
-    PERF.incr("mda.cache_hit")
+    PERF.incr("store.hit")
     with PERF.timed("sm.compile_s"):
         compile_machine(machine)
     PERF.hist("cosim.run_hist_s", 0.012)
@@ -67,37 +67,6 @@ class PerfRegistry:
         """Add ``amount`` to the named counter (creating it at 0)."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + amount
-
-    def incr_many(self, amounts: Dict[str, float]) -> None:
-        """Apply a batch of counter increments under one lock acquisition.
-
-        The atomic flush half of per-thread aggregation: workers
-        accumulate into a private dict (or use :meth:`batch`) and apply
-        the whole batch at once, so N increments cost one lock
-        round-trip instead of N and no update can be lost to
-        interleaving.
-        """
-        with self._lock:
-            counters = self._counters
-            for name, amount in amounts.items():
-                counters[name] = counters.get(name, 0) + amount
-
-    @contextmanager
-    def batch(self) -> Iterator[Dict[str, float]]:
-        """Context manager yielding a private increment accumulator.
-
-        Increment into the yielded dict (``acc["x"] = acc.get("x", 0) + 1``
-        or via ``collections.Counter`` semantics) without touching the
-        shared registry; on exit the batch is flushed atomically with
-        :meth:`incr_many`.  Intended for worker threads on hot paths —
-        ``generate_all_parallel`` workers and high-frequency trace
-        subscribers."""
-        accumulator: Dict[str, float] = {}
-        try:
-            yield accumulator
-        finally:
-            if accumulator:
-                self.incr_many(accumulator)
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation of a named quantity (e.g. seconds)."""

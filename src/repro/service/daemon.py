@@ -44,11 +44,12 @@ import signal
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..durable import atomic_write, canonical_json
 from ..errors import ServiceError
 from ..faults.runner import CampaignSpec, _make_context, backoff_delay
 from ..observability.campaign import WorkerHeartbeat
 from ..perf import PERF
-from .jobstore import Job, JobStore, canonical_json, job_fingerprint
+from .jobstore import Job, JobStore, job_fingerprint
 from .lifecycle import DEFAULT_LEASE_BUDGET, RECOVERABLE_STATES
 
 #: Environment hook (tests/CI): ``"<campaign name>:<max attempt>"``
@@ -112,10 +113,7 @@ def _job_worker_main(spec_data: Dict[str, Any], scratch_path: str,
     finally:
         if heartbeat is not None:
             heartbeat.close(ok=ok)
-    tmp = f"{scratch_path}.wip"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(canonical_json(payload) + "\n")
-    os.replace(tmp, scratch_path)
+    atomic_write(scratch_path, canonical_json(payload) + "\n")
     if not ok:
         raise SystemExit(1)
 

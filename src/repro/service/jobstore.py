@@ -29,8 +29,11 @@ Recovery invariants (pinned by ``tests/test_service_recovery.py``):
   records the reconstructed state no longer enables (the shadow a torn
   tail can cast) instead of corrupting it;
 * **torn-tail tolerant** — a half-written final line is dropped and
-  counted (``journal.torn_records`` in :data:`~repro.perf.PERF`), like
-  the PR 5 campaign journal;
+  counted (``journal.torn_records`` in :data:`~repro.perf.PERF`), and
+  cut off before the next append (:class:`repro.durable.Journal`, the
+  same journal the campaign runner resumes from); a complete line that
+  is not a job record is a :class:`~repro.errors.ServiceError` naming
+  the file and line;
 * **results are exactly-once visible** — a result lands as an atomic
   rename into ``results/`` before its ``result`` record is journaled,
   so a present file is complete and a journaled result always exists;
@@ -50,22 +53,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
+from ..durable import Journal, atomic_write, canonical_json
 from ..errors import ServiceError
 from ..perf import PERF
 from .lifecycle import DEFAULT_LEASE_BUDGET, JobLifecycle
 
 #: Snapshot format version; mismatches fall back to full journal replay.
 SNAPSHOT_VERSION = 1
-
-
-def canonical_json(value: Any) -> str:
-    """Deterministic JSON text (sorted keys, compact separators)."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True, default=str)
 
 
 def job_fingerprint(spec_data: Dict[str, Any]) -> str:
@@ -175,9 +172,9 @@ class JobStore:
         except OSError as exc:
             raise ServiceError(
                 f"cannot create service state dir {self.root}: {exc}")
-        self.journal_path = self.root / "journal.jsonl"
+        self.journal = Journal(self.root / "journal.jsonl")
+        self.journal_path = self.journal.path
         self.snapshot_path = self.root / "snapshot.json"
-        self._journal_handle = None
         self._seq = 0  # highest seq written or replayed
 
     # -- journal ---------------------------------------------------------
@@ -190,12 +187,7 @@ class JobStore:
         which replay tolerates).
         """
         self._seq += 1
-        record = dict(record, seq=self._seq)
-        if self._journal_handle is None:
-            self._journal_handle = open(self.journal_path, "a",
-                                        encoding="utf-8")
-        self._journal_handle.write(canonical_json(record) + "\n")
-        self._journal_handle.flush()
+        self.journal.append(dict(record, seq=self._seq))
         return self._seq
 
     def next_seq(self) -> int:
@@ -208,9 +200,7 @@ class JobStore:
         return self._seq + 1
 
     def close(self) -> None:
-        if self._journal_handle is not None:
-            self._journal_handle.close()
-            self._journal_handle = None
+        self.journal.close()
 
     # -- replay ----------------------------------------------------------
 
@@ -230,24 +220,17 @@ class JobStore:
                 job = Job.from_snapshot(data)
                 jobs[job.job_id] = job
         self._seq = snapshot_seq
-        if not self.journal_path.exists():
-            return jobs
-        with open(self.journal_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    PERF.incr("journal.torn_records")
-                    break  # torn tail; everything before it is good
-                seq = int(record.get("seq", 0))
-                if seq > self._seq:
-                    self._seq = seq
-                if seq <= snapshot_seq:
-                    continue  # the snapshot already covers this record
-                self._apply(jobs, record)
+        for number, record in self.journal.records():
+            seq = record.get("seq") if isinstance(record, dict) else None
+            if type(seq) is not int:
+                raise ServiceError(
+                    f"journal {self.journal_path} line {number} is not "
+                    f"a job record: {canonical_json(record)[:80]}")
+            if seq > self._seq:
+                self._seq = seq
+            if seq <= snapshot_seq:
+                continue  # the snapshot already covers this record
+            self._apply(jobs, record)
         return jobs
 
     def _apply(self, jobs: Dict[str, Job], record: Dict[str, Any]) -> None:
@@ -291,12 +274,7 @@ class JobStore:
             canonical_json({k: payload[k] for k in ("version", "seq",
                                                     "jobs")})
             .encode("utf-8"), digest_size=16).hexdigest()
-        descriptor, tmp_name = tempfile.mkstemp(
-            prefix="snapshot.", suffix=".tmp", dir=self.root)
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            handle.write(canonical_json(payload))
-        os.replace(tmp_name, self.snapshot_path)
-        return self.snapshot_path
+        return atomic_write(self.snapshot_path, canonical_json(payload))
 
     def _load_snapshot(self) -> Optional[Dict[str, Any]]:
         try:
@@ -327,9 +305,7 @@ class JobStore:
         replay skips them by seq.
         """
         self.snapshot(jobs)
-        self.close()
-        with open(self.journal_path, "w", encoding="utf-8"):
-            pass
+        self.journal.truncate()
 
     # -- results ---------------------------------------------------------
 
@@ -346,13 +322,9 @@ class JobStore:
         Canonical JSON, so a cache-served copy of the same payload is
         byte-identical to the cold-run original (`cmp`-clean).
         """
-        target = self.result_path(job_id)
-        descriptor, tmp_name = tempfile.mkstemp(
-            prefix=f"{job_id}.", suffix=".tmp", dir=self._results_tmp)
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            handle.write(canonical_json(payload) + "\n")
-        os.replace(tmp_name, target)
-        return target
+        return atomic_write(self.result_path(job_id),
+                            canonical_json(payload) + "\n",
+                            tmp_dir=self._results_tmp)
 
     def read_result(self, job_id: str) -> Optional[Dict[str, Any]]:
         """The published payload for a job, or None (absent/torn)."""

@@ -10,9 +10,9 @@ version-stamped, sorted-key JSON envelopes::
 Durability protocol (safe under concurrent fork workers):
 
 * **writes** go to a unique temp file in the store's ``tmp/`` directory
-  and land via ``os.replace`` — readers only ever see a complete
-  envelope, and the last of two racing same-key writers wins with a
-  valid file either way;
+  and land by rename (:func:`repro.durable.atomic_write`) — readers
+  only ever see a complete envelope, and the last of two racing
+  same-key writers wins with a valid file either way;
 * **reads** re-verify the envelope (version stamp, kind/key match,
   payload checksum); anything truncated, garbled or from a future
   format counts a ``store.corrupt`` miss, evicts the bad file and falls
@@ -31,11 +31,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ..durable import atomic_write, canonical_json
 from ..errors import StoreError
 from ..perf import PERF
 from .graph import BUILT, REUSED, BuildGraph
@@ -54,12 +54,6 @@ def default_store_root() -> Path:
     if env:
         return Path(env).expanduser()
     return Path.home() / ".cache" / "repro"
-
-
-def canonical_json(value: Any) -> str:
-    """Deterministic JSON: sorted keys, compact separators."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True, default=str)
 
 
 def _checksum(payload: Any) -> str:
@@ -164,19 +158,8 @@ class ArtifactStore:
             "checksum": _checksum(payload),
         }
         path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, tmp_name = tempfile.mkstemp(
-            prefix=f"{key[:12]}.", suffix=".tmp", dir=self._tmp)
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(envelope, handle, sort_keys=True, indent=1,
-                          default=str)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, json.dumps(envelope, sort_keys=True, indent=1,
+                                      default=str), tmp_dir=self._tmp)
         PERF.incr("store.write")
         self.graph.record(kind, key, tuple(inputs), BUILT, label)
         return path

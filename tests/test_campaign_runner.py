@@ -225,6 +225,35 @@ class TestResume:
         resumed = run_campaign(spec, journal=journal, resume=True)
         assert resumed.resumed_seeds == [1, 2]
         assert resumed.to_json() == run_campaign(spec).to_json()
+        # the torn half-line was cut before seed 3's row was appended,
+        # so a second resume finds every seed
+        again = run_campaign(spec, journal=journal, resume=True)
+        assert again.resumed_seeds == [1, 2, 3]
+        assert again.to_json() == resumed.to_json()
+
+    def test_journal_without_a_complete_record_starts_fresh(
+            self, model_file, campaign_file, tmp_path):
+        journal = tmp_path / "torn-header.jsonl"
+        journal.write_text('{"spec": {"se')
+        spec = make_spec(model_file, campaign_file, seeds=(1,))
+        run_campaign(spec, journal=str(journal), resume=True)
+        header, completed, _ = read_journal(str(journal))
+        assert header["spec"] == spec.to_dict() and sorted(completed) == [1]
+
+    def test_resumes_a_journal_with_spaced_separators(
+            self, model_file, campaign_file, tmp_path):
+        """Journals once used json.dumps' default ", "/": " separators;
+        they still resume."""
+        journal = tmp_path / "spaced.jsonl"
+        spec = make_spec(model_file, campaign_file, seeds=(1, 2))
+        reference = run_campaign(spec, journal=str(journal))
+        journal.write_text("".join(
+            json.dumps(json.loads(line), sort_keys=True) + "\n"
+            for line in journal.read_text().splitlines()))
+        assert '"status": "ok"' in journal.read_text()
+        resumed = run_campaign(spec, journal=str(journal), resume=True)
+        assert resumed.resumed_seeds == [1, 2]
+        assert resumed.to_json() == reference.to_json()
 
     def test_resume_rejects_foreign_journal(self, model_file,
                                             campaign_file, tmp_path):
@@ -351,6 +380,18 @@ class TestCliCampaign:
         assert main(["campaign", model_file, "--top", "design::Soc",
                      "--faults", campaign_file,
                      "--seeds", "one,two"]) == 2
+
+    def test_cli_resume_from_a_foreign_journal_errors(
+            self, model_file, campaign_file, tmp_path, capsys):
+        journal = tmp_path / "journal.jsonl"  # a daemon's job journal
+        journal.write_text('{"job_id":"job-000001","kind":"submit",'
+                           '"seq":1}\n')
+        assert main(["campaign", model_file, "--top", "design::Soc",
+                     "--faults", campaign_file, "--seeds", "1",
+                     "--until", "20", "--journal", str(journal),
+                     "--resume"]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert len(journal.read_text().splitlines()) == 1
 
 
 class TestBackoffDelay:

@@ -1,15 +1,8 @@
-"""Parallel codegen: byte-identical to sequential, deterministic order."""
+"""Multi-backend codegen: one sequential path, deterministic order."""
 
 import pytest
 
-import repro.metamodel as mm
-from repro.codegen import (
-    BACKENDS,
-    choose_executor,
-    generate_all,
-    generate_all_parallel,
-)
-from repro.codegen.pipeline import PROCESS_POOL_THRESHOLD
+from repro.codegen import BACKENDS, generate_all, generate_all_parallel
 from repro.errors import CodegenError
 from repro.hw import make_memory, make_soc, make_traffic_generator
 from repro.metamodel import Model
@@ -25,50 +18,32 @@ def soc_model():
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("executor",
-                             ("thread", "process", "sequential", "auto"))
-    def test_byte_identical_to_sequential(self, executor):
+    def test_byte_identical_to_sequential(self):
+        """All backends at once equal each backend run alone, in
+        :data:`BACKENDS` order."""
         model = soc_model()
-        sequential = generate_all(model)
-        parallel = generate_all_parallel(model, executor=executor)
-        assert parallel == sequential
-        assert list(parallel) == list(BACKENDS)
+        together = generate_all(model)
+        assert list(together) == list(BACKENDS)
+        for backend in BACKENDS:
+            assert together[backend] \
+                == generate_all(model, backends=(backend,))[backend]
 
     def test_repeated_runs_identical(self):
         model = soc_model()
-        first = generate_all_parallel(model, executor="thread")
-        second = generate_all_parallel(model, executor="thread")
-        assert first == second
+        assert generate_all(model) == generate_all(model)
 
     def test_backend_subset_keeps_canonical_order(self):
-        model = soc_model()
-        result = generate_all_parallel(
-            model, backends=("python", "vhdl"), executor="thread")
+        result = generate_all(soc_model(), backends=("python", "vhdl"))
         assert list(result) == ["vhdl", "python"]
 
-
-class TestHeuristic:
-    def test_small_model_uses_threads(self):
-        assert choose_executor(soc_model()) == "thread"
-
-    def test_large_model_uses_processes(self):
-        assert choose_executor(soc_model(), size_threshold=1) == "process"
-
-    def test_unpicklable_scope_falls_back_to_threads(self):
-        model = soc_model()
-        cls = model.add(mm.UmlClass("Hook"))
-        cls.hook = lambda: None  # lambdas cannot pickle
-        assert choose_executor(model, size_threshold=1) == "thread"
+    def test_former_parallel_name_is_the_same_function(self):
+        assert generate_all_parallel is generate_all
 
 
 class TestErrors:
     def test_unknown_backend_rejected(self):
         with pytest.raises(CodegenError):
-            generate_all_parallel(soc_model(), backends=("fortran",))
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(CodegenError):
-            generate_all_parallel(soc_model(), executor="fibers")
+            generate_all(soc_model(), backends=("fortran",))
 
 
 class TestPerfCounters:
@@ -76,8 +51,7 @@ class TestPerfCounters:
         from repro.perf import PERF
 
         PERF.reset()
-        generate_all_parallel(soc_model(), executor="thread")
+        generate_all(soc_model())
         for backend in BACKENDS:
             stats = PERF.stats(f"codegen.{backend}.wall_s")
             assert stats is not None and stats["count"] == 1
-        assert PERF.counter("codegen.runs.thread") == 1

@@ -1,5 +1,5 @@
 """Thread-safety of the perf registry (PR 3 satellite): concurrent
-incr/incr_many/batch must not lose updates."""
+incr/observe must not lose updates."""
 
 import threading
 
@@ -26,52 +26,6 @@ class TestConcurrentCounters:
 
         hammer(threads, worker)
         assert registry.counter("hits") == threads * per_thread
-
-    def test_incr_many_is_atomic(self):
-        registry = PerfRegistry()
-        threads, rounds = 8, 500
-
-        def worker(index):
-            for _ in range(rounds):
-                registry.incr_many({"a": 1, "b": 2,
-                                    f"thread.{index}": 1})
-
-        hammer(threads, worker)
-        assert registry.counter("a") == threads * rounds
-        assert registry.counter("b") == 2 * threads * rounds
-        for index in range(threads):
-            assert registry.counter(f"thread.{index}") == rounds
-
-    def test_batch_flushes_on_exit(self):
-        registry = PerfRegistry()
-        with registry.batch() as acc:
-            for _ in range(10):
-                acc["x"] = acc.get("x", 0) + 1
-            # nothing visible until the context closes
-            assert registry.counter("x") == 0
-        assert registry.counter("x") == 10
-
-    def test_batch_flushes_even_on_error(self):
-        registry = PerfRegistry()
-        try:
-            with registry.batch() as acc:
-                acc["y"] = 3
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert registry.counter("y") == 3
-
-    def test_threaded_batches(self):
-        registry = PerfRegistry()
-        threads, per_thread = 8, 3000
-
-        def worker(_index):
-            with registry.batch() as acc:
-                for _ in range(per_thread):
-                    acc["events"] = acc.get("events", 0) + 1
-
-        hammer(threads, worker)
-        assert registry.counter("events") == threads * per_thread
 
     def test_concurrent_observe(self):
         registry = PerfRegistry()

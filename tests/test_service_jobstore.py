@@ -140,6 +140,24 @@ class TestTornTail:
         assert jobs["job-1"].state == "leased"
         assert PERF.counter("journal.torn_records") == torn + 1
 
+    def test_records_after_a_torn_tail_survive_the_next_replay(self,
+                                                               store):
+        """A crash tears the journal; the next boot accepts a job; a
+        second crash must not lose it."""
+        submit(store, "job-1")
+        store.close()
+        with open(store.journal_path, "a", encoding="utf-8") as handle:
+            handle.write('{"seq": 2, "kind": "sub')
+        second_boot = JobStore(store.root)
+        assert list(second_boot.replay()) == ["job-1"]
+        submit(second_boot, "job-2")
+        second_boot.close()
+        torn = PERF.counter("journal.torn_records")
+        jobs = JobStore(store.root).replay()
+        assert sorted(jobs) == ["job-1", "job-2"]
+        assert jobs["job-2"].seq == 2
+        assert PERF.counter("journal.torn_records") == torn
+
     def test_blank_lines_are_not_torn(self, store):
         torn = PERF.counter("journal.torn_records")
         submit(store, "job-1")

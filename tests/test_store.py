@@ -1,7 +1,7 @@
 """The content-addressed artifact store (PR 8): envelope round-trips,
 integrity fall-through on corruption, atomic same-key writer races,
-gc/ls/info, the active-store switch, the model registry, cross-process
-fingerprint stability, and the configurable transform LRU."""
+gc/ls/info, the active-store switch, the model registry and
+cross-process fingerprint stability."""
 
 import json
 import os
@@ -16,7 +16,7 @@ import repro
 import repro.metamodel as mm
 import repro.store as store_mod
 from repro import xmi
-from repro.errors import StoreError, TransformError
+from repro.errors import StoreError
 from repro.metamodel import element_fingerprint, model_fingerprint
 from repro.perf import PERF
 from repro.profiles import create_soc_profile
@@ -395,56 +395,3 @@ class TestStoreCli:
         capsys.readouterr()
         assert main(["store", "info", "--store", store_dir]) == 0
         assert json.loads(capsys.readouterr().out)["artifacts"] == 0
-
-
-class TestTransformCacheConfig:
-    """Satellite 1: the PR 1 transform LRU is sized and observable."""
-
-    def test_resize_shrink_evicts_lru(self):
-        from repro.mda import TransformCache
-        cache = TransformCache(max_entries=4)
-        for index in range(4):
-            cache.store((index,), object())
-        evict_before = PERF.counter("transform.cache.evict")
-        cache.resize(2)
-        assert len(cache) == 2
-        assert cache.evictions == 2
-        assert PERF.counter("transform.cache.evict") == evict_before + 2
-        assert cache.lookup((3,)) is not None  # most recent survived
-        assert cache.lookup((0,)) is None
-
-    def test_resize_rejects_nonpositive(self):
-        from repro.mda import TransformCache
-        with pytest.raises(TransformError):
-            TransformCache(4).resize(0)
-
-    def test_hit_miss_counters(self):
-        from repro.mda import TransformCache
-        cache = TransformCache()
-        hits = PERF.counter("transform.cache.hit")
-        misses = PERF.counter("transform.cache.miss")
-        cache.lookup(("k",))
-        cache.store(("k",), object())
-        cache.lookup(("k",))
-        assert PERF.counter("transform.cache.hit") == hits + 1
-        assert PERF.counter("transform.cache.miss") == misses + 1
-
-    def test_env_sizes_the_default_cache(self, monkeypatch):
-        from repro.mda.engine import _default_cache_size
-        monkeypatch.setenv("REPRO_TRANSFORM_CACHE_SIZE", "7")
-        assert _default_cache_size() == 7
-        monkeypatch.setenv("REPRO_TRANSFORM_CACHE_SIZE", "not-a-number")
-        assert _default_cache_size() == 32
-        monkeypatch.setenv("REPRO_TRANSFORM_CACHE_SIZE", "-3")
-        assert _default_cache_size() == 32
-
-    def test_configure_default_cache(self):
-        from repro.mda import configure_default_cache
-        from repro.mda.engine import DEFAULT_TRANSFORM_CACHE
-        original = DEFAULT_TRANSFORM_CACHE.max_entries
-        try:
-            assert configure_default_cache(64) \
-                is DEFAULT_TRANSFORM_CACHE
-            assert DEFAULT_TRANSFORM_CACHE.max_entries == 64
-        finally:
-            configure_default_cache(original)

@@ -14,7 +14,7 @@ import repro.metamodel as mm
 import repro.store as store_mod
 from repro.codegen import generate_units
 from repro.hw import make_memory, make_traffic_generator
-from repro.mda import TransformCache, hardware_transformation
+from repro.mda import hardware_transformation
 from repro.metamodel import Model, element_fingerprint
 from repro.perf import PERF
 from repro.profiles import create_soc_profile
@@ -174,16 +174,14 @@ class TestTransformArtifacts:
 
         cold = ArtifactStore(tmp_path)
         with using_store(cold):
-            first = transformation.transform_cached(
-                pim, [profile], cache=TransformCache())
+            first = transformation.transform_cached(pim, [profile])
         assert cold.graph.counts()["transform"] \
             == {"built": 1, "reused": 0}
 
-        # a fresh LRU misses in memory and falls to the disk artifact
+        # a fresh store handle on the same directory serves the artifact
         warm = ArtifactStore(tmp_path)
         with using_store(warm):
-            second = transformation.transform_cached(
-                pim, [profile], cache=TransformCache())
+            second = transformation.transform_cached(pim, [profile])
         assert warm.graph.counts()["transform"] \
             == {"built": 0, "reused": 1}
         assert write_model(second.psm, second.psm_profiles) \
@@ -198,8 +196,7 @@ class TestTransformArtifacts:
         transformation = hardware_transformation()
         store = ArtifactStore(tmp_path)
         with using_store(store):
-            transformation.transform_cached(pim, [profile],
-                                            cache=TransformCache())
+            transformation.transform_cached(pim, [profile])
         key = transformation.cache_key(pim, [profile])
         node = store.graph.nodes[-1]
         assert node.kind == "transform"

@@ -1,17 +1,23 @@
-"""Memoized MDA transforms: hits, content invalidation, LRU eviction."""
+"""Store-backed MDA transforms: content keying, reuse and invalidation,
+counted as build-graph nodes."""
 
 import pytest
 
 import repro.metamodel as mm
-from repro.errors import TransformError
-from repro.mda import (
-    TransformCache,
-    hardware_transformation,
-    software_transformation,
-)
+import repro.store as store_mod
+from repro.mda import hardware_transformation, software_transformation
 from repro.metamodel import Model
 from repro.profiles import create_soc_profile
 from repro.profiles.core import apply_stereotype
+from repro.store import ArtifactStore
+from repro.xmi import write_model
+
+
+@pytest.fixture
+def store(tmp_path, monkeypatch):
+    active = ArtifactStore(tmp_path)
+    monkeypatch.setattr(store_mod, "_ACTIVE", active)
+    return active
 
 
 def small_pim(name="pim", classes=3):
@@ -24,86 +30,64 @@ def small_pim(name="pim", classes=3):
     return model, profile
 
 
-class TestTransformCache:
-    def test_repeat_transform_is_a_hit(self):
-        pim, profile = small_pim()
-        transformation = hardware_transformation()
-        cache = TransformCache()
-        first = transformation.transform_cached(pim, [profile],
-                                                cache=cache)
-        second = transformation.transform_cached(pim, [profile],
-                                                 cache=cache)
-        assert second is first
-        assert (cache.hits, cache.misses) == (1, 1)
+def transform_counts(store):
+    return store.graph.counts()["transform"]
 
-    def test_mutation_invalidates(self):
+
+class TestStoreBackedTransform:
+    def test_repeat_transform_is_a_hit(self, store):
         pim, profile = small_pim()
         transformation = hardware_transformation()
-        cache = TransformCache()
-        first = transformation.transform_cached(pim, [profile],
-                                                cache=cache)
+        first = transformation.transform_cached(pim, [profile])
+        second = transformation.transform_cached(pim, [profile])
+        assert transform_counts(store) == {"built": 1, "reused": 1}
+        assert write_model(second.psm, second.psm_profiles) \
+            == write_model(first.psm, first.psm_profiles)
+
+    def test_mutation_invalidates(self, store):
+        pim, profile = small_pim()
+        transformation = hardware_transformation()
+        transformation.transform_cached(pim, [profile])
         pim.add(mm.UmlClass("Extra"))
-        second = transformation.transform_cached(pim, [profile],
-                                                 cache=cache)
-        assert second is not first
-        assert cache.misses == 2
+        second = transformation.transform_cached(pim, [profile])
+        assert transform_counts(store) == {"built": 2, "reused": 0}
+        assert "Extra" in {getattr(element, "name", None)
+                           for element in second.psm.all_owned()}
 
-    def test_content_equal_touch_still_hits(self):
+    def test_content_equal_touch_still_hits(self, store):
         """A write that leaves content unchanged re-fingerprints to the
-        same key — the cache still hits."""
+        same key — the stored artifact is reused."""
         pim, profile = small_pim()
         transformation = hardware_transformation()
-        cache = TransformCache()
-        first = transformation.transform_cached(pim, [profile],
-                                                cache=cache)
+        transformation.transform_cached(pim, [profile])
         pim.name = pim.name + ""  # generation bump, same content
-        assert transformation.transform_cached(
-            pim, [profile], cache=cache) is first
+        transformation.transform_cached(pim, [profile])
+        assert transform_counts(store) == {"built": 1, "reused": 1}
 
-    def test_different_transformations_do_not_collide(self):
+    def test_different_transformations_do_not_collide(self, store):
         pim, profile = small_pim()
-        cache = TransformCache()
-        hw = hardware_transformation().transform_cached(pim, [profile],
-                                                        cache=cache)
-        sw = software_transformation().transform_cached(pim, [profile],
-                                                        cache=cache)
-        assert hw is not sw
-        assert cache.misses == 2 and len(cache) == 2
+        hw = hardware_transformation().transform_cached(pim, [profile])
+        sw = software_transformation().transform_cached(pim, [profile])
+        assert transform_counts(store) == {"built": 2, "reused": 0}
+        assert hw.platform.name != sw.platform.name
+        assert hw.psm.summary() != sw.psm.summary()
 
-    def test_lru_eviction(self):
-        transformation = hardware_transformation()
-        cache = TransformCache(max_entries=2)
-        pims = [small_pim(name=f"pim{i}") for i in range(3)]
-        results = [transformation.transform_cached(p, [pr], cache=cache)
-                   for p, pr in pims]
-        assert len(cache) == 2
-        # pim0 was evicted: transforming it again misses
-        again = transformation.transform_cached(pims[0][0], [pims[0][1]],
-                                                cache=cache)
-        assert again is not results[0]
-        # pim2 is still cached
-        assert transformation.transform_cached(
-            pims[2][0], [pims[2][1]], cache=cache) is results[2]
-
-    def test_result_matches_uncached_transform(self):
+    def test_result_matches_uncached_transform(self, store):
         pim, profile = small_pim()
         transformation = hardware_transformation()
-        cached = transformation.transform_cached(pim, [profile],
-                                                 cache=TransformCache())
+        transformation.transform_cached(pim, [profile])
+        cached = transformation.transform_cached(pim, [profile])
+        assert transform_counts(store)["reused"] == 1
         plain = transformation.transform(pim, profiles=[profile])
         assert cached.psm.summary() == plain.psm.summary()
         assert cached.applications == plain.applications
         assert cached.completeness() == plain.completeness()
 
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(TransformError):
-            TransformCache(max_entries=0)
-
-    def test_default_cache_used_when_none_given(self):
-        from repro.mda import DEFAULT_TRANSFORM_CACHE
-
-        pim, profile = small_pim(name="default_cache_probe")
+    def test_without_a_store_it_is_plain_transform(self, monkeypatch):
+        monkeypatch.setattr(store_mod, "_ACTIVE", None)
+        pim, profile = small_pim()
         transformation = hardware_transformation()
-        before = DEFAULT_TRANSFORM_CACHE.misses
-        transformation.transform_cached(pim, [profile])
-        assert DEFAULT_TRANSFORM_CACHE.misses == before + 1
+        result = transformation.transform_cached(pim, [profile])
+        plain = transformation.transform(pim, profiles=[profile])
+        assert result.psm.summary() == plain.psm.summary()
+        assert result.applications == plain.applications
