@@ -47,9 +47,9 @@ def build_system():
                     slaves=[(memory, "bus", 0, 0x800)])
 
 
-def _run(label, campaign=None, compiled=False):
+def _run(label, campaign=None, engine="interpreted"):
     with SystemSimulation(build_system(), quantum=1.0,
-                          default_latency=1.0, compile=compiled,
+                          default_latency=1.0, engine=engine,
                           faults=campaign) as simulation:
         start = time.perf_counter()
         simulation.run(until=SIM_TIME)
@@ -82,10 +82,9 @@ def _best(fn, repeats=3):
     return max(rows, key=lambda r: r["events_per_s"])
 
 
-def faulted(compiled=False):
-    label = ("faulted compiled cosimulation" if compiled
-             else "faulted interpreted cosimulation")
-    return _run(label, campaign=CAMPAIGN, compiled=compiled)
+def faulted(engine="interpreted"):
+    return _run(f"faulted {engine} cosimulation", campaign=CAMPAIGN,
+                engine=engine)
 
 
 def checkpoint_round_trip():
@@ -124,9 +123,9 @@ def table():
     """Rows: resilience modes vs. throughput + the PR-2 invariants."""
     base = _best(baseline)
     hooked = _best(fault_free_hook)
-    interpreted, interp_log, interp_report = faulted(compiled=False)
-    compiled, comp_log, comp_report = faulted(compiled=True)
-    _again, again_log, again_report = faulted(compiled=False)
+    interpreted, interp_log, interp_report = faulted("interpreted")
+    compiled, comp_log, comp_report = faulted("compiled")
+    _again, again_log, again_report = faulted("interpreted")
     rows = [base, hooked, interpreted, compiled]
     rows.append({
         "level": "fault-free hook overhead",
@@ -154,8 +153,8 @@ class TestShape:
         assert '"drop"' in report
 
     def test_lockstep_under_faults(self):
-        _row, interp_log, interp_report = faulted(compiled=False)
-        _row, comp_log, comp_report = faulted(compiled=True)
+        _row, interp_log, interp_report = faulted("interpreted")
+        _row, comp_log, comp_report = faulted("compiled")
         assert interp_log == comp_log
         assert interp_report == comp_report
 

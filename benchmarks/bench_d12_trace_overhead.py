@@ -27,7 +27,7 @@ jitter.
 
 import time
 
-from repro.engine import TraceBus
+from repro.engine import ENGINE_MODES, TraceBus
 from repro.hw import make_memory, make_soc, make_traffic_generator
 from repro.simulation import SystemSimulation
 
@@ -44,7 +44,7 @@ def build_system():
                     slaves=[(memory, "bus", 0, 0x800)])
 
 
-def _run_once(mode, compiled=False):
+def _run_once(mode, engine="interpreted"):
     if mode == "bus off":
         bus = False
     elif mode in ("default bus", "empty bus"):
@@ -59,7 +59,7 @@ def _run_once(mode, compiled=False):
         bus.subscribe(swallow)  # every kind, engine-level included
     simulation = SystemSimulation(build_system(), quantum=1.0,
                                   default_latency=1.0, bus=bus,
-                                  compile=compiled)
+                                  engine=engine)
     if mode == "empty bus":
         # the acceptance-criterion configuration: a live bus with zero
         # subscribers (even the built-in message log detached)
@@ -76,12 +76,12 @@ def _run_once(mode, compiled=False):
     }
 
 
-def measure(mode, compiled=False):
+def measure(mode, engine="interpreted"):
     """Best-of-N run of one mode (events/s is jitter-sensitive)."""
-    best = min((_run_once(mode, compiled) for _ in range(REPEATS)),
+    best = min((_run_once(mode, engine) for _ in range(REPEATS)),
                key=lambda run: run["elapsed_s"])
     return {
-        "engine": "compiled" if compiled else "interpreted",
+        "engine": engine,
         "mode": mode,
         "kernel_events": best["kernel_events"],
         "trace_events": best["trace_events"],
@@ -93,8 +93,8 @@ def table():
     """Rows: observation mode vs. cosimulation throughput, both the
     interpreted and (the tighter case) the compiled engine."""
     rows = []
-    for compiled in (False, True):
-        group = [measure(mode, compiled) for mode in MODES]
+    for engine in ENGINE_MODES:
+        group = [measure(mode, engine) for mode in MODES]
         baseline = group[0]["events_per_s"]
         for row in group:
             row["overhead_pct"] = round(
@@ -118,8 +118,8 @@ class TestShape:
         # the real acceptance number (<= 5%) is measured off-CI and
         # recorded in BENCH_PR3.json; here only a loose floor so the
         # guarantee can't silently rot into a 2x regression
-        off = measure("bus off", compiled=True)["events_per_s"]
-        empty = measure("empty bus", compiled=True)["events_per_s"]
+        off = measure("bus off", "compiled")["events_per_s"]
+        empty = measure("empty bus", "compiled")["events_per_s"]
         assert empty >= 0.7 * off
 
 

@@ -65,7 +65,7 @@ unreachable, exactly the asymptote real RTL closure fights.
 
 import time
 
-from repro.engine import TraceBus
+from repro.engine import ENGINE_MODES, TraceBus
 from repro.faults import FaultCampaign, FaultSpec
 from repro.hw import (make_memory, make_retry_master, make_soc,
                       make_traffic_generator)
@@ -122,7 +122,7 @@ def closure_campaign(seed):
         name="closure", seed=seed)
 
 
-def _run_once(mode, compiled=False):
+def _run_once(mode, engine="interpreted"):
     options = CONSUMERS.get(mode, {})
     if mode == "bus off":
         bus = False
@@ -140,7 +140,7 @@ def _run_once(mode, compiled=False):
         bus = None
     simulation = SystemSimulation(build_system(), quantum=1.0,
                                   default_latency=1.0, bus=bus,
-                                  compile=compiled, **options)
+                                  engine=engine, **options)
     start = time.perf_counter()
     simulation.run(until=SIM_TIME)
     elapsed = time.perf_counter() - start
@@ -155,12 +155,12 @@ def _run_once(mode, compiled=False):
     return result
 
 
-def measure(mode, compiled=False):
+def measure(mode, engine="interpreted"):
     """Best-of-N run of one mode (events/s is jitter-sensitive)."""
-    best = min((_run_once(mode, compiled) for _ in range(REPEATS)),
+    best = min((_run_once(mode, engine) for _ in range(REPEATS)),
                key=lambda run: run["elapsed_s"])
     row = {
-        "engine": "compiled" if compiled else "interpreted",
+        "engine": engine,
         "mode": mode,
         "kernel_events": best["kernel_events"],
         "events_per_s": round(best["kernel_events"] / best["elapsed_s"]),
@@ -170,12 +170,12 @@ def measure(mode, compiled=False):
     return row
 
 
-def measure_group(compiled):
+def measure_group(engine):
     """All modes of one engine, trials interleaved round-robin."""
     best = {mode: None for mode in MODES}
     for _ in range(REPEATS):
         for mode in MODES:
-            run = _run_once(mode, compiled)
+            run = _run_once(mode, engine)
             if best[mode] is None \
                     or run["elapsed_s"] < best[mode]["elapsed_s"]:
                 best[mode] = run
@@ -183,7 +183,7 @@ def measure_group(compiled):
     for mode in MODES:
         run = best[mode]
         row = {
-            "engine": "compiled" if compiled else "interpreted",
+            "engine": engine,
             "mode": mode,
             "kernel_events": run["kernel_events"],
             "events_per_s": round(run["kernel_events"]
@@ -219,8 +219,8 @@ def table():
     """Rows: observation mode vs throughput per engine (overheads vs
     bus-off and vs the materialized baseline), then the closure curve."""
     rows = []
-    for compiled in (False, True):
-        group = measure_group(compiled)
+    for engine in ENGINE_MODES:
+        group = measure_group(engine)
         throughput = {row["mode"]: row["events_per_s"] for row in group}
         bus_off = throughput["bus off"]
         for row in group:

@@ -52,7 +52,7 @@ throughput) because shared runners jitter far more than 10%.
 
 import time
 
-from repro.engine import MESSAGE_DELIVERED, TraceBus
+from repro.engine import ENGINE_MODES, MESSAGE_DELIVERED, TraceBus
 from repro.faults import CampaignSpec, FaultCampaign, FaultSpec, run_campaign
 from repro.hw import make_memory, make_soc, make_traffic_generator
 from repro.properties import (
@@ -110,7 +110,7 @@ def reference_suite(copies=1):
     return PropertySuite(properties, name="d16")
 
 
-def _run_once(mode, compiled=False):
+def _run_once(mode, engine="interpreted"):
     options = {}
     if mode == "bus off":
         bus = False
@@ -130,7 +130,7 @@ def _run_once(mode, compiled=False):
         options["on_violation"] = "record"
     simulation = SystemSimulation(build_system(), quantum=1.0,
                                   default_latency=1.0, bus=bus,
-                                  compile=compiled, **options)
+                                  engine=engine, **options)
     start = time.perf_counter()
     simulation.run(until=SIM_TIME)
     elapsed = time.perf_counter() - start
@@ -144,24 +144,24 @@ def _run_once(mode, compiled=False):
     return result
 
 
-def measure(mode, compiled=False):
+def measure(mode, engine="interpreted"):
     """Best-of-N run of one mode (events/s is jitter-sensitive)."""
-    best = min((_run_once(mode, compiled) for _ in range(REPEATS)),
+    best = min((_run_once(mode, engine) for _ in range(REPEATS)),
                key=lambda run: run["elapsed_s"])
     return {
-        "engine": "compiled" if compiled else "interpreted",
+        "engine": engine,
         "mode": mode,
         "kernel_events": best["kernel_events"],
         "events_per_s": round(best["kernel_events"] / best["elapsed_s"]),
     }
 
 
-def measure_group(compiled):
+def measure_group(engine):
     """All modes of one engine, trials interleaved round-robin."""
     best = {mode: None for mode in MODES}
     for _ in range(REPEATS):
         for mode in MODES:
-            run = _run_once(mode, compiled)
+            run = _run_once(mode, engine)
             if best[mode] is None \
                     or run["elapsed_s"] < best[mode]["elapsed_s"]:
                 best[mode] = run
@@ -169,7 +169,7 @@ def measure_group(compiled):
     for mode in MODES:
         run = best[mode]
         rows.append({
-            "engine": "compiled" if compiled else "interpreted",
+            "engine": engine,
             "mode": mode,
             "kernel_events": run["kernel_events"],
             "events_per_s": round(run["kernel_events"]
@@ -225,8 +225,8 @@ def table():
     """Rows: observation mode vs throughput per engine (overhead vs the
     message-materialization floor), then the pass-rate curve."""
     rows = []
-    for compiled in (False, True):
-        group = measure_group(compiled)
+    for engine in ENGINE_MODES:
+        group = measure_group(engine)
         throughput = {row["mode"]: row["events_per_s"] for row in group}
         bus_off = throughput["bus off"]
         floor = throughput["materialized"]

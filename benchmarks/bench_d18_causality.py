@@ -34,7 +34,7 @@ import io
 import tempfile
 import time
 
-from repro.engine import TraceBus
+from repro.engine import ENGINE_MODES, TraceBus
 from repro.faults import CampaignSpec, FaultCampaign, FaultSpec, run_campaign
 from repro.hw import make_memory, make_soc, make_traffic_generator
 from repro.observability import (
@@ -65,7 +65,7 @@ def campaign_top():
     return build_system()
 
 
-def _run_once(mode, compiled=False):
+def _run_once(mode, engine="interpreted"):
     bus = TraceBus()
     index = None
     if mode == "materialization floor":
@@ -79,7 +79,7 @@ def _run_once(mode, compiled=False):
         index = CausalIndex(bus, keep_events=False)
     simulation = SystemSimulation(build_system(), quantum=1.0,
                                   default_latency=1.0, bus=bus,
-                                  compile=compiled)
+                                  engine=engine)
     start = time.perf_counter()
     simulation.run(until=SIM_TIME)
     elapsed = time.perf_counter() - start
@@ -100,19 +100,19 @@ def _run_once(mode, compiled=False):
     return result
 
 
-def measure_group(compiled=False):
+def measure_group(engine="interpreted"):
     """Best-of-N per mode, rounds *interleaved* across the modes so a
     machine-load swing hits every mode equally instead of whichever
     happened to run last (events/s is jitter-sensitive)."""
     best = {}
     for _ in range(REPEATS):
         for mode in MODES:
-            run = _run_once(mode, compiled)
+            run = _run_once(mode, engine)
             held = best.get(mode)
             if held is None or run["elapsed_s"] < held["elapsed_s"]:
                 best[mode] = run
     return [{
-        "engine": "compiled" if compiled else "interpreted",
+        "engine": engine,
         "mode": mode,
         "kernel_events": best[mode]["kernel_events"],
         "causal_records": best[mode]["causal_records"],
@@ -199,8 +199,8 @@ def table():
     """Rows: causal-index overhead vs. the materialization floor (both
     engines), exporter throughput, and campaign telemetry cost."""
     rows = []
-    for compiled in (False, True):
-        group = measure_group(compiled)
+    for engine in ENGINE_MODES:
+        group = measure_group(engine)
         baseline = group[0]["events_per_s"]
         for row in group:
             row["overhead_pct"] = round(

@@ -59,7 +59,7 @@ def interpreted_cosim():
 def compiled_cosim():
     top, _cpu, _memory = build_system()
     simulation = SystemSimulation(top, quantum=1.0, default_latency=1.0,
-                                  compile=True)
+                                  engine="compiled")
     start = time.perf_counter()
     simulation.run(until=SIM_TIME)
     elapsed = time.perf_counter() - start

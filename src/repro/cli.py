@@ -71,6 +71,13 @@ EXIT_INCIDENT = 4
 #: precedence: a violated property outranks quarantine and incidents.
 EXIT_PROPERTY_VIOLATED = 5
 
+# Literal copies of repro.faults.PART_ERROR_POLICIES and
+# repro.properties.VIOLATION_POLICIES: importing either package here
+# would load the simulator into every CLI process.  test_cli_run_flags
+# pins them to the library's tuples.
+PART_ERROR_POLICIES = ("raise", "quarantine", "restart", "restore")
+VIOLATION_POLICIES = ("record", "incident", "supervise")
+
 
 def _load(path: str):
     document = xmi.read_file(path)
@@ -240,7 +247,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     incidents: List[str] = []
     try:
         with SystemSimulation(top, quantum=args.quantum,
-                              compile=args.compiled,
                               engine=args.engine,
                               faults=campaign, fault_seed=args.seed,
                               on_part_error=args.on_part_error,
@@ -270,7 +276,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             for name, states in simulation.state_snapshot().items():
                 print(f"  {name:20} {', '.join(states) or '(no behavior)'}",
                       file=out)
-            if args.compiled or args.engine:
+            if args.engine == "compiled":
+                # the only mode in which a part can fall back
                 for name, verdict in sorted(
                         simulation.compile_report.items()):
                     print(f"  {name:20} [{verdict}]", file=out)
@@ -384,12 +391,17 @@ def _write_causality(args: argparse.Namespace, simulation,
               f"(open in ui.perfetto.dev)", file=out)
 
 
-def cmd_campaign(args: argparse.Namespace) -> int:
-    from .faults import CampaignSpec, FaultCampaign, run_campaign
+def _campaign_spec(args: argparse.Namespace, name: str = "",
+                   **options):
+    """The :class:`~repro.faults.CampaignSpec` of ``campaign`` and
+    ``submit``: the shared run flags, the seeds (``--seeds``, else
+    ``--runs`` counted up from the fault campaign's base seed) and the
+    name (``name``, else the fault campaign's, else ``"campaign"``).
+    """
+    from .faults import CampaignSpec, FaultCampaign
 
-    store = _activate_store(args)
-    if store is not None:
-        _register_model(store, _load(args.model))
+    campaign = FaultCampaign.from_file(args.faults) if args.faults \
+        else None
     if args.seeds:
         try:
             seeds = [int(token) for token in
@@ -399,26 +411,30 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 f"--seeds wants comma-separated integers, "
                 f"got {args.seeds!r}")
     else:
-        base = 0
-        if args.faults:
-            base = FaultCampaign.from_file(args.faults).seed
+        base = campaign.seed if campaign is not None else 0
         seeds = [base + offset for offset in range(args.runs)]
-    name = "campaign"
-    if args.faults:
-        name = FaultCampaign.from_file(args.faults).name
-    obs = bool(args.obs_report_file or args.obs_html_file)
-    spec = CampaignSpec(seeds=seeds, model=args.model, top=args.top,
+    if not name:
+        name = campaign.name if campaign is not None else "campaign"
+    return CampaignSpec(seeds=seeds, model=args.model, top=args.top,
                         campaign=args.faults or None,
                         until=args.until, quantum=args.quantum,
-                        compiled=args.compiled,
                         engine=args.engine,
                         on_part_error=args.on_part_error,
-                        checkpoint_interval=args.checkpoint_interval,
-                        coverage=bool(args.coverage_file),
                         name=name,
                         properties=args.properties_file or None,
-                        on_violation=args.on_violation,
-                        obs=obs)
+                        on_violation=args.on_violation, **options)
+
+
+def cmd_campaign(args: argparse.Namespace) -> int:
+    from .faults import run_campaign
+
+    store = _activate_store(args)
+    if store is not None:
+        _register_model(store, _load(args.model))
+    obs = bool(args.obs_report_file or args.obs_html_file)
+    spec = _campaign_spec(args,
+                          checkpoint_interval=args.checkpoint_interval,
+                          coverage=bool(args.coverage_file), obs=obs)
     result = run_campaign(spec, workers=args.parallel,
                           journal=args.journal or None,
                           resume=args.resume,
@@ -426,7 +442,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                           max_retries=args.retries,
                           progress=True if args.progress else None)
     resilience = result.resilience()
-    print(f"campaign {result.name!r}: {len(result.rows)}/{len(seeds)} "
+    print(f"campaign {result.name!r}: "
+          f"{len(result.rows)}/{len(spec.seeds)} "
           f"seed(s) completed ({result.mode}, "
           f"{result.workers_used} worker(s))")
     if result.resumed_seeds:
@@ -576,33 +593,7 @@ def _client(args: argparse.Namespace):
 
 def cmd_submit(args: argparse.Namespace) -> int:
     """``repro submit``: enqueue a campaign on the running daemon."""
-    from .faults import CampaignSpec, FaultCampaign
-
-    if args.seeds:
-        try:
-            seeds = [int(token) for token in
-                     args.seeds.replace(",", " ").split()]
-        except ValueError:
-            raise ReproError(
-                f"--seeds wants comma-separated integers, "
-                f"got {args.seeds!r}")
-    else:
-        base = 0
-        if args.faults:
-            base = FaultCampaign.from_file(args.faults).seed
-        seeds = [base + offset for offset in range(args.runs)]
-    name = args.name
-    if not name:
-        name = (FaultCampaign.from_file(args.faults).name
-                if args.faults else "campaign")
-    spec = CampaignSpec(seeds=seeds, model=args.model, top=args.top,
-                        campaign=args.faults or None,
-                        until=args.until, quantum=args.quantum,
-                        engine=args.engine,
-                        on_part_error=args.on_part_error,
-                        name=name,
-                        properties=args.properties_file or None,
-                        on_violation=args.on_violation)
+    spec = _campaign_spec(args, name=args.name)
     client = _client(args)
     row = client.submit(spec.to_dict())
     verb = "coalesced into" if row.get("coalesced") else "submitted as"
@@ -838,6 +829,54 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_run_arguments(command: argparse.ArgumentParser) -> None:
+    """Declare the run flags ``simulate``, ``campaign`` and ``submit``
+    share, with one destination and default each."""
+    command.add_argument("model")
+    command.add_argument("--top", required=True,
+                         help="qualified name, e.g. design::Top")
+    command.add_argument("--faults", default="",
+                         help="fault campaign JSON file to inject "
+                              "(campaign and submit sweep it per "
+                              "seed; see docs/FAULTS.md)")
+    command.add_argument("--until", type=float, default=100.0)
+    command.add_argument("--quantum", type=float, default=1.0)
+    command.add_argument("--engine", default="interpreted",
+                         choices=ENGINE_MODES,
+                         help="execution engine; compiled falls back to "
+                              "the interpreter per part outside the "
+                              "compilable subset")
+    command.add_argument("--on-part-error", default="raise",
+                         choices=PART_ERROR_POLICIES,
+                         dest="on_part_error",
+                         help="policy when a part's behavior raises "
+                              "(restore rolls back to the last "
+                              "checkpoint)")
+    command.add_argument("--properties", default="",
+                         dest="properties_file", metavar="PATH",
+                         help="check a temporal-property suite "
+                              "(props.json) online on every run; "
+                              "simulate and campaign exit 5 on a "
+                              "violation (see docs/PROPERTIES.md)")
+    command.add_argument("--on-violation", default="incident",
+                         choices=VIOLATION_POLICIES, dest="on_violation",
+                         help="what a property violation triggers "
+                              "beyond the report: incident hooks "
+                              "(flight-recorder post-mortem; default) "
+                              "or supervisor escalation of the "
+                              "witnessing part")
+
+
+def _add_seed_arguments(command: argparse.ArgumentParser) -> None:
+    """Declare the seed-list flags ``campaign`` and ``submit`` share."""
+    command.add_argument("--seeds", default="",
+                         help="explicit comma-separated seed list "
+                              "(overrides --runs)")
+    command.add_argument("--runs", type=int, default=1,
+                         help="number of seeds, counted up from the "
+                              "campaign's base seed")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -883,28 +922,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = commands.add_parser("simulate",
                                    help="cosimulate a top component")
-    simulate.add_argument("model")
-    simulate.add_argument("--top", required=True,
-                          help="qualified name, e.g. design::Top")
-    simulate.add_argument("--until", type=float, default=100.0)
-    simulate.add_argument("--quantum", type=float, default=1.0)
-    simulate.add_argument("--compiled", action="store_true",
-                          help="compile state machines to dispatch "
-                               "tables (interpreter fallback per part)")
-    simulate.add_argument("--engine", default=None, choices=ENGINE_MODES,
-                          help="execution engine (overrides --compiled)")
-    simulate.add_argument("--faults", default="",
-                          help="fault campaign JSON file to inject "
-                               "(see docs/FAULTS.md)")
+    _add_run_arguments(simulate)
     simulate.add_argument("--seed", type=int, default=None,
                           help="override the campaign's RNG seed")
-    simulate.add_argument("--on-part-error", default="raise",
-                          choices=("raise", "quarantine", "restart",
-                                   "restore"),
-                          dest="on_part_error",
-                          help="policy when a part's behavior raises "
-                               "(restore rolls back to the last "
-                               "checkpoint)")
     simulate.add_argument("--checkpoint-interval", type=float,
                           default=None, dest="checkpoint_interval",
                           metavar="T",
@@ -956,23 +976,9 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="PATH",
                           help="write the perf snapshot (+ coverage, if "
                                "collected) as JSON for 'repro stats'")
-    simulate.add_argument("--properties", default="",
-                          dest="properties_file", metavar="PATH",
-                          help="check a temporal-property suite "
-                               "(props.json) online during the run; a "
-                               "violated property exits 5 (see "
-                               "docs/PROPERTIES.md)")
     simulate.add_argument("--property-report", default="",
                           dest="property_report_file", metavar="PATH",
                           help="write the per-run PropertyReport JSON")
-    simulate.add_argument("--on-violation", default="incident",
-                          choices=("record", "incident", "supervise"),
-                          dest="on_violation",
-                          help="what a property violation triggers "
-                               "beyond the report: incident hooks "
-                               "(flight-recorder post-mortem; default) "
-                               "or supervisor escalation of the "
-                               "witnessing part")
     simulate.add_argument("--store", default="", dest="store_dir",
                           metavar="DIR",
                           help="artifact store: pull warm compiled "
@@ -985,30 +991,8 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         help="sweep a fault campaign over many seeds (crash-tolerant, "
              "resumable)")
-    campaign.add_argument("model")
-    campaign.add_argument("--top", required=True,
-                          help="qualified name, e.g. design::Top")
-    campaign.add_argument("--faults", default="",
-                          help="fault campaign JSON file swept per seed")
-    campaign.add_argument("--seeds", default="",
-                          help="explicit comma-separated seed list "
-                               "(overrides --runs)")
-    campaign.add_argument("--runs", type=int, default=1,
-                          help="number of seeds, counted up from the "
-                               "campaign's base seed")
-    campaign.add_argument("--until", type=float, default=100.0)
-    campaign.add_argument("--quantum", type=float, default=1.0)
-    campaign.add_argument("--engine", default=None, choices=ENGINE_MODES,
-                          help="execution engine for every seed "
-                               "(overrides --compiled)")
-    campaign.add_argument("--compiled", action="store_true",
-                          help="compile state machines to dispatch "
-                               "tables")
-    campaign.add_argument("--on-part-error", default="raise",
-                          choices=("raise", "quarantine", "restart",
-                                   "restore"),
-                          dest="on_part_error",
-                          help="per-seed degradation policy")
+    _add_run_arguments(campaign)
+    _add_seed_arguments(campaign)
     campaign.add_argument("--checkpoint-interval", type=float,
                           default=None, dest="checkpoint_interval",
                           metavar="T",
@@ -1053,20 +1037,10 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="PATH",
                           help="collect per-seed functional coverage "
                                "and write the merged report JSON")
-    campaign.add_argument("--properties", default="",
-                          dest="properties_file", metavar="PATH",
-                          help="check a temporal-property suite "
-                               "(props.json) on every seed; any "
-                               "violation exits 5")
     campaign.add_argument("--property-report", default="",
                           dest="property_report_file", metavar="PATH",
                           help="write the aggregated per-property pass "
                                "rates / time-to-violation JSON")
-    campaign.add_argument("--on-violation", default="incident",
-                          choices=("record", "incident", "supervise"),
-                          dest="on_violation",
-                          help="per-seed escalation policy for property "
-                               "violations")
     campaign.add_argument("--store", default="", dest="store_dir",
                           metavar="DIR",
                           help="artifact store shared with campaign "
@@ -1119,31 +1093,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit = commands.add_parser(
         "submit",
         help="enqueue a campaign on a running service daemon")
-    submit.add_argument("model")
-    submit.add_argument("--top", required=True,
-                        help="qualified name, e.g. design::Top")
-    submit.add_argument("--faults", default="",
-                        help="fault campaign JSON file swept per seed")
-    submit.add_argument("--seeds", default="",
-                        help="explicit comma-separated seed list "
-                             "(overrides --runs)")
-    submit.add_argument("--runs", type=int, default=1,
-                        help="number of seeds, counted up from the "
-                             "campaign's base seed")
-    submit.add_argument("--until", type=float, default=100.0)
-    submit.add_argument("--quantum", type=float, default=1.0)
-    submit.add_argument("--engine", default=None, choices=ENGINE_MODES)
-    submit.add_argument("--on-part-error", default="raise",
-                        choices=("raise", "quarantine", "restart",
-                                 "restore"),
-                        dest="on_part_error")
-    submit.add_argument("--properties", default="",
-                        dest="properties_file", metavar="PATH",
-                        help="temporal-property suite checked on "
-                             "every seed")
-    submit.add_argument("--on-violation", default="incident",
-                        choices=("record", "incident", "supervise"),
-                        dest="on_violation")
+    _add_run_arguments(submit)
+    _add_seed_arguments(submit)
     submit.add_argument("--name", default="",
                         help="job display name (default: the fault "
                              "campaign's name); never part of the "

@@ -8,7 +8,7 @@ it today:
 
 * :class:`~repro.statemachines.runtime.StateMachineRuntime` — the
   run-to-completion statechart interpreter;
-* :class:`~repro.statemachines.flatten.CompiledRuntime` — the
+* :class:`~repro.statemachines.compiled.CompiledRuntime` — the
   dispatch-table compiled form of the flat subset;
 * :class:`~repro.activities.runtime.ActivityRuntime` — the token-game
   engine for UML 2.0 activities.

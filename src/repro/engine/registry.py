@@ -14,7 +14,7 @@ Built-in bindings:
 * :class:`~repro.statemachines.kernel.StateMachine` — the
   run-to-completion interpreter, or (with ``prefer_compiled`` and the
   machine inside the compilable subset) the dispatch-table
-  :class:`~repro.statemachines.flatten.CompiledRuntime`;
+  :class:`~repro.statemachines.compiled.CompiledRuntime`;
 * :class:`~repro.activities.graph.Activity` — the token-game
   :class:`~repro.activities.runtime.ActivityRuntime`.
 
@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..activities.graph import Activity
 from ..activities.runtime import ActivityRuntime
 from ..perf import PERF
-from ..statemachines.flatten import (
+from ..statemachines.compiled import (
     CompiledRuntime,
     compile_fallback_reason,
     compile_machine_cached,

@@ -34,7 +34,7 @@ from ..errors import SimulationError
 # ---------------------------------------------------------------------------
 # The event vocabulary.
 #
-# NOTE: the engine modules (statemachines.runtime, statemachines.flatten,
+# NOTE: the engine modules (statemachines.runtime, statemachines.compiled,
 # activities.engine) emit these kinds as literal strings to stay free of
 # any import on this package; test_trace_bus pins the literals to these
 # constants so they cannot drift apart.

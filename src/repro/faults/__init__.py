@@ -24,7 +24,7 @@ degradation policies live in :mod:`repro.simulation.cosim`.
 
 from .campaign import FAULT_KINDS, FaultCampaign, FaultSpec
 from .injector import FaultInjector
-from .report import ResilienceReport
+from .report import PART_ERROR_POLICIES, ResilienceReport
 from .runner import (
     CampaignResult,
     CampaignSpec,
@@ -39,6 +39,7 @@ __all__ = [
     "FaultCampaign",
     "FaultSpec",
     "FaultInjector",
+    "PART_ERROR_POLICIES",
     "ResilienceReport",
     "CampaignResult",
     "CampaignSpec",

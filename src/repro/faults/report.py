@@ -23,6 +23,10 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional
 
+#: Valid part-error policies: what a simulation does when a part's
+#: behavior raises (the decisions this report records).
+PART_ERROR_POLICIES = ("raise", "quarantine", "restart", "restore")
+
 
 def _record_key(record: Dict[str, Any]) -> str:
     """Total order over heterogeneous records: canonical JSON."""

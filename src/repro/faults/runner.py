@@ -58,7 +58,7 @@ from ..engine import ENGINE_MODES
 from ..errors import FaultError, ReproError
 from ..perf import PERF
 from .campaign import FaultCampaign
-from .report import ResilienceReport
+from .report import PART_ERROR_POLICIES, ResilienceReport
 
 #: Default number of infrastructure retries per seed.
 DEFAULT_MAX_RETRIES = 2
@@ -114,7 +114,7 @@ class CampaignSpec:
     """
 
     __slots__ = ("model", "top", "builder", "campaign", "seeds", "until",
-                 "quantum", "compiled", "engine", "on_part_error",
+                 "quantum", "engine", "on_part_error",
                  "checkpoint_interval", "max_restarts", "max_restores",
                  "coverage", "name", "properties", "on_violation", "obs")
 
@@ -126,8 +126,7 @@ class CampaignSpec:
                  campaign: Optional[str] = None,
                  until: float = 100.0,
                  quantum: float = 1.0,
-                 compiled: bool = False,
-                 engine: Optional[str] = None,
+                 engine: str = "interpreted",
                  on_part_error: str = "raise",
                  checkpoint_interval: Optional[float] = None,
                  max_restarts: int = 3,
@@ -159,9 +158,13 @@ class CampaignSpec:
             raise FaultError("campaign spec needs at least one seed")
         if len(set(seeds)) != len(seeds):
             raise FaultError(f"duplicate seeds in {seeds}")
-        if engine is not None and engine not in ENGINE_MODES:
+        if engine not in ENGINE_MODES:
             raise FaultError(
                 f"unknown engine {engine!r}; choose from {ENGINE_MODES}")
+        if on_part_error not in PART_ERROR_POLICIES:
+            raise FaultError(
+                f"unknown on_part_error policy {on_part_error!r}; "
+                f"choose from {PART_ERROR_POLICIES}")
         self.model = model
         self.top = top
         self.builder = builder
@@ -169,9 +172,18 @@ class CampaignSpec:
         self.seeds = seeds
         self.until = _coerce("until", until, float)
         self.quantum = _coerce("quantum", quantum, float)
-        self.compiled = bool(compiled)
+        if self.quantum <= 0:
+            raise FaultError(
+                f"campaign spec quantum must be positive, got {quantum!r}")
         self.engine = engine
         self.on_part_error = on_part_error
+        if checkpoint_interval is not None:
+            checkpoint_interval = _coerce("checkpoint_interval",
+                                          checkpoint_interval, float)
+            if checkpoint_interval <= 0:
+                raise FaultError(
+                    f"campaign spec checkpoint_interval must be "
+                    f"positive, got {checkpoint_interval!r}")
         self.checkpoint_interval = checkpoint_interval
         self.max_restarts = _coerce("max_restarts", max_restarts, int)
         self.max_restores = _coerce("max_restores", max_restores, int)
@@ -321,10 +333,10 @@ def _warm_spec(spec: CampaignSpec) -> None:
     dispatch-table caches."""
     top, _campaign = _warm_model(spec)
     _warm_suite(spec)
-    if not (spec.compiled or spec.engine == "compiled"):
+    if spec.engine != "compiled":
         return
-    from ..statemachines.flatten import (compile_fallback_reason,
-                                         compile_machine_cached)
+    from ..statemachines.compiled import (compile_fallback_reason,
+                                          compile_machine_cached)
     from ..statemachines.kernel import StateMachine
 
     seen = set()
@@ -387,7 +399,6 @@ def run_seed(spec: CampaignSpec, seed: int,
     suite = _warm_suite(spec)
     sim_error = ""
     with SystemSimulation(top, quantum=spec.quantum,
-                          compile=spec.compiled,
                           engine=spec.engine,
                           faults=campaign, fault_seed=seed,
                           on_part_error=spec.on_part_error,

@@ -255,7 +255,9 @@ class SimulationService:
         if self.draining:
             PERF.incr("service.rejected")
             raise ServiceError("service is draining; not admitting jobs")
-        CampaignSpec.from_dict(spec_data)  # validate before accepting
+        # validate, then fingerprint and journal the normalized spec so
+        # equal work spelled differently dedupes onto one job
+        spec_data = CampaignSpec.from_dict(spec_data).to_dict()
         fingerprint = job_fingerprint(spec_data)
         live = self.active_fp.get(fingerprint)
         if live is not None and live in self.jobs \

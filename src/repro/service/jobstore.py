@@ -69,8 +69,10 @@ def job_fingerprint(spec_data: Dict[str, Any]) -> str:
     """Content-addressed identity of one job's work.
 
     Two submissions that would simulate the same thing must collide —
-    that is what lets the daemon serve the second from the store.  The
-    spec's file-path fields (``model``, ``campaign``, ``properties``)
+    that is what lets the daemon serve the second from the store, so the
+    daemon hashes the normalized spec (``CampaignSpec.to_dict()``), in
+    which defaults are filled in and numbers coerced.  The spec's
+    file-path fields (``model``, ``campaign``, ``properties``)
     are replaced by digests of the file *contents*, so renaming or
     copying a model does not defeat the cache, while editing one
     invalidates it.  The ``name`` field is presentation, not work, and

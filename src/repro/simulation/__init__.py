@@ -13,14 +13,14 @@ from .kernel import (
     Timeout,
 )
 from .signals import Clock, SimSignal, Waveform
-from .cosim import PART_ERROR_POLICIES, PartInstance, SystemSimulation
+from .cosim import PartInstance, SystemSimulation
 from .supervisor import SUPERVISOR_ACTIONS, Supervisor
 from .vcd import dump_vcd, write_vcd
 
 __all__ = [
     "OVERFLOW_POLICIES", "ProcessHandle", "SimEvent", "Simulator", "Timeout",
     "Clock", "SimSignal", "Waveform",
-    "PART_ERROR_POLICIES", "PartInstance", "SystemSimulation",
+    "PartInstance", "SystemSimulation",
     "SUPERVISOR_ACTIONS", "Supervisor",
     "dump_vcd", "write_vcd",
 ]

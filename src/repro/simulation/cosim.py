@@ -12,8 +12,8 @@ Execution core (PR 3): the harness speaks only the
 ``start``/``send``/``step``/``active_configuration``/``checkpoint``/
 ``restore`` — and resolves each part's classifier behavior to an engine
 through the :mod:`repro.engine.registry`.  A part whose behavior is a
-state machine runs on the interpreter (or, with ``compile=True``, the
-dispatch-table :class:`~repro.statemachines.flatten.CompiledRuntime`
+state machine runs on the interpreter (or, with ``engine="compiled"``,
+the dispatch-table :class:`~repro.statemachines.compiled.CompiledRuntime`
 when the machine is in the compilable subset); a part whose behavior is
 an :class:`~repro.activities.Activity` runs on the token-game
 :class:`~repro.activities.ActivityRuntime` — under the *same*
@@ -108,15 +108,17 @@ from ..engine import (
     build_engine_factory,
 )
 from ..errors import ReproError, SimulationError
-from ..faults import FaultCampaign, FaultInjector, ResilienceReport
+from ..faults import (
+    PART_ERROR_POLICIES,
+    FaultCampaign,
+    FaultInjector,
+    ResilienceReport,
+)
 from ..metamodel.components import Component, Connector, ConnectorKind
 from ..metamodel.classifiers import UmlClass
 from ..perf import PERF
 from .kernel import Simulator
 from .supervisor import Supervisor
-
-#: Valid part-error policies.
-PART_ERROR_POLICIES = ("raise", "quarantine", "restart", "restore")
 
 
 class PartInstance:
@@ -153,10 +155,8 @@ class SystemSimulation:
                  default_latency: float = 1.0,
                  latency_fn: Optional[Callable[[Connector], float]] = None,
                  context: Optional[Dict[str, Dict[str, Any]]] = None,
-                 trace: bool = False,
                  strict_routing: bool = False,
-                 compile: bool = False,
-                 engine: Optional[str] = None,
+                 engine: str = "interpreted",
                  faults: Optional[FaultCampaign] = None,
                  fault_seed: Optional[int] = None,
                  on_part_error: str = "raise",
@@ -177,7 +177,7 @@ class SystemSimulation:
             raise SimulationError(
                 f"unknown on_part_error policy {on_part_error!r}; "
                 f"choose from {PART_ERROR_POLICIES}")
-        if engine is not None and engine not in ENGINE_MODES:
+        if engine not in ENGINE_MODES:
             raise SimulationError(
                 f"unknown engine {engine!r}; choose from {ENGINE_MODES}")
         if checkpoint_interval is not None and checkpoint_interval <= 0:
@@ -190,13 +190,8 @@ class SystemSimulation:
         self.quantum = quantum
         self.default_latency = default_latency
         self.latency_fn = latency_fn
-        self.trace_enabled = trace
         self.strict_routing = strict_routing
-        #: resolved engine selection: ``engine=`` wins over the legacy
-        #: ``compile`` flag
-        self.engine_mode = engine if engine is not None \
-            else ("compiled" if compile else "interpreted")
-        self.compile_enabled = self.engine_mode == "compiled"
+        self.engine_mode = engine
         self.on_part_error = on_part_error
         self.max_restarts = max_restarts
         self.max_restores = max_restores
@@ -208,7 +203,6 @@ class SystemSimulation:
         #: part name -> last good recovery snapshot
         #: ({"t", "runtime", "received", "sent"})
         self._part_snapshots: Dict[str, Dict[str, Any]] = {}
-        self.trace: List[Tuple[float, str]] = []
         #: (time, sender, receiver, signal) for every delivered message
         #: (maintained by a bus subscriber; empty with ``bus=False``)
         self.message_log: List[Tuple[float, str, str, str]] = []
@@ -266,7 +260,11 @@ class SystemSimulation:
         self._build_parts(context or {})
         self._build_routes()
         if faults is not None:
-            self.attach_faults(faults, seed=fault_seed)
+            if not isinstance(faults, FaultCampaign):
+                raise SimulationError(
+                    f"faults must be a FaultCampaign, got {faults!r}")
+            self._injector = FaultInjector(self, faults, seed=fault_seed,
+                                           report=self.resilience)
         # Observability subscribers attach before the engines start so
         # the initial configuration entries land in coverage/profiles.
         if coverage or profile or flight_recorder or causality:
@@ -328,7 +326,7 @@ class SystemSimulation:
         binding = build_engine_factory(
             behavior, context=initial_context,
             signal_sink=self._make_sink(part_name),
-            prefer_compiled=self.compile_enabled)
+            prefer_compiled=self.engine_mode == "compiled")
         if binding is None:
             return None
         label, build = binding
@@ -416,20 +414,6 @@ class SystemSimulation:
     # fault injection & degradation
     # ------------------------------------------------------------------
 
-    def attach_faults(self, campaign: FaultCampaign,
-                      seed: Optional[int] = None) -> FaultInjector:
-        """Attach a seeded fault campaign to the routing layer.
-
-        Replaces any previously attached campaign.  Returns the
-        injector (its report is this simulation's :attr:`resilience`).
-        """
-        if not isinstance(campaign, FaultCampaign):
-            raise SimulationError(
-                f"faults must be a FaultCampaign, got {campaign!r}")
-        self._injector = FaultInjector(self, campaign, seed=seed,
-                                       report=self.resilience)
-        return self._injector
-
     @property
     def injector(self) -> Optional[FaultInjector]:
         """The attached fault injector, if any."""
@@ -479,9 +463,6 @@ class SystemSimulation:
         if self._bus is not None:
             self._bus.emit(PART_QUARANTINED, now, part_name,
                            {"reason": detail})
-        if self.trace_enabled:
-            self.trace.append(
-                (now, f"{part_name} quarantined after {detail}"))
         self._fire_incident("part_quarantined", f"{part_name}: {detail}")
 
     def _fire_incident(self, reason: str, detail: str) -> None:
@@ -506,9 +487,6 @@ class SystemSimulation:
         if self._bus is not None:
             self._bus.emit(PART_RESTARTED, self.simulator.now, part_name,
                            {"reason": detail})
-        if self.trace_enabled:
-            self.trace.append(
-                (self.simulator.now, f"{part_name} restarted"))
 
     def _restore_part(self, part_name: str, detail: str = "") -> None:
         """Roll a part back to its last good recovery snapshot.
@@ -529,10 +507,6 @@ class SystemSimulation:
         if self._bus is not None:
             self._bus.emit(PART_RESTORED, self.simulator.now, part_name,
                            {"reason": detail, "snapshot_t": snap["t"]})
-        if self.trace_enabled:
-            self.trace.append(
-                (self.simulator.now,
-                 f"{part_name} restored to snapshot t={snap['t']}"))
 
     def take_part_checkpoints(self) -> int:
         """Snapshot every healthy part's engine for rollback recovery.
@@ -596,10 +570,6 @@ class SystemSimulation:
                                    part_name, {"signal": sent.signal,
                                                "port": port_name,
                                                "reason": "unrouted"})
-                if self.trace_enabled:
-                    self.trace.append(
-                        (self.simulator.now,
-                         f"{sent.signal} dropped at {part_name}.{port_name}"))
                 return
             bus = self._bus
             routed = bus is not None and MESSAGE_ROUTED in bus.active_kinds
@@ -684,9 +654,6 @@ class SystemSimulation:
                                   {"signal": signal, "sender": sender})
                 if causal and record is not None:
                     bus.cause = record.ordinal
-            if self.trace_enabled:
-                self.trace.append(
-                    (self.simulator.now, f"{signal} -> {part_name}"))
             try:
                 instance.runtime.send(signal, **arguments)
             except Exception as error:  # noqa: BLE001 - policy decides
@@ -706,10 +673,6 @@ class SystemSimulation:
             # keep the resilience count deterministic even with the bus
             # off or unobserved (the subscriber normally does this)
             self.resilience.bump("quarantine_dropped")
-        if self.trace_enabled:
-            self.trace.append(
-                (self.simulator.now,
-                 f"{signal} dropped at quarantined {part_name}"))
 
     def _sync_runtime(self, instance: PartInstance) -> None:
         runtime = instance.runtime
@@ -829,7 +792,7 @@ class SystemSimulation:
 
         Kernel clock and event queue, every part's engine checkpoint
         (configuration, context, timers/markings — every engine kind),
-        message/trace logs, the trace-bus ordinal, degradation state,
+        the message log, the trace-bus ordinal, degradation state,
         the resilience report and, when attached, the fault injector's
         RNG and budgets.  Restore with :meth:`restore`; a checkpoint →
         inject → restore cycle returns to the exact pre-injection state.
@@ -848,7 +811,6 @@ class SystemSimulation:
             "messages_delivered": self.messages_delivered,
             "messages_dropped": self.messages_dropped,
             "message_log_len": len(self.message_log),
-            "trace_len": len(self.trace),
             "bus": self._bus.checkpoint() if self._bus is not None else None,
             "quarantined": set(self._quarantined),
             "supervisor": self.supervisor.snapshot(),
@@ -874,7 +836,6 @@ class SystemSimulation:
         self.messages_delivered = snap["messages_delivered"]
         self.messages_dropped = snap["messages_dropped"]
         del self.message_log[snap["message_log_len"]:]
-        del self.trace[snap["trace_len"]:]
         if self._bus is not None and snap.get("bus") is not None:
             self._bus.restore(snap["bus"])
         self._quarantined = set(snap["quarantined"])

@@ -29,16 +29,18 @@ from .kernel import (
 )
 from .runtime import ELSE_GUARD, StateMachineRuntime
 from .flatten import (
-    CompiledMachine,
-    CompiledRuntime,
-    CompilePlan,
     FlatStateMachine,
-    compile_fallback_reason,
-    compile_machine,
-    compile_machine_cached,
     default_alphabet,
     flatten,
     flatten_cached,
+)
+from .compiled import (
+    CompiledMachine,
+    CompiledRuntime,
+    CompilePlan,
+    compile_fallback_reason,
+    compile_machine,
+    compile_machine_cached,
 )
 from .compose import clone_machine, connection_point, inline_submachine
 from . import analysis

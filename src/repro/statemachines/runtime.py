@@ -65,7 +65,6 @@ class StateMachineRuntime:
 
     def __init__(self, machine: StateMachine,
                  context: Optional[Dict[str, Any]] = None,
-                 trace: bool = False,
                  max_chain: int = 10_000,
                  signal_sink=None):
         machine.validate()
@@ -84,8 +83,6 @@ class StateMachineRuntime:
         self._completion_emitted: Set[State] = set()
         self._change_edges: Dict[str, bool] = {}
         self._change_events: List[ChangeEvent] = []
-        self._trace_enabled = trace
-        self.trace: List[Tuple[float, str, str]] = []
         # Trace-bus plumbing (set by the cosim harness).  Kinds are
         # literal strings so this module never imports repro.engine;
         # test_trace_bus pins them to the constants.  Emit sites mirror
@@ -277,14 +274,12 @@ class StateMachineRuntime:
                     self._recall_deferred()
                 elif self._is_deferred(occurrence):
                     self._deferred.append(occurrence)
-                    self._log("defer", occurrence.name)
                 self._post_step_processing()
         finally:
             self._draining = False
 
     def _rtc_step(self, occurrence: EventOccurrence) -> bool:
         """Process one occurrence; returns True if any transition fired."""
-        self._log("event", occurrence.name)
         bus = self.trace_bus
         event_cause = None
         if bus is not None and bus.engine_active:
@@ -397,7 +392,6 @@ class StateMachineRuntime:
         return True
 
     def _fire(self, transition: Transition, occurrence: EventOccurrence) -> None:
-        self._log("fire", repr(transition))
         bus = self.trace_bus
         if bus is not None and bus.engine_active:
             record = bus.emit("transition", self.time, self.trace_part,
@@ -504,7 +498,6 @@ class StateMachineRuntime:
         kind = pseudo.kind
         if kind is PseudostateKind.TERMINATE:
             self.is_terminated = True
-            self._log("terminate", pseudo.name)
             return
         if kind in (PseudostateKind.CHOICE, PseudostateKind.JUNCTION):
             transition = self._select_branch(pseudo, occurrence)
@@ -598,7 +591,6 @@ class StateMachineRuntime:
         if state in self._active:
             return
         self._active.add(state)
-        self._log("enter", state.name)
         bus = self.trace_bus
         if bus is not None and bus.engine_active:
             bus.emit("state_enter", self.time, self.trace_part,
@@ -623,7 +615,6 @@ class StateMachineRuntime:
             self._exit_log.add(state)
         self._completion_emitted.discard(state)
         self._timers = [t for t in self._timers if t.state is not state]
-        self._log("exit", state.name)
         bus = self.trace_bus
         if bus is not None and bus.engine_active:
             bus.emit("state_exit", self.time, self.trace_part,
@@ -665,7 +656,6 @@ class StateMachineRuntime:
             occurrence = EventOccurrence(f"completion({state.xmi_id})",
                                          EventKind.COMPLETION)
             self._queue.append(occurrence)
-            self._log("completion", state.name)
 
     def _state_complete(self, state: State) -> bool:
         if state.is_simple:
@@ -685,7 +675,6 @@ class StateMachineRuntime:
                 self._queue.append(EventOccurrence(change.name,
                                                    EventKind.CHANGE,
                                                    source=change))
-                self._log("change", change.name)
 
     def _is_deferred(self, occurrence: EventOccurrence) -> bool:
         return any(occurrence.name in state.deferrable
@@ -790,9 +779,3 @@ class StateMachineRuntime:
             if key in ("event", "event_name", "now"):
                 continue
             self.context[key] = value
-
-    # -- tracing -----------------------------------------------------------------
-
-    def _log(self, kind: str, detail: str) -> None:
-        if self._trace_enabled:
-            self.trace.append((self.time, kind, detail))

@@ -2,14 +2,15 @@
 
 PR 8's refactor of the model-processing pipeline into explicit build
 stages.  Each stage — PIM→PSM transform (:mod:`repro.mda.engine`),
-per-machine flattening and dispatch-table compilation
-(:mod:`repro.statemachines.flatten`), per-unit code generation
-(:mod:`repro.codegen.pipeline`) — keys its output by the content
-fingerprints of the model slice it reads plus its upstream artifacts,
-persists it in an :class:`ArtifactStore`, and records a node in the
-store's :class:`BuildGraph`.  Editing one state machine of a system
-model therefore rebuilds only that machine's dependents; siblings are
-served warm, byte-identically (the warm-start lockstep gate).
+per-machine flattening (:mod:`repro.statemachines.flatten`) and
+dispatch-table compilation (:mod:`repro.statemachines.compiled`),
+per-unit code generation (:mod:`repro.codegen.pipeline`) — keys its
+output by the content fingerprints of the model slice it reads plus
+its upstream artifacts, persists it in an :class:`ArtifactStore`, and
+records a node in the store's :class:`BuildGraph`.  Editing one state
+machine of a system model therefore rebuilds only that machine's
+dependents; siblings are served warm, byte-identically (the warm-start
+lockstep gate).
 
 Activation
 ----------

@@ -10,7 +10,7 @@ import pytest
 
 import repro.metamodel as mm
 from repro.activities import Activity
-from repro.engine import TOKEN, TraceBus, TraceRecorder
+from repro.engine import ENGINE_MODES, TOKEN, TraceBus, TraceRecorder
 from repro.faults import FaultCampaign, FaultSpec
 from repro.simulation import SystemSimulation
 from repro.statemachines import StateMachine
@@ -152,9 +152,9 @@ class TestCheckpointRestore:
 class TestLockstepWithActivityPart:
     def test_compiled_and_interpreted_agree(self):
         results = []
-        for compiled in (False, True):
+        for engine in ENGINE_MODES:
             with SystemSimulation(mixed_top(pings=5),
-                                  compile=compiled) as sim:
+                                  engine=engine) as sim:
                 sim.run(until=40.0)
                 results.append(fingerprint(sim))
         assert results[0] == results[1]
@@ -167,8 +167,8 @@ class TestLockstepWithActivityPart:
                        probability=0.5)],
             name="mixed", seed=42)
         results = []
-        for compiled in (False, True):
-            with SystemSimulation(mixed_top(pings=8), compile=compiled,
+        for engine in ENGINE_MODES:
+            with SystemSimulation(mixed_top(pings=8), engine=engine,
                                   faults=campaign) as sim:
                 sim.run(until=80.0)
                 results.append(fingerprint(sim))
@@ -178,10 +178,10 @@ class TestLockstepWithActivityPart:
         campaign = FaultCampaign(
             [FaultSpec("drop", signal="Pong", probability=0.3)], seed=7)
         streams = []
-        for compiled in (False, True):
+        for engine in ENGINE_MODES:
             bus = TraceBus()
             recorder = TraceRecorder(bus)
-            with SystemSimulation(mixed_top(pings=8), compile=compiled,
+            with SystemSimulation(mixed_top(pings=8), engine=engine,
                                   faults=campaign, bus=bus) as sim:
                 sim.run(until=60.0)
             streams.append(recorder.to_jsonl())
@@ -216,9 +216,9 @@ class TestDegradationPolicies:
     @pytest.mark.parametrize("policy", ["quarantine", "restart"])
     def test_policies_lockstep(self, policy):
         results = []
-        for compiled in (False, True):
+        for engine in ENGINE_MODES:
             with SystemSimulation(mixed_top(pings=4, fragile=True),
-                                  compile=compiled,
+                                  engine=engine,
                                   on_part_error=policy,
                                   max_restarts=1) as sim:
                 self.send_pokes(sim)

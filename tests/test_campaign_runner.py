@@ -104,10 +104,24 @@ class TestSpecValidation:
         ({"seeds": ["x"], "builder": "m:f"}, "seeds"),
         ({"seeds": [1], "builder": "m:f", "until": "soon"}, "until"),
         ({"seeds": [1], "builder": "m:f", "engine": "batched"}, "engine"),
+        ({"seeds": [1], "builder": "m:f", "engine": None}, "engine"),
+        ({"seeds": [1], "builder": "m:f", "compiled": True}, "compiled"),
+        ({"seeds": [1], "builder": "m:f", "on_part_error": "bogus"},
+         "on_part_error"),
+        ({"seeds": [1], "builder": "m:f", "checkpoint_interval": -1},
+         "checkpoint_interval"),
+        ({"seeds": [1], "builder": "m:f", "checkpoint_interval": "abc"},
+         "checkpoint_interval"),
+        ({"seeds": [1], "builder": "m:f", "quantum": 0}, "quantum"),
     ], ids=["unknown-key", "missing-seeds", "scalar-seeds",
-            "non-integer-seed", "non-numeric-until", "batched-engine"])
+            "non-integer-seed", "non-numeric-until", "batched-engine",
+            "null-engine", "legacy-compiled-key", "unknown-part-policy",
+            "negative-checkpoint-interval",
+            "non-numeric-checkpoint-interval", "zero-quantum"])
     def test_malformed_dict_raises_fault_error(self, data, field):
-        # specs arrive as plain data from the socket API and journals
+        # specs arrive as plain data from the socket API and journals;
+        # a value SystemSimulation would reject must fail here, before
+        # any worker forks
         with pytest.raises(FaultError, match=field):
             CampaignSpec.from_dict(data)
 

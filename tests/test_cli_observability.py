@@ -41,7 +41,7 @@ class TestSimulateObservability:
                                                 tmp_path):
         outputs = {}
         for flag, name in ((None, "interp.json"),
-                           ("--compiled", "compiled.json")):
+                           ("--engine=compiled", "compiled.json")):
             out = tmp_path / name
             argv = ["simulate", model_file, "--top", "design::Top",
                     "--until", "40", "--coverage", str(out)]

@@ -95,7 +95,8 @@ class TestSpanExports:
     def test_span_files_identical_between_engines(self, model_file,
                                                   tmp_path):
         outputs = {}
-        for flag, name in ((None, "interp"), ("--compiled", "compiled")):
+        for flag, name in ((None, "interp"),
+                           ("--engine=compiled", "compiled")):
             out = tmp_path / f"{name}.jsonl"
             argv = ["simulate", model_file, "--top", "design::Top",
                     "--until", "40", "--spans", str(out)]

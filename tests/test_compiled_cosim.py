@@ -1,19 +1,20 @@
 """Lockstep equivalence: compiled dispatch tables vs the interpreter.
 
-The compiled fast path (``repro.statemachines.flatten.compile_machine``
-+ ``CompiledRuntime``, and ``SystemSimulation(compile=True)``) promises
-*bit-identical* behaviour to ``StateMachineRuntime``: same states, same
-contexts (including ASL temporary leakage), same emitted signals in the
-same order, same simulated clocks.  These tests drive both engines in
-lockstep over crafted semantic corner cases, randomized machines and
-whole randomized or replicated SoC assemblies.
+The compiled fast path (``repro.statemachines.compiled.compile_machine``
++ ``CompiledRuntime``, and ``SystemSimulation(engine="compiled")``)
+promises *bit-identical* behaviour to ``StateMachineRuntime``: same
+states, same contexts (including ASL temporary leakage), same emitted
+signals in the same order, same simulated clocks.  These tests drive
+both engines in lockstep over crafted semantic corner cases,
+randomized machines and whole randomized or replicated SoC
+assemblies.
 """
 
 import random
 
 import pytest
 
-from repro.engine import TraceBus, TraceRecorder
+from repro.engine import ENGINE_MODES, TraceBus, TraceRecorder
 from repro.errors import StateMachineError
 from repro.faults import FaultCampaign, FaultSpec
 from repro.hw import (
@@ -226,10 +227,10 @@ class TestFallbackDetection:
 def run_pair(top_factory, until=200.0, contexts=None):
     """Run interpreted and compiled cosimulations of the same factory."""
     runs = []
-    for compiled in (False, True):
+    for engine in ENGINE_MODES:
         simulation = SystemSimulation(top_factory(), quantum=1.0,
                                       context=contexts,
-                                      compile=compiled)
+                                      engine=engine)
         simulation.run(until=until)
         runs.append(simulation)
     return runs

@@ -3,7 +3,7 @@
 import pytest
 
 import repro.metamodel as mm
-from repro.errors import SimulationError
+from repro.errors import QueueOverflowError, SimulationError
 from repro.simulation import SystemSimulation
 from repro.statemachines import StateMachine, TransitionKind
 
@@ -64,7 +64,7 @@ class TestBasics:
         with pytest.raises(SimulationError):
             SystemSimulation(mm.Component("Empty"))
 
-    @pytest.mark.parametrize("engine", ("warp", "batched"))
+    @pytest.mark.parametrize("engine", ("warp", "batched", None))
     def test_unknown_engine_rejected(self, engine):
         with pytest.raises(SimulationError, match="unknown engine"):
             SystemSimulation(build_pair(), engine=engine)
@@ -96,11 +96,11 @@ class TestMessageFlow:
 
     def test_latency_applied(self):
         sim = SystemSimulation(build_pair(), default_latency=5.0,
-                               context={"col": {"got": []}}, trace=True)
+                               context={"col": {"got": []}})
         sim.send("echo", "Ping", n=9)
         sim.run(until=20.0)
-        delivery_times = [t for t, label in sim.trace
-                          if label.startswith("Pong")]
+        delivery_times = [t for t, _sender, _part, signal
+                          in sim.message_log if signal == "Pong"]
         assert delivery_times == [5.0]  # injected at 0, one 5.0 hop
 
     def test_unconnected_port_send_drops_by_default(self):
@@ -185,3 +185,42 @@ class TestTimeIntegration:
         assert sim.context_of("col")["got"] == [5]
         with pytest.raises(SimulationError):
             sim.send_to_port("ghost", "Ping")
+
+
+class TestBoundedQueue:
+    """``max_queue``/``overflow_policy`` pass through to the kernel
+    (docs/FAULTS.md, "Bounded queues")."""
+
+    @staticmethod
+    def fan_out(policy):
+        # every Ping becomes two Pongs in flight, so the queue grows
+        # during the run rather than while stimuli are scheduled
+        top = mm.Component("Top")
+        echo = make_echo()
+        collector = make_collector()
+        p_echo = top.add_part("echo", echo)
+        for name in ("a", "b"):
+            part = top.add_part(name, collector)
+            top.connect(echo.port("out"), collector.port("rx"),
+                        p_echo, part, check=False)
+        sim = SystemSimulation(top, default_latency=50.0, max_queue=6,
+                               overflow_policy=policy,
+                               context={"a": {"got": []},
+                                        "b": {"got": []}})
+        for n in range(4):
+            sim.send("echo", "Ping", n=n, delay=float(n))
+        return sim
+
+    def test_drop_newest_sheds_and_counts(self):
+        sim = self.fan_out("drop-newest")
+        sim.run(until=100.0)
+        dropped = sim.stats()["kernel_events_dropped"]
+        assert dropped > 0
+        pongs = len(sim.context_of("a")["got"]) \
+            + len(sim.context_of("b")["got"])
+        assert pongs == 8 - dropped
+
+    def test_raise_policy_raises(self):
+        sim = self.fan_out("raise")
+        with pytest.raises(QueueOverflowError):
+            sim.run(until=100.0)

@@ -19,7 +19,7 @@ from repro.engine import (
 from repro.engine import registry as engine_registry
 from repro.simulation import SystemSimulation
 from repro.statemachines import StateMachine, StateMachineRuntime
-from repro.statemachines.flatten import CompiledRuntime, compile_machine
+from repro.statemachines.compiled import CompiledRuntime, compile_machine
 
 
 def simple_machine():

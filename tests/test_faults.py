@@ -20,7 +20,7 @@ from repro.hw import (
 )
 from repro.simulation import SystemSimulation
 from repro.statemachines import StateMachineRuntime
-from repro.statemachines.flatten import compile_fallback_reason
+from repro.statemachines.compiled import compile_fallback_reason
 from repro.statemachines.kernel import StateMachine, TransitionKind
 
 
@@ -259,7 +259,7 @@ class TestCheckpointRestore:
         reference.close()
 
     def test_round_trip_restores_contexts(self):
-        sim = SystemSimulation(make_soc_top(), compile=True)
+        sim = SystemSimulation(make_soc_top(), engine="compiled")
         sim.run(until=30.0)
         snap = sim.checkpoint()
         issued = sim.context_of("m0_cpu")["issued"]
@@ -359,17 +359,17 @@ class TestRetryMaster:
             assert ctx["retries"] == 0 and ctx["faults"] == 0
 
     def test_lockstep_compiled_vs_interpreted(self):
-        def run(compiled):
+        def run(engine):
             master = make_retry_master("Rm", address=0x900, period=11.0,
                                        timeout=5.0, backoff=2.0)
             ram = make_memory("Ram", size_bytes=0x800)
             top = make_soc("Soc", masters=[master],
                            slaves=[(ram, "bus", 0, 0x800)])
-            with SystemSimulation(top, compile=compiled) as sim:
+            with SystemSimulation(top, engine=engine) as sim:
                 sim.run(until=150.0)
                 return sim.message_log, sim.context_of("m0_rm")
-        interpreted = run(False)
-        compiled = run(True)
+        interpreted = run("interpreted")
+        compiled = run("compiled")
         assert interpreted == compiled
 
 

@@ -12,6 +12,7 @@ import json
 import pytest
 
 import repro.metamodel as mm
+from repro.engine import ENGINE_MODES
 from repro.faults import FaultCampaign, FaultSpec
 from repro.hw import (
     make_dma,
@@ -76,8 +77,8 @@ def fingerprint(sim):
 
 def run_both(top_factory, until=150.0, **kwargs):
     results = []
-    for compiled in (False, True):
-        with SystemSimulation(top_factory(), compile=compiled,
+    for engine in ENGINE_MODES:
+        with SystemSimulation(top_factory(), engine=engine,
                               **kwargs) as sim:
             sim.run(until=until)
             results.append(fingerprint(sim))
@@ -97,8 +98,8 @@ class TestLockstepUnderFaults:
              FaultSpec("duplicate", signal="WriteAck", max_count=2)],
             seed=9)
         results = []
-        for compiled in (False, True):
-            with SystemSimulation(dma_top(), compile=compiled,
+        for engine in ENGINE_MODES:
+            with SystemSimulation(dma_top(), engine=engine,
                                   faults=campaign) as sim:
                 sim.send("dma", "Start", src=0, dst=64, length=8,
                          delay=1.0)
@@ -112,13 +113,13 @@ class TestLockstepUnderFaults:
         campaign = FaultCampaign(
             [FaultSpec("drop", signal="Nak", probability=0.5)], seed=21)
         results = []
-        for compiled in (False, True):
+        for engine in ENGINE_MODES:
             master = make_retry_master("Rm", address=0x900, period=40.0,
                                        timeout=6.0, backoff=1.0)
             ram = make_memory("Ram", size_bytes=0x800)
             top = make_soc("Soc", masters=[master],
                            slaves=[(ram, "bus", 0, 0x800)])
-            with SystemSimulation(top, compile=compiled,
+            with SystemSimulation(top, engine=engine,
                                   faults=campaign) as sim:
                 sim.run(until=200.0)
                 results.append(fingerprint(sim))
@@ -165,9 +166,9 @@ class TestLockstepQuarantine:
     @pytest.mark.parametrize("policy", ["quarantine", "restart"])
     def test_quarantine_sets_match(self, policy):
         results = []
-        for compiled in (False, True):
+        for engine in ENGINE_MODES:
             with SystemSimulation(self.top_with_fragile(),
-                                  compile=compiled,
+                                  engine=engine,
                                   on_part_error=policy,
                                   max_restarts=1) as sim:
                 sim.send("frag", "Ping", delay=1.0)

@@ -10,6 +10,7 @@ under a seeded fault campaign.
 
 import pytest
 
+from repro.engine import ENGINE_MODES
 from repro.faults import FaultCampaign, FaultSpec
 from repro.hw import make_memory, make_soc, make_traffic_generator
 from repro.observability import to_prometheus
@@ -32,9 +33,9 @@ def campaign(seed=1234):
         name="lockstep", seed=seed)
 
 
-def observe(compiled, until=120.0, faults=None, seed=None):
+def observe(engine, until=120.0, faults=None, seed=None):
     """One instrumented run; returns the textual artifacts."""
-    with SystemSimulation(soc_top(), compile=compiled, faults=faults,
+    with SystemSimulation(soc_top(), engine=engine, faults=faults,
                           fault_seed=seed, coverage=True, profile=True,
                           flight_recorder=128) as sim:
         sim.run(until=until)
@@ -51,7 +52,9 @@ def observe(compiled, until=120.0, faults=None, seed=None):
 class TestLockstepArtifacts:
     @pytest.fixture(scope="class")
     def artifacts(self):
-        return {compiled: observe(compiled) for compiled in (False, True)}
+        # keyed by whether the engine is the compiled one
+        return {engine == "compiled": observe(engine)
+                for engine in ENGINE_MODES}
 
     def test_coverage_reports_byte_identical(self, artifacts):
         assert artifacts[False]["coverage"] == artifacts[True]["coverage"]
@@ -73,26 +76,26 @@ class TestLockstepArtifacts:
 
 class TestLockstepUnderFaults:
     def test_campaign_artifacts_byte_identical(self):
-        interpreted = observe(False, faults=campaign(), seed=7)
-        compiled = observe(True, faults=campaign(), seed=7)
+        interpreted = observe("interpreted", faults=campaign(), seed=7)
+        compiled = observe("compiled", faults=campaign(), seed=7)
         assert interpreted == compiled
         # the dump embeds the injector RNG state — still identical
         assert '"injector_rng"' in interpreted["flight"]
 
     def test_different_seeds_diverge(self):
         # sanity: the equality above is not vacuous
-        first = observe(False, faults=campaign(), seed=1)
-        second = observe(False, faults=campaign(), seed=2)
+        first = observe("interpreted", faults=campaign(), seed=1)
+        second = observe("interpreted", faults=campaign(), seed=2)
         assert first["flight"] != second["flight"]
 
 
 class TestRerunDeterminism:
     def test_same_mode_reruns_identical(self):
-        assert observe(True) == observe(True)
+        assert observe("compiled") == observe("compiled")
 
     def test_prometheus_of_equal_coverage_identical(self):
-        first = observe(False, until=60.0)
-        second = observe(False, until=60.0)
+        first = observe("interpreted", until=60.0)
+        second = observe("interpreted", until=60.0)
         from repro.observability import CoverageReport
 
         snapshot = {"counters": {}, "histograms": {}, "observations": {}}

@@ -11,6 +11,7 @@ import pytest
 import repro.metamodel as mm
 from repro.engine import (
     CHECKPOINT,
+    ENGINE_MODES,
     PART_RESTORED,
     SUPERVISOR_DECISION,
     TraceBus,
@@ -169,10 +170,10 @@ class TestRestorePolicy:
 
 
 class TestRecoveryTraceEvents:
-    def recovery_trace(self, compiled):
+    def recovery_trace(self, engine):
         bus = TraceBus()
         recorder = TraceRecorder(bus)
-        with SystemSimulation(make_fragile_top(), compile=compiled,
+        with SystemSimulation(make_fragile_top(), engine=engine,
                               on_part_error="restore",
                               checkpoint_interval=5.0, bus=bus) as sim:
             sim.send("frag", "Ping", delay=1.0)
@@ -182,7 +183,7 @@ class TestRecoveryTraceEvents:
         return recorder
 
     def test_supervisor_decision_is_traced(self):
-        recorder = self.recovery_trace(compiled=False)
+        recorder = self.recovery_trace("interpreted")
         decisions = [event for event in recorder.events
                      if event.kind == SUPERVISOR_DECISION]
         assert len(decisions) == 1
@@ -195,7 +196,7 @@ class TestRecoveryTraceEvents:
         assert decision.data["restarts_left"] == 3
 
     def test_restore_and_checkpoint_are_traced(self):
-        recorder = self.recovery_trace(compiled=False)
+        recorder = self.recovery_trace("interpreted")
         restored = [event for event in recorder.events
                     if event.kind == PART_RESTORED]
         assert [event.part for event in restored] == ["frag"]
@@ -223,16 +224,16 @@ class TestRecoveryTraceEvents:
                      data], sort_keys=True))
             return lines
 
-        interpreted = self.recovery_trace(compiled=False)
-        compiled = self.recovery_trace(compiled=True)
+        interpreted = self.recovery_trace("interpreted")
+        compiled = self.recovery_trace("compiled")
         assert normalized(interpreted) == normalized(compiled)
         kinds = {event.kind for event in interpreted.events}
         assert {SUPERVISOR_DECISION, PART_RESTORED, CHECKPOINT} <= kinds
 
     def test_lockstep_final_state_after_rollback(self):
         results = []
-        for compiled in (False, True):
-            with SystemSimulation(make_fragile_top(), compile=compiled,
+        for engine in ENGINE_MODES:
+            with SystemSimulation(make_fragile_top(), engine=engine,
                                   on_part_error="restore",
                                   checkpoint_interval=5.0) as sim:
                 sim.send("frag", "Ping", delay=1.0)

@@ -10,8 +10,8 @@ import pytest
 
 import repro.metamodel as mm
 from repro import xmi
-from repro.errors import ServiceError
-from repro.faults import FaultCampaign, FaultSpec
+from repro.errors import FaultError, ServiceError
+from repro.faults import CampaignSpec, FaultCampaign, FaultSpec
 from repro.hw import make_memory, make_soc, make_traffic_generator
 from repro.perf import PERF
 from repro.service import SimulationService
@@ -73,11 +73,20 @@ class TestExecution:
         assert len(payload["result"]["completed"]) == 2
         service.shutdown()
 
-    def test_submit_validates_the_spec_first(self, tmp_path):
+    def test_submit_validates_the_spec_first(self, tmp_path, model_file,
+                                             campaign_file):
         service = make_service(tmp_path)
-        with pytest.raises(Exception):
-            service.submit({"seeds": []})  # invalid CampaignSpec
+        invalid = [{"seeds": []},
+                   make_spec(model_file, campaign_file,
+                             on_part_error="bogus"),
+                   make_spec(model_file, campaign_file,
+                             checkpoint_interval="abc"),
+                   make_spec(model_file, campaign_file, quantum=0)]
+        for spec in invalid:
+            with pytest.raises(FaultError):
+                service.submit(spec)
         assert service.jobs == {}  # nothing was journaled
+        assert list(service.jobstore.journal.records()) == []
         service.shutdown()
 
     def test_deterministic_job_error_fails_without_retry(
@@ -198,6 +207,23 @@ class TestDedupe:
         assert second["job_id"] == first["job_id"]
         assert len(service.jobs) == 1
         service.run_until_idle(timeout=120)
+        service.shutdown()
+
+    def test_equal_work_spelled_differently_coalesces(
+            self, tmp_path, model_file, campaign_file):
+        # the daemon fingerprints the normalized spec: defaults filled
+        # in, numbers coerced
+        service = make_service(tmp_path)
+        spec = make_spec(model_file, campaign_file, seeds=[11])
+        spellings = [spec,
+                     dict(spec, until=10),
+                     dict(spec, quantum=1.0, engine="interpreted"),
+                     CampaignSpec.from_dict(spec).to_dict()]
+        rows = [service.submit(spelling) for spelling in spellings]
+        assert [row["coalesced"] for row in rows] \
+            == [False, True, True, True]
+        assert {row["job_id"] for row in rows} == {rows[0]["job_id"]}
+        assert len(service.jobs) == 1
         service.shutdown()
 
     def test_distinct_work_is_not_deduped(self, tmp_path, model_file,

@@ -31,7 +31,7 @@ class TestMachineStructure:
         assert set(JOB_STATES) <= leaves
 
     def test_compiles(self):
-        from repro.statemachines.flatten import compile_fallback_reason
+        from repro.statemachines.compiled import compile_fallback_reason
 
         assert compile_fallback_reason(build_job_lifecycle()) is None
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import TraceBus, TraceRecorder
 from repro.errors import StateMachineError
 from repro.statemachines import (
     EventOccurrence,
@@ -75,16 +76,21 @@ class TestActionsAndGuards:
         assert runtime.in_state("Idle")
 
     def test_effect_and_entry_exit_order(self):
+        bus = TraceBus()
+        recorder = TraceRecorder(bus)
         runtime = StateMachineRuntime(
             self._machine(), context={"credit": 2, "entries": 0,
-                                      "exits": 0}, trace=True).start()
+                                      "exits": 0})
+        runtime.trace_bus = bus
+        runtime.trace_part = "m"
+        runtime.start()
         runtime.send("req")
         assert runtime.context["credit"] == 1
         assert runtime.context["exits"] == 1
-        kinds = [kind for _t, kind, _d in runtime.trace]
-        exit_index = kinds.index("exit")
-        fire_index = kinds.index("fire")
-        assert fire_index < exit_index  # fire logged, then exit runs
+        kinds = [event.kind for event in recorder.events]
+        exit_index = kinds.index("state_exit")
+        fire_index = kinds.index("transition")
+        assert fire_index < exit_index  # fire emitted, then exit runs
 
     def test_callable_guard_and_effect(self, toggle_machine):
         hits = []

@@ -181,27 +181,28 @@ def soc_top():
     return make_soc("Soc", masters=[cpu], slaves=[(ram, "bus", 0, 0x800)])
 
 
-def full_trace(compiled, until=80.0):
+def full_trace(engine, until=80.0):
     # subscribe before construction so start-time entries are captured
     bus = TraceBus()
     recorder = TraceRecorder(bus)
-    with SystemSimulation(soc_top(), compile=compiled, bus=bus) as sim:
+    with SystemSimulation(soc_top(), engine=engine, bus=bus) as sim:
         sim.run(until=until)
     return recorder
 
 
 class TestLockstepStreams:
     def test_interpreted_vs_compiled_byte_identical(self):
-        interpreted = full_trace(compiled=False)
-        compiled = full_trace(compiled=True)
+        interpreted = full_trace("interpreted")
+        compiled = full_trace("compiled")
         assert interpreted.events, "trace must not be empty"
         assert interpreted.to_jsonl() == compiled.to_jsonl()
 
     def test_same_mode_reruns_are_identical(self):
-        assert full_trace(True).to_jsonl() == full_trace(True).to_jsonl()
+        assert full_trace("compiled").to_jsonl() \
+            == full_trace("compiled").to_jsonl()
 
     def test_stream_carries_every_layer(self):
-        recorder = full_trace(compiled=False)
+        recorder = full_trace("interpreted")
         kinds = {event.kind for event in recorder.events}
         assert {EVENT, TRANSITION, STATE_ENTER, MESSAGE_ROUTED,
                 MESSAGE_DELIVERED} <= kinds
