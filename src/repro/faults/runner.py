@@ -28,15 +28,14 @@ the sweep as robust as the models it is torturing:
   ``workers <= 1``) the sweep runs serially in-process through the
   exact same journal/merge path.
 
-Before forking workers the parent warms the model and compile caches
-(:func:`_warm_spec`), so on fork-capable hosts every child inherits
-the parsed top and hot dispatch tables instead of re-paying the
-compile cost per seed.
-
-Workers hand results back through files renamed into place
-(:func:`repro.durable.atomic_write`; never queues or pipes, which a
-SIGKILL can corrupt mid-message): a result file that exists is
-complete, a missing one means the worker died.
+Parallel sweeps run on a :class:`repro.workers.WorkerPool` that lives
+for one :func:`run_campaign` call.  The parent warms the model and
+compile caches first (:func:`_warm_spec`), so on fork-capable hosts
+every worker starts with the parsed top and hot dispatch tables, and
+each worker then runs seed after seed on them.  A row comes back as a
+result file renamed into place plus a completion message on the
+worker's pipe: a result file that exists is complete, a missing one
+means the worker died.
 
 The ``REPRO_CAMPAIGN_TEST_KILL`` environment variable
 (``"<seed>"`` or ``"<seed>:<max_attempt>"``) makes the worker for that
@@ -53,7 +52,7 @@ import signal
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..durable import Journal, atomic_write
+from ..durable import Journal
 from ..engine import ENGINE_MODES
 from ..errors import FaultError, ReproError
 from ..perf import PERF
@@ -272,7 +271,30 @@ class CampaignSpec:
 # model warm-up (shared across seeds, inherited across forks)
 # ---------------------------------------------------------------------------
 
-#: single-entry memo: spec model source -> (top component, campaign).
+#: Spec fields that name input files.
+SPEC_FILE_FIELDS = ("model", "campaign", "properties")
+
+
+def file_identity(value: Any) -> Any:
+    """What a spec's file field means as input: ``"content:<digest>"``
+    of the file it names, or the value itself when it names no file.
+
+    The one definition of "same input": the warm-model memos below and
+    the daemon's :func:`~repro.service.jobstore.job_fingerprint` key on
+    it, so rewriting a file in place invalidates both, while renaming
+    or copying it invalidates neither.  A path to no file stays a path,
+    and loading it raises the loader's usual error.
+    """
+    if not isinstance(value, str) or not os.path.isfile(value):
+        return value
+    digest = hashlib.blake2b(digest_size=16)
+    with open(value, "rb") as handle:
+        for chunk in iter(lambda: handle.read(65536), b""):
+            digest.update(chunk)
+    return f"content:{digest.hexdigest()}"
+
+
+#: single-entry memo: spec model input -> (top component, campaign).
 _MODEL_CACHE: Dict[Tuple[Any, ...], Tuple[Any, Optional[FaultCampaign]]] = {}
 
 
@@ -282,15 +304,19 @@ def _warm_model(spec: CampaignSpec) -> Tuple[Any, Optional[FaultCampaign]]:
     Every seed of a sweep runs the same model, so parsing the XMI (or
     calling the builder) per seed is pure overhead.  The memo holds one
     entry — campaigns don't interleave model sources — and lives at
-    module level so that a parent process warming it *before* forking
-    workers hands every child the already-parsed model for free.
+    module level so that a parent process warming it *before* the pool
+    forks hands every worker the already-parsed model for free, and a
+    pool worker keeps it from one task to the next.  It keys on file
+    contents (:func:`file_identity`), never on paths alone: a file
+    rewritten between two sweeps is parsed again.
 
     Sharing is sound because simulations never write to the model:
     engines copy their initial contexts out of the attribute defaults,
     and the fault injector keeps its per-run state (RNG, fired counts)
     on itself, not on the campaign.
     """
-    key = (spec.model, spec.top, spec.builder, spec.campaign)
+    key = (file_identity(spec.model), spec.top, spec.builder,
+           file_identity(spec.campaign))
     hit = _MODEL_CACHE.get(key)
     if hit is None:
         PERF.incr("campaign.model_builds")
@@ -317,7 +343,8 @@ def _warm_suite(spec: CampaignSpec):
     """
     if spec.properties is None:
         return None
-    key = (spec.properties if isinstance(spec.properties, str)
+    key = (file_identity(spec.properties)
+           if isinstance(spec.properties, str)
            else json.dumps(spec.properties, sort_keys=True, default=str))
     hit = _SUITE_CACHE.get(key)
     if hit is None:
@@ -329,7 +356,7 @@ def _warm_suite(spec: CampaignSpec):
 
 def _warm_spec(spec: CampaignSpec) -> None:
     """Pre-fork warm-up: parse the model and compile every compilable
-    classifier behavior in the parent, so forked workers start with hot
+    classifier behavior in the parent, so pool workers start with hot
     dispatch-table caches."""
     top, _campaign = _warm_model(spec)
     _warm_suite(spec)
@@ -351,7 +378,7 @@ def _warm_spec(spec: CampaignSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# one seed, one process (or inline)
+# one seed, in a pool worker (or inline)
 # ---------------------------------------------------------------------------
 
 def _collect_row(simulation, spec: CampaignSpec, seed: int,
@@ -437,11 +464,9 @@ def _maybe_test_kill(seed: int, attempt: int) -> None:
 
 
 def _worker_main(spec_data: Dict[str, Any], seed: int, attempt: int,
-                 result_path: str,
-                 telemetry_fd: Optional[int] = None) -> None:
-    """Process entry: run one seed, hand the row back via the
-    rename-into-place file protocol (a present file is a complete
-    file; a missing one means this worker died).
+                 telemetry_fd: Optional[int] = None) -> Dict[str, Any]:
+    """Pool task: run one seed; returns ``{"ok": True, "row": ...}`` or
+    ``{"ok": False, "error": ...}``.
 
     ``telemetry_fd`` is the write end of the parent's beat pipe
     (inherited across fork; with a spawn start method the fd does not
@@ -473,10 +498,7 @@ def _worker_main(spec_data: Dict[str, Any], seed: int, attempt: int,
     finally:
         if heartbeat is not None:
             heartbeat.close(ok=ok)
-    atomic_write(result_path, json.dumps(payload, sort_keys=True,
-                                         default=str))
-    if not payload["ok"]:
-        raise SystemExit(1)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -642,16 +664,6 @@ def _processes_usable() -> bool:
     return True
 
 
-def _make_context():
-    import multiprocessing
-
-    try:
-        # fork shares the imported model modules; cheapest on Linux
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return multiprocessing.get_context()
-
-
 def run_campaign(spec: CampaignSpec,
                  workers: int = 0,
                  journal: Optional[str] = None,
@@ -663,11 +675,12 @@ def run_campaign(spec: CampaignSpec,
                  ) -> CampaignResult:
     """Sweep every seed of ``spec``, robustly.
 
-    ``workers`` > 1 fans seeds over that many processes (0/1, or a host
-    without multiprocessing, runs serially in-process; the parent warms
-    the model and compile caches before forking so children inherit
-    them).  ``journal`` appends a JSONL row per finished seed;
-    ``resume=True`` first reads it back and re-runs only the seeds
+    ``workers`` > 1 fans seeds over a pool of that many persistent
+    worker processes (0/1, or a host without multiprocessing, runs
+    serially in-process; the parent warms the model and compile caches
+    before the pool forks, so every worker starts warm).  ``journal``
+    appends a JSONL row per finished seed; ``resume=True`` first reads
+    it back and re-runs only the seeds
     without an ``ok`` row.  The returned :class:`CampaignResult`
     serializes identically however the sweep was executed or
     interrupted, as long as the same seeds completed.
@@ -713,7 +726,7 @@ def run_campaign(spec: CampaignSpec,
     try:
         parallel = workers > 1 and len(todo) > 1 and _processes_usable()
         if parallel:
-            _warm_spec(spec)  # children fork with hot model/compile caches
+            _warm_spec(spec)  # workers fork with hot model/compile caches
             rows, failures = _run_parallel(
                 spec, todo, workers, rows_journal, run_timeout,
                 max_retries, retry_backoff, telemetry)
@@ -765,7 +778,9 @@ def _run_parallel(spec: CampaignSpec, todo: Sequence[int], workers: int,
                   ) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
     import tempfile
 
-    context = _make_context()
+    from ..observability.campaign import RENDER_INTERVAL
+    from ..workers import WorkerPool
+
     spec_data = spec.to_dict()
     telemetry_fd = (telemetry.open_pipe()
                     if telemetry is not None else None)
@@ -774,12 +789,10 @@ def _run_parallel(spec: CampaignSpec, todo: Sequence[int], workers: int,
     #: (seed, attempt, ready_at) — backoff holds a seed until ready_at
     pending: List[Tuple[int, int, float]] = \
         [(seed, 1, 0.0) for seed in todo]
-    #: process -> (seed, attempt, result_path, deadline)
-    running: Dict[Any, Tuple[int, int, str, Optional[float]]] = {}
-    last_error: Dict[int, str] = {}
+    #: busy worker -> (seed, attempt, deadline)
+    running: Dict[Any, Tuple[int, int, Optional[float]]] = {}
 
     def record_failure(seed: int, attempt: int, error: str) -> None:
-        last_error[seed] = error
         if journal is not None:
             journal.append({"status": "failed", "seed": seed,
                             "attempt": attempt, "error": error})
@@ -793,49 +806,33 @@ def _run_parallel(spec: CampaignSpec, todo: Sequence[int], workers: int,
             if telemetry is not None:
                 telemetry.seed_failed(seed)
 
-    with tempfile.TemporaryDirectory(prefix="repro-campaign-") as scratch:
+    with tempfile.TemporaryDirectory(prefix="repro-campaign-") as scratch, \
+            WorkerPool(workers, _worker_main) as pool:
         while pending or running:
             now = time.monotonic()
             # launch whatever is ready while worker slots are free
             ready = [item for item in pending if item[2] <= now]
-            for item in ready[:max(0, workers - len(running))]:
+            for item in ready[:pool.free]:
                 pending.remove(item)
                 seed, attempt, _ = item
-                result_path = os.path.join(
-                    scratch, f"seed{seed}-try{attempt}.json")
-                process = context.Process(
-                    target=_worker_main,
-                    args=(spec_data, seed, attempt, result_path,
-                          telemetry_fd),
-                    daemon=True)
-                process.start()
-                deadline = (now + run_timeout
-                            if run_timeout is not None else None)
-                running[process] = (seed, attempt, result_path, deadline)
-            # reap finished / overdue workers
-            now = time.monotonic()
-            for process in list(running):
-                seed, attempt, result_path, deadline = running[process]
-                if process.is_alive():
-                    if deadline is not None and now > deadline:
-                        process.kill()
-                        process.join()
-                        running.pop(process)
-                        record_failure(
-                            seed, attempt,
-                            f"run timeout: seed {seed} exceeded "
-                            f"{run_timeout}s wall clock")
-                    continue
-                process.join()
-                running.pop(process)
-                payload = None
-                if os.path.exists(result_path):
-                    try:
-                        with open(result_path, "r",
-                                  encoding="utf-8") as handle:
-                            payload = json.load(handle)
-                    except ValueError:
-                        payload = None
+                worker = pool.submit(
+                    os.path.join(scratch, f"seed{seed}-try{attempt}.json"),
+                    spec_data, seed, attempt, telemetry_fd)
+                running[worker] = (seed, attempt,
+                                   now + run_timeout
+                                   if run_timeout is not None else None)
+            # sleep until a worker finishes, a deadline passes, a
+            # backoff ends or the progress line is due
+            wake = [deadline for _, _, deadline in running.values()
+                    if deadline is not None]
+            wake += [ready_at for _, _, ready_at in pending
+                     if ready_at > now]
+            if telemetry is not None:
+                wake.append(now + RENDER_INTERVAL)
+            timeout = (max(0.0, min(wake) - time.monotonic())
+                       if wake else None)
+            for worker, payload in pool.wait(timeout):
+                seed, attempt, _ = running.pop(worker)
                 if payload is not None and payload.get("ok"):
                     row = payload["row"]
                     rows.append(row)
@@ -850,12 +847,20 @@ def _run_parallel(spec: CampaignSpec, todo: Sequence[int], workers: int,
                 else:
                     record_failure(
                         seed, attempt,
-                        f"worker died (exit code {process.exitcode}) "
-                        f"before writing a result")
+                        f"worker died (exit code "
+                        f"{worker.process.exitcode}) before writing a "
+                        f"result")
+            now = time.monotonic()
+            for worker, (seed, attempt, deadline) in list(running.items()):
+                if deadline is not None and now > deadline:
+                    pool.kill(worker)
+                    del running[worker]
+                    record_failure(
+                        seed, attempt,
+                        f"run timeout: seed {seed} exceeded "
+                        f"{run_timeout}s wall clock")
             if telemetry is not None:
                 telemetry.poll()
-            if pending or running:
-                time.sleep(0.02)
     # a seed that eventually succeeded should not linger as a failure
     succeeded = {row["seed"] for row in rows}
     failures = [entry for entry in failures

@@ -9,10 +9,14 @@ durable, crash-recoverable job queue:
 * each job's lifecycle is an instance of our own
   :class:`~repro.service.lifecycle.JobLifecycle` state machine —
   illegal transitions are structurally impossible;
-* jobs execute in forked worker processes holding **time-bounded
-  leases**: heartbeats over the PR 9 pipe protocol renew the lease, a
-  silent or dead worker expires it, and an expired lease requeues the
-  job with deterministic seeded backoff
+* jobs execute on a :class:`~repro.workers.WorkerPool` of ``workers``
+  persistent processes, forked on the first lease and closed by
+  :meth:`SimulationService.shutdown`, so a worker keeps its imports
+  and warmed model from one job to the next;
+* each job holds a **time-bounded lease** on a worker: heartbeats on
+  the beat pipe (:class:`~repro.observability.WorkerHeartbeat`) renew
+  the lease, a silent or dead worker expires it, and an expired lease
+  requeues the job with deterministic seeded backoff
   (:func:`~repro.faults.runner.backoff_delay`) until its budget runs
   out — then the job is quarantined as poison instead of wedging the
   pool forever;
@@ -38,17 +42,16 @@ the ``service.submit_to_result_s`` latency histogram), so the existing
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..durable import atomic_write, canonical_json
 from ..errors import ServiceError
-from ..faults.runner import CampaignSpec, _make_context, backoff_delay
+from ..faults.runner import CampaignSpec, backoff_delay
 from ..observability.campaign import WorkerHeartbeat
 from ..perf import PERF
+from ..workers import Worker, WorkerPool
 from .jobstore import Job, JobStore, job_fingerprint
 from .lifecycle import DEFAULT_LEASE_BUDGET, RECOVERABLE_STATES
 
@@ -80,17 +83,17 @@ def _maybe_test_kill(name: str, attempt: int) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _job_worker_main(spec_data: Dict[str, Any], scratch_path: str,
-                     beat_fd: Optional[int], token: int,
-                     attempt: int) -> None:
-    """Worker process entry: run the job's campaign, one result file.
+def _job_worker_main(spec_data: Dict[str, Any], beat_fd: Optional[int],
+                     token: int, attempt: int) -> Dict[str, Any]:
+    """Pool task: run the job's campaign; returns its result payload.
 
-    The result crosses back via the rename-into-place protocol (a
-    present file is a complete file; a missing one means this worker
-    died) — never a pipe or queue a SIGKILL could tear mid-message.
-    A heartbeat thread proves liveness on the daemon's beat pipe; the
-    wall-clock watchdog in the daemon covers the case of a live thread
-    over a wedged simulation.
+    It runs in a persistent pool worker, which keeps the simulation
+    stack imported and the model parsed from one job to the next.  The
+    payload crosses back as a result file renamed into place (a present
+    file is a complete file; a missing one means the worker died; see
+    :mod:`repro.workers`).  A heartbeat thread proves liveness on the
+    daemon's beat pipe; the wall-clock watchdog in the daemon covers
+    the case of a live thread over a wedged simulation.
     """
     _maybe_test_kill(spec_data.get("name", ""), attempt)
     heartbeat = WorkerHeartbeat(beat_fd, token, lambda: 0) \
@@ -113,27 +116,30 @@ def _job_worker_main(spec_data: Dict[str, Any], scratch_path: str,
     finally:
         if heartbeat is not None:
             heartbeat.close(ok=ok)
-    atomic_write(scratch_path, canonical_json(payload) + "\n")
-    if not ok:
-        raise SystemExit(1)
+    return payload
 
 
 class _Lease:
     """Daemon-side record of one live lease (never persisted)."""
 
-    __slots__ = ("job_id", "process", "attempt", "scratch",
+    __slots__ = ("job_id", "worker", "attempt", "scratch",
                  "deadline", "watchdog", "token")
 
-    def __init__(self, job_id: str, process: Any, attempt: int,
-                 scratch: str, deadline: Optional[float],
+    def __init__(self, job_id: str, worker: Worker, attempt: int,
+                 scratch: str, deadline: float,
                  watchdog: Optional[float], token: int):
         self.job_id = job_id
-        self.process = process
+        self.worker = worker
         self.attempt = attempt
         self.scratch = scratch
         self.deadline = deadline      # heartbeat-renewed lease expiry
         self.watchdog = watchdog      # absolute wall-clock kill time
         self.token = token            # beat-pipe correlation id
+
+    @property
+    def process(self) -> Any:
+        """The worker process holding the lease."""
+        return self.worker.process
 
 
 class SimulationService:
@@ -174,13 +180,17 @@ class SimulationService:
         self.retry_backoff = float(retry_backoff)
         self.store = store
         self.jobs: Dict[str, Job] = {}
+        #: the non-terminal subset of ``jobs``: what every scheduling
+        #: scan reads, so a tick costs the same after any number of
+        #: finished jobs
+        self.active: Dict[str, Job] = {}
         #: fingerprint -> job_id of the live (non-terminal) owner
         self.active_fp: Dict[str, str] = {}
         #: job_id -> monotonic instant a queued job becomes leasable
         self.ready_at: Dict[str, float] = {}
         self.leases: Dict[str, _Lease] = {}
         self.draining = False
-        self._context = _make_context()
+        self.pool = WorkerPool(self.workers, _job_worker_main)
         self._beat_read: Optional[int] = None
         self._beat_write: Optional[int] = None
         self._beat_buffer = b""
@@ -211,6 +221,7 @@ class SimulationService:
         * ``done`` jobs keep their published results untouched.
         """
         self.jobs = self.jobstore.replay()
+        self.active = {}
         counts = {"requeued": 0, "republished": 0, "quarantined": 0}
         for job_id in sorted(self.jobs, key=lambda j: self.jobs[j].seq):
             job = self.jobs[job_id]
@@ -238,6 +249,7 @@ class SimulationService:
             elif state == "queued":
                 self.ready_at[job_id] = 0.0
             if not job.lifecycle.terminal:
+                self.active[job_id] = job
                 self.active_fp.setdefault(job.fingerprint, job_id)
         self._observe_depth()
         return counts
@@ -260,10 +272,9 @@ class SimulationService:
         spec_data = CampaignSpec.from_dict(spec_data).to_dict()
         fingerprint = job_fingerprint(spec_data)
         live = self.active_fp.get(fingerprint)
-        if live is not None and live in self.jobs \
-                and not self.jobs[live].lifecycle.terminal:
+        if live in self.active:
             PERF.incr("service.coalesced")
-            status = self.jobs[live].status()
+            status = self.active[live].status()
             status["coalesced"] = True
             return status
         depth = self.queue_depth()
@@ -282,6 +293,7 @@ class SimulationService:
                               "spec": spec_data, "budget": self.budget})
         job = Job(job_id, fingerprint, spec_data, seq, budget=self.budget)
         self.jobs[job_id] = job
+        self.active[job_id] = job
         self.active_fp[fingerprint] = job_id
         self.ready_at[job_id] = 0.0
         self._submitted_at[job_id] = time.monotonic()
@@ -294,7 +306,7 @@ class SimulationService:
 
     def _shed_one(self) -> bool:
         """Cancel the oldest queued job to admit a newer one."""
-        queued = [job for job in self.jobs.values()
+        queued = [job for job in self.active.values()
                   if job.state == "queued"]
         if not queued:
             return False
@@ -318,12 +330,11 @@ class SimulationService:
         if self.draining:
             return True
         return not any(job.state == "queued"
-                       for job in self.jobs.values())
+                       for job in self.active.values())
 
     def queue_depth(self) -> int:
         """Jobs the daemon is still responsible for (non-terminal)."""
-        return sum(1 for job in self.jobs.values()
-                   if not job.lifecycle.terminal)
+        return len(self.active)
 
     def _observe_depth(self) -> None:
         PERF.observe("service.queue_depth", float(self.queue_depth()))
@@ -336,7 +347,7 @@ class SimulationService:
             return
         now = time.monotonic()
         leasable: List[Tuple[int, Job]] = sorted(
-            ((job.seq, job) for job in self.jobs.values()
+            ((job.seq, job) for job in self.active.values()
              if job.state == "queued"
              and self.ready_at.get(job.job_id, 0.0) <= now),
             key=lambda pair: pair[0])
@@ -369,16 +380,13 @@ class SimulationService:
         token = self._next_token
         self._next_token += 1
         scratch = str(self.jobstore.result_scratch(job.job_id, attempt))
-        process = self._context.Process(
-            target=_job_worker_main,
-            args=(job.spec, scratch, self._beat_write, token, attempt),
-            daemon=True)
         self._journal_event(job, "lease")
         job.attempts = attempt
-        process.start()
+        worker = self.pool.submit(scratch, job.spec, self._beat_write,
+                                  token, attempt)
         now = time.monotonic()
         self.leases[job.job_id] = _Lease(
-            job.job_id, process, attempt, scratch,
+            job.job_id, worker, attempt, scratch,
             deadline=now + self.lease_duration,
             watchdog=(now + self.job_timeout
                       if self.job_timeout is not None else None),
@@ -421,29 +429,16 @@ class SimulationService:
                     self._journal_event(job, "start")
 
     def _reap(self) -> None:
-        now = time.monotonic()
-        for job_id in list(self.leases):
-            lease = self.leases[job_id]
-            job = self.jobs[job_id]
-            if lease.process.is_alive():
-                if lease.watchdog is not None and now > lease.watchdog:
-                    self._kill_lease(lease)
-                    PERF.incr("service.watchdog_kills")
-                    self._lease_failed(job, lease, "wall-clock watchdog")
-                elif now > lease.deadline:
-                    self._kill_lease(lease)
-                    PERF.incr("service.lease_expiries")
-                    self._lease_failed(job, lease, "lease expired "
-                                       "(no heartbeat)")
-                continue
-            lease.process.join()
-            payload = self._read_scratch(lease.scratch)
+        by_worker = {lease.worker: lease for lease in self.leases.values()}
+        for worker, payload in self.pool.wait(0):
+            lease = by_worker[worker]
+            job = self.jobs[lease.job_id]
             self._forget_lease(lease)
             if payload is None:
                 PERF.incr("service.lease_expiries")
                 self._lease_failed(
                     job, lease,
-                    f"worker died (exit code {lease.process.exitcode}) "
+                    f"worker died (exit code {worker.process.exitcode}) "
                     f"before writing a result")
             elif payload.get("ok"):
                 if job.lifecycle.can("start"):
@@ -457,20 +452,21 @@ class SimulationService:
                 job.error = error
                 PERF.incr("service.failed")
                 self._finish(job)
-
-    def _read_scratch(self, scratch: str) -> Optional[Dict[str, Any]]:
-        try:
-            with open(scratch, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
+        now = time.monotonic()
+        for lease in list(self.leases.values()):
+            job = self.jobs[lease.job_id]
+            if lease.watchdog is not None and now > lease.watchdog:
+                self._kill_lease(lease)
+                PERF.incr("service.watchdog_kills")
+                self._lease_failed(job, lease, "wall-clock watchdog")
+            elif now > lease.deadline:
+                self._kill_lease(lease)
+                PERF.incr("service.lease_expiries")
+                self._lease_failed(job, lease, "lease expired "
+                                   "(no heartbeat)")
 
     def _kill_lease(self, lease: _Lease) -> None:
-        try:
-            lease.process.kill()
-            lease.process.join()
-        except Exception:  # noqa: BLE001 - dying processes race freely
-            pass
+        self.pool.kill(lease.worker)
         self._forget_lease(lease)
 
     def _forget_lease(self, lease: _Lease) -> None:
@@ -533,6 +529,7 @@ class SimulationService:
 
     def _finish(self, job: Job) -> None:
         """Terminal-state bookkeeping shared by every outcome."""
+        self.active.pop(job.job_id, None)
         self.ready_at.pop(job.job_id, None)
         if self.active_fp.get(job.fingerprint) == job.job_id \
                 and job.lifecycle.terminal and job.state != "done":
@@ -628,11 +625,13 @@ class SimulationService:
         self.draining = True
 
     def shutdown(self) -> None:
-        """Finish leased work, snapshot, release file handles."""
+        """Finish leased work, stop the workers, snapshot, release file
+        handles."""
         self.drain()
         while self.leases:
             self.tick()
             time.sleep(0.02)
+        self.pool.close()
         self.jobstore.snapshot(self.jobs)
         self.jobstore.close()
         if self._beat_read is not None:

@@ -58,6 +58,7 @@ from typing import Any, Dict, Optional
 
 from ..durable import Journal, atomic_write, canonical_json
 from ..errors import ServiceError
+from ..faults.runner import SPEC_FILE_FIELDS, file_identity
 from ..perf import PERF
 from .lifecycle import DEFAULT_LEASE_BUDGET, JobLifecycle
 
@@ -73,21 +74,17 @@ def job_fingerprint(spec_data: Dict[str, Any]) -> str:
     daemon hashes the normalized spec (``CampaignSpec.to_dict()``), in
     which defaults are filled in and numbers coerced.  The spec's
     file-path fields (``model``, ``campaign``, ``properties``)
-    are replaced by digests of the file *contents*, so renaming or
-    copying a model does not defeat the cache, while editing one
-    invalidates it.  The ``name`` field is presentation, not work, and
-    is excluded.
+    are replaced by digests of the file *contents*
+    (:func:`~repro.faults.runner.file_identity`, which the campaign
+    model memo keys on too), so renaming or copying a model does not
+    defeat the cache, while editing one invalidates it.  The ``name``
+    field is presentation, not work, and is excluded.
     """
     identity = dict(spec_data)
     identity.pop("name", None)
-    for field in ("model", "campaign", "properties"):
-        value = identity.get(field)
-        if isinstance(value, str) and os.path.exists(value):
-            digest = hashlib.blake2b(digest_size=16)
-            with open(value, "rb") as handle:
-                for chunk in iter(lambda: handle.read(65536), b""):
-                    digest.update(chunk)
-            identity[field] = f"content:{digest.hexdigest()}"
+    for field in SPEC_FILE_FIELDS:
+        if field in identity:
+            identity[field] = file_identity(identity[field])
     digest = hashlib.blake2b(canonical_json(identity).encode("utf-8"),
                              digest_size=16)
     return digest.hexdigest()

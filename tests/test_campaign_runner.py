@@ -202,6 +202,45 @@ class TestParallelSweep:
         assert not result.ok
 
 
+def write_inputs(directory, period, fault, never):
+    """A model, fault campaign and property suite under ``directory``."""
+    from repro.properties import PropertySuite, absence
+
+    directory.mkdir(exist_ok=True)
+    model = mm.Model("design")
+    package = model.create_package("design")
+    cpu = make_traffic_generator("Cpu", period=period,
+                                 address_range=0x1000)
+    ram = make_memory("Ram", size_bytes=0x800)
+    make_soc("Soc", masters=[cpu], slaves=[(ram, "bus", 0, 0x800)],
+             package=package)
+    xmi.write_file(str(directory / "soc.xmi"), model)
+    (directory / "campaign.json").write_text(
+        FaultCampaign([fault], name="sweep", seed=0).to_json())
+    (directory / "props.json").write_text(PropertySuite(
+        [absence("never", never={"signal": never})]).to_json())
+    return dict(model=str(directory / "soc.xmi"), top="design::Soc",
+                campaign=str(directory / "campaign.json"),
+                properties=str(directory / "props.json"), until=40.0)
+
+
+class TestWarmMemo:
+    def test_inputs_rewritten_in_place_are_reloaded(self, tmp_path):
+        old = write_inputs(tmp_path / "inputs", 2.0,
+                           FaultSpec("drop", signal="Read",
+                                     probability=0.3), "Nak")
+        spec = CampaignSpec(seeds=[1, 2], **old)
+        first = run_campaign(spec)
+        new = (3.0, FaultSpec("delay", delay=1.5, probability=0.5),
+               "Read")
+        write_inputs(tmp_path / "inputs", *new)  # same paths
+        rewritten = run_campaign(spec)
+        fresh = run_campaign(CampaignSpec(
+            seeds=[1, 2], **write_inputs(tmp_path / "fresh", *new)))
+        assert rewritten.to_json() == fresh.to_json()
+        assert rewritten.to_json() != first.to_json()
+
+
 class TestResume:
     def test_resume_runs_only_missing_seeds(self, model_file,
                                             campaign_file, tmp_path,

@@ -5,6 +5,7 @@ admission control, cancellation, and graceful drain."""
 
 import filecmp
 import os
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.hw import make_memory, make_soc, make_traffic_generator
 from repro.perf import PERF
 from repro.service import SimulationService
 from repro.service.daemon import TEST_KILL_ENV
+from repro.service.jobstore import job_fingerprint
 from repro.store.artifacts import ArtifactStore
 
 
@@ -236,6 +238,48 @@ class TestDedupe:
         assert first["job_id"] != second["job_id"]
         assert first["fingerprint"] != second["fingerprint"]
         service.run_until_idle(timeout=120)
+        service.shutdown()
+
+
+class _Unreadable:
+    """Stands in for a finished job's lifecycle: any read fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a scan read a finished job's {name!r}")
+
+
+class TestSchedulingCost:
+    def test_scans_skip_finished_jobs(self, tmp_path, model_file,
+                                      campaign_file):
+        store = ArtifactStore(tmp_path / "store")
+        service = make_service(tmp_path, store=store)
+        spec = make_spec(model_file, campaign_file, seeds=[40])
+        store.save("result",
+                   job_fingerprint(CampaignSpec.from_dict(spec).to_dict()),
+                   {"ok": True, "result": {}})
+        for _ in range(1000):
+            service.submit(spec)  # served from the store: done at once
+        for seed in (41, 42):
+            row = service.submit(make_spec(model_file, campaign_file,
+                                           seeds=[seed]))
+            service.ready_at[row["job_id"]] = time.monotonic() + 3600
+        done = {job_id: job.lifecycle
+                for job_id, job in service.jobs.items()
+                if job.state == "done"}
+        assert len(done) == 1000
+        # what a full scan over every job says
+        depth = sum(1 for job in service.jobs.values()
+                    if not job.lifecycle.terminal)
+        idle = not any(job.state == "queued"
+                       for job in service.jobs.values())
+        for job_id in done:
+            service.jobs[job_id].lifecycle = _Unreadable()
+        service.tick()
+        assert service.leases == {}  # both queued jobs are backing off
+        assert (service.queue_depth(), service.idle()) \
+            == (depth, idle) == (2, False)
+        for job_id, lifecycle in done.items():
+            service.jobs[job_id].lifecycle = lifecycle
         service.shutdown()
 
 

@@ -4,6 +4,7 @@ prove that journal replay resumes exactly the unfinished jobs and that
 the final results are byte-identical (``cmp``-equal) to an
 uninterrupted reference run."""
 
+import contextlib
 import filecmp
 import json
 import os
@@ -158,6 +159,64 @@ def test_daemon_sigkill_recovery_matches_uninterrupted_run(
                            encoding="utf-8")
         if json.loads(line).get("event") == "lease")
     assert lease_events <= len(specs) + 1
+
+
+def child_pids(pid):
+    """Live children of ``pid``, from ``/proc``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = process_stat(int(entry))
+            if stat is not None and int(stat[1]) == pid:
+                children.append(int(entry))
+    return children
+
+
+def process_stat(pid):
+    """``/proc/<pid>/stat`` fields after the command name (state first,
+    then the parent pid), or None for a process that is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_pool_workers_die_with_their_daemon(tmp_path, fixtures):
+    """An idle pool worker exits with its SIGKILLed daemon and keeps
+    none of its sockets: the next daemon on the same socket path
+    answers at once instead of a dead listener swallowing the ping."""
+    state_dir = tmp_path / "state"
+    socket_path = tmp_path / "svc.sock"
+    log_path = tmp_path / "serve.log"
+    process, client = spawn_daemon(state_dir, socket_path, log_path)
+    row = client.submit(job_specs(fixtures, count=1)[0])
+    assert client.wait(row["job_id"], timeout=300)["state"] == "done"
+    workers = child_pids(process.pid)
+    assert workers, "the daemon keeps its idle pool worker"
+    os.kill(process.pid, signal.SIGKILL)
+    process.wait(timeout=30)
+
+    deadline = time.monotonic() + 5.0
+    while True:
+        stats = [process_stat(pid) for pid in workers]
+        if all(stat is None or stat[0] == "Z" for stat in stats):
+            break
+        if time.monotonic() > deadline:
+            for pid in workers:  # leave no orphan behind the failure
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            raise AssertionError("a pool worker outlived its daemon by 5 s")
+        time.sleep(0.05)
+
+    began = time.monotonic()
+    process, client = spawn_daemon(state_dir, socket_path, log_path)
+    try:
+        assert time.monotonic() - began < 2.0
+    finally:
+        client.drain()
+        process.wait(timeout=60)
 
 
 def test_recovery_is_idempotent_without_a_crash(tmp_path, fixtures):
