@@ -1032,7 +1032,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--progress", action="store_true",
                           help="live progress line on stderr (seeds "
                                "done/running/failed, events/s, ETA) "
-                               "fed by worker heartbeats over a pipe")
+                               "fed by the worker pool's heartbeats")
     campaign.add_argument("--coverage", default="", dest="coverage_file",
                           metavar="PATH",
                           help="collect per-seed functional coverage "

@@ -35,7 +35,10 @@ every worker starts with the parsed top and hot dispatch tables, and
 each worker then runs seed after seed on them.  A row comes back as a
 result file renamed into place plus a completion message on the
 worker's pipe: a result file that exists is complete, a missing one
-means the worker died.
+means the worker died.  Live telemetry reads the pool's heartbeats
+from the same pipe: each worker samples its kernel's
+``events_processed``, and the completion carries the seed's final
+count.
 
 The ``REPRO_CAMPAIGN_TEST_KILL`` environment variable
 (``"<seed>"`` or ``"<seed>:<max_attempt>"``) makes the worker for that
@@ -417,7 +420,7 @@ def run_seed(spec: CampaignSpec, seed: int,
     ``observer`` (optional) is called once with the live simulation
     before the run starts — the telemetry hook.  It must not subscribe
     anything to the trace bus (that would shift ordinals and break
-    cross-mode row identity); the PR 9 heartbeat thread only *reads*
+    cross-mode row identity); the pool's heartbeat thread only *reads*
     ``simulation.simulator.events_processed``.
     """
     from ..simulation import SystemSimulation
@@ -463,42 +466,23 @@ def _maybe_test_kill(seed: int, attempt: int) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _worker_main(spec_data: Dict[str, Any], seed: int, attempt: int,
-                 telemetry_fd: Optional[int] = None) -> Dict[str, Any]:
+def _worker_main(spec_data: Dict[str, Any], seed: int,
+                 attempt: int) -> Dict[str, Any]:
     """Pool task: run one seed; returns ``{"ok": True, "row": ...}`` or
-    ``{"ok": False, "error": ...}``.
-
-    ``telemetry_fd`` is the write end of the parent's beat pipe
-    (inherited across fork; with a spawn start method the fd does not
-    survive and every write degrades to silence — results are
-    unaffected, only the live progress display goes quiet).
-    """
+    ``{"ok": False, "error": ...}``.  The kernel's ``events_processed``
+    is the task's progress sample, which the worker's heartbeats and
+    its completion message carry to the parent."""
     _maybe_test_kill(seed, attempt)
-    heartbeat = None
-    ok = False
     try:
-        if telemetry_fd is not None:
-            from ..observability.campaign import WorkerHeartbeat
+        from ..workers import report_progress
 
-            def _observer(simulation, _seed=seed, _fd=telemetry_fd):
-                nonlocal heartbeat
-                kernel = simulation.simulator
-                heartbeat = WorkerHeartbeat(
-                    _fd, _seed,
-                    lambda: getattr(kernel, "events_processed", 0))
-        else:
-            _observer = None
         row = run_seed(CampaignSpec.from_dict(spec_data), seed,
-                       observer=_observer)
-        payload = {"ok": True, "row": row}
-        ok = True
+                       observer=lambda simulation: report_progress(
+                           lambda: simulation.simulator.events_processed))
+        return {"ok": True, "row": row}
     except BaseException as error:  # noqa: BLE001 - must report, not die
-        payload = {"ok": False,
-                   "error": f"{type(error).__name__}: {error}"}
-    finally:
-        if heartbeat is not None:
-            heartbeat.close(ok=ok)
-    return payload
+        return {"ok": False,
+                "error": f"{type(error).__name__}: {error}"}
 
 
 # ---------------------------------------------------------------------------
@@ -689,8 +673,9 @@ def run_campaign(spec: CampaignSpec,
     :class:`~repro.observability.CampaignTelemetry` that renders onto
     stderr when (and only when) it is a TTY; a ``CampaignTelemetry``
     instance is used as given; ``None``/``False`` disables it.
-    Telemetry flows over an OS pipe, never the trace bus, so enabling
-    it cannot change any row or merged report byte.
+    Telemetry flows from the pool's heartbeats (parallel) or the
+    finished kernel (serial), never the trace bus, so enabling it
+    cannot change any row or merged report byte.
     """
     if run_timeout is not None and run_timeout <= 0:
         raise FaultError(f"run_timeout must be positive, got {run_timeout}")
@@ -782,8 +767,6 @@ def _run_parallel(spec: CampaignSpec, todo: Sequence[int], workers: int,
     from ..workers import WorkerPool
 
     spec_data = spec.to_dict()
-    telemetry_fd = (telemetry.open_pipe()
-                    if telemetry is not None else None)
     rows: List[Dict[str, Any]] = []
     failures: List[Dict[str, Any]] = []
     #: (seed, attempt, ready_at) — backoff holds a seed until ready_at
@@ -817,7 +800,7 @@ def _run_parallel(spec: CampaignSpec, todo: Sequence[int], workers: int,
                 seed, attempt, _ = item
                 worker = pool.submit(
                     os.path.join(scratch, f"seed{seed}-try{attempt}.json"),
-                    spec_data, seed, attempt, telemetry_fd)
+                    spec_data, seed, attempt)
                 running[worker] = (seed, attempt,
                                    now + run_timeout
                                    if run_timeout is not None else None)
@@ -837,7 +820,7 @@ def _run_parallel(spec: CampaignSpec, todo: Sequence[int], workers: int,
                     row = payload["row"]
                     rows.append(row)
                     if telemetry is not None:
-                        telemetry.seed_done(seed)
+                        telemetry.seed_done(seed, worker.progress)
                     if journal is not None:
                         journal.append({"status": "ok", "seed": seed,
                                         "attempt": attempt, "row": row})
@@ -860,7 +843,9 @@ def _run_parallel(spec: CampaignSpec, todo: Sequence[int], workers: int,
                         f"run timeout: seed {seed} exceeded "
                         f"{run_timeout}s wall clock")
             if telemetry is not None:
-                telemetry.poll()
+                telemetry.update({seed: worker.progress
+                                  for worker, (seed, _, _) in running.items()
+                                  if worker.started})
     # a seed that eventually succeeded should not linger as a failure
     succeeded = {row["seed"] for row in rows}
     failures = [entry for entry in failures

@@ -26,14 +26,14 @@ PR 9 adds the *why* layer on top:
   ``why()`` root-cause walks, per-part causal cones, JSONL span and
   Chrome/Perfetto exports (``SystemSimulation(causality=True)``);
 * live campaign telemetry (:mod:`~repro.observability.campaign`) —
-  worker heartbeats over an OS pipe (never the TraceBus), a live
+  fed by the worker pool's heartbeats (never the TraceBus), a live
   progress line and a ``campaign.live`` Prometheus snapshot;
 * the cross-seed report (:mod:`~repro.observability.report`) —
   coverage, property pass rates, profiler hot paths and causal hot
   edges of a whole campaign merged into one deterministic artifact.
 """
 
-from .campaign import CampaignTelemetry, WorkerHeartbeat, send_beat
+from .campaign import CampaignTelemetry
 from .causality import (
     CausalIndex,
     event_label,
@@ -59,8 +59,6 @@ from .suite import ObservabilitySuite
 
 __all__ = [
     "CampaignTelemetry",
-    "WorkerHeartbeat",
-    "send_beat",
     "CausalIndex",
     "event_label",
     "perfetto_json",

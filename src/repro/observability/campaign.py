@@ -1,111 +1,42 @@
 """Live campaign telemetry (PR 9).
 
-Fault-campaign workers are forked processes; until now the only
-feedback during a long campaign was silence followed by a result
-table.  This module streams worker heartbeats over a plain OS pipe so
-the parent can render a live progress line and a ``campaign.live``
-Prometheus snapshot *without touching the TraceBus* — subscribing
-telemetry to the bus would change which events are emitted and shift
-ordinals, breaking the serial == parallel report byte-identity
-guarantee.  A pipe is invisible to the simulation.
+Fault-campaign workers are pool processes; without telemetry the only
+feedback during a long campaign is silence followed by a result table.
+:class:`CampaignTelemetry` aggregates per-seed progress in the parent
+and renders a live progress line and a ``campaign.live`` Prometheus
+snapshot *without touching the TraceBus* — subscribing telemetry to
+the bus would change which events are emitted and shift ordinals,
+breaking the serial == parallel report byte-identity guarantee.
 
-Protocol (one short line per beat, written atomically — every line is
-far below ``PIPE_BUF``):
-
-* ``start <seed>`` — the worker has begun simulating;
-* ``hb <seed> <events>`` — periodic sample of the worker's kernel
-  ``events_processed`` counter (a daemon thread, ~4 Hz);
-* ``done <seed> <events>`` / ``fail <seed>`` — terminal beats; the
-  parent's reap loop remains the ground truth for results, these only
-  keep the progress display honest between reaps.
-
-Everything degrades to silence: if the pipe is gone (spawn start
-method, closed parent) writes are swallowed, and the progress line is
-rendered only when the stream is a TTY or rendering is forced.
+The runner feeds it directly.  A parallel sweep reads the
+:class:`~repro.workers.WorkerPool` heartbeats that each worker sends on
+its own pipe, sampling its kernel's ``events_processed``: the seeds of
+started workers with their latest samples are the running set, and a
+worker's completion carries the seed's final count.  A serial sweep
+reports each seed as it starts and finishes.  The parent's reap loop
+stays the ground truth for results; telemetry only keeps the display
+honest between reaps.  The progress line is rendered only when the
+stream is a TTY or rendering is forced.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
 from .metrics import PREFIX, metric_name
 
-#: Seconds between worker heartbeat samples.
-HEARTBEAT_INTERVAL = 0.25
-
 #: Minimum seconds between progress-line renders in the parent.
 RENDER_INTERVAL = 0.1
-
-
-def send_beat(fd: Optional[int], line: str) -> bool:
-    """Write one protocol line to the telemetry pipe, silently
-    swallowing every failure (missing fd, closed pipe, spawn-context
-    inheritance gaps).  Returns whether the write went through."""
-    if fd is None:
-        return False
-    try:
-        os.write(fd, (line.rstrip("\n") + "\n").encode("utf-8"))
-        return True
-    except (OSError, ValueError):
-        return False
-
-
-class WorkerHeartbeat:
-    """Worker-side beat sender: a daemon thread sampling a counter.
-
-    ``sample`` is called on the telemetry thread (~4 Hz) and must be
-    cheap and thread-safe to *read* — the kernel's ``events_processed``
-    int qualifies.  ``close()`` sends the terminal beat.
-    """
-
-    def __init__(self, fd: Optional[int], seed: int,
-                 sample: Callable[[], int],
-                 interval: float = HEARTBEAT_INTERVAL):
-        self.fd = fd
-        self.seed = seed
-        self.sample = sample
-        self.interval = interval
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        if send_beat(fd, f"start {seed}"):
-            self._thread = threading.Thread(
-                target=self._run, name=f"telemetry-seed-{seed}",
-                daemon=True)
-            self._thread.start()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                events = int(self.sample())
-            except Exception:
-                events = 0
-            if not send_beat(self.fd, f"hb {self.seed} {events}"):
-                return  # pipe is gone; stop sampling
-
-    def close(self, ok: bool = True) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=1.0)
-        if ok:
-            try:
-                events = int(self.sample())
-            except Exception:
-                events = 0
-            send_beat(self.fd, f"done {self.seed} {events}")
-        else:
-            send_beat(self.fd, f"fail {self.seed}")
 
 
 class CampaignTelemetry:
     """Parent-side aggregation and rendering of campaign progress.
 
     Tracks per-seed state (``pending`` -> ``running`` -> ``done`` /
-    ``failed``) fed by pipe beats and by the runner's reap loop, and
-    renders a single carriage-return progress line::
+    ``failed``) fed by the runner, and renders a single
+    carriage-return progress line::
 
         campaign demo: 12/20 done (1 failed) | 3 running | 48231 ev/s | ETA 4.2s
 
@@ -134,74 +65,17 @@ class CampaignTelemetry:
         self._finish_times: List[float] = []
         self._last_render = 0.0
         self._rendered = False
-        self._read_fd: Optional[int] = None
-        self._write_fd: Optional[int] = None
-        self._buffer = b""
 
-    # -- the pipe ----------------------------------------------------------
-
-    def open_pipe(self) -> int:
-        """Create the beat pipe; returns the write fd workers inherit."""
-        read_fd, write_fd = os.pipe()
-        os.set_blocking(read_fd, False)
-        self._read_fd, self._write_fd = read_fd, write_fd
-        return write_fd
-
-    @property
-    def write_fd(self) -> Optional[int]:
-        return self._write_fd
-
-    def poll(self) -> None:
-        """Drain pending beats (non-blocking) and maybe re-render."""
-        if self._read_fd is not None:
-            while True:
-                try:
-                    chunk = os.read(self._read_fd, 65536)
-                except BlockingIOError:
-                    break
-                except OSError:
-                    break
-                if not chunk:
-                    break
-                self._buffer += chunk
-            *lines, self._buffer = self._buffer.split(b"\n")
-            for raw in lines:
-                self._apply(raw.decode("utf-8", "replace"))
-        self.render()
-
-    def _apply(self, line: str) -> None:
-        fields = line.split()
-        if len(fields) < 2:
-            return
-        verb = fields[0]
-        try:
-            seed = int(fields[1])
-        except ValueError:
-            return
-        if verb == "start":
-            self.running.setdefault(seed, 0)
-        elif verb == "hb" and len(fields) >= 3:
-            try:
-                self.running[seed] = int(fields[2])
-            except ValueError:
-                pass
-        elif verb == "done":
-            events = 0
-            if len(fields) >= 3:
-                try:
-                    events = int(fields[2])
-                except ValueError:
-                    events = 0
-            self.seed_done(seed, events)
-        elif verb == "fail":
-            # a failed attempt may be retried; only the runner's reap
-            # loop decides terminal failure (seed_failed)
-            self.running.pop(seed, None)
-
-    # -- direct feeds (serial runner, reap loop) ---------------------------
+    # -- feeds (the runner) ------------------------------------------------
 
     def seed_started(self, seed: int) -> None:
         self.running.setdefault(seed, 0)
+
+    def update(self, running: Dict[int, int]) -> None:
+        """Take the running seeds with their latest event samples (a
+        pool's started workers) and maybe re-render."""
+        self.running = dict(running)
+        self.render()
 
     def seed_done(self, seed: int, events: int = 0) -> None:
         sampled = self.running.pop(seed, 0)
@@ -270,7 +144,7 @@ class CampaignTelemetry:
             self._rendered = True
 
     def finish(self) -> None:
-        """Final render plus newline; close the pipe ends."""
+        """Final render plus newline."""
         self.render(force=True)
         if self._rendered:
             try:
@@ -278,23 +152,6 @@ class CampaignTelemetry:
                 self.stream.flush()
             except (OSError, ValueError):
                 pass
-        for fd in (self._read_fd, self._write_fd):
-            if fd is not None:
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
-        self._read_fd = self._write_fd = None
-
-    def close_worker_end(self) -> None:
-        """Close the parent's copy of the write fd (after the last fork)
-        so EOF propagates once every worker exits."""
-        if self._write_fd is not None:
-            try:
-                os.close(self._write_fd)
-            except OSError:
-                pass
-            self._write_fd = None
 
     # -- exports -----------------------------------------------------------
 

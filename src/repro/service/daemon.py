@@ -13,9 +13,11 @@ durable, crash-recoverable job queue:
   persistent processes, forked on the first lease and closed by
   :meth:`SimulationService.shutdown`, so a worker keeps its imports
   and warmed model from one job to the next;
-* each job holds a **time-bounded lease** on a worker: heartbeats on
-  the beat pipe (:class:`~repro.observability.WorkerHeartbeat`) renew
-  the lease, a silent or dead worker expires it, and an expired lease
+* each job holds a **time-bounded lease** on a worker: the pool
+  worker's heartbeats, sent on its own pipe and recorded on its
+  :class:`~repro.workers.Worker` handle, renew the lease; a worker
+  silent for ``lease_duration`` (alive but unable to run, such as a
+  stopped one) expires it, a dead one ends it at once, and either
   requeues the job with deterministic seeded backoff
   (:func:`~repro.faults.runner.backoff_delay`) until its budget runs
   out — then the job is quarantined as poison instead of wedging the
@@ -49,7 +51,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ServiceError
 from ..faults.runner import CampaignSpec, backoff_delay
-from ..observability.campaign import WorkerHeartbeat
 from ..perf import PERF
 from ..workers import Worker, WorkerPool
 from .jobstore import Job, JobStore, job_fingerprint
@@ -83,22 +84,20 @@ def _maybe_test_kill(name: str, attempt: int) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _job_worker_main(spec_data: Dict[str, Any], beat_fd: Optional[int],
-                     token: int, attempt: int) -> Dict[str, Any]:
+def _job_worker_main(spec_data: Dict[str, Any],
+                     attempt: int) -> Dict[str, Any]:
     """Pool task: run the job's campaign; returns its result payload.
 
     It runs in a persistent pool worker, which keeps the simulation
     stack imported and the model parsed from one job to the next.  The
     payload crosses back as a result file renamed into place (a present
     file is a complete file; a missing one means the worker died; see
-    :mod:`repro.workers`).  A heartbeat thread proves liveness on the
-    daemon's beat pipe; the wall-clock watchdog in the daemon covers
-    the case of a live thread over a wedged simulation.
+    :mod:`repro.workers`).  The pool's heartbeats prove liveness on the
+    worker's own pipe while it runs; the wall-clock watchdog in the
+    daemon covers the case of a live heartbeat over a wedged
+    simulation.
     """
     _maybe_test_kill(spec_data.get("name", ""), attempt)
-    heartbeat = WorkerHeartbeat(beat_fd, token, lambda: 0) \
-        if beat_fd is not None else None
-    ok = False
     try:
         from ..faults.runner import run_campaign
 
@@ -109,32 +108,24 @@ def _job_worker_main(spec_data: Dict[str, Any], beat_fd: Optional[int],
             # per-seed infrastructure failures inside the campaign are
             # already retried there; surviving ones are the job's result
             payload["failures"] = result.to_dict()["failures"]
-        ok = True
     except BaseException as error:  # noqa: BLE001 - must report, not die
         payload = {"ok": False,
                    "error": f"{type(error).__name__}: {error}"}
-    finally:
-        if heartbeat is not None:
-            heartbeat.close(ok=ok)
     return payload
 
 
 class _Lease:
     """Daemon-side record of one live lease (never persisted)."""
 
-    __slots__ = ("job_id", "worker", "attempt", "scratch",
-                 "deadline", "watchdog", "token")
+    __slots__ = ("job_id", "worker", "attempt", "scratch", "watchdog")
 
     def __init__(self, job_id: str, worker: Worker, attempt: int,
-                 scratch: str, deadline: float,
-                 watchdog: Optional[float], token: int):
+                 scratch: str, watchdog: Optional[float]):
         self.job_id = job_id
-        self.worker = worker
+        self.worker = worker          # its heartbeats renew the lease
         self.attempt = attempt
         self.scratch = scratch
-        self.deadline = deadline      # heartbeat-renewed lease expiry
         self.watchdog = watchdog      # absolute wall-clock kill time
-        self.token = token            # beat-pipe correlation id
 
     @property
     def process(self) -> Any:
@@ -158,8 +149,7 @@ class SimulationService:
                  admission: str = "reject",
                  budget: int = DEFAULT_LEASE_BUDGET,
                  retry_backoff: float = DEFAULT_RETRY_BACKOFF,
-                 store: Any = None,
-                 heartbeats: bool = True):
+                 store: Any = None):
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
         if lease_duration <= 0:
@@ -191,16 +181,7 @@ class SimulationService:
         self.leases: Dict[str, _Lease] = {}
         self.draining = False
         self.pool = WorkerPool(self.workers, _job_worker_main)
-        self._beat_read: Optional[int] = None
-        self._beat_write: Optional[int] = None
-        self._beat_buffer = b""
-        self._token_to_job: Dict[int, str] = {}
-        self._next_token = 1
         self._submitted_at: Dict[str, float] = {}
-        if heartbeats:
-            read_fd, write_fd = os.pipe()
-            os.set_blocking(read_fd, False)
-            self._beat_read, self._beat_write = read_fd, write_fd
         #: what the boot-time :meth:`recover` pass found and repaired
         self.last_recovery = self.recover()
 
@@ -317,8 +298,7 @@ class SimulationService:
     # -- the scheduler tick ----------------------------------------------
 
     def tick(self) -> None:
-        """One scheduling round: drain beats, reap, expire, lease."""
-        self._drain_beats()
+        """One scheduling round: reap, expire, lease."""
         self._reap()
         if not self.draining:
             self._grant_leases()
@@ -377,60 +357,26 @@ class SimulationService:
 
     def _launch(self, job: Job) -> None:
         attempt = job.attempts + 1
-        token = self._next_token
-        self._next_token += 1
         scratch = str(self.jobstore.result_scratch(job.job_id, attempt))
         self._journal_event(job, "lease")
         job.attempts = attempt
-        worker = self.pool.submit(scratch, job.spec, self._beat_write,
-                                  token, attempt)
-        now = time.monotonic()
+        worker = self.pool.submit(scratch, job.spec, attempt)
         self.leases[job.job_id] = _Lease(
             job.job_id, worker, attempt, scratch,
-            deadline=now + self.lease_duration,
-            watchdog=(now + self.job_timeout
-                      if self.job_timeout is not None else None),
-            token=token)
-        self._token_to_job[token] = job.job_id
+            watchdog=(time.monotonic() + self.job_timeout
+                      if self.job_timeout is not None else None))
         self.ready_at.pop(job.job_id, None)
 
-    def _drain_beats(self) -> None:
-        """Consume the heartbeat pipe: renew leases, observe starts."""
-        if self._beat_read is None:
-            return
-        while True:
-            try:
-                chunk = os.read(self._beat_read, 65536)
-            except BlockingIOError:
-                break
-            except OSError:
-                return
-            if not chunk:
-                break
-            self._beat_buffer += chunk
-        while b"\n" in self._beat_buffer:
-            line, self._beat_buffer = self._beat_buffer.split(b"\n", 1)
-            parts = line.decode("utf-8", "replace").split()
-            if len(parts) < 2:
-                continue
-            verb, raw_token = parts[0], parts[1]
-            try:
-                token = int(raw_token)
-            except ValueError:
-                continue
-            job_id = self._token_to_job.get(token)
-            lease = self.leases.get(job_id or "")
-            if lease is None or lease.token != token:
-                continue
-            lease.deadline = time.monotonic() + self.lease_duration
-            if verb == "start":
-                job = self.jobs[lease.job_id]
-                if job.lifecycle.can("start"):
-                    self._journal_event(job, "start")
-
     def _reap(self) -> None:
+        finished = self.pool.wait(0)
+        # a worker's first beat precedes its completion on its pipe, so
+        # every completed lease reaped below has journaled its start
+        for lease in self.leases.values():
+            job = self.jobs[lease.job_id]
+            if lease.worker.started and job.lifecycle.can("start"):
+                self._journal_event(job, "start")
         by_worker = {lease.worker: lease for lease in self.leases.values()}
-        for worker, payload in self.pool.wait(0):
+        for worker, payload in finished:
             lease = by_worker[worker]
             job = self.jobs[lease.job_id]
             self._forget_lease(lease)
@@ -441,9 +387,6 @@ class SimulationService:
                     f"worker died (exit code {worker.process.exitcode}) "
                     f"before writing a result")
             elif payload.get("ok"):
-                if job.lifecycle.can("start"):
-                    # worker finished between beats; catch the start up
-                    self._journal_event(job, "start")
                 self._journal_event(job, "complete")
                 self._publish(job, payload, cached=False)
             else:
@@ -459,7 +402,7 @@ class SimulationService:
                 self._kill_lease(lease)
                 PERF.incr("service.watchdog_kills")
                 self._lease_failed(job, lease, "wall-clock watchdog")
-            elif now > lease.deadline:
+            elif now > lease.worker.last_beat + self.lease_duration:
                 self._kill_lease(lease)
                 PERF.incr("service.lease_expiries")
                 self._lease_failed(job, lease, "lease expired "
@@ -471,7 +414,6 @@ class SimulationService:
 
     def _forget_lease(self, lease: _Lease) -> None:
         self.leases.pop(lease.job_id, None)
-        self._token_to_job.pop(lease.token, None)
         try:
             os.unlink(lease.scratch)
         except OSError:
@@ -634,13 +576,6 @@ class SimulationService:
         self.pool.close()
         self.jobstore.snapshot(self.jobs)
         self.jobstore.close()
-        if self._beat_read is not None:
-            for fd in (self._beat_read, self._beat_write):
-                try:
-                    os.close(fd)
-                except OSError:
-                    pass
-            self._beat_read = self._beat_write = None
 
     # -- convenience (in-process use: tests, benchmarks) ----------------
 

@@ -1,26 +1,24 @@
 """Live campaign telemetry and the cross-seed observability report
-(PR 9): the pipe beat protocol, parent-side aggregation, the guarantee
-that telemetry never touches the trace bus (so enabling it cannot
-change a report byte), obs-enabled journal rows, and the merged
-:class:`ObservabilityReport` artifact.
+(PR 9): parent-side aggregation, the feed from the worker pool's
+heartbeats, the guarantee that telemetry never touches the trace bus
+(so enabling it cannot change a report byte), obs-enabled journal
+rows, and the merged :class:`ObservabilityReport` artifact.
 """
 
 import io
 import json
-import os
 
 import pytest
 
 import repro.metamodel as mm
 from repro import xmi
 from repro.faults import CampaignSpec, FaultCampaign, FaultSpec, run_campaign
+from repro.faults.runner import TEST_KILL_ENV
 from repro.hw import make_memory, make_soc, make_traffic_generator
 from repro.observability import (
     CampaignTelemetry,
     ObservabilityReport,
-    WorkerHeartbeat,
     campaign_fingerprint,
-    send_beat,
 )
 from repro.observability.report import (
     hot_edges,
@@ -47,75 +45,18 @@ def make_telemetry(total=4, **kwargs):
     return CampaignTelemetry(total, name="demo", **options)
 
 
-class TestBeatProtocol:
-    def test_send_beat_without_fd_is_silent(self):
-        assert send_beat(None, "start 1") is False
-
-    def test_send_beat_to_closed_fd_is_silent(self):
-        read_fd, write_fd = os.pipe()
-        os.close(read_fd)
-        os.close(write_fd)
-        assert send_beat(write_fd, "start 1") is False
-
-    def test_beats_flow_through_the_pipe(self):
-        telemetry = make_telemetry(total=2)
-        fd = telemetry.open_pipe()
-        send_beat(fd, "start 1")
-        send_beat(fd, "hb 1 500")
-        telemetry.poll()
-        assert telemetry.running == {1: 500}
-        send_beat(fd, "done 1 1200")
-        send_beat(fd, "start 2")
-        telemetry.poll()
-        assert telemetry.done == 1
-        assert telemetry.events_done == 1200
-        assert telemetry.running == {2: 0}
-        telemetry.finish()
-
-    def test_partial_lines_are_buffered(self):
-        telemetry = make_telemetry()
-        fd = telemetry.open_pipe()
-        os.write(fd, b"start ")
-        telemetry.poll()
-        assert telemetry.running == {}
-        os.write(fd, b"7\n")
-        telemetry.poll()
-        assert telemetry.running == {7: 0}
-        telemetry.finish()
-
-    def test_garbage_lines_are_ignored(self):
-        telemetry = make_telemetry()
-        for line in ("", "hb", "hb x 3", "hb 1 x", "unknown 1"):
-            telemetry._apply(line)
-        assert telemetry.running == {}
-        assert telemetry.done == 0
-
-    def test_fail_beat_is_not_terminal(self):
-        # a failed attempt may be retried; only the runner's reap loop
-        # (seed_failed) decides terminal failure
-        telemetry = make_telemetry()
-        telemetry._apply("start 3")
-        telemetry._apply("fail 3")
-        assert telemetry.done == 0
-        assert telemetry.failed == 0
-        telemetry._apply("start 3")
-        telemetry._apply("done 3 10")
-        assert telemetry.done == 1
-        assert telemetry.failed == 0
-
-
 class TestAggregation:
     def test_seed_done_is_idempotent(self):
         telemetry = make_telemetry()
         telemetry.seed_started(1)
         telemetry.seed_done(1, 100)
-        telemetry.seed_done(1, 100)  # reap loop may echo the pipe beat
+        telemetry.seed_done(1, 100)  # a repeated report counts once
         assert telemetry.done == 1
         assert telemetry.events_done == 100
 
     def test_done_keeps_the_larger_event_count(self):
         telemetry = make_telemetry()
-        telemetry._apply("hb 5 900")  # last heartbeat sample
+        telemetry.update({5: 900})  # last heartbeat sample
         telemetry.seed_done(5, 0)  # reap loop knows no count
         assert telemetry.events_done == 900
 
@@ -134,7 +75,7 @@ class TestAggregation:
         clock.advance(2.0)
         telemetry.seed_done(1, 1000)
         telemetry.seed_done(2, 1000)
-        telemetry._apply("hb 3 500")
+        telemetry.update({3: 500})
         assert telemetry.events_total() == 2500
         assert telemetry.events_per_second() == pytest.approx(1250.0)
         # pace 1 s/seed, 2 remaining, one running seed counts half-done
@@ -204,44 +145,6 @@ class TestRendering:
         assert "repro_campaign_live_events_per_second 300" in text
 
 
-class TestWorkerHeartbeat:
-    def test_start_and_done_beats(self):
-        read_fd, write_fd = os.pipe()
-        try:
-            heartbeat = WorkerHeartbeat(write_fd, 11, lambda: 42,
-                                        interval=10.0)
-            heartbeat.close(ok=True)
-            os.close(write_fd)
-            data = b""
-            while True:
-                chunk = os.read(read_fd, 4096)
-                if not chunk:
-                    break
-                data += chunk
-        finally:
-            os.close(read_fd)
-        lines = data.decode().splitlines()
-        assert lines[0] == "start 11"
-        assert lines[-1] == "done 11 42"
-
-    def test_fail_close_sends_fail(self):
-        read_fd, write_fd = os.pipe()
-        try:
-            heartbeat = WorkerHeartbeat(write_fd, 7, lambda: 5,
-                                        interval=10.0)
-            heartbeat.close(ok=False)
-            os.close(write_fd)
-            data = os.read(read_fd, 4096)
-        finally:
-            os.close(read_fd)
-        assert data.decode().splitlines() == ["start 7", "fail 7"]
-
-    def test_no_fd_means_no_thread(self):
-        heartbeat = WorkerHeartbeat(None, 1, lambda: 0)
-        assert heartbeat._thread is None
-        heartbeat.close()  # must not raise
-
-
 # ---------------------------------------------------------------------------
 # the runner integration and the merged report
 # ---------------------------------------------------------------------------
@@ -303,12 +206,34 @@ class TestRunnerIntegration:
 
     def test_parallel_campaign_feeds_telemetry(self, spec_files):
         spec = make_spec(spec_files, seeds=(1, 2, 3, 4))
+        serial = CampaignTelemetry(len(spec.seeds), name=spec.name,
+                                   stream=io.StringIO(), enabled=False)
+        run_campaign(spec, progress=serial)
         telemetry = CampaignTelemetry(len(spec.seeds), name=spec.name,
                                       stream=io.StringIO(), enabled=False)
         result = run_campaign(spec, workers=2, progress=telemetry)
         assert len(result.rows) == 4
         assert telemetry.done == 4
         assert telemetry.failed == 0
+        assert telemetry.running == {}
+        # each worker's completion carries its seed's kernel events
+        assert serial.events_done > 0
+        assert telemetry.events_done == serial.events_done
+
+    def test_killed_attempt_is_not_terminal(self, spec_files,
+                                            monkeypatch):
+        # the worker of seed 2 dies on its first attempt and the retry
+        # succeeds: the failed attempt leaves the running set, and only
+        # the runner's final verdict counts a seed as failed
+        monkeypatch.setenv(TEST_KILL_ENV, "2:1")
+        spec = make_spec(spec_files, seeds=(1, 2, 3, 4))
+        telemetry = CampaignTelemetry(len(spec.seeds), name=spec.name,
+                                      stream=io.StringIO(), enabled=False)
+        result = run_campaign(spec, workers=2, progress=telemetry,
+                              retry_backoff=0.01)
+        assert result.ok
+        assert telemetry.failed == 0
+        assert telemetry.done == len(spec.seeds)
         assert telemetry.running == {}
 
 

@@ -5,6 +5,7 @@ admission control, cancellation, and graceful drain."""
 
 import filecmp
 import os
+import signal
 import time
 
 import pytest
@@ -146,27 +147,43 @@ class TestCrashRecoveryOfWorkers:
 
     def test_expired_lease_requeues(self, tmp_path, model_file,
                                     campaign_file):
-        service = make_service(tmp_path, workers=1, heartbeats=False)
-        row = service.submit(make_spec(model_file, campaign_file,
-                                       name="slow", seeds=[5]))
-        service.tick()  # grants the lease
-        lease = service.leases[row["job_id"]]
-        lease.deadline = 0.0  # force the no-heartbeat expiry branch
-        expiries = PERF.counter("service.lease_expiries")
-        service.tick()
-        assert PERF.counter("service.lease_expiries") == expiries + 1
-        assert service.status(row["job_id"])["state"] == "queued"
-        service.run_until_idle(timeout=120)
-        assert service.status(row["job_id"])["state"] == "done"
-        service.shutdown()
+        # a stopped worker is alive but sends no heartbeat: only the
+        # lease duration takes its job back
+        service = make_service(tmp_path, workers=1, lease_duration=1.0)
+        try:
+            warm = service.submit(make_spec(model_file, campaign_file,
+                                            name="warm", seeds=[5]))
+            service.tick()  # forks the worker and grants it the lease
+            stopped = service.leases[warm["job_id"]].process
+            service.run_until_idle(timeout=120)
+            os.kill(stopped.pid, signal.SIGSTOP)
+            row = service.submit(make_spec(model_file, campaign_file,
+                                           name="silent", seeds=[12]))
+            expiries = PERF.counter("service.lease_expiries")
+            service.tick()  # grants the lease to the stopped worker
+            granted = time.monotonic()
+            assert service.leases[row["job_id"]].process is stopped
+            while PERF.counter("service.lease_expiries") == expiries:
+                assert time.monotonic() - granted < 60
+                service.tick()
+                time.sleep(0.01)
+            assert time.monotonic() - granted >= 1.0
+            assert not stopped.is_alive()
+            service.run_until_idle(timeout=120)
+            final = service.status(row["job_id"])
+            assert final["state"] == "done"
+            assert final["attempts"] == 2  # a new worker ran the retry
+        finally:
+            service.shutdown()
 
     def test_watchdog_bounds_wall_clock(self, tmp_path, model_file,
                                         campaign_file):
         kills = PERF.counter("service.watchdog_kills")
         service = make_service(tmp_path, workers=1, budget=0,
                                job_timeout=0.0)
+        # a horizon no worker reaches: only the watchdog ends the job
         row = service.submit(make_spec(model_file, campaign_file,
-                                       name="hung", seeds=[6]))
+                                       name="hung", seeds=[6], until=1e7))
         service.run_until_idle(timeout=60)
         assert service.status(row["job_id"])["state"] == "quarantined"
         assert PERF.counter("service.watchdog_kills") >= kills + 1

@@ -1,25 +1,27 @@
 """The persistent worker pool (``repro.workers``) under its two users:
 the campaign runner keeps one pool per ``run_campaign`` call, and the
 service daemon keeps one for its lifetime.  A pool forks only what it
-needs, a dead or killed worker's slot refills, and no worker outlives
-the pool."""
+needs, a dead or killed worker's slot refills, no worker outlives the
+pool, and a running worker's heartbeats reach its handle on the same
+pipe as its results."""
 
 import io
 import os
 import socket
 import stat
+import time
 
 import pytest
 
 import repro.metamodel as mm
-from repro import xmi
+from repro import workers, xmi
 from repro.faults import (CampaignSpec, FaultCampaign, FaultSpec,
                           read_journal, run_campaign)
 from repro.faults.runner import TEST_KILL_ENV
 from repro.hw import make_memory, make_soc, make_traffic_generator
 from repro.observability import CampaignTelemetry
 from repro.service import SimulationService
-from repro.workers import WorkerPool
+from repro.workers import WorkerPool, report_progress
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +78,67 @@ def open_sockets():
     return {"sockets": count}
 
 
+def growing_progress(seconds):
+    """Pool task: report a sample that grows for ``seconds``."""
+    count = [0]
+    report_progress(lambda: count[0])
+    stop = time.monotonic() + seconds
+    while time.monotonic() < stop:
+        count[0] += 1
+        time.sleep(0.001)
+    return {"count": count[0]}
+
+
+def tagged(tag, seconds):
+    """Pool task: report ``tag`` as its sample for ``seconds``."""
+    report_progress(lambda: tag)
+    time.sleep(seconds)
+    return {"tag": tag}
+
+
 class TestPoolWorker:
+    def test_heartbeats_ride_the_worker_pipe(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(workers, "HEARTBEAT_INTERVAL", 0.05)
+        with WorkerPool(1, growing_progress) as pool:
+            worker = pool.submit(str(tmp_path / "result.json"), 0.5)
+            submitted = worker.last_beat
+            assert pool.wait(0.3) == []  # beats do not end the wait
+            assert worker.started
+            assert worker.progress > 0
+            assert worker.last_beat > submitted
+            [(finished, payload)] = pool.wait(60)
+        assert finished is worker
+        # the completion carries the final sample
+        assert worker.progress == payload["count"]
+
+    def test_no_beat_is_charged_to_the_next_task(self, tmp_path,
+                                                 monkeypatch):
+        # more workers than cores and a beat every millisecond: a beat
+        # sent after a completion would show the finished task's tag on
+        # the worker's next task
+        monkeypatch.setattr(workers, "HEARTBEAT_INTERVAL", 0.001)
+        tags = {}
+
+        def reap(timeout):
+            for worker, payload in pool.wait(timeout):
+                assert payload == {"tag": tags.pop(worker)}
+                assert worker.progress == payload["tag"]
+            for worker, tag in tags.items():
+                assert worker.progress in (0, tag)
+
+        began = time.monotonic()
+        with WorkerPool(4, tagged) as pool:
+            for tag in range(1, 121):
+                while not pool.free:
+                    reap(60)
+                worker = pool.submit(str(tmp_path / f"{tag}.json"), tag,
+                                     0.003)
+                tags[worker] = tag
+                reap(0)
+            while tags:
+                reap(60)
+        assert time.monotonic() - began < 60
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"),
                         reason="needs /dev/fd")
     def test_worker_holds_no_inherited_socket(self, tmp_path):
