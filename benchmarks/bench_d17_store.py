@@ -1,31 +1,26 @@
-"""D17 — artifact-store warm starts & incremental recompilation (PR 8).
+"""D17 — artifact-store warm starts & incremental regeneration (PR 8).
 
 Claim: a disk-backed, content-addressed artifact store turns the
-per-process cold costs of the pipeline — ASL transpilation + dispatch
--table compilation per machine, PIM→PSM rule sweeps, per-unit codegen —
-into one-time costs.  A "worker" (simulated here by reparsing the model
-from XMI, so every Python object is fresh, exactly as in a forked or
-respawned process) that opens a warm store replays stored outcomes
-instead of rebuilding, and after an edit rebuilds *only the dependents
-of the edited elements*, counted exactly by the store's build graph.
+per-process cold costs of the pipeline — PIM→PSM rule sweeps and
+per-unit codegen — into one-time costs.  A "worker" (simulated here
+by reparsing the model from XMI, so every Python object is fresh,
+exactly as in a forked or respawned process) that opens a warm store
+serves stored artifacts instead of rebuilding, and after an edit
+rebuilds *only the dependents of the edited elements*, counted exactly
+by the store's build graph.
 
-Three tables:
+Two tables:
 
-* **worker start** — wall time to compile every machine of an
-  ``n``-machine model: ``no store`` (the in-memory-only baseline),
-  ``cold store`` (build + persist), ``warm store`` (a fresh "worker"
-  serving every compile from disk).  ``built``/``reused`` come from
-  ``store.graph`` and prove what actually happened.
-* **edit size** — re-compile cost after editing ``k`` of ``n``
-  machines: the build graph must show exactly ``k`` rebuilds, and wall
-  time should scale with ``k``, not ``n``.
-* **stages** — cold vs warm for the other store-backed stages over a
-  fixed workload: the PIM→PSM transform artifact (whole-model keyed —
-  see docs/STORE.md for why) and per-unit codegen artifacts.
+* **edit size** — per-unit codegen after editing ``k`` of ``n``
+  components on a warm store: the build graph must show exactly
+  ``k × len(BACKENDS)`` rebuilt units (the table raises otherwise),
+  and wall time should scale with ``k``, not ``n``.
+* **stages** — cold vs warm for the store-backed stages over a fixed
+  workload: the PIM→PSM transform artifact (whole-model keyed — see
+  docs/STORE.md for why) and per-unit codegen artifacts.
 
-Timing uses best-of-``REPEATS`` per mode with the store directory
-recreated per cold trial; stores live under a temp directory that is
-removed afterwards.
+Compiled state machines are not stored, so no table times a compile
+stage.  Stores live under a temp directory that is removed afterwards.
 """
 
 import shutil
@@ -35,52 +30,20 @@ from pathlib import Path
 
 import repro
 import repro.metamodel as mm
-from repro.codegen import generate_units
+from repro.codegen import BACKENDS, generate_units
+from repro.codegen.base import hardware_components
 from repro.hw import make_memory, make_traffic_generator
 from repro.mda import hardware_transformation
 from repro.metamodel import Model
 from repro.profiles import create_soc_profile
 from repro.profiles.core import apply_stereotype
-from repro.statemachines import StateMachine, compile_machine_cached
 from repro.store import ArtifactStore, using_store
 from repro.xmi import read_model, write_model
 
-#: Machine counts for the worker-start sweep (QUICK overrides via SIZES).
+#: Component counts for the edit-size sweep (QUICK overrides).
 SIZES = (4, 16)
-#: States per generated machine (transpile work per compile).
-STATES = 6
-REPEATS = 3
 #: Fractions of the model edited in the edit-size sweep.
 EDIT_FRACTIONS = (0.0, 0.25, 1.0)
-
-
-def _machine(name, states=STATES):
-    machine = StateMachine(name)
-    region = machine.region
-    previous = region.add_state(f"{name}_S0")
-    region.add_transition(region.add_initial(), previous)
-    for index in range(1, states):
-        nxt = region.add_state(f"{name}_S{index}")
-        region.add_transition(previous, nxt, trigger="step",
-                              guard=f"count < {index * 10}",
-                              effect="count = count + 1;")
-        previous = nxt
-    return machine
-
-
-def build_model(machines):
-    repro.reset_ids()
-    model = Model("design")
-    for index in range(machines):
-        component = model.add(mm.Component(f"Ip{index}"))
-        component.add_behavior(_machine(f"fsm{index}"),
-                               as_classifier_behavior=True)
-    return model
-
-
-def _machines_of(root):
-    return sorted(root.descendants_of_type(StateMachine),
-                  key=lambda machine: machine.name)
 
 
 def _fresh_worker(model):
@@ -88,80 +51,44 @@ def _fresh_worker(model):
     return read_model(write_model(model)).model
 
 
-def _compile_all(root, store):
-    start = time.perf_counter()
-    with using_store(store):
-        for machine in _machines_of(root):
-            compile_machine_cached(machine)
-    return (time.perf_counter() - start) * 1e3
-
-
-def worker_start_rows():
-    rows = []
-    scratch = Path(tempfile.mkdtemp(prefix="d17-start-"))
-    try:
-        for size in SIZES:
-            model = build_model(size)
-            xmi_text = write_model(model)
-            best = {}
-            counts = {}
-            for trial in range(REPEATS):
-                for mode in ("no store", "cold store", "warm store"):
-                    root = read_model(xmi_text).model
-                    if mode == "no store":
-                        store = None
-                    else:
-                        directory = scratch / f"{size}-{trial}"
-                        if mode == "cold store" and directory.exists():
-                            shutil.rmtree(directory)
-                        store = ArtifactStore(directory)
-                    wall = _compile_all(root, store)
-                    best[mode] = min(best.get(mode, wall), wall)
-                    if store is not None:
-                        counts[mode] = (store.graph.built("compile"),
-                                        store.graph.reused("compile"))
-            for mode in ("no store", "cold store", "warm store"):
-                built, reused = counts.get(mode, (size, 0)) \
-                    if mode != "no store" else ("-", "-")
-                rows.append({
-                    "experiment": "worker start",
-                    "machines": size,
-                    "mode": mode,
-                    "wall_ms": round(best[mode], 2),
-                    "built": built,
-                    "reused": reused,
-                })
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-    return rows
-
-
 def edit_size_rows():
     rows = []
-    size = max(SIZES)
     scratch = Path(tempfile.mkdtemp(prefix="d17-edit-"))
     try:
-        model = build_model(size)
-        with using_store(ArtifactStore(scratch / "store")):
-            for machine in _machines_of(model):
-                compile_machine_cached(machine)
-        for fraction in EDIT_FRACTIONS:
-            edited = int(round(size * fraction))
-            worker = _fresh_worker(model)
-            for machine in _machines_of(worker)[:edited]:
-                # content-unique per fraction so one sweep's rebuilt
-                # artifacts can never serve the next sweep's edits
-                machine.region.add_state(f"Edited_{fraction}")
-            store = ArtifactStore(scratch / "store")
-            wall = _compile_all(worker, store)
-            rows.append({
-                "experiment": "edit size",
-                "machines": size,
-                "edited": edited,
-                "wall_ms": round(wall, 2),
-                "rebuilt": store.graph.built("compile"),
-                "reused": store.graph.reused("compile"),
-            })
+        for size in SIZES:
+            model = _codegen_model(size)
+            directory = scratch / f"store-{size}"
+            with using_store(ArtifactStore(directory)):
+                generate_units(model)
+            for fraction in EDIT_FRACTIONS:
+                edited = int(round(size * fraction))
+                worker = _fresh_worker(model)
+                for component in hardware_components(worker)[:edited]:
+                    # content-unique per fraction so one sweep's rebuilt
+                    # artifacts can never serve the next sweep's edits
+                    component.classifier_behavior.region.add_state(
+                        f"Edited_{fraction}")
+                store = ArtifactStore(directory)
+                start = time.perf_counter()
+                with using_store(store):
+                    generate_units(worker)
+                wall = (time.perf_counter() - start) * 1e3
+                rebuilt = store.graph.built("codegen")
+                reused = store.graph.reused("codegen")
+                if (rebuilt, reused) != (edited * len(BACKENDS),
+                                         (size - edited) * len(BACKENDS)):
+                    raise RuntimeError(
+                        f"D17 edit size: {edited} of {size} components "
+                        f"edited, but {rebuilt} units rebuilt and "
+                        f"{reused} reused")
+                rows.append({
+                    "experiment": "edit size",
+                    "components": size,
+                    "edited": edited,
+                    "wall_ms": round(wall, 2),
+                    "rebuilt": rebuilt,
+                    "reused": reused,
+                })
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     return rows
@@ -178,11 +105,12 @@ def _stage_model(classes=6):
     return model, profile
 
 
-def _codegen_model(components=4):
+def _codegen_model(components=5):
+    """``components - 1`` traffic generators and one memory."""
     repro.reset_ids()
     model = Model("design")
     package = model.create_package("design")
-    for index in range(components):
+    for index in range(components - 1):
         package.add(make_traffic_generator(f"Cpu{index}", period=2.0,
                                            address_range=0x1000))
     package.add(make_memory("Ram", size_bytes=0x800))
@@ -230,7 +158,7 @@ def stage_rows():
 
 
 def table():
-    return worker_start_rows() + edit_size_rows() + stage_rows()
+    return edit_size_rows() + stage_rows()
 
 
 if __name__ == "__main__":

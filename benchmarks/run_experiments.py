@@ -72,7 +72,7 @@ EXPERIMENTS = {
     "d16": ("bench_d16_properties",
             "online property checking & pass-rate curves"),
     "d17": ("bench_d17_store",
-            "artifact-store warm starts & incremental recompilation"),
+            "artifact-store warm starts & incremental regeneration"),
     "d18": ("bench_d18_causality",
             "causal span tracing & live telemetry overhead"),
     "d19": ("bench_d19_service",

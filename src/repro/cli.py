@@ -87,21 +87,18 @@ def _load(path: str):
 
 
 def _activate_store(args: argparse.Namespace):
-    """Honor ``--store DIR``: activate (and export) the artifact store.
+    """Honor ``--store DIR``: activate the artifact store.
 
-    Exporting ``REPRO_STORE`` makes spawned campaign workers and child
-    tool invocations resolve the same store.  Without ``--store`` the
-    active store (possibly auto-activated from the environment) is
-    returned unchanged — None when persistence is off.
+    Forked pool workers inherit the active store.  Without ``--store``
+    the active store (possibly auto-activated from ``$REPRO_STORE``)
+    is returned unchanged — None when persistence is off.
     """
-    from .store import ArtifactStore, STORE_ENV, set_active_store
+    from .store import ArtifactStore, get_active_store, set_active_store
     path = getattr(args, "store_dir", "")
     if path:
         store = ArtifactStore(path)
         set_active_store(store)
-        os.environ[STORE_ENV] = str(store.root)
         return store
-    from .store import get_active_store
     return get_active_store()
 
 
@@ -981,10 +978,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write the per-run PropertyReport JSON")
     simulate.add_argument("--store", default="", dest="store_dir",
                           metavar="DIR",
-                          help="artifact store: pull warm compiled "
-                               "artifacts by fingerprint and persist "
-                               "cold builds (default: $REPRO_STORE "
-                               "when set)")
+                          help="artifact store that registers the "
+                               "model (default: $REPRO_STORE when "
+                               "set)")
     simulate.set_defaults(handler=cmd_simulate)
 
     campaign = commands.add_parser(
@@ -1043,9 +1039,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "rates / time-to-violation JSON")
     campaign.add_argument("--store", default="", dest="store_dir",
                           metavar="DIR",
-                          help="artifact store shared with campaign "
-                               "workers (serial and fork-pool paths; "
-                               "default: $REPRO_STORE when set)")
+                          help="artifact store that registers the "
+                               "model and keeps the --obs-report "
+                               "(default: $REPRO_STORE when set)")
     campaign.set_defaults(handler=cmd_campaign)
 
     serve = commands.add_parser(

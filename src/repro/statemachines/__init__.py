@@ -32,12 +32,10 @@ from .flatten import (
     FlatStateMachine,
     default_alphabet,
     flatten,
-    flatten_cached,
 )
 from .compiled import (
     CompiledMachine,
     CompiledRuntime,
-    CompilePlan,
     compile_fallback_reason,
     compile_machine,
     compile_machine_cached,
@@ -51,11 +49,10 @@ __all__ = [
     "FinalState", "Pseudostate", "PseudostateKind", "Region", "State",
     "StateMachine", "Transition", "TransitionKind", "Vertex",
     "ELSE_GUARD", "StateMachineRuntime",
-    "CompiledMachine", "CompiledRuntime", "CompilePlan",
-    "FlatStateMachine",
+    "CompiledMachine", "CompiledRuntime", "FlatStateMachine",
     "compile_fallback_reason", "compile_machine",
     "compile_machine_cached",
-    "default_alphabet", "flatten", "flatten_cached",
+    "default_alphabet", "flatten",
     "clone_machine", "connection_point", "inline_submachine",
     "analysis",
 ]

@@ -96,77 +96,7 @@ def _wrap_asl_error(source: str, exc: Exception) -> AslRuntimeError:
     return AslRuntimeError(f"compiled action failed: {exc} (in {source!r})")
 
 
-class CompilePlan:
-    """The persistable transpile outcomes of one machine's compile.
-
-    A plan maps every ASL guard/action source string of a machine to
-    its transpiled Python source (or ``None`` when the source falls
-    back to the tree-walking interpreter).  It is the content of the
-    per-machine ``compile`` artifact in :mod:`repro.store`: warm
-    compiles replay recorded outcomes — one ``compile()`` call per
-    site — skipping ASL parsing and transpilation entirely, and are
-    byte-identical to cold compiles because the executed Python source
-    is literally the same string.
-    """
-
-    __slots__ = ("guards", "actions", "recording")
-
-    PAYLOAD_VERSION = 1
-
-    def __init__(self, guards: Optional[Dict[str, Optional[str]]] = None,
-                 actions: Optional[Dict[str, Optional[str]]] = None,
-                 recording: bool = False):
-        self.guards: Dict[str, Optional[str]] = dict(guards or {})
-        self.actions: Dict[str, Optional[str]] = dict(actions or {})
-        self.recording = recording
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {"plan_version": self.PAYLOAD_VERSION,
-                "guards": self.guards, "actions": self.actions}
-
-    @classmethod
-    def from_payload(cls, payload: Any) -> Optional["CompilePlan"]:
-        """Rebuild from a stored payload; None when the shape is off."""
-        if not isinstance(payload, dict) \
-                or payload.get("plan_version") != cls.PAYLOAD_VERSION:
-            return None
-        guards = payload.get("guards")
-        actions = payload.get("actions")
-        if not isinstance(guards, dict) or not isinstance(actions, dict):
-            return None
-        sources = list(guards.items()) + list(actions.items())
-        if not all(isinstance(key, str)
-                   and (value is None or isinstance(value, str))
-                   for key, value in sources):
-            return None
-        return cls(guards, actions, recording=False)
-
-    def __repr__(self) -> str:
-        mode = "recording" if self.recording else "replay"
-        return (f"<CompilePlan {mode} guards={len(self.guards)} "
-                f"actions={len(self.actions)}>")
-
-
-#: Sentinel: "this source has no recorded transpile outcome".
-_UNPLANNED = object()
-
-
-def _planned_source(plan: Optional[CompilePlan], table: str,
-                    source: str):
-    """A recorded transpile outcome, or ``_UNPLANNED``."""
-    if plan is None or plan.recording:
-        return _UNPLANNED
-    return getattr(plan, table).get(source, _UNPLANNED)
-
-
-def _record_source(plan: Optional[CompilePlan], table: str, source: str,
-                   python_source: Optional[str]) -> None:
-    if plan is not None and plan.recording:
-        getattr(plan, table)[source] = python_source
-
-
-def _compile_guard(guard, plan: Optional[CompilePlan] = None
-                   ) -> Optional[Callable]:
+def _compile_guard(guard) -> Optional[Callable]:
     """Compile a guard into ``g(runtime, env, occurrence) -> bool``.
 
     Returns None for the always-true guard.  The ``env`` argument is the
@@ -187,25 +117,15 @@ def _compile_guard(guard, plan: Optional[CompilePlan] = None
         def never(runtime, env, occurrence):
             return False
         return never
-    python_source = _planned_source(plan, "guards", guard)
-    if python_source is _UNPLANNED:
-        try:
-            from .. import asl
-            from ..codegen.transpile import to_python_expression
+    try:
+        from .. import asl
+        from ..codegen.transpile import to_python_expression
 
-            python_source = to_python_expression(
-                asl.parse_expression(guard))
-            if "self." in python_source:
-                python_source = None
-        except Exception:
-            python_source = None
-        _record_source(plan, "guards", guard, python_source)
-    code = None
-    if python_source is not None:
-        try:
-            code = compile(python_source, "<asl-guard>", "eval")
-        except Exception:
-            code = None
+        python_source = to_python_expression(asl.parse_expression(guard))
+        code = (compile(python_source, "<asl-guard>", "eval")
+                if "self." not in python_source else None)
+    except Exception:
+        code = None
     if code is not None:
         def run_compiled(runtime, env, occurrence, _code=code, _src=guard):
             try:
@@ -222,8 +142,7 @@ def _compile_guard(guard, plan: Optional[CompilePlan] = None
     return run_interpreted
 
 
-def _compile_action(action, plan: Optional[CompilePlan] = None
-                    ) -> Optional[Callable]:
+def _compile_action(action) -> Optional[Callable]:
     """Compile an effect/entry/exit into ``a(runtime, occurrence)``.
 
     ASL source is transpiled and ``compile()``d when every construct has
@@ -241,24 +160,15 @@ def _compile_action(action, plan: Optional[CompilePlan] = None
     if not isinstance(action, str):
         raise StateMachineError(
             f"unsupported action type {type(action).__name__}")
-    python_source = _planned_source(plan, "actions", action)
-    if python_source is _UNPLANNED:
-        try:
-            from ..codegen.transpile import to_python_statements
+    try:
+        from ..codegen.transpile import to_python_statements
 
-            python_source = "\n".join(
-                to_python_statements(action, set(), send_call="_send"))
-            if "self." in python_source:
-                python_source = None
-        except Exception:
-            python_source = None
-        _record_source(plan, "actions", action, python_source)
-    code = None
-    if python_source is not None:
-        try:
-            code = compile(python_source, "<asl-effect>", "exec")
-        except Exception:
-            code = None
+        python_source = "\n".join(
+            to_python_statements(action, set(), send_call="_send"))
+        code = (compile(python_source, "<asl-effect>", "exec")
+                if "self." not in python_source else None)
+    except Exception:
+        code = None
     if code is not None:
         def run_compiled(runtime, occurrence, _code=code, _src=action):
             env = dict(runtime.context)
@@ -411,14 +321,11 @@ def compile_fallback_reason(machine: StateMachine) -> Optional[str]:
     return None
 
 
-def compile_machine(machine: StateMachine,
-                    plan: Optional[CompilePlan] = None) -> CompiledMachine:
+def compile_machine(machine: StateMachine) -> CompiledMachine:
     """Compile a flat machine into per-state dispatch tables.
 
     Raises :class:`StateMachineError` when the machine is outside the
     compilable subset (check :func:`compile_fallback_reason` first).
-    ``plan`` replays (or, when recording, captures) transpile outcomes
-    for the store-backed warm-compile path.
     """
     reason = compile_fallback_reason(machine)
     if reason is not None:
@@ -431,9 +338,9 @@ def compile_machine(machine: StateMachine,
         by_name: Dict[str, CompiledState] = {}
         for state in machine.all_states():
             cstate = CompiledState(state.name)
-            cstate.entry = _compile_action(state.entry, plan)
-            cstate.do_activity = _compile_action(state.do_activity, plan)
-            cstate.exit = _compile_action(state.exit, plan)
+            cstate.entry = _compile_action(state.entry)
+            cstate.do_activity = _compile_action(state.do_activity)
+            cstate.exit = _compile_action(state.exit)
             cstates[id(state)] = cstate
             by_name[state.name] = cstate
 
@@ -447,8 +354,8 @@ def compile_machine(machine: StateMachine,
                 compiled = CompiledTransition(
                     transition.kind is TransitionKind.INTERNAL,
                     cstates[id(transition.target)],
-                    _compile_guard(transition.guard, plan),
-                    _compile_action(transition.effect, plan),
+                    _compile_guard(transition.guard),
+                    _compile_action(transition.effect),
                     state.name)
                 for event in transition.triggers:
                     if isinstance(event, TimeEvent):
@@ -469,7 +376,7 @@ def compile_machine(machine: StateMachine,
             raise StateMachineError(
                 f"machine {machine.name!r} has no initial pseudostate")
         initial_transition = initial.outgoing[0]
-        initial_effect = _compile_action(initial_transition.effect, plan)
+        initial_effect = _compile_action(initial_transition.effect)
         initial_state = cstates[id(initial_transition.target)]
 
     PERF.incr("sm.machines_compiled")
@@ -489,15 +396,6 @@ def compile_machine_cached(machine: StateMachine) -> CompiledMachine:
     machine edited after compilation recompiles while N identical part
     instances (and N campaign seeds over one parsed model) share a
     single dispatch table, which the pre-fork campaign warm-up relies on.
-
-    When an artifact store is active (:func:`repro.store.
-    get_active_store`), in-memory misses consult the per-machine
-    ``compile`` artifact keyed by the machine's subtree fingerprint:
-    warm processes replay the stored :class:`CompilePlan` instead of
-    re-transpiling, and cold compiles persist their plan for the next
-    worker.  Editing one machine of a model changes only that machine's
-    fingerprint, so siblings keep warm artifacts — the incremental
-    recompilation path.
     """
     key = id(machine)
     generation = machine.root().generation
@@ -506,32 +404,7 @@ def compile_machine_cached(machine: StateMachine) -> CompiledMachine:
         PERF.incr("sm.compile_cache_hits")
         return hit[2]
 
-    from ..store import get_active_store
-    store = get_active_store()
-    plan = None
-    if store is not None:
-        from ..metamodel.model import element_fingerprint
-        fingerprint = element_fingerprint(machine)
-        store_key = store.make_key("compile", fingerprint)
-        payload = store.load("compile", store_key,
-                             inputs=(fingerprint,), label=machine.name)
-        plan = CompilePlan.from_payload(payload) \
-            if payload is not None else None
-        if plan is not None:
-            PERF.incr("sm.compile_store_hits")
-    if plan is not None:
-        compiled = compile_machine(machine, plan=plan)
-    elif store is not None:
-        plan = CompilePlan(recording=True)
-        compiled = compile_machine(machine, plan=plan)
-        store.save("compile", store_key, plan.to_payload(),
-                   inputs=(fingerprint,),
-                   meta={"machine": machine.name,
-                         "states": len(compiled.states)},
-                   label=machine.name)
-    else:
-        compiled = compile_machine(machine)
-
+    compiled = compile_machine(machine)
     if len(_COMPILE_CACHE) >= _COMPILE_CACHE_MAX:
         _COMPILE_CACHE.clear()
     _COMPILE_CACHE[key] = (machine, generation, compiled)

@@ -164,79 +164,3 @@ def flatten(machine: StateMachine,
 
     return FlatStateMachine(names[initial_key], transitions, labels,
                             event_names)
-
-
-def _flat_to_payload(flat: FlatStateMachine) -> Dict[str, Any]:
-    """A :class:`FlatStateMachine` as a JSON-clean store payload."""
-    return {
-        "flat_version": 1,
-        "initial": flat.initial,
-        "alphabet": list(flat.alphabet),
-        "transitions": sorted(
-            [source, event, target]
-            for (source, event), target in flat.transitions.items()),
-        "labels": {name: list(leaves)
-                   for name, leaves in flat.state_labels.items()},
-    }
-
-
-def _flat_from_payload(payload: Any) -> Optional[FlatStateMachine]:
-    """Rebuild a flat machine; None when the payload shape is off."""
-    if not isinstance(payload, dict) \
-            or payload.get("flat_version") != 1:
-        return None
-    try:
-        transitions = {(source, event): target
-                       for source, event, target
-                       in payload["transitions"]}
-        labels = {str(name): tuple(leaves)
-                  for name, leaves in payload["labels"].items()}
-        flat = FlatStateMachine(str(payload["initial"]), transitions,
-                                labels, tuple(payload["alphabet"]))
-    except (KeyError, TypeError, ValueError):
-        return None
-    if flat.initial not in flat.state_labels:
-        return None
-    return flat
-
-
-def flatten_cached(machine: StateMachine,
-                   alphabet: Optional[Sequence[str]] = None,
-                   context: Optional[Dict[str, Any]] = None,
-                   max_configurations: int = 100_000
-                   ) -> FlatStateMachine:
-    """Store-backed :func:`flatten`.
-
-    With an active artifact store, the flattening of a machine is a
-    per-machine ``flatten`` artifact keyed by the machine's subtree
-    fingerprint plus the alphabet and guard context: warm processes
-    skip configuration exploration entirely.  Without a store this is
-    exactly :func:`flatten`.  Each call returns a fresh
-    :class:`FlatStateMachine` positioned at its initial configuration.
-    """
-    from ..store import get_active_store
-    store = get_active_store()
-    if store is None:
-        return flatten(machine, alphabet, context, max_configurations)
-
-    from ..metamodel.model import element_fingerprint
-    from ..store import canonical_json
-    fingerprint = element_fingerprint(machine)
-    extras = canonical_json({
-        "alphabet": list(alphabet) if alphabet is not None else None,
-        "context": sorted((dict(context or {})).items()),
-    })
-    store_key = store.make_key("flatten", fingerprint, extras)
-    payload = store.load("flatten", store_key, inputs=(fingerprint,),
-                         label=machine.name)
-    if payload is not None:
-        flat = _flat_from_payload(payload)
-        if flat is not None:
-            return flat
-    flat = flatten(machine, alphabet, context, max_configurations)
-    store.save("flatten", store_key, _flat_to_payload(flat),
-               inputs=(fingerprint,),
-               meta={"machine": machine.name,
-                     "configurations": len(flat.state_labels)},
-               label=machine.name)
-    return flat

@@ -1,16 +1,17 @@
 """repro.store: the content-addressed artifact store and build graph.
 
 PR 8's refactor of the model-processing pipeline into explicit build
-stages.  Each stage — PIM→PSM transform (:mod:`repro.mda.engine`),
-per-machine flattening (:mod:`repro.statemachines.flatten`) and
-dispatch-table compilation (:mod:`repro.statemachines.compiled`),
-per-unit code generation (:mod:`repro.codegen.pipeline`) — keys its
-output by the content fingerprints of the model slice it reads plus
-its upstream artifacts, persists it in an :class:`ArtifactStore`, and
-records a node in the store's :class:`BuildGraph`.  Editing one state
-machine of a system model therefore rebuilds only that machine's
-dependents; siblings are served warm, byte-identically (the warm-start
-lockstep gate).
+stages.  The PIM→PSM transform (:mod:`repro.mda.engine`) and per-unit
+code generation (:mod:`repro.codegen.pipeline`) key their output by
+the content fingerprints of the model slice they read plus their
+upstream artifacts, persist it in an :class:`ArtifactStore`, and
+record a node in the store's :class:`BuildGraph`.  Editing one
+component of a system model therefore regenerates only that
+component's units; siblings are served warm, byte-identically.  The
+store also keeps registered models, service results and observability
+reports.  Compiled state machines are not stored: the in-process memo
+of :func:`repro.statemachines.compile_machine_cached` is their only
+cache.
 
 Activation
 ----------
@@ -19,11 +20,11 @@ Stages consult the process-wide *active store*:
 >>> from repro.store import ArtifactStore, set_active_store
 >>> set_active_store(ArtifactStore("/tmp/mystore"))   # doctest: +SKIP
 
-``set_active_store(None)`` disables persistence (stages fall back to
-their in-memory caches only).  When no store has been set explicitly
-and the ``REPRO_STORE`` environment variable names a directory, the
-first consumer auto-activates a store there — this is how CLI-spawned
-and pool-forked campaign workers join their parent's store.
+``set_active_store(None)`` disables persistence (every stage then
+rebuilds).  When no store has been set explicitly and the
+``REPRO_STORE`` environment variable names a directory, the first
+consumer auto-activates a store there.  Forked pool workers inherit
+their parent's active store.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Artifacts are keyed by content fingerprints of their inputs (model
 subtree digests plus upstream artifact keys) and persisted as
 version-stamped, sorted-key JSON envelopes::
 
-    {"version": 1, "kind": "compile", "key": "...", "inputs": [...],
+    {"version": 1, "kind": "codegen", "key": "...", "inputs": [...],
      "meta": {...}, "payload": ..., "checksum": "..."}
 
 Durability protocol (safe under concurrent fork workers):
@@ -23,7 +23,7 @@ The default location is ``~/.cache/repro`` (override with the
 ``REPRO_STORE`` environment variable or an explicit root — the CLI's
 ``--store DIR``).  Every load/save also records a node in the store's
 :class:`~repro.store.graph.BuildGraph`, which is how the incremental
-recompilation tests count rebuilds.
+regeneration tests count rebuilds.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from .graph import BUILT, REUSED, BuildGraph
 #: Envelope format version; bumping it invalidates every stored artifact.
 ENVELOPE_VERSION = 1
 
-#: Environment variable naming the store root (the CLI exports it so
-#: spawned campaign workers resolve the same store as their parent).
+#: Environment variable naming the store root.
 STORE_ENV = "REPRO_STORE"
 
 
@@ -88,11 +87,15 @@ class ArtifactStore:
                       .encode("utf-8", "surrogatepass"))
         return digest.hexdigest()
 
+    @staticmethod
+    def _check_name(what: str, name: str) -> None:
+        """A kind or key must be one path component under ``objects/``."""
+        if not name or any(ch in name for ch in "/\\."):
+            raise StoreError(f"invalid artifact {what} {name!r}")
+
     def _path(self, kind: str, key: str) -> Path:
-        if not kind or any(ch in kind for ch in "/\\."):
-            raise StoreError(f"invalid artifact kind {kind!r}")
-        if not key or any(ch in key for ch in "/\\."):
-            raise StoreError(f"invalid artifact key {key!r}")
+        self._check_name("kind", kind)
+        self._check_name("key", key)
         return self._objects / kind / f"{key}.json"
 
     # -- load / save ------------------------------------------------------
@@ -177,6 +180,8 @@ class ArtifactStore:
         than skipped, so ``repro store ls`` surfaces damage.
         """
         entries: List[Dict[str, Any]] = []
+        if kind is not None:
+            self._check_name("kind", kind)
         kinds = [kind] if kind is not None else sorted(
             p.name for p in self._objects.iterdir() if p.is_dir())
         for kind_name in kinds:

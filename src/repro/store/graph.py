@@ -1,16 +1,15 @@
 """The explicit build graph over pipeline stages.
 
 Every store-mediated stage of the model-processing pipeline — PIM→PSM
-transform, per-machine flattening, per-machine dispatch-table compile,
-per-unit codegen — records a :class:`BuildNode` here: the artifact kind,
-its content-addressed key, the input fingerprints it declared (the model
-slice it read plus upstream artifact keys), and whether the artifact was
-**built** (cold: the stage ran) or **reused** (warm: served from the
-disk store).  The graph is what makes incremental recompilation
-*checkable*: after editing exactly one state machine of a multi-part
-model, the counters must show one ``built`` compile node and warm
-reuses for every sibling — the PR 8 acceptance gate asserts exactly
-that.
+transform, per-unit codegen — and every stored model, result or report
+records a :class:`BuildNode` here: the artifact kind, its
+content-addressed key, the input fingerprints it declared (the model
+slice it read plus upstream artifact keys), and whether the artifact
+was **built** (cold: the stage ran) or **reused** (warm: served from
+the disk store).  The graph is what makes incremental regeneration
+*checkable*: after editing exactly one component of a multi-part
+model, the counters must show one ``built`` codegen node per backend
+and warm reuses for every sibling unit.
 
 The graph is per-:class:`~repro.store.artifacts.ArtifactStore` instance
 and in-memory only; it describes *this process's* build activity, not
@@ -31,7 +30,7 @@ REUSED = "reused"
 class BuildNode:
     """One stage execution: an artifact and the inputs that keyed it."""
 
-    kind: str                       # "transform" | "flatten" | "compile" | ...
+    kind: str                       # "transform" | "codegen" | ...
     key: str                        # content-addressed artifact key
     inputs: Tuple[str, ...]         # input fingerprints / upstream keys
     status: str                     # BUILT or REUSED
@@ -71,24 +70,9 @@ class BuildGraph:
             bucket[node.status] = bucket.get(node.status, 0) + 1
         return {kind: table[kind] for kind in sorted(table)}
 
-    def dependents_of(self, fingerprint: str) -> Tuple[BuildNode, ...]:
-        """Every node that declared ``fingerprint`` among its inputs."""
-        return tuple(node for node in self.nodes
-                     if fingerprint in node.inputs)
-
     def reset(self) -> None:
         """Forget recorded activity (counters restart at zero)."""
         self.nodes.clear()
-
-    def explain(self) -> List[str]:
-        """Human-readable one-line-per-node build log."""
-        lines = []
-        for node in self.nodes:
-            label = f" {node.label}" if node.label else ""
-            lines.append(f"{node.status:<6} {node.kind}{label} "
-                         f"key={node.key[:12]} "
-                         f"inputs={len(node.inputs)}")
-        return lines
 
     def __repr__(self) -> str:
         return (f"<BuildGraph {len(self.nodes)} nodes "

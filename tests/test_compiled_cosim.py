@@ -24,6 +24,7 @@ from repro.hw import (
     make_uart_tx,
 )
 from repro.metamodel.components import Component, PortDirection
+from repro.perf import PERF
 from repro.simulation import SystemSimulation
 from repro.statemachines import (
     CompiledRuntime,
@@ -32,7 +33,9 @@ from repro.statemachines import (
     TransitionKind,
     compile_fallback_reason,
     compile_machine,
+    compile_machine_cached,
 )
+from repro.store import ArtifactStore, using_store
 
 
 def lockstep(machine, script, context=None):
@@ -222,6 +225,31 @@ class TestFallbackDetection:
                           make_memory("M")):
             assert compile_fallback_reason(
                 component.classifier_behavior) is None
+
+
+class TestCompileMemo:
+    """The in-process memo is the only cache in front of the compiler."""
+
+    def test_memo_hits_until_an_edit_and_never_uses_the_store(
+            self, tmp_path):
+        machine = make_memory("M").classifier_behavior
+        first = compile_machine_cached(machine)
+        hits = PERF.counter("sm.compile_cache_hits")
+        assert compile_machine_cached(machine) is first
+        assert PERF.counter("sm.compile_cache_hits") == hits + 1
+
+        machine.region.add_state("Extra")
+        edited = compile_machine_cached(machine)
+        assert edited is not first
+        assert "Extra" in edited.states and "Extra" not in first.states
+
+        store = ArtifactStore(tmp_path)
+        with using_store(store):
+            with SystemSimulation(replicated_top(), engine="compiled") \
+                    as simulation:
+                simulation.run(until=20.0)
+        assert simulation.stats()["compiled_parts"] > 0
+        assert store.ls() == []
 
 
 def run_pair(top_factory, until=200.0, contexts=None):

@@ -215,6 +215,21 @@ class TestMaintenance:
         assert removed == [("compile", "old")]
         assert store.load("compile", "hot") == {"n": 2}
 
+    def test_ls_and_gc_reject_a_kind_outside_the_store(self, tmp_path,
+                                                       capsys):
+        from repro.cli import main
+        (tmp_path / "secret.json").write_text("{}")
+        store = ArtifactStore(tmp_path / "st")
+        with pytest.raises(StoreError, match="invalid artifact kind"):
+            store.ls("../..")
+        with pytest.raises(StoreError, match="invalid artifact kind"):
+            store.gc(kind="../..", dry_run=True)
+        for action in (["ls"], ["gc", "--dry-run"], ["gc"]):
+            assert main(["store", *action, "--store", str(store.root),
+                         "--kind", "../.."]) == 2
+            assert "secret" not in capsys.readouterr().out
+        assert (tmp_path / "secret.json").exists()
+
 
 class TestActiveStore:
     def test_set_and_restore(self, tmp_path):
@@ -369,15 +384,14 @@ class TestStoreCli:
                      "--store", store_dir]) == 0
         capsys.readouterr()
 
-        # simulate --store registered the model + persisted compiles
+        # simulate --store registers the model; compiles stay in memory
         assert main(["store", "ls", "--store", store_dir]) == 0
-        listing = capsys.readouterr().out
-        assert "compile" in listing and "model" in listing
+        assert "model" in capsys.readouterr().out
 
         assert main(["store", "info", "--store", store_dir]) == 0
         info = json.loads(capsys.readouterr().out)
-        assert info["artifacts"] >= 2
-        assert "compile" in info["kinds"]
+        assert info["artifacts"] == 1
+        assert list(info["kinds"]) == ["model"]
 
         # registry query by model name
         assert main(["store", "ls", "--store", store_dir,
