@@ -578,7 +578,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     finally:
         for signum, handler in previous.items():
             signal_module.signal(signum, handler)
-    print("drained; queue state snapshotted")
+    print("drained; queued jobs stay in the journal")
     return EXIT_OK
 
 
@@ -1006,7 +1006,9 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--run-timeout", type=float, default=None,
                           dest="run_timeout", metavar="S",
                           help="wall-clock budget per seed; hung "
-                               "workers are killed and retried")
+                               "workers are killed and retried (runs "
+                               "seeds in worker processes even "
+                               "without --parallel)")
     campaign.add_argument("--retries", type=int, default=2,
                           help="infrastructure retries per seed "
                                "(crashes/timeouts; sim errors are "
@@ -1050,7 +1052,7 @@ def build_parser() -> argparse.ArgumentParser:
              "over a local socket)")
     serve.add_argument("state_dir",
                        help="service state directory (journal, "
-                            "snapshots, result files)")
+                            "result files)")
     serve.add_argument("--socket", default="", dest="socket_path",
                        metavar="PATH",
                        help="Unix socket to serve on (default: "

@@ -25,8 +25,8 @@ the sweep as robust as the models it is torturing:
   commutative/associative ``merge``, so serial, parallel and resumed
   sweeps over the same seeds serialize byte-identically;
 * **graceful degradation** — without usable process support (or with
-  ``workers <= 1``) the sweep runs serially in-process through the
-  exact same journal/merge path.
+  ``workers <= 1`` and no ``run_timeout``) the sweep runs serially
+  in-process through the exact same journal/merge path.
 
 Parallel sweeps run on a :class:`repro.workers.WorkerPool` that lives
 for one :func:`run_campaign` call.  The parent warms the model and
@@ -53,7 +53,7 @@ import json
 import os
 import signal
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..durable import Journal
 from ..engine import ENGINE_MODES
@@ -662,10 +662,15 @@ def run_campaign(spec: CampaignSpec,
     ``workers`` > 1 fans seeds over a pool of that many persistent
     worker processes (0/1, or a host without multiprocessing, runs
     serially in-process; the parent warms the model and compile caches
-    before the pool forks, so every worker starts warm).  ``journal``
-    appends a JSONL row per finished seed; ``resume=True`` first reads
-    it back and re-runs only the seeds
-    without an ``ok`` row.  The returned :class:`CampaignResult`
+    before the pool forks, so every worker starts warm).  A
+    ``run_timeout`` always runs the sweep on the pool, with
+    ``max(1, workers)`` slots, because its watchdog needs a process to
+    kill.  ``journal`` appends a JSONL row per finished seed under a
+    header naming the spec and the contents of its input files
+    (:func:`file_identity`); ``resume=True`` first reads it back,
+    refuses it when the spec or an input file changed, and re-runs
+    only the seeds without an ``ok`` row.  The returned
+    :class:`CampaignResult`
     serializes identically however the sweep was executed or
     interrupted, as long as the same seeds completed.
 
@@ -684,12 +689,20 @@ def run_campaign(spec: CampaignSpec,
     completed: Dict[int, Dict[str, Any]] = {}
     resumed: List[int] = []
     header = None
+    inputs = ({field: file_identity(getattr(spec, field))
+               for field in SPEC_FILE_FIELDS} if journal else None)
     if journal and resume:
         header, journaled, _ = read_journal(journal)
-        if header is not None and header.get("spec") != spec.to_dict():
+        if header is not None and (header.get("spec") != spec.to_dict()
+                                   or header.get("inputs") != inputs):
+            files = ", ".join(
+                f"{field} {getattr(spec, field)!r}"
+                for field in SPEC_FILE_FIELDS
+                if isinstance(getattr(spec, field), str)) or "none"
             raise FaultError(
                 f"journal {journal!r} was written for a different "
-                f"campaign spec; refusing to resume into it")
+                f"campaign spec or other contents of its input files "
+                f"({files}); refusing to resume into it")
         for seed in spec.seeds:
             if seed in journaled:
                 completed[seed] = journaled[seed]
@@ -707,13 +720,16 @@ def run_campaign(spec: CampaignSpec,
     rows_journal = Journal(journal) if journal else None
     if rows_journal is not None and header is None:
         rows_journal.truncate()
-        rows_journal.append({"status": "header", "spec": spec.to_dict()})
+        rows_journal.append({"status": "header", "spec": spec.to_dict(),
+                             "inputs": inputs})
+    slots = max(1, workers)
     try:
-        parallel = workers > 1 and len(todo) > 1 and _processes_usable()
+        parallel = bool(todo) and _processes_usable() and (
+            run_timeout is not None or (workers > 1 and len(todo) > 1))
         if parallel:
             _warm_spec(spec)  # workers fork with hot model/compile caches
             rows, failures = _run_parallel(
-                spec, todo, workers, rows_journal, run_timeout,
+                spec, todo, slots, rows_journal, run_timeout,
                 max_retries, retry_backoff, telemetry)
         else:
             rows, failures = _run_serial(spec, todo, rows_journal,
@@ -726,7 +742,7 @@ def run_campaign(spec: CampaignSpec,
     rows.extend(completed.values())
     return CampaignResult(spec.name, rows, failures=failures,
                           resumed_seeds=resumed,
-                          workers_used=workers if parallel else 1,
+                          workers_used=slots if parallel else 1,
                           mode="parallel" if parallel else "serial")
 
 
@@ -852,8 +868,3 @@ def _run_parallel(spec: CampaignSpec, todo: Sequence[int], workers: int,
                 if entry["seed"] not in succeeded]
     return rows, failures
 
-
-def merge_rows(rows: Iterable[Dict[str, Any]]) -> ResilienceReport:
-    """Convenience: merge bare per-seed rows (journal or result form)."""
-    return ResilienceReport.merged(
-        ResilienceReport.from_dict(row["resilience"]) for row in rows)

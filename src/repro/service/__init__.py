@@ -6,9 +6,10 @@ long-lived orchestration daemon whose accepted jobs survive SIGKILL of
 any worker — or of the daemon itself — without losing work or
 publishing a result twice:
 
-* :mod:`~repro.service.jobstore` — durable queue state: append-only
-  JSONL journal, checksummed atomic snapshots, torn-tail-tolerant
-  idempotent replay, rename-into-place result files;
+* :mod:`~repro.service.jobstore` — durable queue state: one
+  append-only JSONL journal, replayed torn-tail-tolerantly and
+  idempotently through ``Job.apply`` (the same method the daemon
+  applies live events with), and rename-into-place result files;
 * :mod:`~repro.service.lifecycle` — the job lifecycle as one of our own
   executable state machines (queued → leased → running → merging →
   done, with guarded retry-or-quarantine on lease expiry);

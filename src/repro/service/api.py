@@ -101,9 +101,9 @@ class ServiceServer:
         """Run until told to stop *and* every leased job settled.
 
         On SIGTERM/SIGINT the CLI calls :meth:`request_stop`: admission
-        closes immediately, leased work runs to completion, queued work
-        stays journaled for the next boot, and the final snapshot makes
-        the next recovery a single file read.
+        closes immediately, leased work runs to completion, and queued
+        work stays journaled for the next boot, which replays the
+        journal exactly as it would after a crash.
         """
         if self._listener is None:
             self.bind()

@@ -33,8 +33,8 @@ durable, crash-recoverable job queue:
   identical later submission is served from it byte-identically
   (``hit`` transition) instead of re-simulated;
 * SIGTERM drains gracefully: stop admitting, finish leased work,
-  snapshot, exit 0.  Queued-but-unleased jobs persist and resume on
-  the next boot.
+  exit 0.  Queued-but-unleased jobs stay in the journal and resume on
+  the next boot, exactly as after a crash.
 
 Everything observable flows through :data:`~repro.perf.PERF`
 (``service.*`` counters, the ``service.queue_depth`` gauge series and
@@ -210,14 +210,16 @@ class SimulationService:
             if state == "merging":
                 payload = self.jobstore.read_result(job_id)
                 if payload is not None:
-                    self._publish(job, payload, cached=job.cached)
+                    self._publish(job, payload)
                     counts["republished"] += 1
                     continue
                 # no result file: the unpublished result died with the
                 # old daemon; fall through to expire and re-earn it
             if state in RECOVERABLE_STATES:
                 PERF.incr("service.recovered_leases")
-                after = self._journal_event(job, "expire")
+                after = self._journal_event(
+                    job, "expire",
+                    reason="lease lost with the previous daemon")
                 if after == "queued":
                     counts["requeued"] += 1
                     self.ready_at[job_id] = time.monotonic() \
@@ -347,19 +349,17 @@ class SimulationService:
         # same ordering as a cold publish: result bytes land before the
         # journal says the job is done, so a journaled `hit` always has
         # its (byte-identical) payload on disk
-        self._deliver(job, payload, cached=True)
+        self._deliver(job, payload)
         self._journal_event(job, "hit")
-        job.cached = True
         PERF.incr("service.cache_hits")
         self._record_latency(job)
         self._finish(job)
         return True
 
     def _launch(self, job: Job) -> None:
-        attempt = job.attempts + 1
-        scratch = str(self.jobstore.result_scratch(job.job_id, attempt))
         self._journal_event(job, "lease")
-        job.attempts = attempt
+        attempt = job.attempts
+        scratch = str(self.jobstore.result_scratch(job.job_id, attempt))
         worker = self.pool.submit(scratch, job.spec, attempt)
         self.leases[job.job_id] = _Lease(
             job.job_id, worker, attempt, scratch,
@@ -373,7 +373,7 @@ class SimulationService:
         # every completed lease reaped below has journaled its start
         for lease in self.leases.values():
             job = self.jobs[lease.job_id]
-            if lease.worker.started and job.lifecycle.can("start"):
+            if lease.worker.started and job.state == "leased":
                 self._journal_event(job, "start")
         by_worker = {lease.worker: lease for lease in self.leases.values()}
         for worker, payload in finished:
@@ -388,11 +388,10 @@ class SimulationService:
                     f"before writing a result")
             elif payload.get("ok"):
                 self._journal_event(job, "complete")
-                self._publish(job, payload, cached=False)
+                self._publish(job, payload)
             else:
-                error = payload.get("error", "job failed")
-                self._journal_event(job, "fail", error=error)
-                job.error = error
+                self._journal_event(job, "fail",
+                                    error=payload.get("error", "job failed"))
                 PERF.incr("service.failed")
                 self._finish(job)
         now = time.monotonic()
@@ -420,47 +419,39 @@ class SimulationService:
             pass
 
     def _lease_failed(self, job: Job, lease: _Lease, reason: str) -> None:
-        after = self._journal_event(job, "expire")
+        after = self._journal_event(job, "expire", reason=reason)
         if after == "queued":
             PERF.incr("service.retries")
             self.ready_at[job.job_id] = time.monotonic() \
                 + backoff_delay(self.retry_backoff, lease.attempt,
                                 token=job.job_id)
         else:  # quarantined: poison job, budget exhausted
-            job.error = f"quarantined after {job.attempts} failed " \
-                        f"lease(s); last: {reason}"
             PERF.incr("service.quarantined")
             self._finish(job)
 
     # -- publishing ------------------------------------------------------
 
-    def _publish(self, job: Job, payload: Dict[str, Any],
-                 cached: bool) -> None:
+    def _publish(self, job: Job, payload: Dict[str, Any]) -> None:
         """Make a merging job's result durable, visible, and deduped.
 
         Order matters for the crash matrix: store first (idempotent,
-        content-addressed), result file second (atomic rename), journal
-        records last — every prefix of that sequence is re-runnable on
-        recovery without a second visible result.
+        content-addressed), result file second (atomic rename), the
+        ``publish`` event last — every prefix of that sequence is
+        re-runnable on recovery without a second visible result.
         """
-        if self.store is not None and not cached:
+        if self.store is not None:
             self.store.save("result", job.fingerprint, payload,
                             meta={"job": job.job_id,
                                   "campaign": job.spec.get("name", "")},
                             label=f"result {job.job_id}")
-        self._deliver(job, payload, cached=cached)
+        self._deliver(job, payload)
         self._journal_event(job, "publish")
-        job.cached = cached
         self._record_latency(job)
         self._finish(job)
 
-    def _deliver(self, job: Job, payload: Dict[str, Any],
-                 cached: bool) -> None:
-        """Result file (atomic rename) then its journal record."""
+    def _deliver(self, job: Job, payload: Dict[str, Any]) -> None:
+        """Write the job's result file (atomic rename)."""
         self.jobstore.write_result(job.job_id, payload)
-        self.jobstore.append({"kind": "result", "job_id": job.job_id,
-                              "fingerprint": job.fingerprint,
-                              "cached": cached})
         PERF.incr("service.published")
 
     def _record_latency(self, job: Job) -> None:
@@ -484,15 +475,21 @@ class SimulationService:
         """Journal a lifecycle event, then apply it. Returns new state.
 
         Journal-first means a crash immediately after the append
-        replays into exactly the state the daemon was about to be in.
-        ``merging``/``publish`` special case: the publish record lands
-        only after the result file rename (see :meth:`_publish`), so a
-        journaled publish always has its bytes on disk.
+        replays into exactly the state the daemon was about to be in:
+        replay applies the same record through the same
+        :meth:`~repro.service.jobstore.Job.apply`.  The ``publish`` and
+        ``hit`` records land only after the result file rename (see
+        :meth:`_publish`), so a journaled result always has its bytes
+        on disk.
         """
         record = {"kind": "event", "job_id": job.job_id, "event": event}
         record.update(extra)
         self.jobstore.append(record)
-        return job.lifecycle.signal(event)
+        if not job.apply(record):
+            raise ServiceError(
+                f"illegal job transition: event {event!r} is not "
+                f"enabled in state {job.state!r}")
+        return job.state
 
     # -- client operations ----------------------------------------------
 
@@ -536,8 +533,7 @@ class SimulationService:
         lease = self.leases.get(job.job_id)
         if lease is not None:
             self._kill_lease(lease)
-        self._journal_event(job, "cancel")
-        job.error = reason
+        self._journal_event(job, "cancel", error=reason)
         PERF.incr("service.cancelled")
         self._finish(job)
 
@@ -567,14 +563,12 @@ class SimulationService:
         self.draining = True
 
     def shutdown(self) -> None:
-        """Finish leased work, stop the workers, snapshot, release file
-        handles."""
+        """Finish leased work, stop the workers, release file handles."""
         self.drain()
         while self.leases:
             self.tick()
             time.sleep(0.02)
         self.pool.close()
-        self.jobstore.snapshot(self.jobs)
         self.jobstore.close()
 
     # -- convenience (in-process use: tests, benchmarks) ----------------

@@ -1,14 +1,15 @@
-"""Durable job state: append-only journal + atomic snapshots.
+"""Durable job state: one append-only journal.
 
 The daemon's queue must survive the daemon.  Every state change of
 every job is appended to a JSONL journal *before* the daemon acts on
 it, and replaying the journal reconstructs the exact queue — after a
 SIGKILL of the daemon itself, after a torn tail, after any interleaving
-of crashes.  The layout under the service state directory::
+of crashes.  The journal is the only durable job state; a drained
+restart and a crash restart read the same records.  The layout under
+the service state directory::
 
     state/
       journal.jsonl        append-only, one JSON record per line
-      snapshot.json        atomic-rename full-state snapshot
       results/<job>.json   published result payloads (rename-into-place)
       results/tmp/         scratch for the rename protocol
 
@@ -17,8 +18,14 @@ Journal records (``seq`` is a monotone sequence number)::
     {"seq": 1, "kind": "submit", "job_id": ..., "fingerprint": ...,
      "spec": {...}, "budget": 3}
     {"seq": 2, "kind": "event",  "job_id": ..., "event": "lease"}
-    {"seq": 3, "kind": "result", "job_id": ..., "fingerprint": ...,
-     "cached": false}
+    {"seq": 9, "kind": "event",  "job_id": ..., "event": "fail",
+     "error": "..."}
+
+``fail`` and ``cancel`` events carry the job's ``error``, and
+``expire`` events the lease failure's ``reason``.  Every change to a
+job goes through :meth:`Job.apply`: the daemon calls it on each event
+it appends, and :meth:`JobStore.replay` on each event it reads, so a
+live job and its replayed copy cannot drift apart.
 
 Recovery invariants (pinned by ``tests/test_service_recovery.py``):
 
@@ -35,17 +42,13 @@ Recovery invariants (pinned by ``tests/test_service_recovery.py``):
   is not a job record is a :class:`~repro.errors.ServiceError` naming
   the file and line;
 * **results are exactly-once visible** — a result lands as an atomic
-  rename into ``results/`` before its ``result`` record is journaled,
-  so a present file is complete and a journaled result always exists;
-  the daemon's recovery sweep re-publishes any file that made it to
-  disk before the record did, and dedupes by fingerprint rather than
-  re-running.
+  rename into ``results/`` before its ``publish`` or ``hit`` event is
+  journaled, so a present file is complete and a journaled result
+  always exists; the daemon's recovery sweep re-publishes any file
+  that made it to disk before the record did, and dedupes by
+  fingerprint rather than re-running.
 
-Snapshots bound replay cost: :meth:`JobStore.snapshot` atomically
-writes the whole reconstructed state plus the journal position it
-covers; replay then starts from the snapshot and applies only newer
-records.  :meth:`compact` (clean drain only) additionally resets the
-journal, since the snapshot now carries everything.
+The journal is never compacted: boot replays every record.
 """
 
 from __future__ import annotations
@@ -61,9 +64,6 @@ from ..errors import ServiceError
 from ..faults.runner import SPEC_FILE_FIELDS, file_identity
 from ..perf import PERF
 from .lifecycle import DEFAULT_LEASE_BUDGET, JobLifecycle
-
-#: Snapshot format version; mismatches fall back to full journal replay.
-SNAPSHOT_VERSION = 1
 
 
 def job_fingerprint(spec_data: Dict[str, Any]) -> str:
@@ -110,7 +110,8 @@ class Job:
         self.spec = dict(spec)
         self.lifecycle = JobLifecycle(budget=budget)
         self.attempts = 0          # leases taken so far
-        self.error = ""            # terminal error text (failed jobs)
+        self.error = ""            # why it failed, was cancelled or
+                                   # was quarantined
         self.cached = False        # result served from the store
         self.seq = seq             # journal seq of the submit record
 
@@ -132,35 +133,35 @@ class Job:
             "seeds": len(self.spec.get("seeds") or ()),
         }
 
-    def to_snapshot(self) -> Dict[str, Any]:
-        return {
-            "job_id": self.job_id,
-            "fingerprint": self.fingerprint,
-            "spec": self.spec,
-            "lifecycle": self.lifecycle.snapshot(),
-            "attempts": self.attempts,
-            "error": self.error,
-            "cached": self.cached,
-            "seq": self.seq,
-        }
+    def apply(self, record: Dict[str, Any]) -> bool:
+        """Apply one journaled ``event`` record; returns whether it fired.
 
-    @classmethod
-    def from_snapshot(cls, data: Dict[str, Any]) -> "Job":
-        job = cls(data["job_id"], data["fingerprint"], data["spec"],
-                  int(data.get("seq", 0)))
-        job.lifecycle = JobLifecycle.from_snapshot(
-            data.get("lifecycle", {}))
-        job.attempts = int(data.get("attempts", 0))
-        job.error = data.get("error", "")
-        job.cached = bool(data.get("cached", False))
-        return job
+        The one place a job changes: the daemon applies each event it
+        appends, and replay each event it reads.  An event the state
+        machine does not enable changes nothing and returns False.
+        """
+        event = record.get("event", "")
+        if not self.lifecycle.replay(event):
+            return False
+        if event == "lease":
+            self.attempts += 1
+        elif event == "hit":
+            self.cached = True
+        elif event == "fail":
+            self.error = record.get("error", "job failed")
+        elif event == "cancel":
+            self.error = record.get("error", "")
+        elif event == "expire" and self.state == "quarantined":
+            self.error = (f"quarantined after {self.attempts} failed "
+                          f"lease(s); last: {record.get('reason', '')}")
+        return True
 
     def __repr__(self) -> str:
         return f"<Job {self.job_id} {self.state} fp={self.fingerprint[:8]}>"
 
 
 class JobStore:
-    """The disk half of the daemon: journal, snapshot, result files."""
+    """The disk half of the daemon: journal and result files."""
 
     def __init__(self, root: os.PathLike):
         self.root = Path(root).expanduser()
@@ -173,7 +174,6 @@ class JobStore:
                 f"cannot create service state dir {self.root}: {exc}")
         self.journal = Journal(self.root / "journal.jsonl")
         self.journal_path = self.journal.path
-        self.snapshot_path = self.root / "snapshot.json"
         self._seq = 0  # highest seq written or replayed
 
     # -- journal ---------------------------------------------------------
@@ -204,107 +204,37 @@ class JobStore:
     # -- replay ----------------------------------------------------------
 
     def replay(self) -> Dict[str, Job]:
-        """Reconstruct all jobs from snapshot + journal suffix.
+        """Reconstruct all jobs from the journal.
 
         Also advances the internal sequence counter past everything
         seen, so new appends never reuse a seq.  Safe to call on an
-        empty or absent state directory (returns no jobs).
+        empty or absent state directory (returns no jobs).  Records of
+        other kinds (the ``result`` records older journals carry) are
+        ignored.
         """
         jobs: Dict[str, Job] = {}
-        snapshot_seq = 0
-        snapshot = self._load_snapshot()
-        if snapshot is not None:
-            snapshot_seq = int(snapshot.get("seq", 0))
-            for data in snapshot.get("jobs", []):
-                job = Job.from_snapshot(data)
-                jobs[job.job_id] = job
-        self._seq = snapshot_seq
+        self._seq = 0
         for number, record in self.journal.records():
             seq = record.get("seq") if isinstance(record, dict) else None
             if type(seq) is not int:
                 raise ServiceError(
                     f"journal {self.journal_path} line {number} is not "
                     f"a job record: {canonical_json(record)[:80]}")
-            if seq > self._seq:
-                self._seq = seq
-            if seq <= snapshot_seq:
-                continue  # the snapshot already covers this record
-            self._apply(jobs, record)
-        return jobs
-
-    def _apply(self, jobs: Dict[str, Job], record: Dict[str, Any]) -> None:
-        kind = record.get("kind")
-        job_id = record.get("job_id", "")
-        if kind == "submit":
-            if job_id in jobs:
-                return  # replay idempotence
-            jobs[job_id] = Job(
-                job_id, record.get("fingerprint", ""),
-                record.get("spec", {}), int(record.get("seq", 0)),
-                budget=int(record.get("budget", DEFAULT_LEASE_BUDGET)))
-            return
-        job = jobs.get(job_id)
-        if job is None:
-            PERF.incr("service.replay_orphans")
-            return
-        if kind == "event":
-            event = record.get("event", "")
-            if job.lifecycle.replay(event):
-                if event == "lease":
-                    job.attempts += 1
-                if event == "fail":
-                    job.error = record.get("error", "job failed")
-            else:
+            self._seq = max(self._seq, seq)
+            kind = record.get("kind")
+            job_id = record.get("job_id", "")
+            if kind == "submit":
+                if job_id not in jobs:  # a resubmitted id is a no-op
+                    jobs[job_id] = Job(
+                        job_id, record.get("fingerprint", ""),
+                        record.get("spec", {}), seq,
+                        budget=int(record.get("budget",
+                                              DEFAULT_LEASE_BUDGET)))
+            elif job_id not in jobs:
+                PERF.incr("service.replay_orphans")
+            elif kind == "event" and not jobs[job_id].apply(record):
                 PERF.incr("service.replay_skipped")
-        elif kind == "result":
-            job.cached = bool(record.get("cached", False))
-
-    # -- snapshots -------------------------------------------------------
-
-    def snapshot(self, jobs: Dict[str, Job]) -> Path:
-        """Atomically persist the full state (covering seq so far)."""
-        payload = {
-            "version": SNAPSHOT_VERSION,
-            "seq": self._seq,
-            "jobs": [jobs[job_id].to_snapshot()
-                     for job_id in sorted(jobs)],
-        }
-        payload["checksum"] = hashlib.blake2b(
-            canonical_json({k: payload[k] for k in ("version", "seq",
-                                                    "jobs")})
-            .encode("utf-8"), digest_size=16).hexdigest()
-        return atomic_write(self.snapshot_path, canonical_json(payload))
-
-    def _load_snapshot(self) -> Optional[Dict[str, Any]]:
-        try:
-            with open(self.snapshot_path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict) \
-                or payload.get("version") != SNAPSHOT_VERSION:
-            PERF.incr("service.snapshot_rejected")
-            return None
-        expected = payload.get("checksum")
-        actual = hashlib.blake2b(
-            canonical_json({k: payload.get(k) for k in ("version", "seq",
-                                                        "jobs")})
-            .encode("utf-8"), digest_size=16).hexdigest()
-        if expected != actual:
-            PERF.incr("service.snapshot_rejected")
-            return None
-        return payload
-
-    def compact(self, jobs: Dict[str, Job]) -> None:
-        """Snapshot, then reset the journal (clean-drain housekeeping).
-
-        Only sound *after* the snapshot rename landed — which is why the
-        truncation happens second: a crash between the two steps leaves
-        a journal whose every record the snapshot already covers, and
-        replay skips them by seq.
-        """
-        self.snapshot(jobs)
-        self.journal.truncate()
+        return jobs
 
     # -- results ---------------------------------------------------------
 

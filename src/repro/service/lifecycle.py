@@ -51,7 +51,7 @@ is plain model data — it round-trips through XMI like any user model.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..errors import ServiceError
 from ..statemachines import StateMachine
@@ -65,9 +65,6 @@ JOB_STATES: Tuple[str, ...] = (
 
 #: States a job can never leave.
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled", "quarantined"})
-
-#: States holding a live lease (a worker process may be attached).
-LEASED_STATES = frozenset({"leased", "running"})
 
 #: States a daemon crash orphans: a lease (or an unpublished result)
 #: died with the old process, so recovery must route through ``expire``.
@@ -169,27 +166,6 @@ class JobLifecycle:
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
-    def can(self, event: str) -> bool:
-        """Would ``event`` fire a transition right now?"""
-        if event not in JOB_EVENTS:
-            return False
-        state = self.state
-        if event == "lease":
-            return state == "queued"
-        if event == "start":
-            return state == "leased"
-        if event == "complete":
-            return state == "running"
-        if event == "publish":
-            return state == "merging"
-        if event == "expire":
-            return state in RECOVERABLE_STATES
-        if event == "fail":
-            return state in ("leased", "running", "merging")
-        if event == "hit":
-            return state == "queued"
-        return state not in TERMINAL_STATES  # cancel
-
     def signal(self, event: str) -> str:
         """Dispatch a lifecycle event; returns the new state.
 
@@ -200,70 +176,29 @@ class JobLifecycle:
         if event not in JOB_EVENTS:
             raise ServiceError(f"unknown job lifecycle event {event!r}")
         before = self.state
-        self.runtime.send(event)
-        after = self.state
-        if after == before:
+        if not self.replay(event):
             raise ServiceError(
                 f"illegal job transition: event {event!r} is not "
                 f"enabled in state {before!r}")
-        return after
+        return self.state
 
     def replay(self, event: str) -> bool:
         """Tolerant dispatch for journal replay: apply if enabled.
 
-        Returns whether the event fired.  A journal whose tail was torn
-        off can legitimately contain events the reconstructed state no
-        longer enables; replay skips them instead of raising, which is
-        what makes re-replaying the same journal idempotent.
+        Sends the event to the runtime and returns whether the state
+        moved.  Every transition of the job machine changes state, so
+        "moved" means "fired": the machine alone decides what is legal.
+        A journal whose tail was torn off can legitimately contain
+        events the reconstructed state no longer enables; replay skips
+        them instead of raising, which is what makes re-replaying the
+        same journal idempotent.
         """
-        if event not in JOB_EVENTS or not self.can(event):
+        if event not in JOB_EVENTS:
             return False
+        before = self.state
         self.runtime.send(event)
-        return True
-
-    # -- persistence -----------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Plain-data state for the job-store snapshot file."""
-        return {"state": self.state, "budget": self.budget}
-
-    @classmethod
-    def from_snapshot(cls, data: Dict[str, Any]) -> "JobLifecycle":
-        """Rebuild a lifecycle at a snapshotted state.
-
-        Reconstruction *drives the machine* to the target state through
-        real events rather than poking the runtime's internals — so a
-        snapshot naming an unreachable state fails loudly here instead
-        of producing a job the protocol can never have created.
-        """
-        state = data.get("state", "queued")
-        if state not in JOB_STATES:
-            raise ServiceError(f"snapshot names unknown job state {state!r}")
-        budget = int(data.get("budget", DEFAULT_LEASE_BUDGET))
-        if state == "quarantined":
-            # quarantine only ever fires on an exhausted budget; pinning
-            # it keeps the expire step below routing there
-            budget = 0
-        lifecycle = cls(budget=budget)
-        for event in _PATH_TO_STATE[state]:
-            lifecycle.signal(event)
-        return lifecycle
+        return self.state != before
 
     def __repr__(self) -> str:
         return f"<JobLifecycle {self.state} budget={self.budget}>"
 
-
-#: Shortest event path from ``queued`` to each state (for snapshot
-#: reconstruction).  ``quarantined`` needs the budget already at 0; the
-#: snapshot carries the budget, so a quarantined snapshot always stores
-#: budget 0 and the expire path below routes correctly.
-_PATH_TO_STATE: Dict[str, Tuple[str, ...]] = {
-    "queued": (),
-    "leased": ("lease",),
-    "running": ("lease", "start"),
-    "merging": ("lease", "start", "complete"),
-    "done": ("lease", "start", "complete", "publish"),
-    "failed": ("lease", "fail"),
-    "cancelled": ("cancel",),
-    "quarantined": ("lease", "expire"),
-}

@@ -318,6 +318,41 @@ class TestResume:
         with pytest.raises(FaultError):
             run_campaign(other, journal=journal, resume=True)
 
+    def test_resume_refuses_a_rewritten_input(self, campaign_file,
+                                              tmp_path, capsys):
+        def write_model(period):
+            model = mm.Model("design")
+            package = model.create_package("design")
+            cpu = make_traffic_generator("Cpu", period=period,
+                                         address_range=0x1000)
+            ram = make_memory("Ram", size_bytes=0x800)
+            make_soc("Soc", masters=[cpu],
+                     slaves=[(ram, "bus", 0, 0x800)], package=package)
+            xmi.write_file(str(path), model)
+
+        path = tmp_path / "soc.xmi"
+        journal = tmp_path / "rewritten.jsonl"
+        write_model(2.0)
+        spec = make_spec(str(path), campaign_file, seeds=(1, 2))
+        run_campaign(spec, journal=str(journal))
+        write_model(5.0)  # same path, other model: the spec still matches
+        with pytest.raises(FaultError, match="input files"):
+            run_campaign(spec, journal=str(journal), resume=True)
+        assert main(["campaign", str(path), "--top", "design::Soc",
+                     "--faults", campaign_file, "--seeds", "1,2",
+                     "--until", "40", "--journal", str(journal),
+                     "--resume"]) == 2
+        assert "input files" in capsys.readouterr().err
+        # a header written before inputs were recorded is refused too
+        write_model(2.0)
+        lines = journal.read_text().splitlines()
+        header = json.loads(lines[0])
+        del header["inputs"]
+        journal.write_text("\n".join([json.dumps(header)] + lines[1:])
+                           + "\n")
+        with pytest.raises(FaultError, match="input files"):
+            run_campaign(spec, journal=str(journal), resume=True)
+
     def test_bad_knobs_rejected(self, model_file, campaign_file):
         spec = make_spec(model_file, campaign_file)
         with pytest.raises(FaultError):

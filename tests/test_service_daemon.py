@@ -423,6 +423,68 @@ class TestDrainAndRestart:
         reborn.shutdown()
 
 
+    @pytest.mark.parametrize("restart", ["drain", "crash"])
+    def test_every_status_row_survives_a_restart(
+            self, tmp_path, model_file, campaign_file, monkeypatch,
+            restart):
+        options = dict(workers=1, budget=0, max_depth=2,
+                       admission="shed",
+                       store=ArtifactStore(tmp_path / "store"))
+        monkeypatch.setenv(TEST_KILL_ENV, "poison:99")
+        service = make_service(tmp_path, **options)
+        done = make_spec(model_file, campaign_file, name="done",
+                         seeds=[22])
+        service.submit(done)
+        service.run_until_idle(timeout=120)
+        service.submit(done)  # served from the store at once
+        for spec in (make_spec(model_file, campaign_file, name="doomed",
+                               top="design::Nope"),
+                     make_spec(model_file, campaign_file, name="poison",
+                               seeds=[23])):
+            service.submit(spec)
+            service.run_until_idle(timeout=120)
+        cancelled = service.submit(make_spec(model_file, campaign_file,
+                                             seeds=[24]))
+        service.cancel(cancelled["job_id"])
+        for seed in (25, 26, 27):  # the third sheds the oldest queued
+            service.submit(make_spec(model_file, campaign_file,
+                                     seeds=[seed]))
+        live = service.status()["jobs"]
+        assert sorted((row["state"], row["cached"]) for row in live) == [
+            ("cancelled", False), ("cancelled", False), ("done", False),
+            ("done", True), ("failed", False), ("quarantined", False),
+            ("queued", False), ("queued", False)]
+        assert all(row["error"] for row in live
+                   if row["state"] in ("cancelled", "failed",
+                                       "quarantined"))
+        if restart == "drain":
+            service.shutdown()
+        else:  # what a SIGKILL leaves: the journal, nothing written after
+            service.pool.close()
+            service.jobstore.close()
+        reborn = make_service(tmp_path, **options)
+        assert reborn.status()["jobs"] == live
+        reborn.shutdown()
+
+    def test_a_job_journals_one_record_per_transition(
+            self, tmp_path, model_file, campaign_file):
+        service = make_service(tmp_path,
+                               store=ArtifactStore(tmp_path / "store"))
+        spec = make_spec(model_file, campaign_file, seeds=[28])
+        cold = service.submit(spec)
+        service.run_until_idle(timeout=120)
+        hit = service.submit(spec)
+        service.shutdown()
+        journaled = {}
+        for _, record in service.jobstore.journal.records():
+            journaled.setdefault(record["job_id"], []).append(
+                record.get("event", record["kind"]))
+        assert journaled == {
+            cold["job_id"]: ["submit", "lease", "start", "complete",
+                             "publish"],
+            hit["job_id"]: ["submit", "hit"]}
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("options", [
         {"workers": 0},

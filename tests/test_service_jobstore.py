@@ -1,9 +1,6 @@
 """Durable service queue state (PR 10): journal replay idempotence,
-torn-tail tolerance, checksummed snapshots, compaction, the atomic
-result-file protocol, and content-addressed job fingerprints."""
-
-import json
-import os
+torn-tail tolerance, the atomic result-file protocol, and
+content-addressed job fingerprints."""
 
 import pytest
 
@@ -80,7 +77,7 @@ class TestJournalReplay:
                           "event": event})
         once = JobStore(store.root).replay()
         twice = JobStore(store.root).replay()
-        assert once["job-1"].to_snapshot() == twice["job-1"].to_snapshot()
+        assert once["job-1"].status() == twice["job-1"].status()
 
     def test_duplicate_submit_is_a_noop(self, store):
         submit(store, "job-1")
@@ -116,6 +113,44 @@ class TestJournalReplay:
         jobs = JobStore(store.root).replay()
         assert jobs["job-1"].state == "failed"
         assert jobs["job-1"].error == "bad model"
+
+    def test_cancel_and_quarantine_keep_their_reasons(self, store):
+        submit(store, "job-1")
+        store.append({"kind": "event", "job_id": "job-1",
+                      "event": "cancel", "error": "client cancel"})
+        submit(store, "job-2", budget=0)
+        for event in ("lease", "start"):
+            store.append({"kind": "event", "job_id": "job-2",
+                          "event": event})
+        store.append({"kind": "event", "job_id": "job-2",
+                      "event": "expire", "reason": "wall-clock watchdog"})
+        jobs = JobStore(store.root).replay()
+        assert jobs["job-1"].state == "cancelled"
+        assert jobs["job-1"].error == "client cancel"
+        assert jobs["job-2"].state == "quarantined"
+        assert jobs["job-2"].error == ("quarantined after 1 failed "
+                                       "lease(s); last: wall-clock "
+                                       "watchdog")
+
+    def test_hit_sets_cached_and_result_records_are_ignored(self, store):
+        # journals written before the `result` record was retired
+        # carry one per delivered job; `cached` follows the `hit` event
+        submit(store, "job-1")
+        store.append({"kind": "result", "job_id": "job-1",
+                      "fingerprint": "fp", "cached": True})
+        store.append({"kind": "event", "job_id": "job-1", "event": "hit"})
+        submit(store, "job-2", spec={"name": "job-2", "seeds": [2]})
+        for event in ("lease", "start", "complete"):
+            store.append({"kind": "event", "job_id": "job-2",
+                          "event": event})
+        store.append({"kind": "result", "job_id": "job-2",
+                      "fingerprint": "fp", "cached": True})
+        store.append({"kind": "event", "job_id": "job-2",
+                      "event": "publish"})
+        jobs = JobStore(store.root).replay()
+        assert (jobs["job-1"].state, jobs["job-1"].cached) == ("done", True)
+        assert (jobs["job-2"].state, jobs["job-2"].cached) \
+            == ("done", False)
 
     def test_seq_resumes_past_everything_seen(self, store):
         submit(store, "job-1")
@@ -169,52 +204,6 @@ class TestTornTail:
         assert PERF.counter("journal.torn_records") == torn
 
 
-class TestSnapshots:
-    def test_round_trip(self, store):
-        submit(store, "job-1")
-        store.append({"kind": "event", "job_id": "job-1",
-                      "event": "lease"})
-        jobs = JobStore(store.root).replay()
-        store.snapshot(jobs)
-        restored = JobStore(store.root).replay()
-        assert restored["job-1"].to_snapshot() \
-            == jobs["job-1"].to_snapshot()
-
-    def test_journal_suffix_applies_on_top(self, store):
-        submit(store, "job-1")
-        jobs = JobStore(store.root).replay()
-        store._seq = 1  # snapshot covers only the submit
-        store.snapshot(jobs)
-        store._seq = 1
-        store.append({"kind": "event", "job_id": "job-1",
-                      "event": "lease"})  # seq 2 > snapshot seq 1
-        restored = JobStore(store.root).replay()
-        assert restored["job-1"].state == "leased"
-
-    def test_corrupt_snapshot_falls_back_to_journal(self, store):
-        rejected = PERF.counter("service.snapshot_rejected")
-        submit(store, "job-1")
-        jobs = JobStore(store.root).replay()
-        store.snapshot(jobs)
-        payload = json.loads(store.snapshot_path.read_text())
-        payload["jobs"] = []  # tamper without fixing the checksum
-        store.snapshot_path.write_text(canonical_json(payload))
-        restored = JobStore(store.root).replay()
-        assert "job-1" in restored  # journal replay covered for it
-        assert PERF.counter("service.snapshot_rejected") == rejected + 1
-
-    def test_compact_truncates_covered_journal(self, store):
-        submit(store, "job-1")
-        store.append({"kind": "event", "job_id": "job-1",
-                      "event": "lease"})
-        jobs = JobStore(store.root).replay()
-        store.compact(jobs)
-        assert os.path.getsize(store.journal_path) == 0
-        restored = JobStore(store.root).replay()
-        assert restored["job-1"].state == "leased"
-        assert restored["job-1"].attempts == 1
-
-
 class TestResultFiles:
     def test_write_is_canonical_and_atomic(self, store):
         payload = {"b": 2, "a": [1, {"z": True}]}
@@ -250,13 +239,3 @@ class TestJobRow:
                        "state": "queued", "attempts": 0, "budget": 3,
                        "cached": False, "error": "", "name": "sweep",
                        "seeds": 2}
-
-    def test_snapshot_round_trip(self):
-        job = Job("job-1", "fp", {"name": "sweep", "seeds": [1]}, 7,
-                  budget=2)
-        job.lifecycle.signal("lease")
-        job.attempts = 1
-        restored = Job.from_snapshot(job.to_snapshot())
-        assert restored.to_snapshot() == job.to_snapshot()
-        assert restored.state == "leased"
-        assert restored.seq == 7

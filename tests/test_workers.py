@@ -197,6 +197,19 @@ class TestCampaignPool:
         assert len(forked) == 3  # seed 3 ran on a refilled slot
         assert_all_reaped(forked)
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_run_timeout_holds_for_a_single_seed(self, spec_files,
+                                                 forked, workers):
+        # one seed would run in-process, where no watchdog can kill it
+        spec = make_spec(spec_files, seeds=(1,), until=1e7)
+        result = run_campaign(spec, workers=workers, run_timeout=0.3,
+                              max_retries=0)
+        assert result.mode == "parallel"
+        assert result.failed_seeds == [1]
+        assert result.failures[0]["error"].startswith("run timeout")
+        assert len(forked) == 1
+        assert_all_reaped(forked)
+
     def test_an_exception_in_the_parent_reaps_every_worker(
             self, spec_files, forked):
         class Exploding(CampaignTelemetry):
