@@ -12,7 +12,7 @@ emit an explanatory comment instead of broken code.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from .. import asl
 from ..errors import CodegenError
@@ -122,6 +122,27 @@ def _py_expr(expr: asl.Expr, self_names: set) -> str:
     raise CodegenError(f"cannot translate {type(expr).__name__} to Python")
 
 
+def operation_call(tree: asl.Node) -> Optional[str]:
+    """The name of an operation the ASL ``tree`` calls, or None.
+
+    An operation call is a call of a bare name that is not an ASL
+    builtin; the Python transpiler emits it as a method call on
+    ``self``, so it runs only where the generated code has a receiver.
+    """
+    pending: list = [tree]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, tuple):
+            pending.extend(node)
+        elif isinstance(node, asl.Node):
+            if isinstance(node, asl.Call) \
+                    and isinstance(node.callee, asl.Name) \
+                    and node.callee.identifier not in _PY_BUILTIN_MAP:
+                return node.callee.identifier
+            pending.extend(vars(node).values())  # the dataclass fields
+    return None
+
+
 #: Attribute-access helper injected alongside the prelude.
 PYTHON_ATTR_HELPER = '''\
 def _asl_attr(obj, name):
@@ -131,10 +152,12 @@ def _asl_attr(obj, name):
 '''
 
 
-def to_python_statements(source: str, self_names: set,
+def to_python_statements(source: Union[str, asl.Program], self_names: set,
                          send_call: str = "self._send") -> List[str]:
-    """Translate an ASL statement block to Python source lines."""
-    program = asl.parse(source)
+    """Translate an ASL statement block (text or parsed) to Python
+    source lines."""
+    program = source if isinstance(source, asl.Program) \
+        else asl.parse(source)
     lines: List[str] = []
     _py_block(program.body, lines, 0, self_names, send_call)
     return lines or ["pass"]

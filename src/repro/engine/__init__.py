@@ -1,10 +1,10 @@
 """`repro.engine` — the unified execution core (PR 3).
 
 One :class:`ExecutionEngine` protocol spoken by every behavior engine,
-one :class:`TraceBus` carrying every observation, one registry binding
-behavior types to engines.  See :mod:`repro.engine.protocol` for the
-calling convention and :mod:`repro.engine.trace` for the event
-vocabulary.
+one :class:`TraceBus` carrying every observation, one function
+(:func:`build_engine_factory`) binding a behavior to its engine.  See
+:mod:`repro.engine.protocol` for the calling convention and
+:mod:`repro.engine.trace` for the event vocabulary.
 """
 
 from .protocol import (
@@ -16,12 +16,8 @@ from .protocol import (
 from .registry import (
     ENGINE_MODES,
     EngineBinding,
-    EngineBuilder,
     EngineFactory,
     build_engine_factory,
-    register_engine,
-    registered_behavior_types,
-    supports,
 )
 from .trace import (
     CHECKPOINT,
@@ -56,12 +52,8 @@ __all__ = [
     "PROTOCOL_ATTRIBUTES",
     "ENGINE_MODES",
     "EngineBinding",
-    "EngineBuilder",
     "EngineFactory",
     "build_engine_factory",
-    "register_engine",
-    "registered_behavior_types",
-    "supports",
     "TraceBus",
     "TraceEvent",
     "Subscription",

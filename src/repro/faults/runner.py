@@ -51,12 +51,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import signal
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..durable import Journal
-from ..engine import ENGINE_MODES
+from ..engine import ENGINE_MODES, build_engine_factory
 from ..errors import FaultError, ReproError
 from ..perf import PERF
 from .campaign import FaultCampaign
@@ -358,26 +357,16 @@ def _warm_suite(spec: CampaignSpec):
 
 
 def _warm_spec(spec: CampaignSpec) -> None:
-    """Pre-fork warm-up: parse the model and compile every compilable
-    classifier behavior in the parent, so pool workers start with hot
-    dispatch-table caches."""
+    """Pre-fork warm-up: parse the model and bind every part's
+    classifier behavior in the parent, as the simulation will, so pool
+    workers start with hot dispatch-table caches."""
     top, _campaign = _warm_model(spec)
     _warm_suite(spec)
     if spec.engine != "compiled":
         return
-    from ..statemachines.compiled import (compile_fallback_reason,
-                                          compile_machine_cached)
-    from ..statemachines.kernel import StateMachine
-
-    seen = set()
     for part in top.parts:
-        behavior = getattr(part.type, "classifier_behavior", None)
-        if not isinstance(behavior, StateMachine) \
-                or id(behavior) in seen:
-            continue
-        seen.add(id(behavior))
-        if compile_fallback_reason(behavior) is None:
-            compile_machine_cached(behavior)
+        build_engine_factory(getattr(part.type, "classifier_behavior", None),
+                             prefer_compiled=True)
 
 
 # ---------------------------------------------------------------------------
@@ -450,32 +439,16 @@ def run_seed(spec: CampaignSpec, seed: int,
     return row
 
 
-def _maybe_test_kill(seed: int, attempt: int) -> None:
-    """CI/test hook: SIGKILL this worker for one configured seed."""
-    directive = os.environ.get(TEST_KILL_ENV, "")
-    if not directive:
-        return
-    target, _, through = directive.partition(":")
-    try:
-        if int(target) != seed:
-            return
-        max_attempt = int(through) if through else 1
-    except ValueError:
-        return
-    if attempt <= max_attempt:
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
 def _worker_main(spec_data: Dict[str, Any], seed: int,
                  attempt: int) -> Dict[str, Any]:
     """Pool task: run one seed; returns ``{"ok": True, "row": ...}`` or
     ``{"ok": False, "error": ...}``.  The kernel's ``events_processed``
     is the task's progress sample, which the worker's heartbeats and
     its completion message carry to the parent."""
-    _maybe_test_kill(seed, attempt)
-    try:
-        from ..workers import report_progress
+    from ..workers import maybe_test_kill, report_progress
 
+    maybe_test_kill(TEST_KILL_ENV, str(seed), attempt)
+    try:
         row = run_seed(CampaignSpec.from_dict(spec_data), seed,
                        observer=lambda simulation: report_progress(
                            lambda: simulation.simulator.events_processed))

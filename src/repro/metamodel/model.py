@@ -26,10 +26,11 @@ from .namespaces import Package
 E = TypeVar("E", bound=Element)
 
 #: Attributes excluded from the fingerprint: identity (fresh per run),
-#: tree bookkeeping (covered by the walk itself) and the cache fields.
+#: tree bookkeeping (covered by the walk itself), the cache fields and
+#: the state machine validation record.
 _FP_SKIP = frozenset(
     {"xmi_id", "_owner", "_owned", "_generation", "_fp_cache",
-     "_subtree_fp_cache"})
+     "_subtree_fp_cache", "_validated"})
 
 #: CPython default reprs embed process-local addresses ("at 0x7f...").
 _ADDRESS_RE = re.compile(r" at 0x[0-9a-fA-F]+")

@@ -45,14 +45,13 @@ the ``service.submit_to_result_s`` latency histogram), so the existing
 from __future__ import annotations
 
 import os
-import signal
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ServiceError
 from ..faults.runner import CampaignSpec, backoff_delay
 from ..perf import PERF
-from ..workers import Worker, WorkerPool
+from ..workers import Worker, WorkerPool, maybe_test_kill
 from .jobstore import Job, JobStore, job_fingerprint
 from .lifecycle import DEFAULT_LEASE_BUDGET, RECOVERABLE_STATES
 
@@ -71,19 +70,6 @@ DEFAULT_MAX_DEPTH = 64
 DEFAULT_RETRY_BACKOFF = 0.25
 
 
-def _maybe_test_kill(name: str, attempt: int) -> None:
-    directive = os.environ.get(TEST_KILL_ENV, "")
-    if not directive:
-        return
-    target, _, through = directive.partition(":")
-    try:
-        max_attempt = int(through) if through else 1
-    except ValueError:
-        return
-    if target == name and attempt <= max_attempt:
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
 def _job_worker_main(spec_data: Dict[str, Any],
                      attempt: int) -> Dict[str, Any]:
     """Pool task: run the job's campaign; returns its result payload.
@@ -97,7 +83,7 @@ def _job_worker_main(spec_data: Dict[str, Any],
     daemon covers the case of a live heartbeat over a wedged
     simulation.
     """
-    _maybe_test_kill(spec_data.get("name", ""), attempt)
+    maybe_test_kill(TEST_KILL_ENV, spec_data.get("name", ""), attempt)
     try:
         from ..faults.runner import run_campaign
 

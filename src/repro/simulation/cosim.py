@@ -11,7 +11,7 @@ Execution core (PR 3): the harness speaks only the
 :class:`~repro.engine.ExecutionEngine` protocol —
 ``start``/``send``/``step``/``active_configuration``/``checkpoint``/
 ``restore`` — and resolves each part's classifier behavior to an engine
-through the :mod:`repro.engine.registry`.  A part whose behavior is a
+with :func:`repro.engine.build_engine_factory`.  A part whose behavior is a
 state machine runs on the interpreter (or, with ``engine="compiled"``,
 the dispatch-table :class:`~repro.statemachines.compiled.CompiledRuntime`
 when the machine is in the compilable subset); a part whose behavior is
@@ -321,8 +321,8 @@ class SystemSimulation:
     def _make_runtime(self, part_name: str, behavior: Any,
                       initial_context: Dict[str, Any]
                       ) -> Optional[ExecutionEngine]:
-        """Resolve a behavior to an engine via the registry; None when
-        no registered engine executes it."""
+        """Resolve a behavior to an engine with
+        :func:`build_engine_factory`; None when no engine executes it."""
         binding = build_engine_factory(
             behavior, context=initial_context,
             signal_sink=self._make_sink(part_name),

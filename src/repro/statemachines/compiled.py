@@ -7,14 +7,18 @@ effects are *precompiled Python closures* — ASL source is transpiled
 via :mod:`repro.codegen.transpile` and ``compile()``d to code objects,
 so executing an action is one ``eval``/``exec`` of tiny bytecode
 instead of a tree walk through a freshly constructed interpreter.
-Unlike :func:`~repro.statemachines.flatten.flatten`, the compiled form
-keeps the live ``context`` and the runtime clock, so data-dependent
-guards and ``after(n)`` time triggers work exactly as in the
-interpreter.  Behaviour is bit-identical to
+The code objects run against the same ``_asl_*`` helpers every
+generated Python module embeds.  Unlike
+:func:`~repro.statemachines.flatten.flatten`, the compiled form keeps
+the live ``context`` and the runtime clock, so data-dependent guards
+and ``after(n)`` time triggers work exactly as in the interpreter.
+Behaviour is bit-identical to
 :class:`~repro.statemachines.runtime.StateMachineRuntime` on the
-supported subset (verified by lockstep equivalence tests); machines
-outside the subset are reported by :func:`compile_fallback_reason` and
-the caller falls back to the interpreter.
+supported subset (verified by lockstep equivalence tests).  Compilation
+is all or nothing: a machine outside the subset, including one with a
+single guard or effect that does not transpile, is refused with
+:class:`NotCompilable`, :func:`compile_fallback_reason` names why, and
+the caller runs the whole machine on the interpreter.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .. import asl
 from ..asl import SentSignal
 from ..errors import AslRuntimeError, ReproError, StateMachineError
 from ..perf import PERF
@@ -42,61 +47,77 @@ from .runtime import ELSE_GUARD
 #: Environment keys the interpreter never copies back into the context.
 _SPECIALS = ("event", "event_name", "now")
 
-#: Event kinds a compiled machine can dispatch directly.
-_DISPATCHABLE = (EventKind.SIGNAL, EventKind.CALL)
+
+class NotCompilable(StateMachineError):
+    """The machine is outside the compilable subset; the message says
+    why (the ``interpreter: <reason>`` label of an engine binding)."""
 
 
-def _asl_div(a, b):
-    """ASL '/' floors on integer operands, divides otherwise."""
-    if isinstance(a, int) and isinstance(b, int):
-        return a // b
-    return a / b
+#: Globals every compiled action executes against, built on first use.
+#: ``__builtins__`` is emptied so generated code resolves exactly the
+#: interpreter's builtin set — an undefined ASL name raises instead of
+#: finding a Python builtin the interpreter would not have.  The
+#: ``_asl_*`` helpers are built from the prelude text every generated
+#: Python module embeds, so both run one copy of ASL's runtime helpers.
+_GLOBALS: Optional[Dict[str, Any]] = None
 
 
-def _asl_attr(obj, name):
-    if isinstance(obj, dict):
-        if name in obj:
-            return obj[name]
-        raise AslRuntimeError(f"object has no attribute {name!r}")
-    try:
-        return getattr(obj, name)
-    except AttributeError as exc:
-        raise AslRuntimeError(str(exc))
+def _action_globals() -> Dict[str, Any]:
+    global _GLOBALS
+    if _GLOBALS is None:
+        from ..codegen.transpile import PYTHON_ATTR_HELPER, PYTHON_PRELUDE
 
-
-def _asl_append(seq, item):
-    seq.append(item)
-    return seq
-
-
-def _asl_pop(seq):
-    return seq.pop(0)
-
-
-def _asl_contains(seq, item):
-    return item in seq
-
-
-#: Globals every compiled action executes against.  ``__builtins__`` is
-#: emptied so generated code resolves exactly the interpreter's builtin
-#: set — an undefined ASL name raises instead of finding a Python
-#: builtin the interpreter would not have.
-_BASE_GLOBALS: Dict[str, Any] = {
-    "__builtins__": {},
-    "abs": abs, "min": min, "max": max, "len": len, "int": int,
-    "float": float, "str": str, "bool": bool, "sum": sum,
-    "sorted": sorted, "list": list, "range": range,
-    "_asl_div": _asl_div, "_asl_attr": _asl_attr,
-    "_asl_append": _asl_append, "_asl_pop": _asl_pop,
-    "_asl_contains": _asl_contains,
-}
+        prelude: Dict[str, Any] = {}
+        exec(PYTHON_PRELUDE + PYTHON_ATTR_HELPER, prelude)
+        _GLOBALS = dict(
+            {name: value for name, value in prelude.items()
+             if name.startswith("_asl_")},
+            __builtins__={}, abs=abs, min=min, max=max, len=len, int=int,
+            float=float, str=str, bool=bool, sum=sum, sorted=sorted,
+            list=list, range=range)
+    return _GLOBALS
 
 
 def _wrap_asl_error(source: str, exc: Exception) -> AslRuntimeError:
     return AslRuntimeError(f"compiled action failed: {exc} (in {source!r})")
 
 
-def _compile_guard(guard) -> Optional[Callable]:
+def _transpile(source: Any, site: str, mode: str) -> Any:
+    """Parse ``source`` once and ``compile()`` its Python transpilation
+    (``mode`` is ``"eval"`` for a guard, ``"exec"`` for an action).
+
+    Raises :class:`NotCompilable` naming ``site`` when ``source`` is not
+    ASL text, does not transpile, or calls an operation: the transpiler
+    emits operation calls on ``self``, which a compiled action lacks.
+    """
+    if not isinstance(source, str):
+        raise NotCompilable(f"{site} has type {type(source).__name__}")
+    from ..codegen.transpile import (
+        operation_call,
+        to_python_expression,
+        to_python_statements,
+    )
+
+    try:
+        if mode == "eval":
+            tree = asl.parse_expression(source)
+            python_source = to_python_expression(tree)
+        else:
+            tree = asl.parse(source)
+            python_source = "\n".join(
+                to_python_statements(tree, set(), send_call="_send"))
+        code = compile(python_source, "<asl>", mode)
+    except (ReproError, SyntaxError, RecursionError) as exc:
+        raise NotCompilable(f"{site} does not transpile: {exc}")
+    # an operation call is emitted as a method call on ``self``, so
+    # only code that loads that name can hold one
+    called = operation_call(tree) if "self" in code.co_names else None
+    if called is not None:
+        raise NotCompilable(f"{site} calls operation {called!r}")
+    return code
+
+
+def _compile_guard(guard, site: str) -> Optional[Callable]:
     """Compile a guard into ``g(runtime, env, occurrence) -> bool``.
 
     Returns None for the always-true guard.  The ``env`` argument is the
@@ -110,46 +131,27 @@ def _compile_guard(guard) -> Optional[Callable]:
         def run_callable(runtime, env, occurrence, _fn=guard):
             return bool(_fn(runtime.context, occurrence))
         return run_callable
-    if not isinstance(guard, str):
-        raise StateMachineError(
-            f"unsupported guard type {type(guard).__name__}")
-    if guard.strip() == ELSE_GUARD:
+    if isinstance(guard, str) and guard.strip() == ELSE_GUARD:
         def never(runtime, env, occurrence):
             return False
         return never
-    try:
-        from .. import asl
-        from ..codegen.transpile import to_python_expression
+    code = _transpile(guard, site, "eval")
 
-        python_source = to_python_expression(asl.parse_expression(guard))
-        code = (compile(python_source, "<asl-guard>", "eval")
-                if "self." not in python_source else None)
-    except Exception:
-        code = None
-    if code is not None:
-        def run_compiled(runtime, env, occurrence, _code=code, _src=guard):
-            try:
-                return bool(eval(_code, runtime._globals, env))
-            except ReproError:
-                raise
-            except Exception as exc:
-                raise _wrap_asl_error(_src, exc)
-        return run_compiled
-
-    def run_interpreted(runtime, env, occurrence, _src=guard):
-        from .. import asl
-        return bool(asl.evaluate(_src, env))
-    return run_interpreted
+    def run_compiled(runtime, env, occurrence, _code=code, _src=guard):
+        try:
+            return bool(eval(_code, runtime._globals, env))
+        except ReproError:
+            raise
+        except Exception as exc:
+            raise _wrap_asl_error(_src, exc)
+    return run_compiled
 
 
-def _compile_action(action) -> Optional[Callable]:
+def _compile_action(action, site: str) -> Optional[Callable]:
     """Compile an effect/entry/exit into ``a(runtime, occurrence)``.
 
-    ASL source is transpiled and ``compile()``d when every construct has
-    a Python equivalent; otherwise the closure falls back to the tree-
-    walking interpreter (identical semantics either way: fresh
-    environment copy in, full copy-back out — temporaries intentionally
-    leak into the context, matching the interpreter).
+    Same semantics as the interpreter: fresh environment copy in, full
+    copy-back out — temporaries intentionally leak into the context.
     """
     if action is None:
         return None
@@ -157,42 +159,9 @@ def _compile_action(action) -> Optional[Callable]:
         def run_callable(runtime, occurrence, _fn=action):
             _fn(runtime.context, occurrence)
         return run_callable
-    if not isinstance(action, str):
-        raise StateMachineError(
-            f"unsupported action type {type(action).__name__}")
-    try:
-        from ..codegen.transpile import to_python_statements
+    code = _transpile(action, site, "exec")
 
-        python_source = "\n".join(
-            to_python_statements(action, set(), send_call="_send"))
-        code = (compile(python_source, "<asl-effect>", "exec")
-                if "self." not in python_source else None)
-    except Exception:
-        code = None
-    if code is not None:
-        def run_compiled(runtime, occurrence, _code=code, _src=action):
-            env = dict(runtime.context)
-            if occurrence is not None:
-                env["event"] = dict(occurrence.parameters)
-                env["event_name"] = occurrence.name
-            else:
-                env["event"] = {}
-                env["event_name"] = ""
-            env["now"] = runtime.time
-            try:
-                exec(_code, runtime._globals, env)
-            except ReproError:
-                raise
-            except Exception as exc:
-                raise _wrap_asl_error(_src, exc)
-            context = runtime.context
-            for key, value in env.items():
-                if key not in _SPECIALS:
-                    context[key] = value
-        return run_compiled
-
-    def run_interpreted(runtime, occurrence, _src=action):
-        from .. import asl
+    def run_compiled(runtime, occurrence, _code=code, _src=action):
         env = dict(runtime.context)
         if occurrence is not None:
             env["event"] = dict(occurrence.parameters)
@@ -201,12 +170,17 @@ def _compile_action(action) -> Optional[Callable]:
             env["event"] = {}
             env["event_name"] = ""
         env["now"] = runtime.time
-        asl.execute(_src, env, signal_sink=runtime.signal_sink)
+        try:
+            exec(_code, runtime._globals, env)
+        except ReproError:
+            raise
+        except Exception as exc:
+            raise _wrap_asl_error(_src, exc)
         context = runtime.context
         for key, value in env.items():
             if key not in _SPECIALS:
                 context[key] = value
-    return run_interpreted
+    return run_compiled
 
 
 class CompiledTransition:
@@ -265,11 +239,6 @@ class CompiledMachine:
         self.initial_state = initial_state
         self.initial_effect = initial_effect
 
-    def runtime(self, context: Optional[Dict[str, Any]] = None,
-                signal_sink=None) -> "CompiledRuntime":
-        """Convenience: a fresh :class:`CompiledRuntime` over this table."""
-        return CompiledRuntime(self, context=context, signal_sink=signal_sink)
-
     def __repr__(self) -> str:
         return (f"<CompiledMachine {self.machine.name!r} "
                 f"states={len(self.states)}>")
@@ -280,11 +249,23 @@ def compile_fallback_reason(machine: StateMachine) -> Optional[str]:
 
     The compilable subset is the flat-machine core the SoC IP library
     uses: one region, simple states, INITIAL as the only pseudostate,
-    signal/call/time triggers, no deferral, no completion transitions.
-    Everything else (deep history, orthogonal regions, unbounded
-    deferral, change triggers, ...) answers with a reason string and the
-    caller stays on the interpreter.
+    signal/call/time triggers, no deferral, no completion transitions,
+    and every guard and effect transpiles (ASL that parses and calls no
+    operation, or a Python callable).  Everything else (deep history,
+    orthogonal regions, deferral, change triggers, a context callable
+    called from ASL, ...) answers with a reason string, and the caller
+    runs the whole machine on the interpreter.  None means the machine
+    is compiled (and memoized by :func:`compile_machine_cached`).
     """
+    try:
+        compile_machine_cached(machine)
+    except NotCompilable as refusal:
+        return str(refusal)
+    return None
+
+
+def _structure_reason(machine: StateMachine) -> Optional[str]:
+    """The first structural feature outside the compilable subset."""
     regions = machine.regions
     if len(regions) != 1:
         return f"machine has {len(regions)} top-level regions"
@@ -292,6 +273,8 @@ def compile_fallback_reason(machine: StateMachine) -> Optional[str]:
         machine.validate()
     except StateMachineError as exc:
         return f"machine fails validation: {exc}"
+    if regions[0].initial is None:
+        return "machine has no initial pseudostate"
     for state in machine.all_states():
         if not state.is_simple:
             return f"composite state {state.name!r}"
@@ -314,23 +297,19 @@ def compile_fallback_reason(machine: StateMachine) -> Optional[str]:
             if event.kind not in (EventKind.SIGNAL, EventKind.CALL,
                                   EventKind.TIME):
                 return f"unsupported trigger kind {event.kind.value!r}"
-        for spec in (transition.guard, transition.effect):
-            if spec is not None and not callable(spec) \
-                    and not isinstance(spec, str):
-                return f"unsupported guard/effect type {type(spec).__name__}"
     return None
 
 
 def compile_machine(machine: StateMachine) -> CompiledMachine:
     """Compile a flat machine into per-state dispatch tables.
 
-    Raises :class:`StateMachineError` when the machine is outside the
-    compilable subset (check :func:`compile_fallback_reason` first).
+    Raises :class:`NotCompilable` (a :class:`StateMachineError`) naming
+    the first feature outside the compilable subset (see
+    :func:`compile_fallback_reason`).
     """
-    reason = compile_fallback_reason(machine)
+    reason = _structure_reason(machine)
     if reason is not None:
-        raise StateMachineError(
-            f"machine {machine.name!r} cannot be compiled: {reason}")
+        raise NotCompilable(reason)
 
     with PERF.timed("sm.compile_s"):
         ordered = machine.all_transitions()
@@ -338,9 +317,9 @@ def compile_machine(machine: StateMachine) -> CompiledMachine:
         by_name: Dict[str, CompiledState] = {}
         for state in machine.all_states():
             cstate = CompiledState(state.name)
-            cstate.entry = _compile_action(state.entry)
-            cstate.do_activity = _compile_action(state.do_activity)
-            cstate.exit = _compile_action(state.exit)
+            cstate.entry = _compile_action(state.entry, "entry")
+            cstate.do_activity = _compile_action(state.do_activity, "do")
+            cstate.exit = _compile_action(state.exit, "exit")
             cstates[id(state)] = cstate
             by_name[state.name] = cstate
 
@@ -354,8 +333,8 @@ def compile_machine(machine: StateMachine) -> CompiledMachine:
                 compiled = CompiledTransition(
                     transition.kind is TransitionKind.INTERNAL,
                     cstates[id(transition.target)],
-                    _compile_guard(transition.guard),
-                    _compile_action(transition.effect),
+                    _compile_guard(transition.guard, "guard"),
+                    _compile_action(transition.effect, "effect"),
                     state.name)
                 for event in transition.triggers:
                     if isinstance(event, TimeEvent):
@@ -370,22 +349,18 @@ def compile_machine(machine: StateMachine) -> CompiledMachine:
                                for key, value in by_timer.items()}
             cstate.timer_specs = tuple(timer_specs)
 
-        region = machine.regions[0]
-        initial = region.initial
-        if initial is None:
-            raise StateMachineError(
-                f"machine {machine.name!r} has no initial pseudostate")
-        initial_transition = initial.outgoing[0]
-        initial_effect = _compile_action(initial_transition.effect)
+        initial_transition = machine.regions[0].initial.outgoing[0]
+        initial_effect = _compile_action(initial_transition.effect, "effect")
         initial_state = cstates[id(initial_transition.target)]
 
     PERF.incr("sm.machines_compiled")
     return CompiledMachine(machine, by_name, initial_state, initial_effect)
 
 
-#: id(machine) -> (machine, generation, CompiledMachine).  The strong
-#: machine reference keeps the id stable for the cache entry's lifetime.
-_COMPILE_CACHE: Dict[int, Tuple[StateMachine, int, CompiledMachine]] = {}
+#: id(machine) -> (machine, generation, CompiledMachine or the refusal
+#: reason).  The strong machine reference keeps the id stable for the
+#: cache entry's lifetime.
+_COMPILE_CACHE: Dict[int, Tuple[StateMachine, int, Any]] = {}
 _COMPILE_CACHE_MAX = 256
 
 
@@ -396,20 +371,27 @@ def compile_machine_cached(machine: StateMachine) -> CompiledMachine:
     machine edited after compilation recompiles while N identical part
     instances (and N campaign seeds over one parsed model) share a
     single dispatch table, which the pre-fork campaign warm-up relies on.
+    A refusal is memoized as its reason and raised as a fresh
+    :class:`NotCompilable` on every hit.
     """
     key = id(machine)
     generation = machine.root().generation
     hit = _COMPILE_CACHE.get(key)
     if hit is not None and hit[0] is machine and hit[1] == generation:
         PERF.incr("sm.compile_cache_hits")
-        return hit[2]
-
-    compiled = compile_machine(machine)
-    if len(_COMPILE_CACHE) >= _COMPILE_CACHE_MAX:
-        _COMPILE_CACHE.clear()
-    _COMPILE_CACHE[key] = (machine, generation, compiled)
-    PERF.incr("sm.compile_cache_misses")
-    return compiled
+        outcome = hit[2]
+    else:
+        try:
+            outcome = compile_machine(machine)
+        except NotCompilable as refusal:
+            outcome = str(refusal)
+        if len(_COMPILE_CACHE) >= _COMPILE_CACHE_MAX:
+            _COMPILE_CACHE.clear()
+        _COMPILE_CACHE[key] = (machine, generation, outcome)
+        PERF.incr("sm.compile_cache_misses")
+    if isinstance(outcome, str):
+        raise NotCompilable(outcome)
+    return outcome
 
 
 class CompiledRuntime:
@@ -448,7 +430,7 @@ class CompiledRuntime:
         self._timer_seq = 0
         self._queue: deque = deque()
         self._draining = False
-        self._globals = dict(_BASE_GLOBALS)
+        self._globals = dict(_action_globals())
         self._globals["_send"] = self._emit
         self._started = False
 

@@ -403,8 +403,20 @@ class StateMachine(PackageableElement):
 
         Checks: every non-empty region has an initial pseudostate whose
         single outgoing transition is triggerless and guard-free; join/
-        fork arities; transitions stay inside the machine.
+        fork arities; transitions stay inside the machine.  A pass is
+        recorded against the tree root's generation, so repeat calls on
+        an unchanged tree (one per runtime) return at once; a defective
+        machine raises on every call.  The record is written through
+        ``__dict__``, so it neither bumps the generation nor enters
+        fingerprints.
         """
+        root = self.root()
+        passed = (id(root), root.generation)
+        if self.__dict__.get("_validated") != passed:
+            self._check_structure()
+            self.__dict__["_validated"] = passed
+
+    def _check_structure(self) -> None:
         for region in self.all_regions():
             if region.states and region.initial is None:
                 raise StateMachineError(

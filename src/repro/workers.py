@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import signal
 import stat
 import threading
 import time
@@ -250,6 +251,20 @@ def report_progress(sample: Callable[[], int]) -> None:
     Outside a pool worker this does nothing."""
     if _heartbeat is not None:
         _heartbeat.sample = sample
+
+
+def maybe_test_kill(variable: str, label: str, attempt: int) -> None:
+    """Test/CI hook: SIGKILL this process when the environment variable
+    ``variable`` reads ``<label>[:<max attempt>]`` and ``attempt`` is
+    at most that bound (1 when omitted), so a task's worker dies on
+    demand and its caller's retry path runs."""
+    target, _, through = os.environ.get(variable, "").partition(":")
+    try:
+        max_attempt = int(through) if through else 1
+    except ValueError:
+        return
+    if target and target == label and attempt <= max_attempt:
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 class _Heartbeat:

@@ -14,12 +14,22 @@ import random
 
 import pytest
 
+from repro import asl
 from repro.engine import ENGINE_MODES, TraceBus, TraceRecorder
-from repro.errors import StateMachineError
+from repro.errors import AslRuntimeError, StateMachineError
 from repro.faults import FaultCampaign, FaultSpec
 from repro.hw import (
+    AddressMap,
+    Region,
+    make_arbiter,
+    make_bus,
+    make_dma,
+    make_fifo,
+    make_interrupt_controller,
     make_memory,
+    make_retry_master,
     make_soc,
+    make_timer,
     make_traffic_generator,
     make_uart_tx,
 )
@@ -200,6 +210,10 @@ class TestRandomizedMachines:
         lockstep(machine, script, context={"x": 0, "y": 0})
 
 
+def make_one_region_bus():
+    return make_bus("Bus", AddressMap([Region(0, 0x100, "s0")]))
+
+
 class TestFallbackDetection:
     def test_deferral_is_not_compilable(self):
         uart = make_uart_tx("U")
@@ -220,11 +234,141 @@ class TestFallbackDetection:
         inner_region.add_transition(inner_init, inner)
         assert compile_fallback_reason(machine) is not None
 
-    def test_stock_ip_machines_compile(self):
-        for component in (make_traffic_generator("T", period=2.0),
-                          make_memory("M")):
-            assert compile_fallback_reason(
-                component.classifier_behavior) is None
+    @pytest.mark.parametrize("factory", [
+        make_arbiter, make_dma, make_fifo, make_interrupt_controller,
+        make_memory, make_retry_master, make_timer,
+        make_traffic_generator, make_one_region_bus,
+    ], ids=lambda factory: factory.__name__)
+    def test_stock_ip_machines_compile(self, factory):
+        assert compile_fallback_reason(
+            factory().classifier_behavior) is None
+
+    def test_operation_call_keeps_the_whole_machine_off_the_compiler(self):
+        machine = StateMachine("Caller")
+        region = machine.region
+        init = region.add_initial()
+        s = region.add_state("S")
+        region.add_transition(init, s)
+        region.add_transition(s, s, trigger="Go", effect="n = bump(n);")
+        reason = compile_fallback_reason(machine)
+        assert reason is not None and "'bump'" in reason
+        with pytest.raises(StateMachineError):
+            compile_machine(machine)
+
+    def test_variable_named_self_is_no_operation_call(self):
+        machine = StateMachine("SelfVariable")
+        region = machine.region
+        init = region.add_initial()
+        s = region.add_state("S")
+        region.add_transition(init, s)
+        region.add_transition(s, s, trigger="Go", guard="self.n >= 0",
+                              effect="self = {\"n\": self.n + 1};")
+        assert compile_fallback_reason(machine) is None
+        lockstep(machine, [("send", "Go", {})] * 3,
+                 context={"self": {"n": 0}})
+
+
+def bump(value):
+    """A context callable: the interpreter calls it, the compiler cannot."""
+    return value + 3
+
+
+def caller_top():
+    """A part whose effect calls the context callable ``bump`` and sends
+    the result to a sink whose machine compiles."""
+    top = Component("Calls")
+    caller = Component("Caller")
+    caller.add_port("out", direction=PortDirection.OUT)
+    machine = StateMachine("CallerBehavior")
+    region = machine.region
+    init = region.add_initial()
+    loop = region.add_state("Loop")
+    region.add_transition(init, loop)
+    region.add_transition(loop, loop, after=5.0,
+                          effect='n = bump(n); send Value(v=n) to "out";')
+    caller.add_behavior(machine, as_classifier_behavior=True)
+    caller.add_attribute("n", default=0)
+    sink = Component("Sink")
+    sink.add_port("in", direction=PortDirection.IN)
+    machine = StateMachine("SinkBehavior")
+    region = machine.region
+    init = region.add_initial()
+    idle = region.add_state("Idle")
+    region.add_transition(init, idle)
+    region.add_transition(idle, idle, trigger="Value",
+                          effect="total = total + event.v;",
+                          kind=TransitionKind.INTERNAL)
+    sink.add_behavior(machine, as_classifier_behavior=True)
+    sink.add_attribute("total", default=0)
+    caller_part = top.add_part("caller", caller)
+    sink_part = top.add_part("sink", sink)
+    top.connect(caller.port("out"), sink.port("in"), caller_part, sink_part,
+                check=False)
+    return top
+
+
+class TestAllOrNothing:
+    """A part runs compiled in full or on the interpreter in full."""
+
+    def test_context_callable_runs_the_part_on_the_interpreter(self):
+        interpreted, compiled = run_pair(
+            caller_top, until=60.0, contexts={"caller": {"bump": bump}})
+        label = compiled.compile_report["caller"]
+        assert label.startswith("interpreter: ") and "'bump'" in label
+        assert compiled.compile_report["sink"] == "compiled"
+        assert interpreted.message_log == compiled.message_log
+        assert interpreted.state_snapshot() == compiled.state_snapshot()
+        for part in interpreted.parts:
+            assert interpreted.context_of(part) == \
+                compiled.context_of(part)
+        assert compiled.context_of("sink")["total"] > 0
+
+    def test_compiled_part_never_interprets(self, monkeypatch):
+        calls = []
+        for name in ("evaluate", "execute"):
+            real = getattr(asl, name)
+            monkeypatch.setattr(
+                asl, name,
+                lambda *args, _name=name, _real=real, **kwargs:
+                calls.append(_name) or _real(*args, **kwargs))
+        top = Component("Quoted")
+        owner = Component("Owner")
+        machine = StateMachine("QuotedBehavior")
+        region = machine.region
+        init = region.add_initial()
+        s = region.add_state("S")
+        region.add_transition(init, s)
+        region.add_transition(s, s, after=2.0, guard='label != "self.y"',
+                              effect='label = "self.x"; n = n + 1;')
+        owner.add_behavior(machine, as_classifier_behavior=True)
+        owner.add_attribute("n", default=0)
+        owner.add_attribute("label", default="")
+        top.add_part("quoted", owner)
+        with SystemSimulation(top, engine="compiled") as simulation:
+            simulation.run(until=10.0)
+            assert simulation.compile_report["quoted"] == "compiled"
+            context = simulation.context_of("quoted")
+            assert context["label"] == "self.x" and context["n"] == 5
+        assert calls == []
+
+    @pytest.mark.parametrize("guard, effect", [
+        (None, "x = event.missing;"),
+        (None, "x = obj.missing;"),
+        ("event.missing > 0", None),
+    ])
+    def test_prelude_failures_raise_asl_runtime_error(self, guard, effect):
+        machine = StateMachine("Failing")
+        region = machine.region
+        init = region.add_initial()
+        s = region.add_state("S")
+        region.add_transition(init, s)
+        region.add_transition(s, s, trigger="Go", guard=guard, effect=effect)
+        for runtime in (StateMachineRuntime(machine, context={"obj": 3}),
+                        CompiledRuntime(compile_machine(machine),
+                                        context={"obj": 3})):
+            runtime.start()
+            with pytest.raises(AslRuntimeError):
+                runtime.send("Go")
 
 
 class TestCompileMemo:

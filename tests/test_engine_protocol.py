@@ -1,6 +1,6 @@
 """The ExecutionEngine protocol (PR 3): conformance of all three
-engines, registry resolution, and the no-engine-isinstance guarantee in
-the cosimulation harness."""
+engines, engine binding by ``build_engine_factory``, and the
+no-engine-isinstance guarantee in the cosimulation harness."""
 
 import inspect
 
@@ -12,11 +12,7 @@ from repro.engine import (
     PROTOCOL_METHODS,
     build_engine_factory,
     conforms,
-    register_engine,
-    registered_behavior_types,
-    supports,
 )
-from repro.engine import registry as engine_registry
 from repro.simulation import SystemSimulation
 from repro.statemachines import StateMachine, StateMachineRuntime
 from repro.statemachines.compiled import CompiledRuntime, compile_machine
@@ -90,15 +86,7 @@ class TestConformance:
 
 
 class TestRegistry:
-    def test_builtin_types_registered(self):
-        types = registered_behavior_types()
-        assert Activity in types
-        assert StateMachine in types
-
-    def test_supports(self):
-        assert supports(simple_machine())
-        assert supports(simple_activity())
-        assert not supports(object())
+    """``build_engine_factory``: one binding per behavior kind."""
 
     def test_state_machine_binding_interpreted(self):
         binding = build_engine_factory(simple_machine())
@@ -132,47 +120,6 @@ class TestRegistry:
 
     def test_unknown_behavior_resolves_to_none(self):
         assert build_engine_factory(object()) is None
-
-    def test_register_engine_shadows_builtin(self):
-        class FakeEngine:
-            def __init__(self):
-                self.time = 0.0
-                self.context = {}
-                self.signal_sink = None
-                self.trace_bus = None
-                self.trace_part = ""
-
-            def start(self):
-                return self
-
-            def send(self, name, **parameters):
-                return self
-
-            def step(self, until):
-                self.time = until
-                return self
-
-            def active_configuration(self):
-                return ("fake",)
-
-            def checkpoint(self):
-                return {"time": self.time}
-
-            def restore(self, snap):
-                self.time = snap["time"]
-
-        def fake_builder(behavior, context, signal_sink, prefer_compiled):
-            return "fake", FakeEngine
-
-        register_engine(Activity, fake_builder)
-        try:
-            label, factory = build_engine_factory(simple_activity())
-            assert label == "fake"
-            assert isinstance(factory(), FakeEngine)
-        finally:
-            engine_registry._BUILDERS.pop(0)
-        label, _factory = build_engine_factory(simple_activity())
-        assert label == "token-engine"
 
 
 class TestHarnessIsEngineAgnostic:

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.errors import StateMachineError
+from repro.metamodel import model_fingerprint
 from repro.statemachines import (
     FinalState,
     PseudostateKind,
     SignalEvent,
     State,
     StateMachine,
+    StateMachineRuntime,
     TimeEvent,
     Transition,
     TransitionKind,
@@ -162,6 +164,35 @@ class TestValidate:
         region.add_transition(state, foreign, trigger="jump")
         with pytest.raises(StateMachineError):
             machine.validate()
+
+    def test_runtimes_validate_once_until_an_edit(self, monkeypatch):
+        checks = []
+        check = StateMachine._check_structure
+        monkeypatch.setattr(
+            StateMachine, "_check_structure",
+            lambda machine: checks.append(machine) or check(machine))
+        machine, region, _init, state = self._minimal()
+        for _ in range(5):
+            StateMachineRuntime(machine).start()
+        assert checks == [machine]
+        region.add_transition(state, region.add_state("T"), trigger="go")
+        StateMachineRuntime(machine)
+        assert checks == [machine, machine]
+
+    def test_defective_machine_raises_on_every_call(self):
+        machine = StateMachine("m")
+        machine.region.add_state("S")
+        for _ in range(2):
+            with pytest.raises(StateMachineError):
+                machine.validate()
+
+    def test_validation_leaves_generation_and_fingerprint(self):
+        validated, *_ = self._minimal()
+        fresh, *_ = self._minimal()
+        generation = validated.generation
+        validated.validate()
+        assert validated.generation == generation
+        assert model_fingerprint(validated) == model_fingerprint(fresh)
 
     def test_deferrable_listing(self):
         state = State("S")
