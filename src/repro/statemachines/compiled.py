@@ -19,6 +19,12 @@ is all or nothing: a machine outside the subset, including one with a
 single guard or effect that does not transpile, is refused with
 :class:`NotCompilable`, :func:`compile_fallback_reason` names why, and
 the caller runs the whole machine on the interpreter.
+
+Compilation is cached in two layers.  Code objects are keyed by their
+ASL source text (and eval/exec mode), so every parse of a model shares
+them.  Dispatch tables are keyed by machine identity and the model's
+generation (:func:`compile_machine_cached`), so the parts and seeds of
+one parsed model share one table, and each fresh parse builds its own.
 """
 
 from __future__ import annotations
@@ -82,16 +88,47 @@ def _wrap_asl_error(source: str, exc: Exception) -> AslRuntimeError:
     return AslRuntimeError(f"compiled action failed: {exc} (in {source!r})")
 
 
+#: (ASL source text, mode) -> its code object, or the refusal reason
+#: that follows the site's name.  Code objects are immutable, so every
+#: parse of a model shares one per distinct text; cleared when full.
+_TRANSPILE_MEMO: Dict[Tuple[str, str], Any] = {}
+_TRANSPILE_MEMO_MAX = 1024
+
+
 def _transpile(source: Any, site: str, mode: str) -> Any:
-    """Parse ``source`` once and ``compile()`` its Python transpilation
-    (``mode`` is ``"eval"`` for a guard, ``"exec"`` for an action).
+    """The code object of ``source``'s Python transpilation (``mode`` is
+    ``"eval"`` for a guard, ``"exec"`` for an action), memoized on the
+    text and the mode.
 
     Raises :class:`NotCompilable` naming ``site`` when ``source`` is not
     ASL text, does not transpile, or calls an operation: the transpiler
     emits operation calls on ``self``, which a compiled action lacks.
+    A memoized refusal is raised afresh, naming the current ``site``.
     """
     if not isinstance(source, str):
         raise NotCompilable(f"{site} has type {type(source).__name__}")
+    key = (source, mode)
+    outcome = _TRANSPILE_MEMO.get(key)
+    if outcome is not None:
+        PERF.incr("sm.transpile_hits")
+    else:
+        PERF.incr("sm.transpile_misses")
+        try:
+            outcome = _transpile_text(source, mode)
+        except RecursionError as exc:
+            # depends on the caller's stack depth: retried, not memoized
+            raise NotCompilable(f"{site} does not transpile: {exc}")
+        if len(_TRANSPILE_MEMO) >= _TRANSPILE_MEMO_MAX:
+            _TRANSPILE_MEMO.clear()
+        _TRANSPILE_MEMO[key] = outcome
+    if isinstance(outcome, str):
+        raise NotCompilable(f"{site} {outcome}")
+    return outcome
+
+
+def _transpile_text(source: str, mode: str) -> Any:
+    """Parse ``source`` once and ``compile()`` its Python transpilation;
+    returns the code object, or why there is none."""
     from ..codegen.transpile import (
         operation_call,
         to_python_expression,
@@ -107,13 +144,13 @@ def _transpile(source: Any, site: str, mode: str) -> Any:
             python_source = "\n".join(
                 to_python_statements(tree, set(), send_call="_send"))
         code = compile(python_source, "<asl>", mode)
-    except (ReproError, SyntaxError, RecursionError) as exc:
-        raise NotCompilable(f"{site} does not transpile: {exc}")
+    except (ReproError, SyntaxError) as exc:
+        return f"does not transpile: {exc}"
     # an operation call is emitted as a method call on ``self``, so
     # only code that loads that name can hold one
     called = operation_call(tree) if "self" in code.co_names else None
     if called is not None:
-        raise NotCompilable(f"{site} calls operation {called!r}")
+        return f"calls operation {called!r}"
     return code
 
 
@@ -357,6 +394,8 @@ def compile_machine(machine: StateMachine) -> CompiledMachine:
     return CompiledMachine(machine, by_name, initial_state, initial_effect)
 
 
+# Kept although a fresh parse never hits it: only full GC passes free a
+# closed simulation, and its strong references keep those passes frequent.
 #: id(machine) -> (machine, generation, CompiledMachine or the refusal
 #: reason).  The strong machine reference keeps the id stable for the
 #: cache entry's lifetime.
@@ -367,12 +406,16 @@ _COMPILE_CACHE_MAX = 256
 def compile_machine_cached(machine: StateMachine) -> CompiledMachine:
     """Memoized :func:`compile_machine`, invalidated by model mutation.
 
-    Keyed on identity plus the owning tree's generation counter, so a
-    machine edited after compilation recompiles while N identical part
-    instances (and N campaign seeds over one parsed model) share a
-    single dispatch table, which the pre-fork campaign warm-up relies on.
-    A refusal is memoized as its reason and raised as a fresh
-    :class:`NotCompilable` on every hit.
+    This is the second of the two compile layers.  Dispatch tables are
+    keyed on machine identity plus the owning tree's generation
+    counter, so a machine edited after compilation recompiles while N
+    identical part instances (and N campaign seeds over one parsed
+    model) share a single dispatch table, which the pre-fork campaign
+    warm-up relies on.  A fresh parse of a model builds fresh tables
+    (``by_timer`` keys on ``id(TimeEvent)``) from code objects of the
+    first layer, which are keyed on their ASL source text and shared
+    across parses.  A refusal is memoized as its reason and raised as a
+    fresh :class:`NotCompilable` on every hit.
     """
     key = id(machine)
     generation = machine.root().generation

@@ -11,10 +11,11 @@ assemblies.
 """
 
 import random
+import uuid
 
 import pytest
 
-from repro import asl
+from repro import asl, xmi
 from repro.engine import ENGINE_MODES, TraceBus, TraceRecorder
 from repro.errors import AslRuntimeError, StateMachineError
 from repro.faults import FaultCampaign, FaultSpec
@@ -33,6 +34,7 @@ from repro.hw import (
     make_traffic_generator,
     make_uart_tx,
 )
+from repro.metamodel import Model
 from repro.metamodel.components import Component, PortDirection
 from repro.perf import PERF
 from repro.simulation import SystemSimulation
@@ -371,8 +373,37 @@ class TestAllOrNothing:
                 runtime.send("Go")
 
 
+def fresh(prefix):
+    """An ASL name no other test uses: the transpile memo is
+    process-global, so only a new text can show a miss."""
+    return f"{prefix}_{uuid.uuid4().hex}"
+
+
+def one_state_machine(name, entry=None, **transition):
+    """``S`` with an optional entry, plus a self-transition on ``Go``
+    built from ``transition`` (guard, effect, kind) when one is given."""
+    machine = StateMachine(name)
+    region = machine.region
+    s = region.add_state("S", entry=entry)
+    region.add_transition(region.add_initial(), s)
+    if transition:
+        region.add_transition(s, s, trigger="Go", **transition)
+    return machine
+
+
+def counts():
+    return (PERF.counter("sm.transpile_misses"),
+            PERF.counter("sm.transpile_hits"))
+
+
+def delta(before):
+    return tuple(now - then for now, then in zip(counts(), before))
+
+
 class TestCompileMemo:
-    """The in-process memo is the only cache in front of the compiler."""
+    """Two in-process layers stand in front of the compiler: code
+    objects keyed by ASL source text, and dispatch tables keyed by
+    machine identity and generation.  The store caches neither."""
 
     def test_memo_hits_until_an_edit_and_never_uses_the_store(
             self, tmp_path):
@@ -394,6 +425,99 @@ class TestCompileMemo:
                 simulation.run(until=20.0)
         assert simulation.stats()["compiled_parts"] > 0
         assert store.ls() == []
+
+    def test_a_fresh_parse_transpiles_nothing_again(self, tmp_path):
+        model = Model("memo")
+        cpu = make_traffic_generator("Cpu", period=2.0,
+                                     address_range=0x800)
+        ram = make_memory("Ram", size_bytes=0x800)
+        # a text of its own: make_memory's entry plus a comment
+        ram.classifier_behavior.find_state("Ready").entry = \
+            f"store = {{}}; /* {fresh('parse')} */"
+        make_soc("Soc", masters=[cpu], slaves=[(ram, "bus", 0, 0x800)],
+                 package=model)
+        path = str(tmp_path / "soc.xmi")
+        xmi.write_file(path, model)
+        starts = []
+        for _ in range(2):
+            top = xmi.read_file(path).model.resolve("Soc", Component)
+            before = counts()
+            machines = PERF.counter("sm.machines_compiled")
+            with SystemSimulation(top, engine="compiled") as simulation:
+                misses, _ = delta(before)
+                compiled = PERF.counter("sm.machines_compiled") - machines
+                assert set(simulation.compile_report.values()) == \
+                    {"compiled"}
+                simulation.run(until=100.0)
+            starts.append((misses, compiled, simulation.message_log))
+        (first_misses, _, first_log), (misses, compiled, log) = starts
+        assert first_misses >= 1
+        # every code object is shared; every dispatch table is new
+        assert (misses, compiled) == (0, 3)
+        assert log == first_log and log
+
+    @pytest.mark.parametrize("text, reason", [
+        ("{name} = ;", "does not transpile: "),
+        ("n = {name}(n);", "calls operation '{name}'"),
+    ], ids=["unparsable", "operation-call"])
+    def test_a_memoized_refusal_names_its_own_site(self, text, reason):
+        name = fresh("refused")
+        text, reason = text.format(name=name), reason.format(name=name)
+        before = counts()
+        entry = compile_fallback_reason(
+            one_state_machine("Entry", entry=text))
+        effect = compile_fallback_reason(
+            one_state_machine("Effect", effect=text))
+        assert entry.startswith(f"entry {reason}")
+        assert effect.startswith(f"effect {reason}")
+        assert entry[len("entry "):] == effect[len("effect "):]
+        assert delta(before) == (1, 1)
+
+    def test_machines_sharing_an_effect_keep_separate_contexts(self):
+        total = fresh("total")
+        effect = f"{total} = {total} + event.v;"
+        before = counts()
+        pairs = []
+        for _ in range(2):
+            machine = one_state_machine("Adder", effect=effect,
+                                        kind=TransitionKind.INTERNAL)
+            pairs.append((
+                StateMachineRuntime(machine, context={total: 0}).start(),
+                CompiledRuntime(compile_machine(machine),
+                                context={total: 0}).start()))
+        assert delta(before) == (1, 1)
+        for step in range(1, 6):
+            for scale, (reference, compiled) in enumerate(pairs, 1):
+                reference.send("Go", v=step * scale)
+                compiled.send("Go", v=step * scale)
+                assert compiled.context == reference.context
+                assert compiled.active_leaf_names() == \
+                    reference.active_leaf_names()
+        assert [compiled.context[total] for _, compiled in pairs] == \
+            [15, 30]
+
+    def test_the_mode_is_part_of_the_key(self):
+        # an expression: a guard compiles, an effect does not parse
+        text = f"{fresh('flag')} == 0"
+        before = counts()
+        assert compile_fallback_reason(
+            one_state_machine("Guarded", guard=text)) is None
+        reason = compile_fallback_reason(
+            one_state_machine("Effected", effect=text))
+        assert reason.startswith("effect does not transpile: ")
+        assert compile_fallback_reason(
+            one_state_machine("GuardedAgain", guard=text)) is None
+        assert delta(before) == (2, 1)
+
+    def test_a_recursion_error_is_retried_not_memoized(self):
+        text = "(" * 2000 + "1" + ")" * 2000
+        before = counts()
+        for name in ("Deep", "DeepAgain"):
+            reason = compile_fallback_reason(
+                one_state_machine(name, guard=text))
+            assert reason.startswith("guard does not transpile: ")
+            assert "recursion" in reason
+        assert delta(before) == (2, 0)
 
 
 def run_pair(top_factory, until=200.0, contexts=None):

@@ -151,6 +151,13 @@ class TestPoolWorker:
         assert payload == {"sockets": 1}  # its own pipe end
 
 
+def wait_until(condition, seconds=60.0):
+    """Poll ``condition`` until it holds; give up after ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
 def assert_all_reaped(processes):
     for process in processes:
         assert not process.is_alive()
@@ -169,21 +176,63 @@ class TestCampaignPool:
         # idle workers leave on EOF of their pipe, not by a kill
         assert [process.exitcode for process in forked] == [0, 0]
 
-    @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
-    def test_killed_worker_retries_on_a_fresh_worker(
-            self, spec_files, forked, tmp_path, monkeypatch, engine):
+    @staticmethod
+    def run_killing_seed_2(spec_files, journal, monkeypatch, hook, engine):
+        """Run seeds 1-4 on two workers; seed 2's first attempt SIGKILLs
+        its worker.  ``hook(label, attempt)`` runs in the worker before
+        the kill hook, so it fixes which order the parent sees things in
+        (``_worker_main`` looks the kill hook up when it runs)."""
+        kill = workers.maybe_test_kill
+
+        def ordered_kill(variable, label, attempt):
+            hook(label, attempt)
+            kill(variable, label, attempt)
+
+        monkeypatch.setattr(workers, "maybe_test_kill", ordered_kill)
         monkeypatch.setenv(TEST_KILL_ENV, "2:1")
-        journal = str(tmp_path / "killed.jsonl")
         spec = make_spec(spec_files, engine=engine)
         result = run_campaign(spec, workers=2, journal=journal,
                               retry_backoff=0.01)
         monkeypatch.delenv(TEST_KILL_ENV)
+        monkeypatch.setattr(workers, "maybe_test_kill", kill)
         _, _, failure_rows = read_journal(journal)
         assert [row["seed"] for row in failure_rows] == [2]
         assert "worker died" in failure_rows[0]["error"]
+        assert result.to_json() == run_campaign(spec).to_json()
+
+    @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+    def test_killed_worker_retries_on_a_fresh_worker(
+            self, spec_files, forked, tmp_path, monkeypatch, engine):
+        # every other seed's first attempt holds its worker until the
+        # death is journaled, so the next seed finds no idle worker
+        journal = str(tmp_path / "killed.jsonl")
+
+        def hook(label, attempt):
+            if label != "2" and attempt == 1:
+                wait_until(lambda: read_journal(journal)[2])
+
+        self.run_killing_seed_2(spec_files, journal, monkeypatch, hook,
+                                engine)
         assert len(forked) == 3  # two slots, one refilled
         assert_all_reaped(forked)
-        assert result.to_json() == run_campaign(spec).to_json()
+
+    @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+    def test_a_death_seen_after_the_other_worker_drained_retries_on_it(
+            self, spec_files, forked, tmp_path, monkeypatch, engine):
+        # seed 2's worker dies only once seeds 1, 3 and 4 are journaled,
+        # so the other worker is idle when the death is seen and takes
+        # the retry: ``WorkerPool.submit`` prefers an idle worker
+        journal = str(tmp_path / "killed.jsonl")
+
+        def hook(label, attempt):
+            if label == "2" and attempt == 1:
+                wait_until(lambda: set(read_journal(journal)[1])
+                           == {1, 3, 4})
+
+        self.run_killing_seed_2(spec_files, journal, monkeypatch, hook,
+                                engine)
+        assert len(forked) == 2  # the dead slot was never refilled
+        assert_all_reaped(forked)
 
     def test_run_timeout_kills_the_worker_and_refills_its_slot(
             self, spec_files, forked):
