@@ -6,7 +6,9 @@ last gap to complete system specification".  This package provides that
 action language for the library: a lexer, a recursive-descent parser
 producing frozen dataclass ASTs, an unparser (round-trip capable), and
 a tree-walking interpreter with pluggable operation-call and
-signal-send hooks.
+signal-send hooks.  :func:`parse` and :func:`parse_expression` keep the
+one parse cache of the process (per source text, successful parses
+only); :func:`clear_caches` empties it.
 
 ASL source appears in: operation bodies (``Operation.set_body``), state
 machine guards/effects/entry/exit actions, activity node behaviors, and
@@ -41,11 +43,10 @@ from .ast_nodes import (
     unparse_expression,
 )
 from .lexer import KEYWORDS, Token, tokenize
-from .parser import parse, parse_expression
+from .parser import clear_caches, parse, parse_expression
 from .interpreter import (
     Interpreter,
     SentSignal,
-    clear_caches,
     evaluate,
     execute,
     run,

@@ -11,14 +11,16 @@ rest of the library:
   statements — the state machine / simulation runtimes route these to
   event queues.
 
-Expression caching: parsing dominates evaluation cost for the short
-guard/effect snippets state machines run thousands of times, so parsed
-programs are memoized per source text (bounded LRU).
+Parsing dominates evaluation cost for the short guard/effect snippets
+state machines run thousands of times; :func:`~repro.asl.parser.parse`
+and :func:`~repro.asl.parser.parse_expression` memoize their trees per
+source text, so :meth:`Interpreter.execute` and
+:meth:`Interpreter.evaluate` parse each text once per process.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import AslRuntimeError
@@ -46,22 +48,6 @@ from .ast_nodes import (
     While,
 )
 from .parser import parse, parse_expression
-
-_MAX_CACHED_PROGRAMS = 4096
-_program_cache: "OrderedDict[str, Program]" = OrderedDict()
-_expression_cache: "OrderedDict[str, Expr]" = OrderedDict()
-
-
-def _cached(cache: OrderedDict, key: str, build: Callable[[str], Any]) -> Any:
-    hit = cache.get(key)
-    if hit is not None:
-        cache.move_to_end(key)
-        return hit
-    built = build(key)
-    cache[key] = built
-    if len(cache) > _MAX_CACHED_PROGRAMS:
-        cache.popitem(last=False)
-    return built
 
 
 class _BreakSignal(Exception):
@@ -116,6 +102,10 @@ def _default_builtins() -> Dict[str, Callable]:
     }
 
 
+def _print_to(output: List[str], *args: Any) -> None:
+    output.append(" ".join(str(a) for a in args))
+
+
 class Interpreter:
     """Executes ASL programs against an environment dict."""
 
@@ -131,17 +121,17 @@ class Interpreter:
         self.max_steps = max_steps
         self._steps = 0
         self._builtins = _default_builtins()
-        self._builtins["print"] = self._print
-
-    def _print(self, *args: Any) -> None:
-        self.output.append(" ".join(str(a) for a in args))
+        # bound to the output list, not to self: a bound method here
+        # made every interpreter a reference cycle, which kept its
+        # signal sink (and a whole simulation) alive until a GC pass
+        self._builtins["print"] = partial(_print_to, self.output)
 
     # -- program execution -----------------------------------------------
 
     def execute(self, source: str) -> Any:
-        """Parse (cached) and run statements; returns the ``return`` value."""
-        program = _cached(_program_cache, source, parse)
-        return self.run_program(program)
+        """Parse (through the shared parse cache) and run statements;
+        returns the ``return`` value."""
+        return self.run_program(parse(source))
 
     def run_program(self, program: Program) -> Any:
         """Run an already-parsed program; returns the ``return`` value."""
@@ -155,9 +145,9 @@ class Interpreter:
         return None
 
     def evaluate(self, source: str) -> Any:
-        """Parse (cached) and evaluate a single expression."""
-        expression = _cached(_expression_cache, source, parse_expression)
-        return self._eval(expression)
+        """Parse (through the shared parse cache) and evaluate a single
+        expression."""
+        return self._eval(parse_expression(source))
 
     # -- statements ------------------------------------------------------
 
@@ -393,9 +383,3 @@ def run(source: str, environment: Optional[Dict[str, Any]] = None,
     interpreter = Interpreter(
         environment if environment is not None else {}, **kwargs)
     return interpreter.execute(source)
-
-
-def clear_caches() -> None:
-    """Drop the memoized parse results (mainly for benchmarks)."""
-    _program_cache.clear()
-    _expression_cache.clear()

@@ -22,13 +22,25 @@ Grammar (EBNF, ``{}`` = repetition, ``[]`` = optional)::
                           | "(" [ expression {"," expression} ] ")" } ;
     primary     = INT | FLOAT | STRING | "true" | "false" | "null"
                 | NAME | "(" expression ")" | "[" [ expr {"," expr} ] "]" ;
+
+Parse caching: every caller of :func:`parse` and :func:`parse_expression`
+-- the interpreter, the model compiler, the code generators and the
+validators -- shares one bounded LRU per entry point, keyed on the
+source text.  ASTs are frozen dataclasses over tuples, so handing one
+tree to every caller is safe.  Only successful parses are kept: a text
+with a syntax error is parsed (and raises) again on every call.  Each
+miss, failed or not, counts ``asl.parses`` in :data:`repro.perf.PERF`;
+a hit counts nothing, so the interpreter's hot path stays one dict
+lookup.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 from ..errors import AslSyntaxError
+from ..perf import PERF
 from .ast_nodes import (
     Assign,
     Attribute,
@@ -316,15 +328,45 @@ class _Parser:
         raise self.error(f"unexpected token {token.text or 'end of input'!r}")
 
 
+_MAX_CACHED_PROGRAMS = 4096
+_program_cache: "OrderedDict[str, Program]" = OrderedDict()
+_expression_cache: "OrderedDict[str, Expr]" = OrderedDict()
+
+
+def _remember(cache: OrderedDict, source: str, tree) -> None:
+    cache[source] = tree
+    if len(cache) > _MAX_CACHED_PROGRAMS:
+        cache.popitem(last=False)
+
+
 def parse(source: str) -> Program:
-    """Parse ASL statements into a :class:`Program`."""
-    parser = _Parser(tokenize(source))
-    return parser.parse_program()
+    """Parse ASL statements into a :class:`Program` (cached per text)."""
+    hit = _program_cache.get(source)
+    if hit is not None:
+        _program_cache.move_to_end(source)
+        return hit
+    PERF.incr("asl.parses")
+    program = _Parser(tokenize(source)).parse_program()
+    _remember(_program_cache, source, program)
+    return program
 
 
 def parse_expression(source: str) -> Expr:
-    """Parse a single ASL expression (must consume all input)."""
+    """Parse a single ASL expression, which must consume all input
+    (cached per text)."""
+    hit = _expression_cache.get(source)
+    if hit is not None:
+        _expression_cache.move_to_end(source)
+        return hit
+    PERF.incr("asl.parses")
     parser = _Parser(tokenize(source))
     expression = parser.parse_expression()
     parser.expect("eof")
+    _remember(_expression_cache, source, expression)
     return expression
+
+
+def clear_caches() -> None:
+    """Drop the memoized parse results (mainly for benchmarks)."""
+    _program_cache.clear()
+    _expression_cache.clear()

@@ -69,8 +69,11 @@ def generate_units(scope: Element,
     """Per-unit, store-backed code generation.
 
     The build-graph view of codegen: one artifact per (backend,
-    hardware component), keyed by the component's subtree fingerprint
-    (:func:`repro.metamodel.model.element_fingerprint`).  With an
+    hardware component), keyed by the backend, the component's
+    qualified name (the files print it) and the subtree fingerprints
+    (:func:`repro.metamodel.model.element_fingerprint`) of the
+    component and of each of its generalizations (the backends read
+    inherited attributes).  With an
     active :mod:`repro.store`, unchanged components are served warm and
     only edited components regenerate — editing one part of a SoC
     regenerates exactly that part's units.  Returns ``{backend:
@@ -95,14 +98,14 @@ def generate_units(scope: Element,
             for component in components:
                 unit_name = component.qualified_name or component.name
                 label = f"{backend}:{unit_name}"
-                fingerprint = element_fingerprint(component)
+                inputs = tuple(element_fingerprint(classifier) for classifier
+                               in (component,) + component.all_generals())
                 store_key = None
                 if store is not None:
-                    store_key = store.make_key("codegen", backend,
-                                               fingerprint)
+                    store_key = store.make_key("codegen", backend, unit_name,
+                                               *inputs)
                     payload = store.load("codegen", store_key,
-                                         inputs=(fingerprint,),
-                                         label=label)
+                                         inputs=inputs, label=label)
                     if isinstance(payload, dict) and payload and all(
                             isinstance(name, str)
                             and isinstance(text, str)
@@ -112,7 +115,7 @@ def generate_units(scope: Element,
                 files = _GENERATORS[backend](component)
                 if store is not None:
                     store.save("codegen", store_key, files,
-                               inputs=(fingerprint,),
+                               inputs=inputs,
                                meta={"backend": backend,
                                      "component": unit_name},
                                label=label)

@@ -44,16 +44,19 @@ def _state_const(name: str) -> str:
 
 
 def _collect_event_fields(view: MachineView) -> Set[str]:
+    """Every ``event.<field>`` a guard (an expression) or an effect (a
+    statement list) reads."""
     fields: Set[str] = set()
     for transition in view.transitions:
-        for source in (transition.guard, transition.effect):
+        for source, parse in ((transition.guard, asl.parse_expression),
+                              (transition.effect, asl.parse)):
             if not source:
                 continue
             try:
-                program = asl.parse(source)
+                tree = parse(source)
             except Exception:
                 continue
-            fields |= _fields_in(program)
+            fields |= _fields_in(tree)
     return fields
 
 

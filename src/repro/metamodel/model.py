@@ -32,6 +32,10 @@ _FP_SKIP = frozenset(
     {"xmi_id", "_owner", "_owned", "_generation", "_fp_cache",
      "_subtree_fp_cache", "_validated"})
 
+#: Where :func:`repro.profiles.core.apply_stereotype` keeps an element's
+#: stereotype applications (not owned, so no walk reaches them).
+_APPLICATIONS_ATTR = "_stereotype_applications"
+
 #: CPython default reprs embed process-local addresses ("at 0x7f...").
 _ADDRESS_RE = re.compile(r" at 0x[0-9a-fA-F]+")
 
@@ -88,11 +92,25 @@ def _encode_value(value: Any, index: Dict[int, int], out: list) -> None:
         out.append(f"o{type(value).__name__}:{text}")
 
 
+def _encode_applications(applications: Any, index: Dict[int, int],
+                         out: list) -> None:
+    """Stereotype applications hash as part of the element they apply
+    to: each stereotype by qualified name, then every tagged value
+    (defaults included)."""
+    out.append(f"A{len(applications)}")
+    for application in applications:
+        stereotype = application.stereotype
+        out.append(f"s{stereotype.qualified_name}")
+        _encode_value({tag.name: application.value(tag.name)
+                       for tag in stereotype.tags}, index, out)
+
+
 def model_fingerprint(root: Element) -> str:
     """Stable content hash of the ownership tree rooted at ``root``.
 
     The digest covers every element's metaclass and attributes in
-    pre-order; in-tree element references hash as walk positions, so
+    pre-order, and each element's stereotype applications with their
+    tagged values; in-tree element references hash as walk positions, so
     the result is independent of ``xmi_id`` allocation.  Cached against
     :attr:`Element.generation` — repeat calls on an unchanged tree are
     a dict lookup.
@@ -124,7 +142,10 @@ def _subtree_digest(top: Element) -> str:
             if name in _FP_SKIP:
                 continue
             tokens.append(f"a{name}")
-            _encode_value(attributes[name], index, tokens)
+            if name == _APPLICATIONS_ATTR:
+                _encode_applications(attributes[name], index, tokens)
+            else:
+                _encode_value(attributes[name], index, tokens)
     hasher.update("\x1f".join(tokens).encode("utf-8", "surrogatepass"))
     return hasher.hexdigest()
 

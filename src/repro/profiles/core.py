@@ -182,6 +182,8 @@ class StereotypeApplication(Element):
         tag = self.stereotype.tag(tag_name)
         tag.check(value)
         self._values[tag_name] = value
+        # tagged values hash into the target's fingerprint
+        self.element._note_mutation()
 
     @property
     def values(self) -> Dict[str, Any]:
@@ -244,6 +246,7 @@ def apply_stereotype(element: Element, stereotype: Stereotype,
         applications = []
         setattr(element, _APPLICATIONS_ATTR, applications)
     applications.append(application)
+    element._note_mutation()
     return application
 
 
@@ -253,6 +256,7 @@ def unapply_stereotype(element: Element, stereotype: Stereotype) -> None:
     for application in applications:
         if application.stereotype is stereotype:
             applications.remove(application)
+            element._note_mutation()
             return
     raise ProfileError(
         f"<<{stereotype.name}>> is not applied to {element!r}")

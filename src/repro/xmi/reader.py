@@ -18,6 +18,7 @@ import json
 import xml.etree.ElementTree as ET
 from typing import Any, Dict, List, Optional, Tuple
 
+from .._ids import reserve_ids
 from ..errors import XmiError
 from ..metamodel.element import Element, Multiplicity, ONE
 from ..metamodel.model import Model
@@ -63,6 +64,8 @@ def read_model(text: str) -> XmiDocument:
             top_level.append(
                 _build(xml_element, None, index, pending_refs, built))
 
+    # elements created after this load must not reuse the file's ids
+    reserve_ids(index)
     _resolve(index, pending_refs)
 
     for element in built:

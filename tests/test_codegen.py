@@ -209,6 +209,46 @@ class TestBackends:
             vhdl.generate(mm.Model("empty"))
 
 
+class TestGuardOnlyEventFields:
+    """An ``event.<field>`` read only in a guard is an HDL input too."""
+
+    @staticmethod
+    def level_probe():
+        comp = mm.Component("Probe")
+        comp.add_attribute("n", mm.INTEGER, default=0)
+        machine = StateMachine("probe")
+        region = machine.region
+        init = region.add_initial()
+        idle = region.add_state("Idle")
+        region.add_transition(init, idle)
+        region.add_transition(idle, idle, trigger="go",
+                              guard="event.level > 3", effect="n = n + 1;")
+        comp.add_behavior(machine, as_classifier_behavior=True)
+        return comp
+
+    @pytest.mark.parametrize("backend,declaration,use", [
+        (vhdl, "ev_level : in integer", "(ev_level > 3)"),
+        (verilog, "input wire signed [31:0] ev_level", "(ev_level > 3)"),
+        (systemc, "sc_in<int> ev_level;", "ev_level.read() > 3"),
+    ], ids=["vhdl", "verilog", "systemc"])
+    def test_the_backend_declares_the_field(self, backend, declaration,
+                                            use):
+        text = backend.generate_component(self.level_probe())
+        assert use in text
+        assert declaration in text
+
+    def test_both_testbenches_drive_the_field(self):
+        from repro.codegen.testbench import (
+            generate_verilog_testbench,
+            generate_vhdl_testbench,
+        )
+
+        comp = self.level_probe()
+        assert "signal ev_level : integer := 0;" \
+            in generate_vhdl_testbench(comp)
+        assert "ev_level" in generate_verilog_testbench(comp)
+
+
 class TestGeneratedPythonEquivalence:
     """The generated Python must behave exactly like the interpreter."""
 

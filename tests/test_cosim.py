@@ -1,5 +1,8 @@
 """Tests for the cosimulation harness executing UML component models."""
 
+import gc
+import weakref
+
 import pytest
 
 import repro.metamodel as mm
@@ -82,6 +85,34 @@ class TestBasics:
         sim = SystemSimulation(build_pair())
         with pytest.raises(SimulationError):
             sim.send("ghost", "Ping")
+
+
+class TestClose:
+    @pytest.mark.parametrize("engine", ("interpreted", "compiled"))
+    def test_a_closed_simulation_is_freed_by_reference_counting(self,
+                                                                engine):
+        gc.collect()
+        gc.disable()  # only reference counting may free it
+        try:
+            sim = SystemSimulation(build_pair(), engine=engine,
+                                   context={"col": {"got": []}})
+            for n in range(3):
+                sim.send("echo", "Ping", n=n, delay=float(n))
+            sim.run(until=10.0)
+            sim.close()
+            sim.close()  # idempotent
+            # results stay readable after close()
+            signals = [signal for _t, _sender, _part, signal
+                       in sim.message_log]
+            assert sorted(signals) == ["Ping"] * 3 + ["Pong"] * 3
+            assert sim.stats()["messages_delivered"] == len(signals)
+            assert sim.state_snapshot() == {"col": ("Listen",),
+                                            "echo": ("Ready",)}
+            freed = weakref.ref(sim)
+            del sim
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestMessageFlow:

@@ -19,6 +19,7 @@ from repro.mda import hardware_transformation
 from repro.metamodel import Model
 from repro.profiles import create_soc_profile
 from repro.profiles.core import apply_stereotype
+from repro.statemachines import StateMachine
 from repro.store import BUILT, ArtifactStore, using_store
 from repro.xmi import read_model, write_model
 
@@ -131,3 +132,104 @@ class TestCodegenUnits:
         units = generate_units(model, backends=("python",))
         assert set(units) == {"python"}
         assert all(files for files in units["python"].values())
+
+
+class TestStoreKeysCoverWhatBuildersRead:
+    """A warm store must serve what a storeless build produces: every
+    input a builder reads is part of its artifact's key."""
+
+    @staticmethod
+    def register_pim(address):
+        profile = create_soc_profile()
+        model = Model("pim")
+        design = model.create_package("design")
+        block = design.add(mm.Component("Block0"))
+        register = block.add_attribute("reg0", mm.INTEGER, default=0)
+        apply_stereotype(register, profile.stereotype("Register"),
+                         address=address, width=32)
+        return model, profile, register
+
+    @staticmethod
+    def transform_and_generate(text):
+        """One 'process': read the PIM, transform (through the active
+        store, if any) and generate VHDL."""
+        from repro.codegen import generate_all
+
+        document = read_model(text)
+        result = hardware_transformation().transform_cached(
+            document.model, document.profiles)
+        return generate_all(result.psm, ("vhdl",))["vhdl"]
+
+    def test_a_tagged_value_edit_reaches_the_transform_key(self, tmp_path):
+        from repro.metamodel.model import model_fingerprint
+        from repro.profiles import application_of
+
+        model, profile, register = self.register_pim(0x10)
+        with using_store(ArtifactStore(tmp_path)):
+            cold = self.transform_and_generate(
+                write_model(model, [profile]))
+        assert "0x0010" in cold["block0.vhd"]
+
+        before = model_fingerprint(model)
+        application_of(register, "Register").set_value("address", 0x20)
+        assert model_fingerprint(model) != before
+        edited = write_model(model, [profile])
+        warm_store = ArtifactStore(tmp_path)
+        with using_store(warm_store):
+            warm = self.transform_and_generate(edited)
+        assert warm_store.graph.counts()["transform"] \
+            == {"built": 1, "reused": 0}
+        storeless = self.transform_and_generate(edited)
+        assert "0x0020" in storeless["block0.vhd"]
+        assert warm == storeless
+
+    @staticmethod
+    def inheriting_model():
+        model = Model("m")
+        package = model.create_package("p")
+        base = package.add(mm.Component("Base"))
+        limit = base.add_attribute("limit", mm.INTEGER, default=5)
+        block = package.add(mm.Component("Block"))
+        block.add_generalization(base)
+        block.add_attribute("count", mm.INTEGER, default=0)
+        machine = StateMachine("BlockBehavior")
+        region = machine.region
+        idle = region.add_state("Idle")
+        region.add_transition(region.add_initial(), idle)
+        region.add_transition(idle, idle, trigger="tick",
+                              guard="count < limit",
+                              effect="count = count + 1;")
+        block.add_behavior(machine, as_classifier_behavior=True)
+        return model, package, limit
+
+    BACKENDS = ("verilog", "python")
+
+    def warm_and_storeless(self, model, tmp_path):
+        warm_store = ArtifactStore(tmp_path)
+        with using_store(warm_store):
+            warm = generate_units(model, backends=self.BACKENDS)
+        return warm, generate_units(model, backends=self.BACKENDS)
+
+    def test_an_inherited_attribute_edit_rebuilds_the_heir(self, tmp_path):
+        model, _package, limit = self.inheriting_model()
+        with using_store(ArtifactStore(tmp_path)):
+            generate_units(model, backends=self.BACKENDS)
+
+        limit.set_default(9)
+        warm, storeless = self.warm_and_storeless(model, tmp_path)
+        assert "limit <= 9;" in storeless["verilog"]["m::p::Block"][
+            "block.v"]
+        assert "self.limit = 9" in storeless["python"]["m::p::Block"][
+            "generated.py"]
+        assert warm == storeless
+
+    def test_a_package_rename_rebuilds_the_units_it_names(self, tmp_path):
+        model, package, _limit = self.inheriting_model()
+        with using_store(ArtifactStore(tmp_path)):
+            generate_units(model, backends=self.BACKENDS)
+
+        package.name = "q"
+        warm, storeless = self.warm_and_storeless(model, tmp_path)
+        assert "from component m::q::Block" in storeless["verilog"][
+            "m::q::Block"]["block.v"]
+        assert warm == storeless

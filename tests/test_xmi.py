@@ -190,6 +190,38 @@ class TestRoundTrip:
         assert node.deployed_artifacts[0].file_name == "fw.bin"
 
 
+class TestIdsAfterLoad:
+    """XMI import keeps a file's ids, so the id counter must move past
+    them; else an element created after the load reuses one."""
+
+    def test_elements_created_after_a_load_get_fresh_ids(self):
+        import repro
+
+        model = mm.Model("m")
+        component = model.add(mm.Component("C"))
+        component.add_port("p")
+        text = xmi.write_model(model)
+        assert 'xmi:id="Port_3"' in text
+
+        repro.reset_ids(1)  # stands in for a fresh process
+        document = xmi.read_model(text)
+        loaded = document.model.resolve("C", mm.Component)
+        for name in ("q", "r", "s"):
+            loaded.add_port(name)
+        ids = [element.xmi_id for element in
+               [document.model, *document.model.all_owned()]]
+        assert len(ids) == len(set(ids))
+        assert xmi.read_model(xmi.write_model(document.model)) \
+            .model.summary() == document.model.summary()
+
+    def test_only_numeric_suffixes_move_the_counter(self):
+        from repro._ids import next_id, reserve_ids
+
+        reserve_ids(["Port_x", "builtin:Integer", "Class_9", "a_b_12",
+                     "Huge_" + "9" * 40])
+        assert next_id("Port") == "Port_13"
+
+
 class TestErrors:
     def test_callable_action_rejected(self):
         model = mm.Model("m")
