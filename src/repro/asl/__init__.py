@@ -47,6 +47,7 @@ from .parser import clear_caches, parse, parse_expression
 from .interpreter import (
     Interpreter,
     SentSignal,
+    action_error,
     evaluate,
     execute,
     run,
@@ -59,6 +60,6 @@ __all__ = [
     "unparse", "unparse_expression",
     "KEYWORDS", "Token", "tokenize",
     "parse", "parse_expression",
-    "Interpreter", "SentSignal", "clear_caches", "evaluate", "execute",
-    "run",
+    "Interpreter", "SentSignal", "action_error", "clear_caches",
+    "evaluate", "execute", "run",
 ]

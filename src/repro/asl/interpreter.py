@@ -356,6 +356,15 @@ class Interpreter:
         return bool(value)
 
 
+def action_error(source: str, exc: Exception) -> AslRuntimeError:
+    """The error an engine raises when the ASL guard or action
+    ``source`` fails with ``exc``, an exception that is no
+    :class:`~repro.errors.ReproError` (``pop`` of an empty list, an
+    operator on the wrong types, ...): one text on every engine.
+    Raise it ``from exc``."""
+    return AslRuntimeError(f"action failed: {exc} (in {source!r})")
+
+
 # ---------------------------------------------------------------------------
 # module-level convenience API
 # ---------------------------------------------------------------------------

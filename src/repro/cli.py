@@ -838,11 +838,12 @@ def _add_run_arguments(command: argparse.ArgumentParser) -> None:
                               "seed; see docs/FAULTS.md)")
     command.add_argument("--until", type=float, default=100.0)
     command.add_argument("--quantum", type=float, default=1.0)
-    command.add_argument("--engine", default="interpreted",
+    command.add_argument("--engine", default="compiled",
                          choices=ENGINE_MODES,
-                         help="execution engine; compiled falls back to "
-                              "the interpreter per part outside the "
-                              "compilable subset")
+                         help="execution engine (default compiled; "
+                              "interpreted is the reference); compiled "
+                              "falls back to the interpreter per part "
+                              "outside the compilable subset")
     command.add_argument("--on-part-error", default="raise",
                          choices=PART_ERROR_POLICIES,
                          dest="on_part_error",

@@ -122,24 +122,73 @@ def _py_expr(expr: asl.Expr, self_names: set) -> str:
     raise CodegenError(f"cannot translate {type(expr).__name__} to Python")
 
 
-def operation_call(tree: asl.Node) -> Optional[str]:
-    """The name of an operation the ASL ``tree`` calls, or None.
+#: Every name the interpreter resolves as a builtin, plus ``list``,
+#: which ``range`` is emitted with.  Python code resolves them as
+#: globals, so a variable of one of these names shadows the builtin
+#: there, while the interpreter keeps calls apart from values; and a
+#: builtin read as a value is another object in Python, or none.
+BUILTIN_NAMES = frozenset(_PY_BUILTIN_MAP) | {"list", "print"}
 
-    An operation call is a call of a bare name that is not an ASL
-    builtin; the Python transpiler emits it as a method call on
-    ``self``, so it runs only where the generated code has a receiver.
+#: A text :func:`interpreter_only` answers for holds ``while``, or its
+#: Python translation loads one of these names.
+REFUSABLE_NAMES = BUILTIN_NAMES | {"self", "_asl_attr", "_asl_append"}
+
+
+def interpreter_only(tree: asl.Node) -> Optional[str]:
+    """The first construct in the ASL ``tree`` (in source order) that
+    its Python translation, run as a free-standing action, would run
+    differently from the interpreter, or None.  The answer completes
+    a sentence about the text:
+
+    * ``"calls operation 'f'"``: a call of a bare name that is no ASL
+      builtin is emitted as a method call on ``self``, so it runs only
+      where the generated code has a receiver;
+    * ``"calls method 'get'"``: ``obj.name(...)`` is emitted through
+      ``_asl_attr``, which reads a dict's *item* ``name`` where the
+      interpreter calls the dict's method;
+    * ``"uses builtin name 'len' as a variable"``: reading, assigning
+      or looping over a name in :data:`BUILTIN_NAMES`;
+    * ``"has a while loop"``, ``"appends in a for loop"``: a loop whose
+      trip count is not fixed when it starts (``append`` may grow the
+      list a ``for`` walks).  Python runs it without the interpreter's
+      step bound, so a runaway loop hangs instead of raising.
     """
-    pending: list = [tree]
+    pending: list = [(tree, False)]  # (node, inside a for body)
     while pending:
-        node = pending.pop()
+        node, in_for = pending.pop()
         if isinstance(node, tuple):
-            pending.extend(node)
-        elif isinstance(node, asl.Node):
-            if isinstance(node, asl.Call) \
-                    and isinstance(node.callee, asl.Name) \
-                    and node.callee.identifier not in _PY_BUILTIN_MAP:
-                return node.callee.identifier
-            pending.extend(vars(node).values())  # the dataclass fields
+            pending.extend((item, in_for) for item in reversed(node))
+            continue
+        if not isinstance(node, asl.Node):
+            continue  # a field that is no node: an operator, a literal
+        if isinstance(node, asl.While):
+            return "has a while loop"
+        if isinstance(node, asl.Call):
+            callee = node.callee
+            if isinstance(callee, asl.Attribute):
+                return f"calls method {callee.name!r}"
+            if isinstance(callee, asl.Name):
+                if callee.identifier not in _PY_BUILTIN_MAP:
+                    return f"calls operation {callee.identifier!r}"
+                if in_for and callee.identifier == "append":
+                    return "appends in a for loop"
+                # a builtin's name as the callee is no variable
+                pending.append((node.arguments, in_for))
+                continue
+        elif isinstance(node, asl.Name):
+            if node.identifier in BUILTIN_NAMES:
+                return (f"uses builtin name {node.identifier!r} "
+                        f"as a variable")
+        elif isinstance(node, asl.For):
+            if node.variable in BUILTIN_NAMES:
+                return (f"uses builtin name {node.variable!r} "
+                        f"as a variable")
+            pending.append((node.body, True))
+            pending.append((node.iterable, in_for))
+            continue
+        # the dataclass fields, first field on top: source order
+        pending.extend((field, in_for)
+                       for field in reversed(list(vars(node).values())))
     return None
 
 

@@ -10,8 +10,9 @@ restart-on-failure and checkpoint campaigns engine-agnostic.
   run-to-completion interpreter, or (with ``prefer_compiled`` and the
   machine inside the compilable subset) the dispatch-table
   :class:`~repro.statemachines.compiled.CompiledRuntime`.  Compilation
-  is all or nothing per machine: a refused machine runs entirely on the
-  interpreter, labelled with the compiler's reason.
+  is all or nothing per machine: a refused machine, or one whose
+  initial context names a variable like an ASL builtin, runs entirely
+  on the interpreter, labelled with the reason.
 * :class:`~repro.activities.graph.Activity` — the token-game
   :class:`~repro.activities.runtime.ActivityRuntime`.
 """
@@ -26,6 +27,7 @@ from ..perf import PERF
 from ..statemachines.compiled import (
     CompiledRuntime,
     NotCompilable,
+    check_context,
     compile_machine_cached,
 )
 from ..statemachines.kernel import StateMachine
@@ -68,6 +70,7 @@ def build_engine_factory(behavior: Any, *,
     if prefer_compiled:
         try:
             compiled = compile_machine_cached(behavior)
+            check_context(context)
         except NotCompilable as refusal:
             PERF.incr("cosim.interpreted_parts")
             label = f"interpreter: {refusal}"

@@ -127,7 +127,7 @@ class CampaignSpec:
                  campaign: Optional[str] = None,
                  until: float = 100.0,
                  quantum: float = 1.0,
-                 engine: str = "interpreted",
+                 engine: str = "compiled",
                  on_part_error: str = "raise",
                  checkpoint_interval: Optional[float] = None,
                  max_restarts: int = 3,

@@ -79,6 +79,12 @@ class FlightRecorder:
         simulation.incident_hooks.append(self._on_incident)
         return self
 
+    def detach(self) -> None:
+        """Drop the simulation :meth:`attach` registered on (its
+        ``close()`` does this); a later auto-dump has no simulation
+        header fields."""
+        self._simulation = None
+
     def _on_incident(self, reason: str, detail: str) -> None:
         if self.path is not None:
             text = self.dump_text(self._simulation, reason=reason,

@@ -68,13 +68,25 @@ class ObservabilitySuite:
         if self.profiler is None:
             raise SimulationError(
                 "profiling was not enabled on this simulation")
-        self.profiler.finalize(self.simulation.simulator.now)
+        if self.simulation is not None:  # else close() finalized it
+            self.profiler.finalize(self.simulation.simulator.now)
         if metric == "time":
             return self.profiler.collapsed_time()
         if metric == "steps":
             return self.profiler.collapsed_steps()
         raise SimulationError(
             f"unknown profile metric {metric!r}; choose 'time' or 'steps'")
+
+    def close(self, now: float) -> None:
+        """Finalize the profile at simulated time ``now`` and drop the
+        simulation (its :meth:`~repro.simulation.SystemSimulation.close`
+        calls this), breaking the reference cycle through it; every
+        report reads the same afterwards."""
+        if self.profiler is not None:
+            self.profiler.finalize(now)
+        if self.recorder is not None:
+            self.recorder.detach()
+        self.simulation = None
 
     def checkpoint(self) -> Dict[str, Any]:
         """Capture every attached collector (part of the simulation's

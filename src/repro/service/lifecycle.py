@@ -4,11 +4,12 @@ The paper's thesis is that executable UML models are *the* artifact —
 so the simulation service eats its own dogfood: the lifecycle of a
 submitted job is not an ad-hoc ``status`` string mutated from a dozen
 call sites, it is a :class:`~repro.statemachines.StateMachine` executed
-by the same RTC runtime the service simulates for its users.  Illegal
-transitions are structurally impossible (there is no edge to fire), the
-retry budget is a guarded choice between two transitions on the same
-trigger, and the whole protocol can be validated, flattened, diagrammed
-and simulated with the library's existing tooling.
+by the same model compiler the service simulates its users' parts
+with: each job runs a compiled runtime over one shared dispatch table.
+Illegal transitions are structurally impossible (there is no edge to
+fire), the retry budget is a guarded choice between two transitions on
+the same trigger, and the whole protocol can be validated, flattened,
+diagrammed and simulated with the library's existing tooling.
 
 ::
 
@@ -55,7 +56,7 @@ from typing import Optional, Tuple
 
 from ..errors import ServiceError
 from ..statemachines import StateMachine
-from ..statemachines.runtime import StateMachineRuntime
+from ..statemachines.compiled import CompiledRuntime, compile_machine_cached
 
 #: Every lifecycle state, in protocol order.
 JOB_STATES: Tuple[str, ...] = (
@@ -115,7 +116,8 @@ def build_job_lifecycle() -> StateMachine:
     return machine
 
 
-#: One shared (immutable) machine; each job gets its own runtime.
+#: One shared (immutable) machine, compiled once; each job gets its
+#: own runtime over the one dispatch table.
 _MACHINE: Optional[StateMachine] = None
 
 
@@ -146,8 +148,8 @@ class JobLifecycle:
                  machine: Optional[StateMachine] = None):
         if budget < 0:
             raise ServiceError(f"lease budget cannot be negative: {budget}")
-        self.runtime = StateMachineRuntime(
-            machine or _shared_machine(),
+        self.runtime = CompiledRuntime(
+            compile_machine_cached(machine or _shared_machine()),
             context={"budget": int(budget)})
         self.runtime.start()
 

@@ -12,10 +12,12 @@ Execution core (PR 3): the harness speaks only the
 ``start``/``send``/``step``/``active_configuration``/``checkpoint``/
 ``restore`` — and resolves each part's classifier behavior to an engine
 with :func:`repro.engine.build_engine_factory`.  A part whose behavior is a
-state machine runs on the interpreter (or, with ``engine="compiled"``,
-the dispatch-table :class:`~repro.statemachines.compiled.CompiledRuntime`
-when the machine is in the compilable subset); a part whose behavior is
-an :class:`~repro.activities.Activity` runs on the token-game
+state machine runs on the dispatch-table
+:class:`~repro.statemachines.compiled.CompiledRuntime` when the machine
+is in the compilable subset and on the interpreter otherwise (with
+``engine="interpreted"``, the reference, always on the interpreter);
+a part whose behavior is an :class:`~repro.activities.Activity` runs
+on the token-game
 :class:`~repro.activities.ActivityRuntime` — under the *same*
 scheduler, fault injector, degradation policies and
 checkpoint/restore.  There is no engine-type dispatch here.
@@ -156,7 +158,7 @@ class SystemSimulation:
                  latency_fn: Optional[Callable[[Connector], float]] = None,
                  context: Optional[Dict[str, Dict[str, Any]]] = None,
                  strict_routing: bool = False,
-                 engine: str = "interpreted",
+                 engine: str = "compiled",
                  faults: Optional[FaultCampaign] = None,
                  fault_seed: Optional[int] = None,
                  on_part_error: str = "raise",
@@ -875,11 +877,29 @@ class SystemSimulation:
 
         Also breaks the simulation's own reference cycles -- the
         built-in bus subscriptions (bound methods of this simulation),
-        each engine's ``signal_sink`` (a closure over it) and the part
-        factories -- so reference counting frees a closed simulation
-        without waiting for a full GC pass.  Results stay readable:
-        ``message_log``, :meth:`stats` and :meth:`state_snapshot`.
+        each engine's ``signal_sink`` (a closure over it), the part
+        factories, and the fault injector, observability suite, flight
+        recorder and property checker, which each hold this simulation
+        -- so reference counting frees a closed simulation without
+        waiting for a full GC pass.  Property verdicts and the profile
+        are finalized at the current simulated time first, so every
+        report reads the same after close as before it:
+        ``message_log``, :meth:`stats`, :meth:`state_snapshot`,
+        :meth:`property_report`, ``resilience`` and the
+        observability reports.  That final sweep only records and
+        counts violations: teardown (often under an escaping error)
+        fires no incident and hands no part to the supervisor.
         """
+        now = self.simulator.now
+        checker = self.property_checker
+        if checker is not None:
+            checker.on_violation = "record"
+            checker.finalize(now)
+            checker.simulation = None
+        if self.observability is not None:
+            self.observability.close(now)
+        if self._injector is not None:
+            self._injector.simulation = None
         self.simulator.close()
         for subscription in self._builtin_subscriptions:
             subscription.cancel()

@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import asl
 from ..asl import SentSignal
-from ..errors import AslRuntimeError, ReproError, StateMachineError
+from ..errors import ReproError, StateMachineError
 from ..perf import PERF
 from .events import ChangeEvent, EventKind, EventOccurrence, TimeEvent
 from .kernel import (
@@ -84,10 +84,6 @@ def _action_globals() -> Dict[str, Any]:
     return _GLOBALS
 
 
-def _wrap_asl_error(source: str, exc: Exception) -> AslRuntimeError:
-    return AslRuntimeError(f"compiled action failed: {exc} (in {source!r})")
-
-
 #: (ASL source text, mode) -> its code object, or the refusal reason
 #: that follows the site's name.  Code objects are immutable, so every
 #: parse of a model shares one per distinct text; cleared when full.
@@ -101,9 +97,11 @@ def _transpile(source: Any, site: str, mode: str) -> Any:
     text and the mode.
 
     Raises :class:`NotCompilable` naming ``site`` when ``source`` is not
-    ASL text, does not transpile, or calls an operation: the transpiler
-    emits operation calls on ``self``, which a compiled action lacks.
-    A memoized refusal is raised afresh, naming the current ``site``.
+    ASL text, does not transpile, or holds a construct that compiled
+    code would run differently from the interpreter (an operation or a
+    method call, a builtin's name as a variable, a loop without a fixed
+    trip count: :func:`~repro.codegen.transpile.interpreter_only`).  A
+    memoized refusal is raised afresh, naming the current ``site``.
     """
     if not isinstance(source, str):
         raise NotCompilable(f"{site} has type {type(source).__name__}")
@@ -130,7 +128,8 @@ def _transpile_text(source: str, mode: str) -> Any:
     """Parse ``source`` once and ``compile()`` its Python transpilation;
     returns the code object, or why there is none."""
     from ..codegen.transpile import (
-        operation_call,
+        REFUSABLE_NAMES,
+        interpreter_only,
         to_python_expression,
         to_python_statements,
     )
@@ -143,14 +142,16 @@ def _transpile_text(source: str, mode: str) -> Any:
             tree = asl.parse(source)
             python_source = "\n".join(
                 to_python_statements(tree, set(), send_call="_send"))
-        code = compile(python_source, "<asl>", mode)
+        # optimize=2 drops a leading string statement, which Python
+        # would store as the action's ``__doc__`` variable
+        code = compile(python_source, "<asl>", mode, optimize=2)
     except (ReproError, SyntaxError) as exc:
         return f"does not transpile: {exc}"
-    # an operation call is emitted as a method call on ``self``, so
-    # only code that loads that name can hold one
-    called = operation_call(tree) if "self" in code.co_names else None
-    if called is not None:
-        return f"calls operation {called!r}"
+    # the walk, skipped where it can find nothing
+    if "while" in source or not REFUSABLE_NAMES.isdisjoint(code.co_names):
+        reason = interpreter_only(tree)
+        if reason is not None:
+            return reason
     return code
 
 
@@ -180,7 +181,7 @@ def _compile_guard(guard, site: str) -> Optional[Callable]:
         except ReproError:
             raise
         except Exception as exc:
-            raise _wrap_asl_error(_src, exc)
+            raise asl.action_error(_src, exc) from exc
     return run_compiled
 
 
@@ -212,7 +213,7 @@ def _compile_action(action, site: str) -> Optional[Callable]:
         except ReproError:
             raise
         except Exception as exc:
-            raise _wrap_asl_error(_src, exc)
+            raise asl.action_error(_src, exc) from exc
         context = runtime.context
         for key, value in env.items():
             if key not in _SPECIALS:
@@ -287,12 +288,15 @@ def compile_fallback_reason(machine: StateMachine) -> Optional[str]:
     The compilable subset is the flat-machine core the SoC IP library
     uses: one region, simple states, INITIAL as the only pseudostate,
     signal/call/time triggers, no deferral, no completion transitions,
-    and every guard and effect transpiles (ASL that parses and calls no
-    operation, or a Python callable).  Everything else (deep history,
-    orthogonal regions, deferral, change triggers, a context callable
-    called from ASL, ...) answers with a reason string, and the caller
+    and every guard and effect transpiles (ASL that parses and that the
+    compiled code runs as the interpreter does, or a Python callable).
+    Everything else (deep history, orthogonal regions, deferral, change
+    triggers, a context callable or a dict method called from ASL, a
+    ``while`` loop, ...) answers with a reason string, and the caller
     runs the whole machine on the interpreter.  None means the machine
-    is compiled (and memoized by :func:`compile_machine_cached`).
+    is compiled (and memoized by :func:`compile_machine_cached`).  A
+    machine that compiles may still need the interpreter for a given
+    context: see :func:`check_context`.
     """
     try:
         compile_machine_cached(machine)
@@ -435,6 +439,20 @@ def compile_machine_cached(machine: StateMachine) -> CompiledMachine:
     if isinstance(outcome, str):
         raise NotCompilable(outcome)
     return outcome
+
+
+def check_context(context: Dict[str, Any]) -> None:
+    """Raise :class:`NotCompilable` when a variable of the initial
+    ``context`` is named like an ASL builtin: compiled code would read
+    the variable where the interpreter calls the builtin (a context
+    ``len`` breaks ``len(l)``, a context ``list`` breaks ``range(n)``).
+    """
+    from ..codegen.transpile import BUILTIN_NAMES
+
+    for name in context:
+        if name in BUILTIN_NAMES:
+            raise NotCompilable(
+                f"context variable {name!r} shadows a builtin")
 
 
 class CompiledRuntime:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..errors import StateMachineError
+from ..errors import ReproError, StateMachineError
 from .events import (
     ChangeEvent,
     EventKind,
@@ -763,18 +763,32 @@ class StateMachineRuntime:
         env["now"] = self.time
         return env
 
+    # An ASL failure that is no ReproError leaves both ASL entry points
+    # as asl.action_error, the boundary the compiled engine shares.
+
     def _eval_asl_expression(self, source: str,
                              occurrence: Optional[EventOccurrence]) -> Any:
         from .. import asl  # deferred: keeps package import order flexible
 
-        return asl.evaluate(source, self._asl_environment(occurrence))
+        try:
+            return asl.evaluate(source, self._asl_environment(occurrence))
+        except ReproError:
+            raise
+        except Exception as exc:
+            raise asl.action_error(source, exc) from exc
 
     def _exec_asl_statements(self, source: str,
                              occurrence: Optional[EventOccurrence]) -> None:
         from .. import asl
 
         env = self._asl_environment(occurrence)
-        result_env = asl.execute(source, env, signal_sink=self.signal_sink)
+        try:
+            result_env = asl.execute(source, env,
+                                     signal_sink=self.signal_sink)
+        except ReproError:
+            raise
+        except Exception as exc:
+            raise asl.action_error(source, exc) from exc
         for key, value in result_env.items():
             if key in ("event", "event_name", "now"):
                 continue

@@ -90,7 +90,8 @@ def fingerprint(sim):
 
 class TestMixedModelRuns:
     def test_ping_pong_round_trips(self):
-        with SystemSimulation(mixed_top(pings=4)) as sim:
+        with SystemSimulation(mixed_top(pings=4),
+                              engine="interpreted") as sim:
             sim.run(until=30.0)
             assert sim.context_of("echo")["count"] == 4
             assert sim.context_of("driver")["pongs"] == 3

@@ -19,7 +19,7 @@ def test_policy_choices_are_the_library_tuples():
 def test_engine_is_the_only_engine_selector(command):
     parser = cli.build_parser()
     argv = [command, "model.xmi", "--top", "design::Top"]
-    assert parser.parse_args(argv).engine == "interpreted"
+    assert parser.parse_args(argv).engine == "compiled"
     # argparse accepts any unique prefix of an option, so rejecting
     # this prefix shows the removed engine flag is gone
     with pytest.raises(SystemExit) as exit_info:

@@ -309,8 +309,111 @@ def caller_top():
     return top
 
 
+def one_part_top(effect, **transition):
+    """A top whose one part ``p`` fires ``effect`` on a self-transition
+    (``after=2.0`` unless ``transition`` says otherwise)."""
+    top = Component("One")
+    owner = Component("Owner")
+    machine = StateMachine("OwnerBehavior")
+    region = machine.region
+    loop = region.add_state("Loop")
+    region.add_transition(region.add_initial(), loop)
+    region.add_transition(loop, loop, effect=effect,
+                          **(transition or {"after": 2.0}))
+    owner.add_behavior(machine, as_classifier_behavior=True)
+    top.add_part("p", owner)
+    return top
+
+
 class TestAllOrNothing:
     """A part runs compiled in full or on the interpreter in full."""
+
+    def test_a_dict_method_call_runs_the_part_on_the_interpreter(self):
+        # _asl_attr reads the dict's item "get"; the interpreter calls
+        # the dict's method, so the compiler refuses the whole part
+        effect = 'x = d.get("k"); n = len(d.keys()) + n;'
+        interpreted, compiled = run_pair(
+            lambda: one_part_top(effect), until=10.0,
+            contexts={"p": {"d": {"k": 1}, "n": 0}})
+        assert compiled.compile_report["p"] == \
+            "interpreter: effect calls method 'get'"
+        assert compiled.context_of("p") == interpreted.context_of("p")
+        assert compiled.context_of("p")["x"] == 1
+        assert compiled.context_of("p")["n"] == 5
+
+    def test_a_failing_action_fails_alike_on_both_engines(self):
+        # pop of an empty list: one AslRuntimeError on both engines
+        def top():
+            return one_part_top("x = pop(l);")
+
+        errors = []
+        for engine in ENGINE_MODES:
+            with SystemSimulation(top(), engine=engine,
+                                  context={"p": {"l": [1]}}) as simulation:
+                with pytest.raises(AslRuntimeError) as error:
+                    simulation.run(until=10.0)
+                errors.append(str(error.value))
+        assert errors[0] == errors[1] == \
+            "action failed: pop from empty list (in 'x = pop(l);')"
+        rows = []
+        for engine in ENGINE_MODES:
+            with SystemSimulation(top(), engine=engine,
+                                  on_part_error="quarantine",
+                                  context={"p": {"l": [1]}}) as simulation:
+                simulation.run(until=10.0)
+                rows.append(simulation.resilience.part_failures)
+        assert rows[0] == rows[1] == [{
+            "t": 4.0, "part": "p", "action": "quarantine",
+            "error": f"AslRuntimeError: {errors[0]}"}]
+
+    def test_a_runaway_loop_raises_on_both_engines(self):
+        # compiled code has no step bound: a while loop would hang it
+        errors = []
+        for engine in ENGINE_MODES:
+            with SystemSimulation(
+                    one_part_top("while (c) { y = y + 1; }"),
+                    engine=engine,
+                    context={"p": {"c": True, "y": 0}}) as simulation:
+                if engine == "compiled":
+                    assert simulation.compile_report["p"] == \
+                        "interpreter: effect has a while loop"
+                with pytest.raises(AslRuntimeError) as error:
+                    simulation.run(until=3.0)
+                errors.append(str(error.value))
+        assert errors[0] == errors[1] == \
+            "execution exceeded 1000000 steps (runaway loop?)"
+
+    @pytest.mark.parametrize("effect, context, label", [
+        # a for loop whose list grows may never end
+        ("for v in l { append(l, v); if (len(l) > 5) { break; } }",
+         {"l": [1]}, "effect appends in a for loop"),
+        # builtins read, assigned or looped over as variables
+        ("len = 3; x = len(l);", {"l": [1, 2]},
+         "effect uses builtin name 'len' as a variable"),
+        ("x = pop;", {"l": [1]},
+         "effect uses builtin name 'pop' as a variable"),
+        ("for sum in l { x = sum; }", {"l": [1, 2]},
+         "effect uses builtin name 'sum' as a variable"),
+        # context variables named like builtins
+        ("x = len(l);", {"len": 5, "l": [1, 2]},
+         "context variable 'len' shadows a builtin"),
+        ("x = range(2);", {"list": 1},
+         "context variable 'list' shadows a builtin"),
+    ], ids=["append-in-for", "assigned-builtin", "builtin-value",
+            "builtin-loop-variable", "context-len", "context-list"])
+    def test_what_only_the_interpreter_runs_alike_runs_there(
+            self, effect, context, label):
+        interpreted, compiled = run_pair(
+            lambda: one_part_top(effect), until=3.0,
+            contexts={"p": context})
+        assert compiled.compile_report["p"] == f"interpreter: {label}"
+        # each run binds its own builtin functions: compare the data
+        data = [{name: value for name, value in run.context_of("p").items()
+                 if not callable(value)}
+                for run in (interpreted, compiled)]
+        assert repr(data[0]) == repr(data[1])
+        assert "x" in compiled.context_of("p") \
+            or compiled.context_of("p")["l"] == [1] * 7
 
     def test_context_callable_runs_the_part_on_the_interpreter(self):
         interpreted, compiled = run_pair(

@@ -1,12 +1,15 @@
 """Tests for the cosimulation harness executing UML component models."""
 
 import gc
+import json
 import weakref
 
 import pytest
 
 import repro.metamodel as mm
-from repro.errors import QueueOverflowError, SimulationError
+from repro.errors import AslRuntimeError, QueueOverflowError, SimulationError
+from repro.faults import FaultCampaign
+from repro.properties import PropertySuite, bounded_liveness, response
 from repro.simulation import SystemSimulation
 from repro.statemachines import StateMachine, TransitionKind
 
@@ -87,6 +90,44 @@ class TestBasics:
             sim.send("ghost", "Ping")
 
 
+#: observer name -> the SystemSimulation keywords that attach it; each
+#: one holds the simulation it observes
+OBSERVERS = {
+    "faults": lambda: {
+        "faults": FaultCampaign.from_dict({
+            "name": "drops", "seed": 0,
+            "faults": [{"kind": "drop", "signal": "Pong",
+                        "probability": 0.5}]}),
+        "fault_seed": 3},
+    "coverage": lambda: {"coverage": True, "profile": True},
+    "flight_recorder": lambda: {"flight_recorder": 32},
+    "properties": lambda: {"properties": PropertySuite([
+        response("ping-answered", trigger={"signal": "Ping"},
+                 reaction={"signal": "Pong"}, within=2.0),
+        # due at the end of the run: only the final sweep flags it
+        bounded_liveness("pongs-keep-coming", match={"signal": "Pong"},
+                         at_least=100, by=20.0)])},
+}
+
+
+def observed_reports(sim):
+    """Every report a closed simulation must still answer alike."""
+    reports = {}
+    if sim.property_checker is not None:  # first: it may add violations
+        reports["properties"] = sim.property_report().to_dict()
+    reports["resilience"] = sim.resilience.to_dict()
+    suite = sim.observability
+    if suite is not None:
+        if suite.coverage is not None:
+            reports["coverage"] = suite.coverage_report().to_dict()
+        if suite.profiler is not None:
+            reports["profile"] = (suite.profile_lines("time")
+                                  + suite.profile_lines("steps"))
+        if suite.recorder is not None:
+            reports["flight"] = suite.recorder.dump_text(sim)
+    return reports
+
+
 class TestClose:
     @pytest.mark.parametrize("engine", ("interpreted", "compiled"))
     def test_a_closed_simulation_is_freed_by_reference_counting(self,
@@ -113,6 +154,74 @@ class TestClose:
             assert freed() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("engine", ("interpreted", "compiled"))
+    @pytest.mark.parametrize("observer", sorted(OBSERVERS))
+    def test_a_closed_observed_simulation_is_freed_by_reference_counting(
+            self, engine, observer):
+        gc.collect()
+        gc.disable()  # only reference counting may free it
+        try:
+            sim = SystemSimulation(build_pair(), engine=engine,
+                                   context={"col": {"got": []}},
+                                   **OBSERVERS[observer]())
+            for n in range(6):
+                sim.send("echo", "Ping", n=n, delay=float(n))
+            sim.run(until=20.0)
+            before = observed_reports(sim)
+            sim.close()
+            assert observed_reports(sim) == before
+            freed = weakref.ref(sim)
+            del sim
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_close_finalizes_what_the_reports_read(self):
+        # reports read only after close() equal those of a twin run
+        # read before it: close() finalizes properties and the profile
+        runs = []
+        for close_first in (False, True):
+            sim = SystemSimulation(build_pair(),
+                                   context={"col": {"got": []}},
+                                   profile=True,
+                                   **OBSERVERS["properties"]())
+            sim.send("echo", "Ping", n=1)
+            sim.run(until=20.0)
+            if close_first:
+                sim.close()
+            runs.append(observed_reports(sim))
+            sim.close()
+        assert runs[0] == runs[1]
+        assert runs[0]["properties"]["properties"]["pongs-keep-coming"][
+            "verdict"] == "violated"
+
+    @pytest.mark.parametrize("engine", ("interpreted", "compiled"))
+    def test_teardown_fires_no_incident(self, engine, tmp_path):
+        # the echo's action fails at t=1 under "raise", and only the
+        # final sweep at t=1 finds the liveness property unmet: the
+        # crash stays the last incident and the flight dump's reason
+        dump = tmp_path / "postmortem.jsonl"
+        incidents = []
+        with pytest.raises(AslRuntimeError):
+            with SystemSimulation(
+                    build_pair(), engine=engine,
+                    context={"echo": {"count": None},
+                             "col": {"got": []}},
+                    flight_recorder=16, flight_dump=str(dump),
+                    properties=PropertySuite([bounded_liveness(
+                        "two-pings", match={"signal": "Ping"},
+                        at_least=2, by=1.0)])) as sim:
+                sim.incident_hooks.append(
+                    lambda reason, detail: incidents.append(reason))
+                sim.send("echo", "Ping", n=1, delay=1.0)
+                sim.run(until=5.0)
+        assert incidents == ["simulation_error"]
+        header = json.loads(dump.read_text().splitlines()[0])
+        assert header["reason"] == "simulation_error"
+        report = sim.property_report()
+        assert report.properties["two-pings"]["verdict"] == "violated"
+        assert sim.resilience.counts["property_violations"] == 1
 
 
 class TestMessageFlow:

@@ -236,7 +236,7 @@ class TestDedupe:
         spec = make_spec(model_file, campaign_file, seeds=[11])
         spellings = [spec,
                      dict(spec, until=10),
-                     dict(spec, quantum=1.0, engine="interpreted"),
+                     dict(spec, quantum=1.0, engine="compiled"),
                      CampaignSpec.from_dict(spec).to_dict()]
         rows = [service.submit(spelling) for spelling in spellings]
         assert [row["coalesced"] for row in rows] \
