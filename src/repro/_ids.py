@@ -48,7 +48,9 @@ def reserve_ids(ids: Iterable[str]) -> None:
     for xmi_id in ids:
         suffix = xmi_id.rpartition("_")[2]
         if suffix.isdecimal() and len(suffix) < 19:
-            largest = max(largest, int(suffix))
+            number = int(suffix)
+            if number > largest:
+                largest = number
     global _counter
     with _lock:
         # restarting at the drawn value keeps it: nothing is skipped

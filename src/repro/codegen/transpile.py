@@ -129,9 +129,30 @@ def _py_expr(expr: asl.Expr, self_names: set) -> str:
 #: builtin read as a value is another object in Python, or none.
 BUILTIN_NAMES = frozenset(_PY_BUILTIN_MAP) | {"list", "print"}
 
-#: A text :func:`interpreter_only` answers for holds ``while``, or its
-#: Python translation loads one of these names.
+#: A text :func:`interpreter_only` answers for holds ``while`` or one
+#: of :data:`ENGINE_NAME_MARKS`, or its Python translation loads one of
+#: these names.
 REFUSABLE_NAMES = BUILTIN_NAMES | {"self", "_asl_attr", "_asl_append"}
+
+#: Every name of the compiled engine's own globals holds one of these:
+#: the send callback ``_send`` and the prelude's ``_asl_*`` helpers.
+ENGINE_NAME_MARKS = ("_send", "_asl_")
+
+
+def is_engine_name(name: str) -> bool:
+    """True for ``_send`` and every ``_asl_*`` name: compiled actions
+    resolve them as globals, so a variable so named shadows them there,
+    while the interpreter has no such names."""
+    return name == "_send" or name.startswith("_asl_")
+
+
+def _variable_reason(name: str) -> Optional[str]:
+    """Why a variable named ``name`` runs only on the interpreter."""
+    if name in BUILTIN_NAMES:
+        return f"uses builtin name {name!r} as a variable"
+    if is_engine_name(name):
+        return f"uses engine name {name!r} as a variable"
+    return None
 
 
 def interpreter_only(tree: asl.Node) -> Optional[str]:
@@ -148,6 +169,8 @@ def interpreter_only(tree: asl.Node) -> Optional[str]:
       interpreter calls the dict's method;
     * ``"uses builtin name 'len' as a variable"``: reading, assigning
       or looping over a name in :data:`BUILTIN_NAMES`;
+    * ``"uses engine name '_send' as a variable"``: the same for
+      ``_send`` or an ``_asl_*`` name (:func:`is_engine_name`);
     * ``"has a while loop"``, ``"appends in a for loop"``: a loop whose
       trip count is not fixed when it starts (``append`` may grow the
       list a ``for`` walks).  Python runs it without the interpreter's
@@ -176,13 +199,13 @@ def interpreter_only(tree: asl.Node) -> Optional[str]:
                 pending.append((node.arguments, in_for))
                 continue
         elif isinstance(node, asl.Name):
-            if node.identifier in BUILTIN_NAMES:
-                return (f"uses builtin name {node.identifier!r} "
-                        f"as a variable")
+            reason = _variable_reason(node.identifier)
+            if reason is not None:
+                return reason
         elif isinstance(node, asl.For):
-            if node.variable in BUILTIN_NAMES:
-                return (f"uses builtin name {node.variable!r} "
-                        f"as a variable")
+            reason = _variable_reason(node.variable)
+            if reason is not None:
+                return reason
             pending.append((node.body, True))
             pending.append((node.iterable, in_for))
             continue

@@ -251,10 +251,22 @@ class Element:
             node = node._owner
 
     def all_owned(self) -> Iterator["Element"]:
-        """Yield every transitively owned element (pre-order)."""
-        for child in self._owned:
-            yield child
-            yield from child.all_owned()
+        """Yield every transitively owned element (pre-order).
+
+        Lazy, with an explicit stack of iterators over the live
+        ``_owned`` lists: no generator per level, so a tree of any
+        depth walks without recursion, and a child added during the
+        walk is still reached, exactly as a recursive walk would.
+        """
+        stack = [iter(self._owned)]
+        while stack:
+            for child in stack[-1]:
+                yield child
+                if child._owned:
+                    stack.append(iter(child._owned))
+                break
+            else:
+                stack.pop()
 
     def owned_of_type(self, kind: Type[E]) -> Tuple[E, ...]:
         """Directly owned elements that are instances of ``kind``."""

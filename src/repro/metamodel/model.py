@@ -27,10 +27,10 @@ E = TypeVar("E", bound=Element)
 
 #: Attributes excluded from the fingerprint: identity (fresh per run),
 #: tree bookkeeping (covered by the walk itself), the cache fields and
-#: the state machine validation record.
+#: the state machine validation and compile records.
 _FP_SKIP = frozenset(
     {"xmi_id", "_owner", "_owned", "_generation", "_fp_cache",
-     "_subtree_fp_cache", "_validated"})
+     "_subtree_fp_cache", "_validated", "_compiled"})
 
 #: Where :func:`repro.profiles.core.apply_stereotype` keeps an element's
 #: stereotype applications (not owned, so no walk reaches them).

@@ -22,13 +22,15 @@ the caller runs the whole machine on the interpreter.
 
 Compilation is cached in two layers.  Code objects are keyed by their
 ASL source text (and eval/exec mode), so every parse of a model shares
-them.  Dispatch tables are keyed by machine identity and the model's
+them.  Dispatch tables are kept on the machine, against the model's
 generation (:func:`compile_machine_cached`), so the parts and seeds of
-one parsed model share one table, and each fresh parse builds its own.
+one parsed model share one table, each fresh parse builds its own, and
+the table is freed with its model.
 """
 
 from __future__ import annotations
 
+import warnings
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -38,6 +40,7 @@ from ..errors import ReproError, StateMachineError
 from ..perf import PERF
 from .events import ChangeEvent, EventKind, EventOccurrence, TimeEvent
 from .kernel import (
+    MachineWalk,
     Pseudostate,
     PseudostateKind,
     State,
@@ -128,6 +131,7 @@ def _transpile_text(source: str, mode: str) -> Any:
     """Parse ``source`` once and ``compile()`` its Python transpilation;
     returns the code object, or why there is none."""
     from ..codegen.transpile import (
+        ENGINE_NAME_MARKS,
         REFUSABLE_NAMES,
         interpreter_only,
         to_python_expression,
@@ -142,13 +146,20 @@ def _transpile_text(source: str, mode: str) -> Any:
             tree = asl.parse(source)
             python_source = "\n".join(
                 to_python_statements(tree, set(), send_call="_send"))
-        # optimize=2 drops a leading string statement, which Python
-        # would store as the action's ``__doc__`` variable
-        code = compile(python_source, "<asl>", mode, optimize=2)
+        with warnings.catch_warnings():
+            # Python's own compile-time hints (``3[a]``: "not
+            # subscriptable") are no ASL diagnostics; the action raises
+            # AslRuntimeError when it runs, as on the interpreter
+            warnings.simplefilter("ignore", SyntaxWarning)
+            # optimize=2 drops a leading string statement, which Python
+            # would store as the action's ``__doc__`` variable
+            code = compile(python_source, "<asl>", mode, optimize=2)
     except (ReproError, SyntaxError) as exc:
         return f"does not transpile: {exc}"
     # the walk, skipped where it can find nothing
-    if "while" in source or not REFUSABLE_NAMES.isdisjoint(code.co_names):
+    if "while" in source \
+            or any(mark in source for mark in ENGINE_NAME_MARKS) \
+            or not REFUSABLE_NAMES.isdisjoint(code.co_names):
         reason = interpreter_only(tree)
         if reason is not None:
             return reason
@@ -305,8 +316,10 @@ def compile_fallback_reason(machine: StateMachine) -> Optional[str]:
     return None
 
 
-def _structure_reason(machine: StateMachine) -> Optional[str]:
-    """The first structural feature outside the compilable subset."""
+def _structure_reason(machine: StateMachine,
+                      walk: MachineWalk) -> Optional[str]:
+    """The first structural feature outside the compilable subset;
+    ``walk`` is the machine's :meth:`~StateMachine.walk`."""
     regions = machine.regions
     if len(regions) != 1:
         return f"machine has {len(regions)} top-level regions"
@@ -316,16 +329,16 @@ def _structure_reason(machine: StateMachine) -> Optional[str]:
         return f"machine fails validation: {exc}"
     if regions[0].initial is None:
         return "machine has no initial pseudostate"
-    for state in machine.all_states():
+    for state in walk.states:
         if not state.is_simple:
             return f"composite state {state.name!r}"
         if state.deferrable:
             return f"state {state.name!r} defers events"
-    for vertex in machine.all_vertices():
+    for vertex in walk.vertices:
         if isinstance(vertex, Pseudostate) \
                 and vertex.kind is not PseudostateKind.INITIAL:
             return f"pseudostate kind {vertex.kind.value!r}"
-    for transition in machine.all_transitions():
+    for transition in walk.transitions:
         if transition.kind is TransitionKind.LOCAL:
             return "local transition kind"
         if isinstance(transition.target, Pseudostate):
@@ -346,17 +359,22 @@ def compile_machine(machine: StateMachine) -> CompiledMachine:
 
     Raises :class:`NotCompilable` (a :class:`StateMachineError`) naming
     the first feature outside the compilable subset (see
-    :func:`compile_fallback_reason`).
+    :func:`compile_fallback_reason`).  The structure check and the
+    tables take the machine's parts from one :meth:`~StateMachine.walk`.
     """
-    reason = _structure_reason(machine)
+    walk = machine.walk()
+    reason = _structure_reason(machine, walk)
     if reason is not None:
         raise NotCompilable(reason)
 
     with PERF.timed("sm.compile_s"):
-        ordered = machine.all_transitions()
+        # transitions by source, each list in declaration order
+        outgoing: Dict[int, List[Any]] = {}
+        for transition in walk.transitions:
+            outgoing.setdefault(id(transition.source), []).append(transition)
         cstates: Dict[int, CompiledState] = {}
         by_name: Dict[str, CompiledState] = {}
-        for state in machine.all_states():
+        for state in walk.states:
             cstate = CompiledState(state.name)
             cstate.entry = _compile_action(state.entry, "entry")
             cstate.do_activity = _compile_action(state.do_activity, "do")
@@ -364,13 +382,12 @@ def compile_machine(machine: StateMachine) -> CompiledMachine:
             cstates[id(state)] = cstate
             by_name[state.name] = cstate
 
-        for state in machine.all_states():
+        for state in walk.states:
             cstate = cstates[id(state)]
-            outgoing = [t for t in ordered if t.source is state]
             by_key: Dict[Tuple[EventKind, str], List[CompiledTransition]] = {}
             by_timer: Dict[int, List[CompiledTransition]] = {}
             timer_specs: List[Tuple[float, TimeEvent]] = []
-            for transition in outgoing:
+            for transition in outgoing.get(id(state), ()):
                 compiled = CompiledTransition(
                     transition.kind is TransitionKind.INTERNAL,
                     cstates[id(transition.target)],
@@ -390,7 +407,8 @@ def compile_machine(machine: StateMachine) -> CompiledMachine:
                                for key, value in by_timer.items()}
             cstate.timer_specs = tuple(timer_specs)
 
-        initial_transition = machine.regions[0].initial.outgoing[0]
+        initial = machine.regions[0].initial
+        initial_transition = outgoing[id(initial)][0]
         initial_effect = _compile_action(initial_transition.effect, "effect")
         initial_state = cstates[id(initial_transition.target)]
 
@@ -398,43 +416,36 @@ def compile_machine(machine: StateMachine) -> CompiledMachine:
     return CompiledMachine(machine, by_name, initial_state, initial_effect)
 
 
-# Kept although a fresh parse never hits it: only full GC passes free a
-# closed simulation, and its strong references keep those passes frequent.
-#: id(machine) -> (machine, generation, CompiledMachine or the refusal
-#: reason).  The strong machine reference keeps the id stable for the
-#: cache entry's lifetime.
-_COMPILE_CACHE: Dict[int, Tuple[StateMachine, int, Any]] = {}
-_COMPILE_CACHE_MAX = 256
-
-
 def compile_machine_cached(machine: StateMachine) -> CompiledMachine:
     """Memoized :func:`compile_machine`, invalidated by model mutation.
 
-    This is the second of the two compile layers.  Dispatch tables are
-    keyed on machine identity plus the owning tree's generation
-    counter, so a machine edited after compilation recompiles while N
-    identical part instances (and N campaign seeds over one parsed
-    model) share a single dispatch table, which the pre-fork campaign
-    warm-up relies on.  A fresh parse of a model builds fresh tables
-    (``by_timer`` keys on ``id(TimeEvent)``) from code objects of the
-    first layer, which are keyed on their ASL source text and shared
-    across parses.  A refusal is memoized as its reason and raised as a
-    fresh :class:`NotCompilable` on every hit.
+    This is the second of the two compile layers.  The outcome is kept
+    on the machine itself, in ``machine.__dict__["_compiled"]``, against
+    its tree root's identity and generation counter (the way
+    :meth:`~StateMachine.validate` keeps its record), so a machine
+    edited after compilation recompiles, while N identical part
+    instances (and N campaign seeds over one parsed model) share a
+    single dispatch table, which the pre-fork campaign warm-up relies
+    on.  The record lives and dies with its model: no global table
+    holds a parsed model alive.  A fresh parse of a model builds fresh
+    tables (``by_timer`` keys on ``id(TimeEvent)``) from code objects
+    of the first layer, which are keyed on their ASL source text and
+    shared across parses.  A refusal is kept as its reason and raised
+    as a fresh :class:`NotCompilable` on every hit.
     """
-    key = id(machine)
-    generation = machine.root().generation
-    hit = _COMPILE_CACHE.get(key)
-    if hit is not None and hit[0] is machine and hit[1] == generation:
+    root = machine.root()
+    key = (id(root), root.generation)
+    record = machine.__dict__.get("_compiled")
+    if record is not None and record[0] == key:
         PERF.incr("sm.compile_cache_hits")
-        outcome = hit[2]
+        outcome = record[1]
     else:
         try:
             outcome = compile_machine(machine)
         except NotCompilable as refusal:
             outcome = str(refusal)
-        if len(_COMPILE_CACHE) >= _COMPILE_CACHE_MAX:
-            _COMPILE_CACHE.clear()
-        _COMPILE_CACHE[key] = (machine, generation, outcome)
+        # through __dict__: the record must not bump the generation
+        machine.__dict__["_compiled"] = (key, outcome)
         PERF.incr("sm.compile_cache_misses")
     if isinstance(outcome, str):
         raise NotCompilable(outcome)
@@ -443,16 +454,21 @@ def compile_machine_cached(machine: StateMachine) -> CompiledMachine:
 
 def check_context(context: Dict[str, Any]) -> None:
     """Raise :class:`NotCompilable` when a variable of the initial
-    ``context`` is named like an ASL builtin: compiled code would read
-    the variable where the interpreter calls the builtin (a context
-    ``len`` breaks ``len(l)``, a context ``list`` breaks ``range(n)``).
+    ``context`` is named like an ASL builtin or one of the compiled
+    engine's own globals: compiled code would read the variable where
+    the interpreter calls the builtin (a context ``len`` breaks
+    ``len(l)``, a context ``list`` breaks ``range(n)``), or where it
+    calls ``_send`` or an ``_asl_*`` helper.
     """
-    from ..codegen.transpile import BUILTIN_NAMES
+    from ..codegen.transpile import BUILTIN_NAMES, is_engine_name
 
     for name in context:
         if name in BUILTIN_NAMES:
             raise NotCompilable(
                 f"context variable {name!r} shadows a builtin")
+        if is_engine_name(name):
+            raise NotCompilable(
+                f"context variable {name!r} shadows an engine name")
 
 
 class CompiledRuntime:

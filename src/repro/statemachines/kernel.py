@@ -14,7 +14,7 @@ callables — the runtime accepts both.
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 from ..errors import StateMachineError
 from ..metamodel.element import Element
@@ -391,6 +391,25 @@ class StateMachine(PackageableElement):
         """Every transition in the machine."""
         return self.descendants_of_type(Transition)
 
+    def walk(self) -> "MachineWalk":
+        """Every region, vertex, state and transition of the machine,
+        each in pre-order, from one walk of its ownership tree."""
+        regions: List[Region] = []
+        vertices: List[Vertex] = []
+        states: List[State] = []
+        transitions: List[Transition] = []
+        for element in self.all_owned():
+            if isinstance(element, Transition):
+                transitions.append(element)
+            elif isinstance(element, Vertex):
+                vertices.append(element)
+                if isinstance(element, State):
+                    states.append(element)
+            elif isinstance(element, Region):
+                regions.append(element)
+        return MachineWalk(tuple(regions), tuple(vertices), tuple(states),
+                           tuple(transitions))
+
     def find_state(self, name: str) -> State:
         """Lookup any state in the machine by (unqualified) name."""
         for state in self.all_states():
@@ -417,15 +436,19 @@ class StateMachine(PackageableElement):
             self.__dict__["_validated"] = passed
 
     def _check_structure(self) -> None:
-        for region in self.all_regions():
-            if region.states and region.initial is None:
+        walk = self.walk()
+        outgoing: dict = {}
+        for transition in walk.transitions:
+            outgoing.setdefault(id(transition.source), []).append(transition)
+        for region in walk.regions:
+            initial = region.initial
+            if initial is None and region.states:
                 raise StateMachineError(
                     f"region {region.name!r} has states but no initial "
                     "pseudostate"
                 )
-            initial = region.initial
             if initial is not None:
-                outs = initial.outgoing
+                outs = outgoing.get(id(initial), ())
                 if len(outs) != 1:
                     raise StateMachineError(
                         f"initial pseudostate of region {region.name!r} "
@@ -436,20 +459,31 @@ class StateMachine(PackageableElement):
                         f"initial transition in region {region.name!r} must "
                         "be triggerless and unguarded"
                     )
-        for vertex in self.all_vertices():
+        for vertex in walk.vertices:
             if isinstance(vertex, Pseudostate):
-                if vertex.kind is PseudostateKind.FORK and len(vertex.outgoing) < 2:
+                if vertex.kind is PseudostateKind.FORK \
+                        and len(outgoing.get(id(vertex), ())) < 2:
                     raise StateMachineError(
                         f"fork {vertex.name!r} needs >= 2 outgoing transitions"
                     )
-                if vertex.kind is PseudostateKind.JOIN and len(vertex.incoming) < 2:
+                if vertex.kind is PseudostateKind.JOIN and sum(
+                        t.target is vertex for t in walk.transitions) < 2:
                     raise StateMachineError(
                         f"join {vertex.name!r} needs >= 2 incoming transitions"
                     )
-        machine_elements = set(id(v) for v in self.all_vertices())
-        for transition in self.all_transitions():
+        machine_elements = set(id(v) for v in walk.vertices)
+        for transition in walk.transitions:
             if (id(transition.source) not in machine_elements
                     or id(transition.target) not in machine_elements):
                 raise StateMachineError(
                     f"{transition!r} crosses out of machine {self.name!r}"
                 )
+
+
+class MachineWalk(NamedTuple):
+    """What :meth:`StateMachine.walk` collects, each in pre-order."""
+
+    regions: Tuple[Region, ...]
+    vertices: Tuple[Vertex, ...]
+    states: Tuple[State, ...]
+    transitions: Tuple[Transition, ...]

@@ -10,13 +10,24 @@ Three passes:
    (``builtin:`` ids resolve to the shared primitive types).
 3. **Fixup** — run each class's fixup hook (rebuilding derived internal
    structures), then re-apply stereotype applications.
+
+:data:`~repro.xmi.schema.SPEC` is compiled once, at import, into one
+:class:`_Plan` per class: the values every element of the class starts
+from, and the converter of each XML attribute.  Build, resolve and the
+fixups write fields straight into each new element's ``__dict__``, so
+they bump no tree generation (the tree is new: no cache can hold
+anything of it); only the stereotype applications of pass three go
+through :func:`~repro.profiles.core.apply_stereotype`.  The build walks
+the document with an explicit stack, so nesting depth is bounded by
+memory, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import json
 import xml.etree.ElementTree as ET
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .._ids import reserve_ids
 from ..errors import XmiError
@@ -24,7 +35,7 @@ from ..metamodel.element import Element, Multiplicity, ONE
 from ..metamodel.model import Model
 from ..metamodel.types import PRIMITIVES
 from ..profiles.core import Profile, Stereotype
-from .schema import CLASS_BY_NAME, ENUMS, TAG_TYPES, Field, spec_for
+from .schema import ENUMS, SPEC, TAG_TYPES, ClassSpec, Field
 from .writer import BUILTIN_PREFIX, XMI_NS
 
 _TYPE_ATTR = f"{{{XMI_NS}}}type"
@@ -45,6 +56,118 @@ class XmiDocument:
                 f"profiles={len(self.profiles)}>")
 
 
+# ---------------------------------------------------------------------------
+# restore plans, compiled from the schema at import
+# ---------------------------------------------------------------------------
+
+# how an XML attribute restores its field
+_TEXT = 0      # the field is the text itself
+_CONVERT = 1   # the field is converter(text); a failure is located
+_REF = 2       # an id, resolved in pass two
+_REFLIST = 3   # space-separated ids, resolved in pass two
+
+#: Converters of the plain field kinds: (converter, what a bad value is).
+_CONVERTERS: Dict[str, Tuple[Callable[[str], Any], str]] = {
+    "int": (int, "integer"),
+    "float": (float, "number"),
+    "bool": ("true".__eq__, "boolean"),
+    "json": (json.loads, "JSON"),
+    "multiplicity": (Multiplicity.parse, "multiplicity"),
+    "tagtype": (TAG_TYPES.__getitem__, "tag type"),
+}
+
+#: Enum type name -> member by value, without the Enum call machinery.
+_ENUM_MEMBERS: Dict[str, Callable[[str], Any]] = {
+    name: {member.value: member for member in enum_type}.__getitem__
+    for name, enum_type in ENUMS.items()}
+
+
+class _Plan:
+    """How the reader restores every element of one class."""
+
+    __slots__ = ("cls", "defaults", "fresh", "steps", "required", "fixup")
+
+    def __init__(self, cls: type, defaults: Dict[str, Any],
+                 fresh: Tuple[Tuple[str, Callable[[], Any]], ...],
+                 steps: Dict[str, Tuple[str, int, Any, str]],
+                 required: Tuple[Tuple[str, str], ...],
+                 fixup: Optional[Callable[[Any], None]]):
+        self.cls = cls
+        #: field -> immutable value every element starts with
+        self.defaults = defaults
+        #: (field, factory) of the mutable starting values
+        self.fresh = fresh
+        #: XML attribute -> (field, how, converter, what a bad value is)
+        self.steps = steps
+        #: (XML attribute, field) that must be present
+        self.required = required
+        self.fixup = fixup
+
+
+def _starting_value(field: Field) -> Tuple[Any, Optional[Callable[[], Any]]]:
+    """The value of ``field`` when its attribute is absent, as a value
+    or, when mutable, as a factory of fresh copies."""
+    kind, default = field.kind, field.default
+    if kind == "reflist":
+        return None, list
+    if kind == "multiplicity":
+        return ONE, None
+    if kind in ("ref", "action"):
+        return None, None
+    if kind == "json" and isinstance(default, (list, dict)):
+        return None, partial(type(default), default)
+    return default, None
+
+
+def _compile_plan(cls: type, spec: ClassSpec) -> _Plan:
+    values: Dict[str, Any] = {}
+    factories: Dict[str, Callable[[], Any]] = {}
+    for name, factory in spec.init:
+        if isinstance(factory(), (list, dict, set)):
+            factories[name] = factory
+        else:
+            values[name] = factory()
+    steps: Dict[str, Tuple[str, int, Any, str]] = {}
+    required: List[Tuple[str, str]] = []
+    for field in spec.fields:
+        attr = field.name.lstrip("_")
+        values.pop(field.name, None)
+        factories.pop(field.name, None)
+        if field.kind == "tagtype":
+            required.append((attr, field.name))
+        else:
+            value, factory = _starting_value(field)
+            if factory is None:
+                values[field.name] = value
+            else:
+                factories[field.name] = factory
+        if field.kind in ("str", "action"):
+            steps[attr] = (field.name, _TEXT, None, "")
+        elif field.kind == "ref":
+            steps[attr] = (field.name, _REF, None, "")
+        elif field.kind == "reflist":
+            steps[attr] = (field.name, _REFLIST, None, "")
+        elif field.kind == "enum":
+            steps[attr] = (field.name, _CONVERT,
+                           _ENUM_MEMBERS[field.enum_type],
+                           f"{field.enum_type} value")
+        elif field.kind in _CONVERTERS:
+            steps[attr] = (field.name, _CONVERT) + _CONVERTERS[field.kind]
+        else:
+            raise XmiError(f"unknown field kind {field.kind!r}")
+    return _Plan(cls, values, tuple(factories.items()), steps,
+                 tuple(required), spec.fixup)
+
+
+#: Class name -> its restore plan.
+_PLANS: Dict[str, _Plan] = {cls.__name__: _compile_plan(cls, spec)
+                            for cls, spec in SPEC.items()}
+
+
+# ---------------------------------------------------------------------------
+# reading
+# ---------------------------------------------------------------------------
+
 def read_model(text: str) -> XmiDocument:
     """Parse XMI text produced by :func:`repro.xmi.writer.write_model`."""
     try:
@@ -55,34 +178,27 @@ def read_model(text: str) -> XmiDocument:
         raise XmiError(f"not an XMI document (root tag {root.tag!r})")
 
     index: Dict[str, Element] = {}
-    pending_refs: List[Tuple[Element, Field, str]] = []
-    built: List[Element] = []
-    top_level: List[Element] = []
-
-    for xml_element in root:
-        if xml_element.tag == "element":
-            top_level.append(
-                _build(xml_element, None, index, pending_refs, built))
+    pending_refs: List[Tuple[Element, str, int, str]] = []
+    fixups: List[Tuple[Element, Callable[[Any], None]]] = []
+    top_level = _build(root, index, pending_refs, fixups)
 
     # elements created after this load must not reuse the file's ids
     reserve_ids(index)
     _resolve(index, pending_refs)
 
-    for element in built:
-        spec = spec_for(element)
-        if spec.fixup is not None:
-            # fixups rebuild derived structure from restored fields; on
-            # a corrupt document they can trip over missing pieces, and
-            # the caller should still see a located XmiError
-            try:
-                spec.fixup(element)
-            except XmiError:
-                raise
-            except Exception as exc:
-                raise XmiError(
-                    f"element {element.xmi_id!r} "
-                    f"({type(element).__name__}): inconsistent document "
-                    f"structure: {type(exc).__name__}: {exc}") from exc
+    for element, fixup in fixups:
+        # fixups rebuild derived structure from restored fields; on
+        # a corrupt document they can trip over missing pieces, and
+        # the caller should still see a located XmiError
+        try:
+            fixup(element)
+        except XmiError:
+            raise
+        except Exception as exc:
+            raise XmiError(
+                f"element {element.xmi_id!r} "
+                f"({type(element).__name__}): inconsistent document "
+                f"structure: {type(exc).__name__}: {exc}") from exc
 
     applications_node = root.find("applications")
     if applications_node is not None:
@@ -103,113 +219,77 @@ def read_file(path: str) -> XmiDocument:
 # pass 1: build
 # ---------------------------------------------------------------------------
 
-def _build(xml_element: ET.Element, owner: Optional[Element],
-           index: Dict[str, Element],
-           pending_refs: List[Tuple[Element, Field, str]],
-           built: List[Element]) -> Element:
-    type_name = xml_element.get(_TYPE_ATTR)
-    xmi_id = xml_element.get(_ID_ATTR)
-    if not type_name or not xmi_id:
-        raise XmiError("element node missing xmi:type or xmi:id")
-    cls = CLASS_BY_NAME.get(type_name)
-    if cls is None:
-        raise XmiError(f"unknown element type {type_name!r}")
-
-    element: Element = object.__new__(cls)
-    element.xmi_id = xmi_id
-    element._owner = None
-    element._owned = []
-    if xmi_id in index:
-        raise XmiError(
-            f"duplicate xmi:id {xmi_id!r}: already used by "
-            f"{type(index[xmi_id]).__name__}, redefined as {type_name}")
-    index[xmi_id] = element
-    built.append(element)
-
-    spec = spec_for(element)
-    for attr_name, factory in spec.init:
-        setattr(element, attr_name, factory())
-    for field in spec.fields:
-        _restore_field(element, field, xml_element, pending_refs)
-
-    if owner is not None:
-        owner._own(element)
-
-    for child in xml_element:
-        if child.tag == "element":
-            _build(child, element, index, pending_refs, built)
-    return element
-
-
-def _restore_field(element: Element, field: Field,
-                   xml_element: ET.Element,
-                   pending_refs: List[Tuple[Element, Field, str]]) -> None:
-    attr = field.name.lstrip("_")
-    raw = xml_element.get(attr)
-    kind = field.kind
-
-    def convert(factory: Any, what: str) -> Any:
-        # every conversion of document text answers with a *located*
-        # XmiError; a corrupt attribute must never surface as a bare
-        # ValueError/KeyError from the converter
-        try:
-            return factory(raw)
-        except XmiError:
-            raise
-        except Exception as exc:
+def _build(root: ET.Element, index: Dict[str, Element],
+           pending_refs: List[Tuple[Element, str, int, str]],
+           fixups: List[Tuple[Element, Callable[[Any], None]]]
+           ) -> List[Element]:
+    """Build every ``element`` node under ``root`` in document pre-order
+    (an explicit stack, not recursion) and return the top-level ones.
+    Each element's fields come from its class's plan, and it joins its
+    owner's ``_owned`` as it is built, so siblings keep document order."""
+    top_level: List[Element] = []
+    # (XML node, owner or None) — pushed in reverse, popped in order
+    stack: List[Tuple[ET.Element, Optional[Element]]] = [
+        (node, None) for node in reversed(root) if node.tag == "element"]
+    while stack:
+        node, owner = stack.pop()
+        attributes = node.attrib
+        type_name = attributes.get(_TYPE_ATTR)
+        xmi_id = attributes.get(_ID_ATTR)
+        if not type_name or not xmi_id:
+            raise XmiError("element node missing xmi:type or xmi:id")
+        plan = _PLANS.get(type_name)
+        if plan is None:
+            raise XmiError(f"unknown element type {type_name!r}")
+        if xmi_id in index:
             raise XmiError(
-                f"element {element.xmi_id!r} "
-                f"({type(element).__name__}): field {attr!r}: "
-                f"bad {what} {raw!r}: {exc}") from exc
+                f"duplicate xmi:id {xmi_id!r}: already used by "
+                f"{type(index[xmi_id]).__name__}, redefined as {type_name}")
 
-    if kind == "str":
-        setattr(element, field.name, raw if raw is not None else field.default)
-    elif kind == "int":
-        setattr(element, field.name,
-                convert(int, "integer") if raw is not None
-                else field.default)
-    elif kind == "float":
-        setattr(element, field.name,
-                convert(float, "number") if raw is not None
-                else field.default)
-    elif kind == "bool":
-        setattr(element, field.name,
-                raw == "true" if raw is not None else field.default)
-    elif kind == "enum":
-        enum_type = ENUMS[field.enum_type]
-        setattr(element, field.name,
-                convert(enum_type, f"{field.enum_type} value")
-                if raw is not None else field.default)
-    elif kind == "json":
-        if raw is not None:
-            setattr(element, field.name, convert(json.loads, "JSON"))
+        element: Element = object.__new__(plan.cls)
+        index[xmi_id] = element
+        values = element.__dict__
+        values["xmi_id"] = xmi_id
+        values["_owner"] = owner
+        values["_owned"] = []
+        values.update(plan.defaults)
+        for name, factory in plan.fresh:
+            values[name] = factory()
+        steps = plan.steps
+        for attr, raw in attributes.items():
+            step = steps.get(attr)
+            if step is None:
+                continue  # xmi:type, xmi:id or an attribute of no field
+            name, how, convert, what = step
+            if how == _TEXT:
+                values[name] = raw
+            elif how == _CONVERT:
+                try:
+                    values[name] = convert(raw)
+                except Exception as exc:
+                    # every conversion of document text answers with a
+                    # *located* XmiError, never a bare ValueError/KeyError
+                    raise XmiError(
+                        f"element {xmi_id!r} ({type_name}): field "
+                        f"{attr!r}: bad {what} {raw!r}: {exc}") from exc
+            elif how == _REF or raw:
+                pending_refs.append((element, name, how, raw))
+        for attr, name in plan.required:
+            if name not in values:
+                raise XmiError(
+                    f"element {xmi_id!r} ({type_name}): field {attr!r}: "
+                    f"missing")
+        if plan.fixup is not None:
+            fixups.append((element, plan.fixup))
+
+        if owner is None:
+            top_level.append(element)
         else:
-            default = field.default
-            if isinstance(default, (list, dict)):
-                default = type(default)(default)
-            setattr(element, field.name, default)
-    elif kind == "multiplicity":
-        setattr(element, field.name,
-                convert(Multiplicity.parse, "multiplicity")
-                if raw is not None else ONE)
-    elif kind == "action":
-        setattr(element, field.name, raw)
-    elif kind == "ref":
-        setattr(element, field.name, None)
-        if raw is not None:
-            pending_refs.append((element, field, raw))
-    elif kind == "reflist":
-        setattr(element, field.name, [])
-        if raw:
-            pending_refs.append((element, field, raw))
-    elif kind == "tagtype":
-        if raw is None or raw not in TAG_TYPES:
-            raise XmiError(
-                f"element {element.xmi_id!r} "
-                f"({type(element).__name__}): bad tag type {raw!r}")
-        setattr(element, field.name, TAG_TYPES[raw])
-    else:
-        raise XmiError(f"unknown field kind {kind!r}")
+            owner._owned.append(element)
+        if len(node):
+            stack.extend((child, element) for child in reversed(node)
+                         if child.tag == "element")
+    return top_level
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +310,19 @@ def _lookup(reference: str, index: Dict[str, Element]) -> Element:
 
 
 def _resolve(index: Dict[str, Element],
-             pending_refs: List[Tuple[Element, Field, str]]) -> None:
-    for element, field, raw in pending_refs:
+             pending_refs: List[Tuple[Element, str, int, str]]) -> None:
+    for element, name, how, raw in pending_refs:
         try:
-            if field.kind == "ref":
-                setattr(element, field.name, _lookup(raw, index))
+            if how == _REF:
+                element.__dict__[name] = _lookup(raw, index)
             else:
-                targets = [_lookup(ref, index) for ref in raw.split()]
-                setattr(element, field.name, targets)
+                element.__dict__[name] = [_lookup(ref, index)
+                                          for ref in raw.split()]
         except XmiError as exc:
             raise XmiError(
                 f"element {element.xmi_id!r} "
                 f"({type(element).__name__}): field "
-                f"{field.name.lstrip('_')!r}: {exc}") from exc
+                f"{name.lstrip('_')!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

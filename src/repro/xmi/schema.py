@@ -115,30 +115,38 @@ NAMED = (_s("name"), _e("visibility", "VisibilityKind",
 
 
 # -- fixups ------------------------------------------------------------------
+# A fixup runs on an element the reader has just built, so it writes
+# through ``__dict__`` as the reader does: no cache can hold the new
+# tree yet, so there is no generation to bump.
 
 def _fix_package(package: mm.Package) -> None:
-    package._imports = [c for c in package.owned_elements
-                        if isinstance(c, mm.PackageImport)]
+    package.__dict__["_imports"] = [c for c in package.owned_elements
+                                    if isinstance(c, mm.PackageImport)]
 
 
 def _fix_property(prop: mm.Property) -> None:
     specs = prop.owned_of_type(mm.ValueSpecification)
-    prop._default = specs[0] if specs else None
+    prop.__dict__["_default"] = specs[0] if specs else None
 
 
 def _fix_parameter(param: mm.Parameter) -> None:
     specs = param.owned_of_type(mm.ValueSpecification)
-    param._default = specs[0] if specs else None
+    param.__dict__["_default"] = specs[0] if specs else None
 
 
 def _fix_operation(op: mm.Operation) -> None:
     bodies = op.owned_of_type(mm.OpaqueExpression)
-    op._body = bodies[0] if bodies else None
+    op.__dict__["_body"] = bodies[0] if bodies else None
 
 
 def _fix_association(assoc: mm.Association) -> None:
     for end in assoc._member_ends:
-        end.association = assoc
+        # an end is written to: never let one be a shared primitive
+        if not isinstance(end, mm.Property):
+            raise XmiError(
+                f"association {assoc.xmi_id}: member end "
+                f"{type(end).__name__} {end.name!r} is no property")
+        end.__dict__["association"] = assoc
 
 
 def _fix_connector(connector: mm.Connector) -> None:
@@ -146,15 +154,11 @@ def _fix_connector(connector: mm.Connector) -> None:
     if len(ends) != 2:
         raise XmiError(
             f"connector {connector.xmi_id} needs 2 ends, found {len(ends)}")
-    connector.ends = (ends[0], ends[1])
+    connector.__dict__["ends"] = (ends[0], ends[1])
 
 
 def _fix_link(link: mm.Link) -> None:
-    link.participants = tuple(link.participants)
-
-
-def _fix_transition(transition: st.Transition) -> None:
-    transition.triggers = list(transition.triggers)
+    link.__dict__["participants"] = tuple(link.participants)
 
 
 SPEC: Dict[type, ClassSpec] = {
@@ -262,8 +266,7 @@ SPEC: Dict[type, ClassSpec] = {
     st.Transition: ClassSpec(
         (_s("name"), _r("source"), _r("target"), _rl("triggers"),
          _a("guard"), _a("effect"),
-         _e("kind", "TransitionKind", st.TransitionKind.EXTERNAL)),
-        (), _fix_transition),
+         _e("kind", "TransitionKind", st.TransitionKind.EXTERNAL))),
     st.SignalEvent: ClassSpec((_s("name"),)),
     st.CallEvent: ClassSpec((_s("name"),)),
     st.TimeEvent: ClassSpec((_s("name"), _f("after"))),
@@ -324,7 +327,3 @@ def spec_for(element: Any) -> ClassSpec:
             f"no XMI schema for {type(element).__name__}; register it in "
             "repro.xmi.schema.SPEC")
     return spec
-
-
-#: Name -> class, for the reader.
-CLASS_BY_NAME: Dict[str, type] = {cls.__name__: cls for cls in SPEC}

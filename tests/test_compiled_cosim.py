@@ -10,8 +10,12 @@ randomized machines and whole randomized or replicated SoC
 assemblies.
 """
 
+import gc
 import random
+import tracemalloc
 import uuid
+import warnings
+import weakref
 
 import pytest
 
@@ -384,6 +388,56 @@ class TestAllOrNothing:
             "execution exceeded 1000000 steps (runaway loop?)"
 
     @pytest.mark.parametrize("effect, context, label", [
+        # the compiled engine's own globals: the send callback and the
+        # ASL prelude's helpers
+        ("_send = 1; send X(v=1);", {},
+         "effect uses engine name '_send' as a variable"),
+        ("_asl_div = 0; x = 7 / 2;", {},
+         "effect uses engine name '_asl_div' as a variable"),
+        ("for _asl_pop in l { x = _asl_pop; }", {"l": [1, 2]},
+         "effect uses engine name '_asl_pop' as a variable"),
+        ("send X(v=1); x = 1;", {"_send": 1},
+         "context variable '_send' shadows an engine name"),
+        ("x = 7 / 2;", {"_asl_div": 0},
+         "context variable '_asl_div' shadows an engine name"),
+    ], ids=["assigned-send", "assigned-asl-helper", "asl-helper-loop",
+            "context-send", "context-asl-helper"])
+    def test_engine_names_run_the_part_on_the_interpreter(
+            self, effect, context, label):
+        interpreted, compiled = run_pair(
+            lambda: one_part_top(effect), until=3.0,
+            contexts={"p": context})
+        assert compiled.compile_report["p"] == f"interpreter: {label}"
+        assert compiled.context_of("p") == interpreted.context_of("p")
+        assert compiled.message_log == interpreted.message_log
+        # the effect ran: it bound a variable of its own
+        assert compiled.context_of("p").keys() - context.keys()
+
+    def test_an_action_that_merely_sends_compiles(self):
+        interpreted, compiled = run_pair(
+            lambda: one_part_top("send X(v=1); my_send = 2;"), until=3.0)
+        assert compiled.compile_report["p"] == "compiled"
+        assert compiled.context_of("p") == interpreted.context_of("p")
+
+    def test_a_literal_index_compiles_silently_and_fails_alike(self):
+        # Python warns at compile time that an int is not subscriptable;
+        # the text is new, so the memo cannot skip the compile
+        effect = f"x = 3[a]; /* {fresh('literal')} */"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert compile_fallback_reason(
+                one_state_machine("Indexed", effect=effect)) is None
+        assert [str(warning.message) for warning in caught] == []
+        for runtime in (
+                StateMachineRuntime(one_state_machine("I", effect=effect),
+                                    context={"a": 0}),
+                CompiledRuntime(compile_machine(one_state_machine(
+                    "C", effect=effect)), context={"a": 0})):
+            runtime.start()
+            with pytest.raises(AslRuntimeError):
+                runtime.send("Go")
+
+    @pytest.mark.parametrize("effect, context, label", [
         # a for loop whose list grows may never end
         ("for v in l { append(l, v); if (len(l) > 5) { break; } }",
          {"l": [1]}, "effect appends in a for loop"),
@@ -494,6 +548,19 @@ def one_state_machine(name, entry=None, **transition):
     return machine
 
 
+def write_soc_file(directory):
+    """The SoC ``simulate`` starts from: a traffic generator, a bus and
+    a RAM, written to ``directory/soc.xmi``."""
+    model = Model("soc")
+    cpu = make_traffic_generator("Cpu", period=2.0, address_range=0x800)
+    ram = make_memory("Ram", size_bytes=0x800)
+    make_soc("Soc", masters=[cpu], slaves=[(ram, "bus", 0, 0x800)],
+             package=model)
+    path = str(directory / "soc.xmi")
+    xmi.write_file(path, model)
+    return path
+
+
 def counts():
     return (PERF.counter("sm.transpile_misses"),
             PERF.counter("sm.transpile_hits"))
@@ -505,8 +572,9 @@ def delta(before):
 
 class TestCompileMemo:
     """Two in-process layers stand in front of the compiler: code
-    objects keyed by ASL source text, and dispatch tables keyed by
-    machine identity and generation.  The store caches neither."""
+    objects keyed by ASL source text, and dispatch tables kept on each
+    machine against its model's generation.  The store caches
+    neither."""
 
     def test_memo_hits_until_an_edit_and_never_uses_the_store(
             self, tmp_path):
@@ -611,6 +679,44 @@ class TestCompileMemo:
         assert compile_fallback_reason(
             one_state_machine("GuardedAgain", guard=text)) is None
         assert delta(before) == (2, 1)
+
+    def test_a_closed_model_is_freed_by_one_collection(self, tmp_path):
+        path = write_soc_file(tmp_path)
+        document = xmi.read_file(path)
+        model = weakref.ref(document.model)
+        top = document.model.resolve("Soc", Component)
+        with SystemSimulation(top, engine="compiled") as simulation:
+            assert set(simulation.compile_report.values()) == {"compiled"}
+            simulation.run(until=50.0)
+        assert simulation.messages_delivered > 0
+        del simulation, top, document
+        gc.collect()
+        assert model() is None
+
+    def test_memory_retained_after_closed_starts_stays_flat(self, tmp_path):
+        path = write_soc_file(tmp_path)
+
+        def start_and_close():
+            top = xmi.read_file(path).model.resolve("Soc", Component)
+            SystemSimulation(top, engine="compiled").close()
+
+        for _ in range(3):
+            start_and_close()  # warms the text-keyed memo layers
+        tracemalloc.start()
+        try:
+            start_and_close()
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(30):
+                start_and_close()
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # each start parses a new model of about 40 KB: a table that
+        # kept them (as the global compile cache did) retained 1.2 MB
+        # here; what stays is the standard library's warm-up
+        assert grown < 64 * 1024
 
     def test_a_recursion_error_is_retried_not_memoized(self):
         text = "(" * 2000 + "1" + ")" * 2000

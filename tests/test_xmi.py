@@ -259,9 +259,60 @@ class TestErrors:
         with pytest.raises(XmiError):
             xmi.read_model(broken)
 
+    def test_an_association_end_must_be_a_property(self):
+        # the fixup writes the association into each end: a builtin
+        # end would plant it in the process-wide primitive type
+        text = (f'<xmi:XMI xmlns:xmi="{xmi.XMI_NS}" version="2.1">'
+                f'<element xmi:type="Model" xmi:id="Model_1" name="m">'
+                f'<element xmi:type="Association" xmi:id="Association_2" '
+                f'name="a" member_ends="builtin:Integer builtin:Boolean"/>'
+                f'</element></xmi:XMI>')
+        with pytest.raises(XmiError) as excinfo:
+            xmi.read_model(text)
+        assert "Association_2" in str(excinfo.value)
+        assert "association" not in mm.INTEGER.__dict__
+
     def test_file_round_trip(self, tmp_path):
         model, prof = build_full_model()
         path = tmp_path / "model.xmi"
         xmi.write_file(str(path), model, [prof])
         document = xmi.read_file(str(path))
         assert document.model.summary() == model.summary()
+
+
+class TestDeepNesting:
+    """The reader builds the tree with an explicit stack, and
+    ``all_owned`` walks it with one, so nesting depth is bounded by
+    memory, not by the interpreter's recursion limit."""
+
+    DEPTH = 3000
+
+    def deep_chain_text(self):
+        opening = "".join(
+            f'<element xmi:type="Package" xmi:id="Package_{n}" '
+            f'name="p{n}">' for n in range(1, self.DEPTH + 1))
+        return (f'<xmi:XMI xmlns:xmi="{xmi.XMI_NS}" version="2.1">'
+                f'<element xmi:type="Model" xmi:id="Model_0" name="deep">'
+                f'{opening}{"</element>" * self.DEPTH}</element>'
+                f'</xmi:XMI>')
+
+    def test_a_chain_of_nested_packages_reads(self):
+        document = xmi.read_model(self.deep_chain_text())
+        model = document.model
+        chain = list(model.all_owned())
+        assert [package.name for package in chain] == \
+            [f"p{n}" for n in range(1, self.DEPTH + 1)]
+        assert all(package.owner is owner
+                   for owner, package in zip([model] + chain, chain))
+        assert chain[-1].root() is model
+        assert len(document.elements_by_id) == self.DEPTH + 1
+        assert mm.model_fingerprint(model) == \
+            mm.model_fingerprint(xmi.read_model(
+                self.deep_chain_text()).model)
+
+    def test_an_edit_deep_in_the_chain_changes_the_fingerprint(self):
+        model = xmi.read_model(self.deep_chain_text()).model
+        before = mm.model_fingerprint(model)
+        deepest = list(model.all_owned())[-1]
+        deepest.name = "edited"
+        assert mm.model_fingerprint(model) != before
