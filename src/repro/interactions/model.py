@@ -159,6 +159,12 @@ class CombinedFragment(Element):
                              InteractionOperator.STRICT) and count < 2:
             raise InteractionError(
                 f"{self.operator.value} needs at least two operands")
+        # the constructor's check again: a model file sets the bounds
+        # without calling it
+        if self.operator is InteractionOperator.LOOP and not (
+                0 <= self.loop_min <= self.loop_max):
+            raise InteractionError(
+                f"invalid loop bounds [{self.loop_min}, {self.loop_max}]")
 
     def __repr__(self) -> str:
         return (f"<CombinedFragment {self.operator.value} "

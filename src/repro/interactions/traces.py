@@ -87,6 +87,31 @@ def _interleavings(traces: Sequence[Trace]) -> Iterator[Trace]:
             yield (head,) + tail
 
 
+def _loop_count_exceeds(body_count: int, loop_min: int, loop_max: int,
+                        limit: int) -> bool:
+    """Whether a loop yields more than ``limit`` traces, counted with
+    multiplicity: the sum of ``body_count ** k`` for k in [min, max],
+    stopped as soon as it passes the limit, so an oversized loop is
+    refused before anything is built."""
+    if body_count < 2:
+        # 0 ** 0 == 1: an empty body still gives the empty trace once
+        count = (loop_max - loop_min + 1 if body_count
+                 else int(loop_min == 0))
+        return count > limit
+    term = 1
+    for _ in range(loop_min):
+        term *= body_count
+        if term > limit:
+            return True
+    total = 0
+    for _ in range(loop_min, loop_max + 1):
+        total += term
+        if total > limit:
+            return True
+        term *= body_count
+    return False
+
+
 def _fragment_traces(fragment, env: Optional[Dict[str, Any]],
                      limit: int) -> List[Trace]:
     if isinstance(fragment, Message):
@@ -112,18 +137,20 @@ def _fragment_traces(fragment, env: Optional[Dict[str, Any]],
 
     if operator is InteractionOperator.LOOP:
         body = _sequence_traces(fragment.operands[0].fragments, env, limit)
-        collected = []
-        for repetitions in range(fragment.loop_min, fragment.loop_max + 1):
-            power: List[Trace] = [()]
-            for _ in range(repetitions):
-                power = [p + b for p in power for b in body]
-                if len(power) > limit:
-                    raise InteractionError(
-                        f"trace enumeration exceeded limit {limit}")
-            collected.extend(power)
-            if len(collected) > limit:
-                raise InteractionError(
-                    f"trace enumeration exceeded limit {limit}")
+        if _loop_count_exceeds(len(body), fragment.loop_min,
+                               fragment.loop_max, limit):
+            raise InteractionError(
+                f"trace enumeration exceeded limit {limit}")
+        # Repetition r extends repetition r - 1 by one body trace: the
+        # order of the product of r body choices, built once.
+        power: List[Trace] = [()]
+        collected = [] if fragment.loop_min else [()]
+        for repetitions in range(1, fragment.loop_max + 1):
+            power = [p + b for p in power for b in body]
+            if not power:
+                break
+            if repetitions >= fragment.loop_min:
+                collected.extend(power)
         return collected
 
     if operator in (InteractionOperator.STRICT, InteractionOperator.CRITICAL):
@@ -168,7 +195,13 @@ def _sequence_traces(fragments, env: Optional[Dict[str, Any]],
 
 def traces(interaction: Interaction, env: Optional[Dict[str, Any]] = None,
            limit: int = 100_000) -> List[Trace]:
-    """The interaction's trace set (deduplicated, deterministic order)."""
+    """The interaction's trace set (deduplicated, deterministic order).
+
+    ``limit`` bounds how many traces, counted with multiplicity, any
+    fragment or fragment sequence may yield; past it the enumeration
+    raises :class:`~repro.errors.InteractionError`.  It counts traces,
+    not labels.  A loop's count is checked before the loop is built.
+    """
     interaction.validate()
     raw = _sequence_traces(interaction.fragments, env, limit)
     seen = set()
@@ -330,9 +363,10 @@ def conforms(interaction: Interaction, trace: Sequence[str],
                     stepped |= match_sequence(body, pos)
                 nxt = frozenset(stepped)
                 if nxt == current or not nxt:
-                    current = nxt
-                    if iteration + 1 >= fragment.loop_min and nxt:
-                        results |= nxt
+                    # a fixpoint: every later repetition count ends at
+                    # the same positions, and one of them lies within
+                    # [loop_min, loop_max]
+                    results |= nxt
                     break
                 current = nxt
             return frozenset(results)

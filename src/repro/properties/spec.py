@@ -31,6 +31,7 @@ part, sender); suites round-trip through JSON (``props.json``) for the
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..engine import KINDS, MESSAGE_DELIVERED, PROPERTY_VIOLATION, TraceEvent
@@ -328,8 +329,12 @@ class InteractionConformanceProperty(Property):
                  messages: Optional[Sequence[Sequence[str]]] = None,
                  loop: Optional[Tuple[int, int]] = None):
         super().__init__(name)
-        traces = sorted({tuple(str(label) for label in trace)
-                         for trace in trace_set})
+        traces = list(map(tuple, trace_set))
+        # enumerated and JSON traces hold str labels already, and reading
+        # the label types costs a fraction of converting every label
+        if set(map(type, chain.from_iterable(traces))) - {str}:
+            traces = [tuple(map(str, trace)) for trace in traces]
+        traces = sorted(set(traces))
         if not traces:
             raise PropertyError(
                 f"interaction {name!r}: empty trace set")
@@ -345,22 +350,33 @@ class InteractionConformanceProperty(Property):
         self._compile_trie()
 
     def _compile_trie(self) -> None:
+        """One pass over the sorted traces.  A trace shares with the
+        trie exactly its common prefix with the trace before it, so only
+        the suffix past that prefix is new; nodes are numbered in the
+        order that inserting each trace from the root would give."""
         nodes: List[Dict[str, Any]] = [{"edges": {}, "end": False}]
-        alphabet = set()
+        path = [0]  # path[k]: the node of the previous trace's k-prefix
+        previous: Tuple[str, ...] = ()
         for trace in self.trace_set:
-            node = 0
-            for label in trace:
-                alphabet.add(label)
-                edges = nodes[node]["edges"]
-                nxt = edges.get(label)
-                if nxt is None:
-                    nxt = len(nodes)
-                    nodes.append({"edges": {}, "end": False})
-                    edges[label] = nxt
-                node = nxt
+            shared = len(previous)
+            if trace[:shared] != previous:
+                # sorted and distinct: the two differ before either ends
+                shared = 0
+                while previous[shared] == trace[shared]:
+                    shared += 1
+                del path[shared + 1:]
+            node = path[shared]
+            edges = nodes[node]["edges"]
+            for label in trace[shared:]:
+                node = len(nodes)
+                edges[label] = node
+                edges = {}
+                nodes.append({"edges": edges, "end": False})
+                path.append(node)
             nodes[node]["end"] = True
+            previous = trace
         self.nodes = nodes
-        self.alphabet = frozenset(alphabet)
+        self.alphabet = frozenset().union(*[node["edges"] for node in nodes])
 
     def event_kinds(self) -> Tuple[str, ...]:
         return (MESSAGE_DELIVERED,)
@@ -518,19 +534,52 @@ def _liveness_from_dict(data: Dict[str, Any]) -> BoundedLivenessProperty:
 def _interaction_from_dict(data: Dict[str, Any]) -> InteractionConformanceProperty:
     _require(data, "interaction", ("name",))
     name = data["name"]
-    complete = bool(data.get("complete", False))
-    include_env = bool(data.get("include_env", False))
+
+    def invalid(field: str, expected: str, value: Any) -> PropertyError:
+        return PropertyError(
+            f"interaction {name!r}: {field} must be {expected}, "
+            f"got {value!r}")
+
+    flags = {}
+    for field in ("complete", "include_env"):
+        flags[field] = data.get(field, False)
+        if not isinstance(flags[field], bool):
+            raise invalid(field, "true or false", flags[field])
     if "messages" in data:
+        messages = data["messages"]
+        if not isinstance(messages, (list, tuple)):
+            raise invalid("messages", "a list", messages)
+        for index, entry in enumerate(messages):
+            if not _is_strings(entry) or len(entry) != 3:
+                raise invalid(f"messages[{index}]",
+                              "[sender, receiver, signal] strings", entry)
         loop = data.get("loop")
-        return interaction_conformance(
-            name, messages=data["messages"],
-            loop=tuple(loop) if loop is not None else None,
-            complete=complete, include_env=include_env)
+        if loop is not None:
+            if (not isinstance(loop, (list, tuple)) or len(loop) != 2
+                    or not all(isinstance(bound, int)
+                               and not isinstance(bound, bool)
+                               for bound in loop)):
+                raise invalid("loop", "[min, max] integers", loop)
+            loop = tuple(loop)
+        return interaction_conformance(name, messages=messages, loop=loop,
+                                       **flags)
     if "traces" in data:
-        return InteractionConformanceProperty(
-            name, data["traces"], complete=complete, include_env=include_env)
+        traces = data["traces"]
+        if not isinstance(traces, (list, tuple)):
+            raise invalid("traces", "a list of label lists", traces)
+        for index, trace in enumerate(traces):
+            if not _is_strings(trace):
+                raise invalid(f"traces[{index}]", "a list of label strings",
+                              trace)
+        return InteractionConformanceProperty(name, traces, **flags)
     raise PropertyError(
         f"interaction {name!r}: needs either messages or traces")
+
+
+def _is_strings(value: Any) -> bool:
+    """Whether a JSON value is an array of strings."""
+    return (isinstance(value, (list, tuple))
+            and all(isinstance(item, str) for item in value))
 
 
 def _require(data: Dict[str, Any], kind: str, keys: Iterable[str]) -> None:

@@ -73,6 +73,15 @@ class TestStructure:
         with pytest.raises(InteractionError):
             interaction.loop(3, 1)
 
+    def test_loop_bounds_revalidated(self):
+        # a model file sets the bounds without the constructor's check
+        interaction = Interaction("i")
+        loop = interaction.loop(0, 2)
+        loop.add_operand()
+        loop.loop_min = 3
+        with pytest.raises(InteractionError, match="invalid loop bounds"):
+            traces(interaction)
+
     def test_validate_rejects_foreign_lifeline(self):
         first = Interaction("a")
         second = Interaction("b")
@@ -174,6 +183,19 @@ class TestTraces:
                                     a, b))
         with pytest.raises(InteractionError):
             traces(interaction, limit=100)
+
+
+    def test_empty_loop_body_ends_the_enumeration(self):
+        # an alt with no viable operand gives the loop no body trace:
+        # only the zero-repetition trace, however large the bound
+        interaction = Interaction("i")
+        a = interaction.add_lifeline("a")
+        b = interaction.add_lifeline("b")
+        loop = interaction.loop(0, 10**9)
+        alt = CombinedFragment(InteractionOperator.ALT)
+        loop.add_operand().add(alt)
+        alt.add_operand("go").add(Message("m", a, b))
+        assert traces(interaction, env={"go": False}) == [()]
 
 
 class TestCounting:

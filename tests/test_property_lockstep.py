@@ -403,6 +403,19 @@ class TestCliExitCodes:
         assert "property violation" in captured.err
         assert json.loads(report.read_text())["verdict"] == "violated"
 
+    @pytest.mark.parametrize("loop", [5, [0, 100000]],
+                             ids=["loop-int", "loop-oversized"])
+    def test_malformed_interaction_exits_two(self, cli_files, tmp_path,
+                                             capsys, loop):
+        model_path, _, _ = cli_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"properties": [
+            {"kind": "interaction", "name": "hs", "loop": loop,
+             "messages": [["bus", "s0_ram", "Read"]]}]}))
+        assert main(["simulate", model_path, "--top", "design::Top",
+                     "--until", "60", "--properties", str(bad)]) == 2
+        assert "error: interaction 'hs'" in capsys.readouterr().err
+
     def test_campaign_aggregates_and_exits_five(self, cli_files,
                                                 campaign_files, tmp_path,
                                                 capsys):

@@ -3,6 +3,8 @@ suite validation, the props.json round-trip, and the prefix trie an
 interaction-conformance property compiles its trace set into."""
 
 import json
+import re
+import tracemalloc
 
 import pytest
 
@@ -277,3 +279,50 @@ class TestInteractionTrie:
             "name": "s", "version": 1,
             "properties": [{"kind": "absence", "name": "no-nak",
                             "never": {"signal": "Nak"}}]}
+
+
+HANDSHAKE = [["bus", "s0_ram", "Read"], ["bus", "m0_cpu", "ReadResp"]]
+
+
+def interaction_record(**fields):
+    return {"kind": "interaction", "name": "hs", **fields}
+
+
+class TestInteractionJson:
+    @pytest.mark.parametrize("fields, field", [
+        ({"messages": HANDSHAKE, "loop": 5}, "loop"),
+        ({"messages": 5}, "messages"),
+        ({"traces": 5}, "traces"),
+        ({"traces": [5]}, "traces[0]"),
+        ({"traces": [None]}, "traces[0]"),
+        ({"traces": [1, 2]}, "traces[0]"),
+        ({"messages": HANDSHAKE, "complete": "no"}, "complete"),
+        ({"traces": "ab"}, "traces"),
+        ({"messages": HANDSHAKE, "loop": "12"}, "loop"),
+        ({"messages": HANDSHAKE, "loop": [0, 1.5]}, "loop"),
+        ({"messages": HANDSHAKE, "loop": [0, 1, 2]}, "loop"),
+        ({"messages": HANDSHAKE, "include_env": 1}, "include_env"),
+        ({"messages": ["bus"]}, "messages[0]"),
+    ], ids=["loop-int", "messages-int", "traces-int", "trace-int",
+            "trace-null", "traces-of-ints", "complete-string",
+            "traces-string", "loop-string", "loop-float", "loop-triple",
+            "include_env-int", "message-string"])
+    def test_a_malformed_field_is_a_property_error(self, fields, field):
+        with pytest.raises(PropertyError,
+                           match=f"'hs': {re.escape(field)} must be"):
+            Property.from_dict(interaction_record(**fields))
+
+    def test_an_oversized_loop_is_refused_before_it_is_built(self):
+        # enumerating first took about half an hour and hundreds of MB
+        Property.from_dict(interaction_record(messages=HANDSHAKE,
+                                              loop=[0, 1]))  # imports
+        record = interaction_record(messages=HANDSHAKE, loop=[0, 100000])
+        tracemalloc.start()
+        try:
+            with pytest.raises(PropertyError,
+                               match="exceeded limit 10000$"):
+                Property.from_dict(record)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
