@@ -42,7 +42,8 @@ def build_system():
 
 def interpreted_cosim():
     top, _cpu, _memory = build_system()
-    simulation = SystemSimulation(top, quantum=1.0, default_latency=1.0)
+    simulation = SystemSimulation(top, quantum=1.0, default_latency=1.0,
+                                  engine="interpreted")
     start = time.perf_counter()
     simulation.run(until=SIM_TIME)
     elapsed = time.perf_counter() - start

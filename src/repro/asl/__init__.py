@@ -41,6 +41,7 @@ from .ast_nodes import (
     While,
     unparse,
     unparse_expression,
+    walk,
 )
 from .lexer import KEYWORDS, Token, tokenize
 from .parser import clear_caches, parse, parse_expression
@@ -57,7 +58,7 @@ __all__ = [
     "Assign", "Attribute", "Binary", "Break", "Call", "Continue", "Expr",
     "DictLiteral", "ExprStmt", "For", "If", "Index", "ListLiteral", "Literal", "Name",
     "Node", "Program", "Return", "Send", "Stmt", "Unary", "While",
-    "unparse", "unparse_expression",
+    "unparse", "unparse_expression", "walk",
     "KEYWORDS", "Token", "tokenize",
     "parse", "parse_expression",
     "Interpreter", "SentSignal", "action_error", "clear_caches",

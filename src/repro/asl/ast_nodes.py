@@ -19,7 +19,7 @@ directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 
@@ -193,6 +193,18 @@ class Program(Node):
     """A sequence of statements (an ASL method body or effect)."""
 
     body: Tuple[Stmt, ...] = ()
+
+
+def walk(tree: Node):
+    """Every node of ``tree``, ``tree`` first, in source order."""
+    pending: list = [tree]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, tuple):  # a field that holds several
+            pending.extend(reversed(node))
+        elif isinstance(node, Node):
+            yield node
+            pending.extend(reversed(list(vars(node).values())))
 
 
 # ---------------------------------------------------------------------------

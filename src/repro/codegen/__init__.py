@@ -1,12 +1,15 @@
 """Code generation (subsystem S9): the paper's open question, answered.
 
-Four backends share one analysis of the PSM:
+Three HDL backends share one analysis of the PSM:
 
 * :mod:`repro.codegen.vhdl` — entities + synchronous FSM architectures;
 * :mod:`repro.codegen.verilog` — modules + always-block FSMs;
 * :mod:`repro.codegen.systemc` — SC_MODULEs with SC_METHOD FSMs;
-* :mod:`repro.codegen.python_gen` — complete, executable Python whose
-  behaviour matches the interpreted model.
+
+and :mod:`repro.codegen.python_gen` emits executable Python from the
+model compiler's tables: exactly the machines it compiles, checked
+against both engines by a differential test; other classes are
+skipped with the compiler's reason.
 
 ``generate_all`` runs every backend over a scope; ``validators`` checks
 structural validity of the results.

@@ -25,7 +25,6 @@ from ..statemachines.kernel import (
     PseudostateKind,
     State,
     StateMachine,
-    Transition,
 )
 
 
@@ -119,63 +118,43 @@ def sanitize(name: str, language: str = "python") -> str:
 # ASL inspection helpers
 # ---------------------------------------------------------------------------
 
+def _statements(source) -> List[asl.Stmt]:
+    """Every statement of an ASL snippet, nested ones too, in source
+    order; none for a callable or text that does not parse."""
+    if not isinstance(source, str):
+        return []
+    try:
+        pending = list(reversed(asl.parse(source).body))
+    except Exception:
+        return []
+    statements = []
+    while pending:
+        statement = pending.pop()
+        statements.append(statement)
+        if isinstance(statement, asl.If):
+            pending += reversed(statement.then_body + statement.else_body)
+        elif isinstance(statement, (asl.While, asl.For)):
+            pending += reversed(statement.body)
+    return statements
+
+
 def collect_sends(source: Optional[str]) -> List[Tuple[str, Tuple[str, ...], Optional[str]]]:
     """All ``send`` statements in an ASL snippet.
 
     Returns ``(signal, argument names, target port or None)`` tuples;
     unparseable / callable actions yield nothing.
     """
-    if not isinstance(source, str):
-        return []
-    try:
-        program = asl.parse(source)
-    except Exception:
-        return []
-    sends: List[Tuple[str, Tuple[str, ...], Optional[str]]] = []
-
-    def walk(statements) -> None:
-        for statement in statements:
-            if isinstance(statement, asl.Send):
-                target = None
-                if isinstance(statement.target, asl.Literal) \
-                        and isinstance(statement.target.value, str):
-                    target = statement.target.value
-                sends.append((statement.signal,
-                              tuple(k for k, _ in statement.arguments),
-                              target))
-            elif isinstance(statement, asl.If):
-                walk(statement.then_body)
-                walk(statement.else_body)
-            elif isinstance(statement, (asl.While, asl.For)):
-                walk(statement.body)
-
-    walk(program.body)
-    return sends
+    return [(node.signal, tuple(key for key, _ in node.arguments),
+             node.target.value if isinstance(node.target, asl.Literal)
+             and isinstance(node.target.value, str) else None)
+            for node in _statements(source) if isinstance(node, asl.Send)]
 
 
 def collect_assigned_names(source: Optional[str]) -> Set[str]:
     """Plain variable names assigned anywhere in an ASL snippet."""
-    if not isinstance(source, str):
-        return set()
-    try:
-        program = asl.parse(source)
-    except Exception:
-        return set()
-    names: Set[str] = set()
-
-    def walk(statements) -> None:
-        for statement in statements:
-            if isinstance(statement, asl.Assign) \
-                    and isinstance(statement.target, asl.Name):
-                names.add(statement.target.identifier)
-            elif isinstance(statement, asl.If):
-                walk(statement.then_body)
-                walk(statement.else_body)
-            elif isinstance(statement, (asl.While, asl.For)):
-                walk(statement.body)
-
-    walk(program.body)
-    return names
+    return {node.target.identifier for node in _statements(source)
+            if isinstance(node, asl.Assign)
+            and isinstance(node.target, asl.Name)}
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +309,6 @@ def analyze_machine(machine: StateMachine,
             outputs.add((port or "self", signal))
         for name in collect_assigned_names(effect):
             register_names.setdefault(name, 0)
-        if guard:
-            pass  # guards only read registers; reads need no declaration
 
         for leaf in source_leaves:
             view.transitions.append(TransitionView(
@@ -354,9 +331,15 @@ def analyze_machine(machine: StateMachine,
     return view
 
 
-def machines_of(classifier: UmlClass) -> List[StateMachine]:
-    """The state machines owned by a classifier."""
-    return list(classifier.owned_of_type(StateMachine))
+def per_component(scope, language: str, generate_component,
+                  file_name) -> Dict[str, str]:
+    """``{file_name(c): generate_component(c)}`` over every component
+    ``c`` under ``scope``, in :func:`hardware_components` order."""
+    files = {file_name(component): generate_component(component)
+             for component in hardware_components(scope)}
+    if not files:
+        raise CodegenError(f"no components found to generate {language} for")
+    return files
 
 
 def hardware_components(scope) -> List[Component]:

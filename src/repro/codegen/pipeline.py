@@ -25,6 +25,10 @@ from . import python_gen, systemc, verilog, vhdl
 #: Fixed backend order — output dicts always iterate in this order.
 BACKENDS: Tuple[str, ...] = ("vhdl", "verilog", "systemc", "python")
 
+#: Part of every unit's store key: bump it whenever any backend's output
+#: changes, so that no store serves old text (2: Python from the tables).
+OUTPUT_FORMAT = 2
+
 _GENERATORS: Dict[str, Callable[[Element], Dict[str, str]]] = {
     "vhdl": vhdl.generate,
     "verilog": verilog.generate,
@@ -69,10 +73,10 @@ def generate_units(scope: Element,
     """Per-unit, store-backed code generation.
 
     The build-graph view of codegen: one artifact per (backend,
-    hardware component), keyed by the backend, the component's
-    qualified name (the files print it) and the subtree fingerprints
-    (:func:`repro.metamodel.model.element_fingerprint`) of the
-    component and of each of its generalizations (the backends read
+    hardware component), keyed by :data:`OUTPUT_FORMAT`, the backend,
+    the component's qualified name (the files print it) and the subtree
+    fingerprints (:func:`repro.metamodel.model.element_fingerprint`) of
+    the component and of each of its generalizations (the backends read
     inherited attributes).  With an
     active :mod:`repro.store`, unchanged components are served warm and
     only edited components regenerate — editing one part of a SoC
@@ -102,8 +106,8 @@ def generate_units(scope: Element,
                                in (component,) + component.all_generals())
                 store_key = None
                 if store is not None:
-                    store_key = store.make_key("codegen", backend, unit_name,
-                                               *inputs)
+                    store_key = store.make_key("codegen", OUTPUT_FORMAT,
+                                               backend, unit_name, *inputs)
                     payload = store.load("codegen", store_key,
                                          inputs=inputs, label=label)
                     if isinstance(payload, dict) and payload and all(

@@ -1,113 +1,102 @@
 """Executable Python code generation from PSM classes.
 
-The fully-behavioural backend: each class/component becomes a plain
-Python class whose generated methods replay the model exactly —
-
-* UML operations with ASL bodies become methods;
-* the classifier state machine becomes ``dispatch(event, **params)``
-  (flat transition chains with translated guards/effects, entry/exit
-  actions, internal transitions) and ``advance(cycles)`` for ``after``
-  transitions;
-* ``send`` statements call ``self._send`` which appends to
-  ``self.outbox`` and invokes the optional ``on_send`` callback — the
-  hook a generated-code testbench wires to its scheduler.
-
-Because translation is complete (not a synthesizable subset), the
-generated code's observable behaviour matches the interpreted model;
-the test suite asserts this equivalence.
+Each class becomes a plain Python class: operations with ASL bodies
+become methods, ``send`` calls ``self._send`` (which appends to
+``self.outbox`` and calls the optional ``on_send`` hook), and the
+classifier state machine becomes ``dispatch(event_name, **event)``
+(``call`` for call events) and ``advance(cycles)``.  There is one
+model compiler: the machine is emitted by walking the dispatch tables
+of :func:`~repro.statemachines.compiled.compile_machine_cached`, under
+:class:`~repro.statemachines.compiled.CompiledRuntime`'s rules, so the
+backend emits exactly the machines the compiler compiles, and the
+generated-Python stratum of the differential test checks it against
+both engines.  Any other class is skipped with the compiler's reason.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set, Tuple
 
+from .. import asl
 from ..errors import CodegenError
 from ..metamodel.classifiers import UmlClass
 from ..metamodel.components import Port
 from ..metamodel.element import Element
-from ..statemachines.kernel import (
-    State,
-    StateMachine,
-    Transition,
-    TransitionKind,
+from ..statemachines.compiled import (
+    CompiledMachine,
+    CompiledState,
+    CompiledTransition,
+    NotCompilable,
+    compile_machine_cached,
 )
+from ..statemachines.events import EventKind
+from ..statemachines.kernel import StateMachine
+from ..statemachines.runtime import ACTION_NAMES, ELSE_GUARD
 from .base import CodeWriter, hardware_components, sanitize
 from .transpile import (
+    BUILTIN_NAMES,
     PYTHON_ATTR_HELPER,
     PYTHON_PRELUDE,
     to_python_expression,
     to_python_statements,
 )
-from .. import asl
 
 
 def _py_name(name: str) -> str:
     return sanitize(name, "python")
 
 
-def _flat_machine(machine: StateMachine):
-    """(states, initial, transitions) for a flat machine; raises otherwise."""
-    machine.validate()
-    if any(state.is_composite for state in machine.all_states()):
-        raise CodegenError(
-            f"python backend requires a flat machine; flatten "
-            f"{machine.name!r} first (repro.statemachines.flatten)")
-    region = machine.regions[0]
-    states = [s for s in region.states]
-    initial_pseudo = region.initial
-    if initial_pseudo is None:
-        raise CodegenError(f"machine {machine.name!r} has no initial")
-    initial = initial_pseudo.outgoing[0].target
-    if not isinstance(initial, State):
-        raise CodegenError(
-            f"machine {machine.name!r}: initial must enter a state "
-            "directly for code generation")
-    transitions = [t for t in region.transitions
-                   if isinstance(t.source, State)
-                   and isinstance(t.target, State)]
-    return states, initial, transitions
+def _trees(compiled: CompiledMachine) -> List[asl.Node]:
+    """The parsed ASL of every guard and action in the tables."""
+    actions = [compiled.initial_transition.effect]
+    guards = []
+    for cstate in compiled.states.values():
+        element = cstate.element
+        actions += (element.entry, element.do_activity, element.exit)
+        for rows in (*cstate.by_key.values(), *cstate.by_timer.values()):
+            actions += (row.element.effect for row in rows)
+            guards += (row.element.guard for row in rows)
+    return [asl.parse(text) for text in actions if text is not None] \
+        + [asl.parse_expression(text) for text in guards
+           if text is not None and text.strip() != ELSE_GUARD]
 
 
-def _emit_action(writer: CodeWriter, action, self_names: Set[str],
-                 label: str) -> None:
-    if action is None:
-        return
-    if callable(action):
-        writer.line(f"# {label}: Python callable in the model; not "
-                    "translatable")
-        return
-    for line in to_python_statements(action, self_names):
-        writer.line(line)
+def _emit_action(writer: CodeWriter, action, self_names: Set[str]) -> None:
+    if action is not None:
+        for line in to_python_statements(action, self_names):
+            writer.line(line)
 
 
 def generate_class(classifier: UmlClass) -> str:
-    """Generate one Python class (source text) for a UML class."""
+    """Generate one Python class (source text) for a UML class.
+
+    Raises :class:`CodegenError` with the compiler's reason when the
+    model compiler refuses the class's state machine.
+    """
+    compiled = None
+    if isinstance(classifier.classifier_behavior, StateMachine):
+        try:
+            compiled = compile_machine_cached(classifier.classifier_behavior)
+        except NotCompilable as refusal:
+            raise CodegenError(str(refusal)) from None
+
+    attributes = [attribute for attribute in classifier.all_attributes()
+                  if not isinstance(attribute, Port)]
+    self_names = {attribute.name for attribute in attributes}
+    if compiled is not None:
+        # every variable of the machine, loop variables too, is an
+        # attribute: reading one never bound raises, as on the engines
+        for tree in _trees(compiled):
+            for node in asl.walk(tree):
+                if isinstance(node, asl.Name):
+                    self_names.add(node.identifier)
+                elif isinstance(node, asl.For):
+                    self_names.add(node.variable)
+        self_names = self_names.difference(BUILTIN_NAMES, ACTION_NAMES) \
+            | {"now"}
+
     writer = CodeWriter()
-    class_name = _py_name(classifier.name or "Generated")
-
-    self_names: Set[str] = set()
-    for attribute in classifier.all_attributes():
-        if not isinstance(attribute, Port):
-            self_names.add(attribute.name)
-
-    machine = classifier.classifier_behavior \
-        if isinstance(classifier.classifier_behavior, StateMachine) else None
-    flat = None
-    if machine is not None:
-        flat = _flat_machine(machine)
-        for transition in machine.all_transitions():
-            if isinstance(transition.effect, str):
-                from .base import collect_assigned_names
-
-                self_names |= collect_assigned_names(transition.effect)
-        for state in machine.all_states():
-            for action in (state.entry, state.exit, state.do_activity):
-                if isinstance(action, str):
-                    from .base import collect_assigned_names
-
-                    self_names |= collect_assigned_names(action)
-
-    writer.line(f"class {class_name}:")
+    writer.line(f"class {_py_name(classifier.name or 'Generated')}:")
     writer.indent()
     doc = (classifier.comments[0].body if classifier.comments
            else f"Generated from UML class {classifier.name!r}.")
@@ -115,40 +104,31 @@ def generate_class(classifier: UmlClass) -> str:
     writer.line("")
     writer.line("def __init__(self, on_send=None):")
     writer.indent()
-    writer.line("self.on_send = on_send")
-    writer.line("self.outbox = []")
-    for attribute in classifier.all_attributes():
-        if isinstance(attribute, Port):
-            continue
-        default = attribute.default_value
-        writer.line(f"self.{_py_name(attribute.name)} = {default!r}")
-    if flat is not None:
-        states, initial, _transitions = flat
-        writer.line(f"self.state = {initial.name!r}")
-        writer.line("self._timer = 0")
-        writer.line(f"self._enter_{_py_name(initial.name)}()")
+    writer.lines("self.on_send = on_send", "self.outbox = []")
+    for attribute in attributes:
+        writer.line(f"self.{_py_name(attribute.name)} = "
+                    f"{attribute.default_value!r}")
+    if compiled is not None:
+        writer.lines("self.now = 0.0", "self._timers = []",
+                     "self._timer_seq = 0")
+        initial_effect = compiled.initial_transition.effect
+        if initial_effect is not None:
+            writer.line("event_name, event = '', {}")
+            _emit_action(writer, initial_effect, self_names)
+        writer.line(f"self._enter_{_py_name(compiled.initial_state.name)}"
+                    "('', {})")
     writer.dedent()
     writer.line("")
-
-    writer.line("def _send(self, signal, target=None, **arguments):")
-    writer.indent()
-    writer.line("self.outbox.append((signal, target, arguments))")
-    writer.line("if self.on_send is not None:")
-    writer.indent()
-    writer.line("self.on_send(signal, target, arguments)")
-    writer.dedent()
-    writer.dedent()
+    writer.block(_SEND)
     writer.line("")
 
     # operations with ASL bodies
     for operation in classifier.operations:
         if operation.body is None:
             continue
-        params = ", ".join(_py_name(p.name)
-                           for p in operation.in_parameters)
-        signature = f"def {_py_name(operation.name)}(self" \
-            + (f", {params}" if params else "") + "):"
-        writer.line(signature)
+        params = ["self"] + [_py_name(p.name)
+                             for p in operation.in_parameters]
+        writer.line(f"def {_py_name(operation.name)}({', '.join(params)}):")
         writer.indent()
         local_names = self_names - {p.name
                                     for p in operation.in_parameters}
@@ -157,126 +137,156 @@ def generate_class(classifier: UmlClass) -> str:
         writer.dedent()
         writer.line("")
 
-    if flat is not None:
-        states, initial, transitions = flat
-        # entry helpers (reset the state timer, run entry actions)
-        for state in states:
-            writer.line(f"def _enter_{_py_name(state.name)}(self):")
-            writer.indent()
-            writer.line("self._timer = 0")
-            _emit_action(writer, state.entry, self_names, "entry")
-            _emit_action(writer, state.do_activity, self_names, "do")
-            writer.line("return None")
-            writer.dedent()
-            writer.line("")
-
-        writer.line("def dispatch(self, event_name, **event):")
-        writer.indent()
-        writer.line('"""Run-to-completion step for one signal event."""')
-        emitted_any = False
-        for state in states:
-            state_transitions = [
-                t for t in transitions
-                if t.source is state and t.triggers
-                and not any(type(e).__name__ == "TimeEvent"
-                            for e in t.triggers)]
-            if not state_transitions:
-                continue
-            keyword = "if" if not emitted_any else "elif"
-            emitted_any = True
-            writer.line(f"{keyword} self.state == {state.name!r}:")
-            writer.indent()
-            for transition in state_transitions:
-                _emit_dispatch_arm(writer, transition, self_names)
-            writer.line("return False")
-            writer.dedent()
-        writer.line("return False")
-        writer.dedent()
-        writer.line("")
-
-        writer.line("def advance(self, cycles=1):")
-        writer.indent()
-        writer.line('"""Advance local time, firing due after() '
-                    'transitions."""')
-        writer.line("fired = 0")
-        writer.line("for _ in range(cycles):")
-        writer.indent()
-        writer.line("self._timer += 1")
-        emitted_any = False
-        for state in states:
-            timed = [(t, e) for t in transitions if t.source is state
-                     for e in t.triggers
-                     if type(e).__name__ == "TimeEvent"]
-            if not timed:
-                continue
-            keyword = "if" if not emitted_any else "elif"
-            emitted_any = True
-            writer.line(f"{keyword} self.state == {state.name!r}:")
-            writer.indent()
-            for transition, event in timed:
-                threshold = max(int(round(event.after)), 1)
-                writer.line(f"if self._timer >= {threshold}:")
-                writer.indent()
-                _emit_fire(writer, transition, self_names, has_event=False)
-                writer.line("fired += 1")
-                writer.dedent()
-            writer.dedent()
-        writer.dedent()
-        writer.line("return fired")
-        writer.dedent()
+    if compiled is not None:
+        _emit_machine(writer, compiled, self_names)
     writer.dedent()
     return writer.text()
 
 
-def _emit_dispatch_arm(writer: CodeWriter, transition: Transition,
-                       self_names: Set[str]) -> None:
-    trigger_names = sorted({e.name for e in transition.triggers})
-    trigger_check = " or ".join(f"event_name == {n!r}"
-                                for n in trigger_names)
-    guard_check = ""
-    if isinstance(transition.guard, str):
-        guard_py = to_python_expression(
-            asl.parse_expression(transition.guard), self_names)
-        guard_check = f" and ({guard_py})"
-    elif callable(transition.guard):
-        writer.line("# callable guard not translatable; treated as False")
-        return
-    writer.line(f"if ({trigger_check}){guard_check}:")
+_SEND = '''\
+def _send(self, signal, target=None, **arguments):
+    self.outbox.append((signal, target, arguments))
+    if self.on_send is not None:
+        self.on_send(signal, target, arguments)
+'''
+
+
+def _emit_machine(writer: CodeWriter, compiled: CompiledMachine,
+                  self_names: Set[str]) -> None:
+    """``_enter_<state>``, the step methods and ``advance``."""
+    states = list(compiled.states.values())
+    for cstate in states:
+        writer.line(f"def _enter_{_py_name(cstate.name)}"
+                    "(self, event_name, event):")
+        writer.indent()
+        writer.line(f"self.state = {cstate.name!r}")
+        _emit_action(writer, cstate.element.entry, self_names)
+        _emit_action(writer, cstate.element.do_activity, self_names)
+        for index, (after, event) in enumerate(cstate.timer_specs):
+            writer.line("self._timer_seq += 1")
+            writer.line(f"self._timers.append((self.now + {after!r}, "
+                        f"self._timer_seq, {index}, {event.name!r}))")
+        writer.dedent()
+        writer.line("")
+
+    def keyed(kind: EventKind) -> list:
+        return [(cstate, [(f"event_name == {name!r}", rows)
+                          for (key_kind, name), rows
+                          in cstate.by_key.items() if key_kind is kind])
+                for cstate in states]
+
+    _emit_step(writer, "dispatch(self, event_name, **event)",
+               "Run-to-completion step for one signal event; True when "
+               "a transition fired.", keyed(EventKind.SIGNAL), self_names)
+    calls = keyed(EventKind.CALL)
+    if any(arms for _cstate, arms in calls):
+        _emit_step(writer, "call(self, event_name, **event)",
+                   "Run-to-completion step for one call event; True "
+                   "when a transition fired.", calls, self_names)
+    _emit_step(writer, "_timeout(self, timer, event_name, event)",
+               "Run-to-completion step for the current state's due "
+               "timer number ``timer``.",
+               [(cstate, [(f"timer == {index}", cstate.by_timer[id(event)])
+                          for index, (_after, event)
+                          in enumerate(cstate.timer_specs)])
+                for cstate in states], self_names)
+
+    writer.block(_ADVANCE)
+
+
+_ADVANCE = '''\
+def advance(self, cycles=1):
+    """Advance the clock by ``cycles``, firing each due timer once, in
+    (due, registration) order."""
+    deadline = self.now + cycles
+    while self._timers and min(self._timers)[0] <= deadline:
+        timer = min(self._timers)
+        self._timers.remove(timer)
+        self.now = timer[0]
+        self._timeout(timer[2], timer[3], {})
+    self.now = deadline
+'''
+
+
+def _emit_step(writer: CodeWriter, signature: str, doc: str,
+               arms: list, self_names: Set[str]) -> None:
+    """One run-to-completion method; ``arms`` holds per state its
+    (condition on the step's arguments, the rows it selects) pairs."""
+    writer.line(f"def {signature}:")
     writer.indent()
-    _emit_fire(writer, transition, self_names, has_event=True)
-    writer.line("return True")
+    writer.line(f'"""{doc}"""')
+    keyword = "if"
+    for cstate, state_arms in arms:
+        if not state_arms:
+            continue
+        writer.line(f"{keyword} self.state == {cstate.name!r}:")
+        keyword = "elif"
+        writer.indent()
+        for index, (condition, rows) in enumerate(state_arms):
+            writer.line(f"{'elif' if index else 'if'} {condition}:")
+            writer.indent()
+            _emit_rows(writer, cstate, rows, self_names)
+            writer.dedent()
+        writer.dedent()
+    writer.line("return False")
     writer.dedent()
+    writer.line("")
 
 
-def _emit_fire(writer: CodeWriter, transition: Transition,
-               self_names: Set[str], has_event: bool) -> None:
-    if not has_event:
-        writer.line("event = {}")
-    source, target = transition.source, transition.target
-    internal = transition.kind is TransitionKind.INTERNAL
-    if not internal and isinstance(source, State):
-        _emit_action(writer, source.exit, self_names, "exit")
-    if isinstance(transition.effect, str):
-        for line in to_python_statements(transition.effect, self_names):
-            writer.line(line)
-    elif callable(transition.effect):
-        writer.line("# callable effect not translatable")
-    if not internal and isinstance(target, State):
-        writer.line(f"self.state = {target.name!r}")
-        writer.line(f"self._enter_{_py_name(target.name)}()")
+def _emit_rows(writer: CodeWriter, cstate: CompiledState,
+               rows: Tuple[CompiledTransition, ...],
+               self_names: Set[str]) -> None:
+    """The candidate rows of one key, as ``CompiledRuntime._rtc`` runs
+    them: every guard first, then internal rows in order, until the
+    first enabled external row; an ``else`` guard never fires."""
+    live = [row for row in rows
+            if row.element.guard is None
+            or row.element.guard.strip() != ELSE_GUARD]
+    flags = []
+    for index, row in enumerate(live):
+        flag = None
+        if row.element.guard is not None:
+            flag = f"_asl_guard{index}"
+            guard = asl.parse_expression(row.element.guard)
+            writer.line(f"{flag} = "
+                        f"bool({to_python_expression(guard, self_names)})")
+        flags.append(flag)
+    internal_flags = []
+    for row, flag in zip(live, flags):
+        if row.internal:
+            internal_flags.append(flag)
+            if row.element.effect is None:
+                continue
+        if flag is not None:
+            writer.line(f"if {flag}:")
+            writer.indent()
+        if row.internal:
+            _emit_action(writer, row.element.effect, self_names)
+        else:
+            _emit_action(writer, cstate.element.exit, self_names)
+            writer.line("self._timers.clear()")
+            _emit_action(writer, row.element.effect, self_names)
+            writer.line(f"self._enter_{_py_name(row.target.name)}"
+                        "(event_name, event)")
+            writer.line("return True")
+        if flag is not None:
+            writer.dedent()
+        elif not row.internal:
+            return  # an unguarded external row ends every step
+    fired = "True" if None in internal_flags \
+        else " or ".join(internal_flags) or "False"
+    writer.line(f"return {fired}")
 
 
 def generate_module(scope: Element) -> str:
     """Generate one Python module containing every class under scope."""
-    classes = [c for c in hardware_components(scope)] \
-        if not isinstance(scope, UmlClass) else [scope]
+    classes = [scope]
     if not isinstance(scope, UmlClass):
-        # include plain classes too, not only components
-        seen = set(map(id, classes))
-        for element in scope.descendants_of_type(UmlClass):
-            if id(element) not in seen:
-                classes.append(element)
-                seen.add(id(element))
+        # the components, then the plain classes
+        classes = hardware_components(scope)
+        classes += [element for element
+                    in scope.descendants_of_type(UmlClass)
+                    if element not in classes]
     if not classes:
         raise CodegenError("no classes found to generate Python for")
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from .. import asl
-from ..errors import CodegenError
 from ..metamodel.classifiers import UmlClass
 from ..metamodel.components import Port, PortDirection
 from ..metamodel.element import Element
@@ -25,11 +24,10 @@ from .base import (
     MachineView,
     analyze_machine,
     collect_sends,
-    hardware_components,
+    per_component,
     sanitize,
 )
 from .transpile import (
-    Untranslatable,
     simple_int_assignments,
     to_c_expression,
 )
@@ -225,11 +223,8 @@ def _emit_effect(writer: CodeWriter, effect: Optional[str],
 
 
 def generate(scope: Element) -> Dict[str, str]:
-    """Generate SystemC for every component under ``scope``."""
-    files: Dict[str, str] = {}
-    for component in hardware_components(scope):
-        files[f"{_c_name(component.name).lower()}.h"] = \
-            generate_component(component)
-    if not files:
-        raise CodegenError("no components found to generate SystemC for")
-    return files
+    """Generate SystemC for every component under ``scope``: {file name:
+    text}."""
+    return per_component(
+        scope, "SystemC", generate_component,
+        lambda component: f"{_c_name(component.name).lower()}.h")

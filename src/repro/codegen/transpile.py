@@ -1,8 +1,10 @@
 """ASL-to-target-language transpilers.
 
-The Python transpiler is complete (every ASL construct has a Python
-equivalent — generated code behaves exactly like the interpreter,
-including integer division and ``send`` routing through a callback).
+The Python transpiler translates every ASL construct (integer
+division and ``send`` routing through a callback included); the
+compiled engine and generated Python run its output, and
+:func:`interpreter_only` names what would run differently from the
+interpreter.
 
 The expression transpilers for C-family targets (SystemC) and the HDLs
 translate the integer/boolean expression subset RTL can synthesize and
@@ -16,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Union
 
 from .. import asl
 from ..errors import CodegenError
+from ..statemachines.runtime import ACTION_NAMES
 
 
 class Untranslatable(CodegenError):
@@ -115,8 +118,6 @@ def _py_expr(expr: asl.Expr, self_names: set) -> str:
                 return f"list(range({args}))"
             if mapped is not None:
                 return f"{mapped}({args})"
-            if callee.identifier in self_names:
-                return f"self.{callee.identifier}({args})"
             return f"self.{callee.identifier}({args})"  # operation call
         return f"{_py_expr(callee, self_names)}({args})"
     raise CodegenError(f"cannot translate {type(expr).__name__} to Python")
@@ -132,7 +133,8 @@ BUILTIN_NAMES = frozenset(_PY_BUILTIN_MAP) | {"list", "print"}
 #: A text :func:`interpreter_only` answers for holds ``while`` or one
 #: of :data:`ENGINE_NAME_MARKS`, or its Python translation loads one of
 #: these names.
-REFUSABLE_NAMES = BUILTIN_NAMES | {"self", "_asl_attr", "_asl_append"}
+REFUSABLE_NAMES = BUILTIN_NAMES.union(
+    ACTION_NAMES, ("self", "_asl_attr", "_asl_append"))
 
 #: Every name of the compiled engine's own globals holds one of these:
 #: the send callback ``_send`` and the prelude's ``_asl_*`` helpers.
@@ -174,7 +176,11 @@ def interpreter_only(tree: asl.Node) -> Optional[str]:
     * ``"has a while loop"``, ``"appends in a for loop"``: a loop whose
       trip count is not fixed when it starts (``append`` may grow the
       list a ``for`` walks).  Python runs it without the interpreter's
-      step bound, so a runaway loop hangs instead of raising.
+      step bound, so a runaway loop hangs instead of raising;
+    * ``"assigns 'now'"``, ``"uses 'event' as a value"``: binding a
+      name the engines bind afresh for every action (``ACTION_NAMES``),
+      or ``event`` other than in ``event.f`` or ``event[k]``: generated
+      Python shares them across one step (``now`` is its clock).
     """
     pending: list = [(tree, False)]  # (node, inside a for body)
     while pending:
@@ -198,11 +204,25 @@ def interpreter_only(tree: asl.Node) -> Optional[str]:
                 # a builtin's name as the callee is no variable
                 pending.append((node.arguments, in_for))
                 continue
+        elif isinstance(node, (asl.Attribute, asl.Index)) \
+                and isinstance(node.target, asl.Name) \
+                and node.target.identifier == "event":
+            pending.append((getattr(node, "key", None), in_for))
+            continue  # a read of one field
         elif isinstance(node, asl.Name):
+            if node.identifier == "event":
+                return "uses 'event' as a value"
             reason = _variable_reason(node.identifier)
             if reason is not None:
                 return reason
+        elif isinstance(node, asl.Assign):
+            # ``event.f = v`` changes the event each action copies
+            bound = getattr(node.target, "target", node.target)
+            if getattr(bound, "identifier", None) in ACTION_NAMES:
+                return f"assigns {bound.identifier!r}"
         elif isinstance(node, asl.For):
+            if node.variable in ACTION_NAMES:
+                return f"assigns {node.variable!r}"
             reason = _variable_reason(node.variable)
             if reason is not None:
                 return reason
@@ -263,11 +283,12 @@ def _py_block(statements, lines: List[str], level: int, self_names: set,
             _py_block(statement.body, lines, level + 1, self_names,
                       send_call)
         elif isinstance(statement, asl.For):
-            variable = statement.variable
-            lines.append(f"{pad}for {variable} in "
+            # the loop variable stays bound after the loop, as in ASL
+            target = _py_assign_target(asl.Name(statement.variable),
+                                       self_names)
+            lines.append(f"{pad}for {target} in "
                          f"{_py_expr(statement.iterable, self_names)}:")
-            inner_names = self_names - {variable}
-            _py_block(statement.body, lines, level + 1, inner_names,
+            _py_block(statement.body, lines, level + 1, self_names,
                       send_call)
         elif isinstance(statement, asl.Return):
             if statement.value is None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from .. import asl
-from ..errors import CodegenError
 from ..metamodel.classifiers import UmlClass
 from ..metamodel.components import Port, PortDirection
 from ..metamodel.element import Element
@@ -23,11 +22,10 @@ from .base import (
     MachineView,
     analyze_machine,
     collect_sends,
-    hardware_components,
+    per_component,
     sanitize,
 )
 from .transpile import (
-    Untranslatable,
     simple_int_assignments,
     to_verilog_expression,
 )
@@ -219,11 +217,8 @@ def _emit_effect(writer: CodeWriter, effect: Optional[str]) -> None:
 
 
 def generate(scope: Element) -> Dict[str, str]:
-    """Generate Verilog for every component under ``scope``."""
-    files: Dict[str, str] = {}
-    for component in hardware_components(scope):
-        files[f"{_v_name(component.name).lower()}.v"] = \
-            generate_component(component)
-    if not files:
-        raise CodegenError("no components found to generate Verilog for")
-    return files
+    """Generate Verilog for every component under ``scope``: {file name:
+    text}."""
+    return per_component(
+        scope, "Verilog", generate_component,
+        lambda component: f"{_v_name(component.name).lower()}.v")

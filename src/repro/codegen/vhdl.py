@@ -18,16 +18,16 @@ map comment block, giving the firmware view next to the RTL.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from .. import asl
-from ..errors import CodegenError
 from ..metamodel.classifiers import UmlClass
-from ..metamodel.components import Component, Port, PortDirection
+from ..metamodel.components import Port, PortDirection
 from ..metamodel.element import Element
 from ..profiles.core import applications_of
 from ..statemachines.kernel import StateMachine
-from .base import CodeWriter, MachineView, analyze_machine, sanitize
+from .base import (CodeWriter, MachineView, analyze_machine, per_component,
+                   sanitize)
 from .transpile import (
     Untranslatable,
     simple_int_assignments,
@@ -56,33 +56,9 @@ def _collect_event_fields(view: MachineView) -> Set[str]:
                 tree = parse(source)
             except Exception:
                 continue
-            fields |= _fields_in(tree)
-    return fields
-
-
-def _fields_in(node) -> Set[str]:
-    fields: Set[str] = set()
-    if isinstance(node, asl.Attribute):
-        if isinstance(node.target, asl.Name) \
-                and node.target.identifier == "event":
-            fields.add(node.name)
-        fields |= _fields_in(node.target)
-        return fields
-    for attr in ("body", "then_body", "else_body", "items", "arguments",
-                 "operands"):
-        children = getattr(node, attr, None)
-        if isinstance(children, tuple):
-            for child in children:
-                if isinstance(child, tuple):
-                    for part in child:
-                        fields |= _fields_in(part)
-                else:
-                    fields |= _fields_in(child)
-    for attr in ("condition", "value", "target", "expression", "iterable",
-                 "left", "right", "operand", "callee", "key"):
-        child = getattr(node, attr, None)
-        if child is not None and not isinstance(child, str):
-            fields |= _fields_in(child)
+            fields |= {node.name for node in asl.walk(tree)
+                       if isinstance(node, asl.Attribute)
+                       and node.target == asl.Name("event")}
     return fields
 
 
@@ -287,16 +263,8 @@ def _emit_effect(writer: CodeWriter, effect: Optional[str]) -> None:
 
 
 def generate(scope: Element) -> Dict[str, str]:
-    """Generate VHDL for every component under ``scope``.
-
-    Returns a mapping from file name to file content.
-    """
-    from .base import hardware_components
-
-    files: Dict[str, str] = {}
-    for component in hardware_components(scope):
-        files[f"{_vhdl_name(component.name).lower()}.vhd"] = \
-            generate_component(component)
-    if not files:
-        raise CodegenError("no components found to generate VHDL for")
-    return files
+    """Generate VHDL for every component under ``scope``: {file name:
+    text}."""
+    return per_component(
+        scope, "VHDL", generate_component,
+        lambda component: f"{_vhdl_name(component.name).lower()}.vhd")

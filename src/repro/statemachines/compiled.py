@@ -45,17 +45,14 @@ from .kernel import (
     PseudostateKind,
     State,
     StateMachine,
+    Transition,
     TransitionKind,
 )
-from .runtime import ELSE_GUARD
+from .runtime import ACTION_NAMES, ELSE_GUARD
 
 # ---------------------------------------------------------------------------
 # Dispatch-table compilation (the cosimulation fast path)
 # ---------------------------------------------------------------------------
-
-#: Environment keys the interpreter never copies back into the context.
-_SPECIALS = ("event", "event_name", "now")
-
 
 class NotCompilable(StateMachineError):
     """The machine is outside the compilable subset; the message says
@@ -176,10 +173,6 @@ def _compile_guard(guard, site: str) -> Optional[Callable]:
     """
     if guard is None:
         return None
-    if callable(guard):
-        def run_callable(runtime, env, occurrence, _fn=guard):
-            return bool(_fn(runtime.context, occurrence))
-        return run_callable
     if isinstance(guard, str) and guard.strip() == ELSE_GUARD:
         def never(runtime, env, occurrence):
             return False
@@ -204,10 +197,6 @@ def _compile_action(action, site: str) -> Optional[Callable]:
     """
     if action is None:
         return None
-    if callable(action):
-        def run_callable(runtime, occurrence, _fn=action):
-            _fn(runtime.context, occurrence)
-        return run_callable
     code = _transpile(action, site, "exec")
 
     def run_compiled(runtime, occurrence, _code=code, _src=action):
@@ -227,24 +216,26 @@ def _compile_action(action, site: str) -> Optional[Callable]:
             raise asl.action_error(_src, exc) from exc
         context = runtime.context
         for key, value in env.items():
-            if key not in _SPECIALS:
+            if key not in ACTION_NAMES:
                 context[key] = value
     return run_compiled
 
 
 class CompiledTransition:
-    """One row of a state's dispatch table."""
+    """One row of a state's dispatch table, compiled from ``element``."""
 
-    __slots__ = ("internal", "target", "guard", "effect", "source_name")
+    __slots__ = ("internal", "target", "guard", "effect", "source_name",
+                 "element")
 
     def __init__(self, internal: bool, target: Optional["CompiledState"],
                  guard: Optional[Callable], effect: Optional[Callable],
-                 source_name: str):
+                 source_name: str, element: Transition):
         self.internal = internal
         self.target = target
         self.guard = guard
         self.effect = effect
         self.source_name = source_name
+        self.element = element
 
     def __repr__(self) -> str:
         kind = "internal" if self.internal else "external"
@@ -253,13 +244,14 @@ class CompiledTransition:
 
 
 class CompiledState:
-    """A state with precompiled entry/exit actions and dispatch tables."""
+    """The dispatch tables and actions compiled from ``element``."""
 
     __slots__ = ("name", "entry", "do_activity", "exit", "by_key",
-                 "by_timer", "timer_specs")
+                 "by_timer", "timer_specs", "element")
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self, element: State):
+        self.name = element.name
+        self.element = element
         self.entry: Optional[Callable] = None
         self.do_activity: Optional[Callable] = None
         self.exit: Optional[Callable] = None
@@ -275,18 +267,24 @@ class CompiledState:
 
 
 class CompiledMachine:
-    """The immutable compile artifact: share one across many runtimes."""
+    """The immutable compile artifact, shared by many runtimes: the one
+    lowering of a flat machine, whose closures the compiled engine runs
+    and whose model elements' ASL :mod:`repro.codegen.python_gen`
+    emits."""
 
-    __slots__ = ("machine", "states", "initial_state", "initial_effect")
+    __slots__ = ("machine", "states", "initial_state", "initial_effect",
+                 "initial_transition")
 
     def __init__(self, machine: StateMachine,
                  states: Dict[str, CompiledState],
                  initial_state: CompiledState,
-                 initial_effect: Optional[Callable]):
+                 initial_effect: Optional[Callable],
+                 initial_transition: Transition):
         self.machine = machine
         self.states = states
         self.initial_state = initial_state
         self.initial_effect = initial_effect
+        self.initial_transition = initial_transition
 
     def __repr__(self) -> str:
         return (f"<CompiledMachine {self.machine.name!r} "
@@ -299,15 +297,17 @@ def compile_fallback_reason(machine: StateMachine) -> Optional[str]:
     The compilable subset is the flat-machine core the SoC IP library
     uses: one region, simple states, INITIAL as the only pseudostate,
     signal/call/time triggers, no deferral, no completion transitions,
-    and every guard and effect transpiles (ASL that parses and that the
-    compiled code runs as the interpreter does, or a Python callable).
-    Everything else (deep history, orthogonal regions, deferral, change
-    triggers, a context callable or a dict method called from ASL, a
-    ``while`` loop, ...) answers with a reason string, and the caller
-    runs the whole machine on the interpreter.  None means the machine
-    is compiled (and memoized by :func:`compile_machine_cached`).  A
-    machine that compiles may still need the interpreter for a given
-    context: see :func:`check_context`.
+    and every guard and effect is ASL text that transpiles (it parses,
+    and compiled code runs it as the interpreter does).  Everything
+    else (deep history, orthogonal regions, deferral, change triggers,
+    a Python callable as a guard or an action, a context callable or a
+    dict method called from ASL, a ``while`` loop, ...) answers with a
+    reason string, and the caller runs the whole machine on the
+    interpreter; the Python code generator skips the class.  None
+    means the machine is compiled (and memoized by
+    :func:`compile_machine_cached`).  A machine that compiles may
+    still need the interpreter for a given context: see
+    :func:`check_context`.
     """
     try:
         compile_machine_cached(machine)
@@ -375,7 +375,7 @@ def compile_machine(machine: StateMachine) -> CompiledMachine:
         cstates: Dict[int, CompiledState] = {}
         by_name: Dict[str, CompiledState] = {}
         for state in walk.states:
-            cstate = CompiledState(state.name)
+            cstate = CompiledState(state)
             cstate.entry = _compile_action(state.entry, "entry")
             cstate.do_activity = _compile_action(state.do_activity, "do")
             cstate.exit = _compile_action(state.exit, "exit")
@@ -393,7 +393,7 @@ def compile_machine(machine: StateMachine) -> CompiledMachine:
                     cstates[id(transition.target)],
                     _compile_guard(transition.guard, "guard"),
                     _compile_action(transition.effect, "effect"),
-                    state.name)
+                    state.name, transition)
                 for event in transition.triggers:
                     if isinstance(event, TimeEvent):
                         timer_specs.append((event.after, event))
@@ -413,7 +413,8 @@ def compile_machine(machine: StateMachine) -> CompiledMachine:
         initial_state = cstates[id(initial_transition.target)]
 
     PERF.incr("sm.machines_compiled")
-    return CompiledMachine(machine, by_name, initial_state, initial_effect)
+    return CompiledMachine(machine, by_name, initial_state, initial_effect,
+                           initial_transition)
 
 
 def compile_machine_cached(machine: StateMachine) -> CompiledMachine:

@@ -40,6 +40,9 @@ from .kernel import (
 #: Guard value meaning "take this branch if nothing else fired" (choices).
 ELSE_GUARD = "else"
 
+#: Names every action's environment binds afresh and never copies back.
+ACTION_NAMES = ("event", "event_name", "now")
+
 
 class _Timer:
     """A scheduled relative time trigger."""
@@ -790,6 +793,6 @@ class StateMachineRuntime:
         except Exception as exc:
             raise asl.action_error(source, exc) from exc
         for key, value in result_env.items():
-            if key in ("event", "event_name", "now"):
+            if key in ACTION_NAMES:
                 continue
             self.context[key] = value

@@ -57,9 +57,6 @@ contexts = st.tuples(
 
 literals = st.one_of(small_ints, st.booleans(), short_strings) \
     .map(asl.Literal)
-names = st.sampled_from(VARIABLES).map(asl.Name)
-leaves = st.one_of(literals, names,
-                   st.just(asl.Attribute(asl.Name("event"), "v")))
 
 BINARY = ("+", "-", "and", "or", "==", "!=", "<", "<=", ">", ">=",
           "/", "%", "in")
@@ -71,10 +68,14 @@ def call(name, *arguments):
     return asl.Call(asl.Name(name), tuple(arguments))
 
 
-def expressions(depth):
+def expressions(depth, variables=VARIABLES):
+    """Expressions nested ``depth`` deep over the names ``variables``."""
+    names = st.sampled_from(variables).map(asl.Name)
+    leaves = st.one_of(literals, names,
+                       st.just(asl.Attribute(asl.Name("event"), "v")))
     if depth == 0:
         return leaves
-    sub = expressions(depth - 1)
+    sub = expressions(depth - 1, variables)
     return st.one_of(
         leaves,
         st.tuples(st.sampled_from(BINARY), sub, sub)
@@ -103,20 +104,24 @@ def expressions(depth):
     )
 
 
-def statements(depth=1):
-    assign = st.tuples(st.sampled_from(VARIABLES), expressions(1)) \
+def statements(depth=1, variables=VARIABLES, while_loops=True):
+    """Statements nested ``depth`` deep over the names ``variables``;
+    ``while`` loops (on the counter ``w``) only with ``while_loops``."""
+    value = expressions(1, variables)
+    assign = st.tuples(st.sampled_from(variables), value) \
         .map(lambda t: asl.Assign(asl.Name(t[0]), t[1]))
     send = st.tuples(
         st.sampled_from(("Out", "Tick")),
-        st.lists(st.tuples(st.sampled_from(("v", "w")), expressions(1)),
+        st.lists(st.tuples(st.sampled_from(("v", "w")), value),
                  max_size=2, unique_by=lambda kv: kv[0]),
     ).map(lambda t: asl.Send(t[0], tuple(t[1])))
-    expression = expressions(1).map(asl.ExprStmt)
+    expression = value.map(asl.ExprStmt)
     base = st.one_of(assign, send, expression)
     if depth == 0:
         return base
-    body = st.lists(statements(depth - 1), min_size=1, max_size=2)
-    loop_body = st.lists(st.one_of(statements(depth - 1),
+    inner = statements(depth - 1, variables, while_loops)
+    body = st.lists(inner, min_size=1, max_size=2)
+    loop_body = st.lists(st.one_of(inner,
                                    st.sampled_from((asl.Break(),
                                                     asl.Continue()))),
                          min_size=1, max_size=2)
@@ -127,26 +132,35 @@ def statements(depth=1):
         .map(lambda n: call("range", asl.Literal(n))),
     )
     counter = asl.Name("w")
-    compound = st.one_of(
-        st.tuples(expressions(1), body, body)
+    compound = [
+        st.tuples(value, body, body)
         .map(lambda t: asl.If(t[0], tuple(t[1]), tuple(t[2]))),
         st.tuples(st.sampled_from(FREE_NAMES), iterables, loop_body)
         .map(lambda t: asl.For(t[0], t[1], tuple(t[2]))),
+    ]
+    if while_loops:
         # while (w < n and <condition>) { w = w + 1; <body> }
-        st.tuples(st.integers(min_value=1, max_value=2), expressions(1),
-                  loop_body)
-        .map(lambda t: asl.While(
-            asl.Binary("and",
-                       asl.Binary("<", counter, asl.Literal(t[0])), t[1]),
-            (asl.Assign(counter,
-                        asl.Binary("+", counter, asl.Literal(1))),)
-            + tuple(t[2]))),
-    )
-    return st.one_of(base, compound)
+        compound.append(
+            st.tuples(st.integers(min_value=1, max_value=2), value,
+                      loop_body)
+            .map(lambda t: asl.While(
+                asl.Binary("and",
+                           asl.Binary("<", counter, asl.Literal(t[0])),
+                           t[1]),
+                (asl.Assign(counter,
+                            asl.Binary("+", counter, asl.Literal(1))),)
+                + tuple(t[2]))))
+    return st.one_of(base, *compound)
 
 
-programs = st.lists(statements(), min_size=1, max_size=3) \
-    .map(lambda body: asl.unparse(asl.Program(tuple(body))))
+def program_texts(variables=VARIABLES, while_loops=True):
+    """ASL programs of one to three statements, as source text."""
+    return st.lists(statements(1, variables, while_loops), min_size=1,
+                    max_size=3) \
+        .map(lambda body: asl.unparse(asl.Program(tuple(body))))
+
+
+programs = program_texts()
 guards = expressions(2).map(asl.unparse_expression)
 event_values = st.one_of(small_ints, short_strings)
 

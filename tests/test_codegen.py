@@ -25,9 +25,11 @@ from repro.codegen import (
 from repro.codegen.transpile import Untranslatable
 from repro.errors import CodegenError
 from repro.statemachines import (
+    PseudostateKind,
     StateMachine,
     StateMachineRuntime,
     TransitionKind,
+    compile_fallback_reason,
 )
 
 
@@ -49,6 +51,107 @@ def build_counter_class():
                           effect="timeouts = timeouts + 1;")
     cls.add_behavior(machine, as_classifier_behavior=True)
     return cls
+
+
+def flat_class(build, **attributes):
+    """An active class ``Flat`` with integer ``attributes`` (name=default)
+    whose one-region machine ``build(region)`` fills."""
+    cls = mm.UmlClass("Flat", is_active=True)
+    for name, default in attributes.items():
+        cls.add_attribute(name, mm.INTEGER, default=default)
+    machine = StateMachine("flat")
+    build(machine.region)
+    cls.add_behavior(machine, as_classifier_behavior=True)
+    return cls
+
+
+def one_state(region, **initial):
+    s = region.add_state("S")
+    region.add_transition(region.add_initial(), s, **initial)
+    return s
+
+
+def two_states(region):
+    a, b = region.add_state("A"), region.add_state("B")
+    region.add_transition(region.add_initial(), a)
+    return a, b
+
+
+def two_internal_rows(region):
+    s = one_state(region)
+    for effect in ("x = 1;", "y = 1;"):
+        region.add_transition(s, s, trigger="Go", effect=effect,
+                              kind=TransitionKind.INTERNAL)
+
+
+def internal_effect_falsifies_a_later_guard(region):
+    a, b = two_states(region)
+    region.add_transition(a, a, trigger="Go", effect="x = 1;",
+                          kind=TransitionKind.INTERNAL)
+    region.add_transition(a, b, trigger="Go", guard="x == 0")
+
+
+def initial_effect(region):
+    one_state(region, effect="x = 7;")
+
+
+def internal_after_3(region):
+    s = one_state(region)
+    region.add_transition(s, s, after=3, effect="x = x + 1;",
+                          kind=TransitionKind.INTERNAL)
+
+
+def after_2_6(region):
+    a, b = two_states(region)
+    region.add_transition(a, b, after=2.6, effect="x = x + 1;")
+
+
+def composite_state(region):
+    outer = one_state(region)
+    inner = outer.add_region("r")
+    inner.add_transition(inner.add_initial(), inner.add_state("Inner"))
+
+
+def deferral(region):
+    a, b = two_states(region)
+    a.defer("Later")
+    region.add_transition(a, b, trigger="Go")
+
+
+def completion_transition(region):
+    a, b = two_states(region)
+    region.add_transition(a, b)
+
+
+def choice(region):
+    a, b = two_states(region)
+    route = region.add_pseudostate(PseudostateKind.CHOICE, "route")
+    region.add_transition(a, route, trigger="Go")
+    region.add_transition(route, b, guard="x > 0")
+    region.add_transition(route, a, guard="else")
+
+
+def callable_guard(region):
+    a, b = two_states(region)
+    region.add_transition(a, b, trigger="Go",
+                          guard=lambda context, event: True)
+
+
+def dict_method(region):
+    s = one_state(region)
+    region.add_transition(s, s, trigger="Go", effect='x = d.get("k");',
+                          kind=TransitionKind.INTERNAL)
+
+
+def while_loop(region):
+    s = one_state(region)
+    region.add_transition(s, s, trigger="Go",
+                          effect="while (x < 3) { x = x + 1; }",
+                          kind=TransitionKind.INTERNAL)
+
+
+def no_initial(region):
+    region.add_state("S")
 
 
 class TestHelpers:
@@ -318,6 +421,49 @@ class TestGeneratedPythonEquivalence:
         instance.dispatch("data", v=30)
         assert instance.state == "B"
         assert instance.last == 30
+
+    @pytest.mark.parametrize("build, script, state, expected", [
+        (two_internal_rows, ["Go"], "S", {"x": 1, "y": 1}),
+        (internal_effect_falsifies_a_later_guard, ["Go"], "B", {"x": 1}),
+        (initial_effect, [], "S", {"x": 7}),
+        (internal_after_3, [10], "S", {"x": 1}),
+        (after_2_6, [2.6], "B", {"x": 1}),
+    ], ids=["two-internal-rows", "effect-falsifies-later-guard",
+            "initial-effect", "internal-after-3-fires-once",
+            "after-2.6-is-not-rounded"])
+    def test_the_generated_class_follows_the_interpreter(
+            self, build, script, state, expected):
+        cls = flat_class(build, x=0, y=0)
+        generated = python_gen.compile_module(cls)["Flat"]()
+        runtime = StateMachineRuntime(cls.classifier_behavior,
+                                      context={"x": 0, "y": 0}).start()
+        for step in script:
+            if isinstance(step, str):
+                generated.dispatch(step)
+                runtime.send(step)
+            else:
+                generated.advance(step)
+                runtime.advance_time(step)
+        assert runtime.active_leaf_names() == (state,)
+        assert generated.state == state
+        for name, value in expected.items():
+            assert runtime.context[name] == value
+            assert getattr(generated, name) == value
+
+    @pytest.mark.parametrize("build", [
+        composite_state, deferral, completion_transition, choice,
+        callable_guard, dict_method, while_loop, no_initial,
+    ], ids=lambda build: build.__name__)
+    def test_a_machine_the_compiler_refuses_is_skipped_with_its_reason(
+            self, build):
+        cls = flat_class(build, x=0)
+        reason = compile_fallback_reason(cls.classifier_behavior)
+        assert reason is not None
+        with pytest.raises(CodegenError) as refusal:
+            python_gen.generate_class(cls)
+        assert reason in str(refusal.value)
+        assert f"# skipped Flat: {reason}\n" \
+            in python_gen.generate_module(cls)
 
     def test_hierarchical_machine_rejected(self):
         cls = mm.UmlClass("H", is_active=True)

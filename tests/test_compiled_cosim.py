@@ -413,6 +413,39 @@ class TestAllOrNothing:
         # the effect ran: it bound a variable of its own
         assert compiled.context_of("p").keys() - context.keys()
 
+    @pytest.mark.parametrize("key, effect, context", [
+        ("_send", "send X(v=1); x = 1;", {}),
+        ("len", "x = len(l);", {"l": [1, 2]}),
+    ], ids=["adds-send", "adds-len"])
+    def test_a_callable_action_runs_the_part_on_the_interpreter(
+            self, key, effect, context):
+        # a callable that bound an engine's or a builtin's name after
+        # check_context broke the ASL effect that ran after it
+        def top():
+            top = Component("One")
+            owner = Component("Owner")
+            machine = StateMachine("OwnerBehavior")
+            region = machine.region
+            a, b = region.add_state("A"), region.add_state("B")
+            region.add_transition(region.add_initial(), a)
+            region.add_transition(
+                a, b, after=1.0,
+                effect=lambda ctx, event: ctx.__setitem__(key, 1))
+            region.add_transition(b, b, after=1.0, effect=effect,
+                                  kind=TransitionKind.INTERNAL)
+            owner.add_behavior(machine, as_classifier_behavior=True)
+            top.add_part("p", owner)
+            return top
+
+        interpreted, compiled = run_pair(top, until=3.0,
+                                         contexts={"p": context})
+        assert compiled.compile_report["p"] == \
+            "interpreter: effect has type function"
+        assert compiled.context_of("p") == interpreted.context_of("p")
+        assert compiled.message_log == interpreted.message_log
+        assert compiled.context_of("p")[key] == 1
+        assert "x" in compiled.context_of("p")
+
     def test_an_action_that_merely_sends_compiles(self):
         interpreted, compiled = run_pair(
             lambda: one_part_top("send X(v=1); my_send = 2;"), until=3.0)

@@ -127,6 +127,28 @@ class TestCodegenUnits:
                          if node.status == BUILT)
         assert all(label.endswith("Cpu") for label in rebuilt)
 
+    def test_a_unit_stored_before_the_output_format_is_built_again(
+            self, tmp_path):
+        from repro.metamodel.model import element_fingerprint
+
+        model = two_component_model()
+        old = ArtifactStore(tmp_path)
+        for component in model.descendants_of_type(mm.Component):
+            inputs = tuple(element_fingerprint(classifier) for classifier
+                           in (component,) + component.all_generals())
+            # the key layout before OUTPUT_FORMAT joined it
+            key = old.make_key("codegen", "python",
+                               component.qualified_name, *inputs)
+            old.save("codegen", key, {"generated.py": "# stale\n"},
+                     inputs=inputs)
+        store = ArtifactStore(tmp_path)
+        with using_store(store):
+            units = generate_units(model, backends=("python",))
+        assert store.graph.counts()["codegen"] \
+            == {"built": 2, "reused": 0}
+        assert all(files["generated.py"] != "# stale\n"
+                   for files in units["python"].values())
+
     def test_without_a_store_units_still_generate(self):
         model = two_component_model()
         units = generate_units(model, backends=("python",))
