@@ -19,6 +19,7 @@ bit-identical traffic; generated > interpreted; the model needs zero
 changes between levels (the cost saving claimed).
 """
 
+import gc
 import time
 
 import pytest
@@ -30,6 +31,11 @@ from repro.simulation import SystemSimulation
 from repro.statemachines import StateMachineRuntime
 
 SIM_TIME = 400.0
+#: Passes of the request script per component row.  A pass takes about
+#: a millisecond, as long as one collection pause of the cosimulation
+#: rows' garbage, so each pass starts from a full collection and the row
+#: reports the fastest.
+REPEATS = 7
 
 
 def build_system():
@@ -77,6 +83,35 @@ def compiled_cosim():
     }
 
 
+def component_requests():
+    """The component rows' traffic: alternating writes and reads at
+    pseudo-random addresses, one request per traffic-generator period."""
+    requests = []
+    seed = 1
+    for index in range(int(SIM_TIME / 2.0)):
+        seed = (seed * 1103515245 + 12345) % 2147483648
+        address = seed % 0x800
+        if index % 2 == 0:
+            requests.append(("Write", {"addr": address, "value": index}))
+        else:
+            requests.append(("Read", {"addr": address}))
+    return requests
+
+
+def fastest_rate(send, requests):
+    """Requests per second of the fastest of :data:`REPEATS` passes of
+    ``requests`` through ``send``, each after a full collection (the
+    row's ``kernel_events`` counts the requests of every pass)."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        gc.collect()
+        start = time.perf_counter()
+        for signal, arguments in requests:
+            send(signal, **arguments)
+        best = min(best, time.perf_counter() - start)
+    return round(len(requests) / best)
+
+
 def generated_python():
     """Drive the generated Memory class directly with the same traffic."""
     _top, cpu, memory = build_system()
@@ -90,21 +125,12 @@ def generated_python():
             responses += 1
 
     instance = mem_cls(on_send=on_send)
-    requests = int(SIM_TIME / 2.0)
-    seed = 1
-    start = time.perf_counter()
-    for index in range(requests):
-        seed = (seed * 1103515245 + 12345) % 2147483648
-        address = seed % 0x800
-        if index % 2 == 0:
-            instance.dispatch("Write", addr=address, value=index)
-        else:
-            instance.dispatch("Read", addr=address)
-    elapsed = time.perf_counter() - start
+    requests = component_requests()
+    events_per_s = fastest_rate(instance.dispatch, requests)
     return {
         "level": "generated python (memory under test)",
-        "kernel_events": requests,
-        "events_per_s": round(requests / elapsed),
+        "kernel_events": len(requests) * REPEATS,
+        "events_per_s": events_per_s,
         "responses": responses,
     }
 
@@ -114,21 +140,11 @@ def interpreted_component():
     _top, _cpu, memory = build_system()
     runtime = StateMachineRuntime(memory.classifier_behavior,
                                   signal_sink=lambda s: None).start()
-    requests = int(SIM_TIME / 2.0)
-    seed = 1
-    start = time.perf_counter()
-    for index in range(requests):
-        seed = (seed * 1103515245 + 12345) % 2147483648
-        address = seed % 0x800
-        if index % 2 == 0:
-            runtime.send("Write", addr=address, value=index)
-        else:
-            runtime.send("Read", addr=address)
-    elapsed = time.perf_counter() - start
+    requests = component_requests()
     return {
         "level": "interpreted component (memory under test)",
-        "kernel_events": requests,
-        "events_per_s": round(requests / elapsed),
+        "kernel_events": len(requests) * REPEATS,
+        "events_per_s": fastest_rate(runtime.send, requests),
     }
 
 

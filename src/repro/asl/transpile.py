@@ -10,6 +10,10 @@ The expression transpilers for C-family targets (SystemC) and the HDLs
 translate the integer/boolean expression subset RTL can synthesize and
 raise :class:`Untranslatable` for the rest; backends catch that and
 emit an explanatory comment instead of broken code.
+
+The module sits beside the parser it translates from, so the compiled
+engine reaches it without loading a code generator; the backends of
+:mod:`repro.codegen` import it from here.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from typing import Callable, Dict, List, Optional, Union
 
 from .. import asl
 from ..errors import CodegenError
-from ..statemachines.runtime import ACTION_NAMES
+
+#: Names every action's environment binds afresh and never copies back.
+ACTION_NAMES = ("event", "event_name", "now")
 
 
 class Untranslatable(CodegenError):

@@ -12,9 +12,20 @@ against both engines by a differential test; other classes are
 skipped with the compiler's reason.
 
 ``generate_all`` runs every backend over a scope; ``validators`` checks
-structural validity of the results.
+structural validity of the results.  The ASL transpilers the backends
+share live in :mod:`repro.asl.transpile` (re-exported here), so the
+compiled engine uses them without loading this package.
 """
 
+from ..asl.transpile import (
+    PYTHON_PRELUDE,
+    Untranslatable,
+    to_c_expression,
+    to_python_expression,
+    to_python_statements,
+    to_verilog_expression,
+    to_vhdl_expression,
+)
 from . import python_gen, systemc, testbench, validators, verilog, vhdl
 from .pipeline import (
     BACKENDS,
@@ -30,15 +41,6 @@ from .base import (
     collect_assigned_names,
     collect_sends,
     sanitize,
-)
-from .transpile import (
-    PYTHON_PRELUDE,
-    Untranslatable,
-    to_c_expression,
-    to_python_expression,
-    to_python_statements,
-    to_verilog_expression,
-    to_vhdl_expression,
 )
 from .validators import (
     VALIDATORS,

@@ -18,7 +18,15 @@ from __future__ import annotations
 from typing import Dict, List, Set, Tuple
 
 from .. import asl
-from ..errors import CodegenError
+from ..asl.transpile import (
+    ACTION_NAMES,
+    BUILTIN_NAMES,
+    PYTHON_ATTR_HELPER,
+    PYTHON_PRELUDE,
+    to_python_expression,
+    to_python_statements,
+)
+from ..errors import AslSyntaxError, CodegenError
 from ..metamodel.classifiers import UmlClass
 from ..metamodel.components import Port
 from ..metamodel.element import Element
@@ -31,15 +39,8 @@ from ..statemachines.compiled import (
 )
 from ..statemachines.events import EventKind
 from ..statemachines.kernel import StateMachine
-from ..statemachines.runtime import ACTION_NAMES, ELSE_GUARD
+from ..statemachines.runtime import ELSE_GUARD
 from .base import CodeWriter, hardware_components, sanitize
-from .transpile import (
-    BUILTIN_NAMES,
-    PYTHON_ATTR_HELPER,
-    PYTHON_PRELUDE,
-    to_python_expression,
-    to_python_statements,
-)
 
 
 def _py_name(name: str) -> str:
@@ -71,7 +72,8 @@ def generate_class(classifier: UmlClass) -> str:
     """Generate one Python class (source text) for a UML class.
 
     Raises :class:`CodegenError` with the compiler's reason when the
-    model compiler refuses the class's state machine.
+    model compiler refuses the class's state machine, and naming the
+    operation when an operation body does not parse.
     """
     compiled = None
     if isinstance(classifier.classifier_behavior, StateMachine):
@@ -132,8 +134,12 @@ def generate_class(classifier: UmlClass) -> str:
         writer.indent()
         local_names = self_names - {p.name
                                     for p in operation.in_parameters}
-        for line in to_python_statements(operation.body, local_names):
-            writer.line(line)
+        try:
+            body = to_python_statements(operation.body, local_names)
+        except AslSyntaxError as error:
+            raise CodegenError(f"operation {operation.name!r} does not "
+                               f"parse: {error}") from None
+        writer.lines(*body)
         writer.dedent()
         writer.line("")
 

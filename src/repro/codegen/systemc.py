@@ -14,6 +14,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from .. import asl
+from ..asl.transpile import (
+    simple_int_assignments,
+    to_c_expression,
+)
 from ..metamodel.classifiers import UmlClass
 from ..metamodel.components import Port, PortDirection
 from ..metamodel.element import Element
@@ -26,10 +30,6 @@ from .base import (
     collect_sends,
     per_component,
     sanitize,
-)
-from .transpile import (
-    simple_int_assignments,
-    to_c_expression,
 )
 from .vhdl import _collect_event_fields
 

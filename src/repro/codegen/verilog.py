@@ -12,6 +12,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from .. import asl
+from ..asl.transpile import (
+    simple_int_assignments,
+    to_verilog_expression,
+)
 from ..metamodel.classifiers import UmlClass
 from ..metamodel.components import Port, PortDirection
 from ..metamodel.element import Element
@@ -24,10 +28,6 @@ from .base import (
     collect_sends,
     per_component,
     sanitize,
-)
-from .transpile import (
-    simple_int_assignments,
-    to_verilog_expression,
 )
 from .vhdl import _collect_event_fields
 

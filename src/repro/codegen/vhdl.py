@@ -21,6 +21,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from .. import asl
+from ..asl.transpile import (
+    Untranslatable,
+    simple_int_assignments,
+    to_vhdl_expression,
+)
 from ..metamodel.classifiers import UmlClass
 from ..metamodel.components import Port, PortDirection
 from ..metamodel.element import Element
@@ -28,11 +33,6 @@ from ..profiles.core import applications_of
 from ..statemachines.kernel import StateMachine
 from .base import (CodeWriter, MachineView, analyze_machine, per_component,
                    sanitize)
-from .transpile import (
-    Untranslatable,
-    simple_int_assignments,
-    to_vhdl_expression,
-)
 
 
 def _vhdl_name(name: str) -> str:

@@ -15,7 +15,9 @@ duplicated and corrupted bus transactions, hung cores, IRQ storms.
   kernel incidents; merges order-independently across seeds.
 * :func:`run_campaign` / :class:`CampaignSpec` — crash-tolerant,
   resumable multi-seed sweep runner (process pool, watchdog + retry,
-  append-only journal; PR 5).
+  append-only journal).  The runner and its journal load on first use
+  of one of its names, so a simulation that injects faults but runs no
+  campaign never imports them.
 
 Kernel-side robustness (watchdog, livelock/deadlock detection, bounded
 queues) lives in :mod:`repro.simulation.kernel`; the graceful part
@@ -25,14 +27,20 @@ degradation policies live in :mod:`repro.simulation.cosim`.
 from .campaign import FAULT_KINDS, FaultCampaign, FaultSpec
 from .injector import FaultInjector
 from .report import PART_ERROR_POLICIES, ResilienceReport
-from .runner import (
-    CampaignResult,
-    CampaignSpec,
-    backoff_delay,
-    read_journal,
-    run_campaign,
-    run_seed,
-)
+
+#: The names :mod:`repro.faults.runner` provides, resolved on first
+#: access by :func:`__getattr__`.
+_RUNNER_NAMES = frozenset({
+    "CampaignResult", "CampaignSpec", "backoff_delay", "read_journal",
+    "run_campaign", "run_seed"})
+
+
+def __getattr__(name: str):
+    if name in _RUNNER_NAMES:
+        from . import runner
+
+        return getattr(runner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "FAULT_KINDS",

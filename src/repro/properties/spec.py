@@ -508,37 +508,46 @@ def _interaction_from_spec(name: str, messages: Sequence[Sequence[str]],
 
 
 def _response_from_dict(data: Dict[str, Any]) -> ResponseProperty:
-    _require(data, "response", ("name", "trigger", "reaction", "within"))
+    _check_fields(data, "response", ("name", "trigger", "reaction", "within"))
     return ResponseProperty(data["name"], data["trigger"], data["reaction"],
-                            data["within"])
+                            _number(data, "response", "within"))
 
 
 def _precedence_from_dict(data: Dict[str, Any]) -> PrecedenceProperty:
-    _require(data, "precedence", ("name", "first", "then"))
+    _check_fields(data, "precedence", ("name", "first", "then"))
     return PrecedenceProperty(data["name"], data["first"], data["then"])
 
 
 def _absence_from_dict(data: Dict[str, Any]) -> AbsenceProperty:
-    _require(data, "absence", ("name", "never"))
+    _check_fields(data, "absence", ("name", "never"), ("window",))
     window = data.get("window")
-    return AbsenceProperty(data["name"], data["never"],
-                           tuple(window) if window is not None else None)
+    if window is not None:
+        if (not isinstance(window, (list, tuple)) or len(window) != 2
+                or not all(_is_number(bound) for bound in window)):
+            raise _invalid("absence", data["name"], "window",
+                           "[t0, t1] numbers", window)
+        window = tuple(window)
+    return AbsenceProperty(data["name"], data["never"], window)
 
 
 def _liveness_from_dict(data: Dict[str, Any]) -> BoundedLivenessProperty:
-    _require(data, "bounded_liveness", ("name", "match", "at_least", "by"))
-    return BoundedLivenessProperty(data["name"], data["match"],
-                                   data["at_least"], data["by"])
+    kind = "bounded_liveness"
+    _check_fields(data, kind, ("name", "match", "at_least", "by"))
+    at_least = data["at_least"]
+    if not _is_integer(at_least):
+        raise _invalid(kind, data["name"], "at_least", "an integer",
+                       at_least)
+    return BoundedLivenessProperty(data["name"], data["match"], at_least,
+                                   _number(data, kind, "by"))
 
 
 def _interaction_from_dict(data: Dict[str, Any]) -> InteractionConformanceProperty:
-    _require(data, "interaction", ("name",))
+    _check_fields(data, "interaction", ("name",),
+                  ("messages", "traces", "loop", "complete", "include_env"))
     name = data["name"]
 
     def invalid(field: str, expected: str, value: Any) -> PropertyError:
-        return PropertyError(
-            f"interaction {name!r}: {field} must be {expected}, "
-            f"got {value!r}")
+        return _invalid("interaction", name, field, expected, value)
 
     flags = {}
     for field in ("complete", "include_env"):
@@ -556,9 +565,7 @@ def _interaction_from_dict(data: Dict[str, Any]) -> InteractionConformanceProper
         loop = data.get("loop")
         if loop is not None:
             if (not isinstance(loop, (list, tuple)) or len(loop) != 2
-                    or not all(isinstance(bound, int)
-                               and not isinstance(bound, bool)
-                               for bound in loop)):
+                    or not all(_is_integer(bound) for bound in loop)):
                 raise invalid("loop", "[min, max] integers", loop)
             loop = tuple(loop)
         return interaction_conformance(name, messages=messages, loop=loop,
@@ -582,11 +589,43 @@ def _is_strings(value: Any) -> bool:
             and all(isinstance(item, str) for item in value))
 
 
-def _require(data: Dict[str, Any], kind: str, keys: Iterable[str]) -> None:
-    missing = [key for key in keys if key not in data]
+def _is_number(value: Any) -> bool:
+    """Whether a JSON value is a number (``true`` and ``false`` are not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value: Any) -> bool:
+    """Whether a JSON value is an integer (``2.0`` is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(data: Dict[str, Any], kind: str, field: str) -> Any:
+    """The number ``data[field]``, or a :class:`PropertyError`."""
+    value = data[field]
+    if not _is_number(value):
+        raise _invalid(kind, data["name"], field, "a number", value)
+    return value
+
+
+def _invalid(kind: str, name: Any, field: str, expected: str,
+             value: Any) -> PropertyError:
+    return PropertyError(
+        f"{kind} {name!r}: {field} must be {expected}, got {value!r}")
+
+
+def _check_fields(data: Dict[str, Any], kind: str, required: Sequence[str],
+                  optional: Sequence[str] = ()) -> None:
+    """Refuse a spec that lacks a required field or holds a field its
+    kind does not define (a misspelt optional one would be ignored)."""
+    missing = [key for key in required if key not in data]
     if missing:
         raise PropertyError(
             f"{kind} property spec missing fields {missing}: {data!r}")
+    unknown = sorted(set(data).difference(("kind",), required, optional),
+                     key=str)
+    if unknown:
+        raise PropertyError(
+            f"{kind} {data['name']!r}: unknown fields {unknown}")
 
 
 _FROM_DICT = {

@@ -2,15 +2,13 @@
 
 Checks a hardware designer would expect from an FSM linter: state
 reachability, dead transitions, potential nondeterminism, and sink
-(deadlock) states.  Built on :mod:`networkx` digraphs over the state
-machine's vertex/transition structure.
+(deadlock) states.  Built on plain adjacency dicts over the state
+machine's vertex/transition structure, walked iteratively.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Set, Tuple
 
 from .events import ChangeEvent, TimeEvent
 from .kernel import (
@@ -20,12 +18,12 @@ from .kernel import (
     State,
     StateMachine,
     Transition,
-    Vertex,
 )
 
 
-def vertex_graph(machine: StateMachine) -> "nx.DiGraph":
-    """The machine as a digraph: vertices are nodes, transitions edges.
+def vertex_graph(machine: StateMachine) -> Dict[str, List[str]]:
+    """The machine as an adjacency dict: each vertex's ``xmi_id`` maps
+    to the ids its transitions lead to, in transition order.
 
     Containment is modelled with auxiliary edges from each composite
     state to its regions' initial pseudostates (entering the composite
@@ -34,34 +32,44 @@ def vertex_graph(machine: StateMachine) -> "nx.DiGraph":
     composite's transitions — reachability-wise the composite's edges
     apply).
     """
-    graph = nx.DiGraph()
-    for vertex in machine.all_vertices():
-        graph.add_node(vertex.xmi_id, element=vertex)
+    graph: Dict[str, List[str]] = {
+        vertex.xmi_id: [] for vertex in machine.all_vertices()}
     for transition in machine.all_transitions():
-        graph.add_edge(transition.source.xmi_id, transition.target.xmi_id,
-                       element=transition)
+        graph.setdefault(transition.source.xmi_id, []).append(
+            transition.target.xmi_id)
     for state in machine.all_states():
         for region in state.regions:
             initial = region.initial
             if initial is not None:
-                graph.add_edge(state.xmi_id, initial.xmi_id, element=None)
+                graph[state.xmi_id].append(initial.xmi_id)
             history = region.history(False) or region.history(True)
             if history is not None:
-                graph.add_edge(state.xmi_id, history.xmi_id, element=None)
+                graph[state.xmi_id].append(history.xmi_id)
     return graph
 
 
-def _entry_vertices(machine: StateMachine) -> List[Vertex]:
-    return [region.initial for region in machine.regions
-            if region.initial is not None]
+def _reached(graph: Dict[str, List[str]], roots: Iterable[str]) -> Set[str]:
+    """The roots and every node a path in ``graph`` leads to from one."""
+    reached = set(roots)
+    stack = list(reached)
+    while stack:
+        for target in graph.get(stack.pop(), ()):
+            if target not in reached:
+                reached.add(target)
+                stack.append(target)
+    return reached
+
+
+def _reached_from_entries(machine: StateMachine) -> Set[str]:
+    """Ids of the vertices the machine's initial pseudostates reach."""
+    return _reached(vertex_graph(machine),
+                    [region.initial.xmi_id for region in machine.regions
+                     if region.initial is not None])
 
 
 def reachable_states(machine: StateMachine) -> Tuple[State, ...]:
     """States reachable from the machine's initial pseudostates."""
-    graph = vertex_graph(machine)
-    reached: Set[str] = set()
-    for entry in _entry_vertices(machine):
-        reached |= {entry.xmi_id} | nx.descendants(graph, entry.xmi_id)
+    reached = _reached_from_entries(machine)
     return tuple(s for s in machine.all_states() if s.xmi_id in reached)
 
 
@@ -125,15 +133,12 @@ def sink_states(machine: StateMachine) -> Tuple[State, ...]:
 
 def can_terminate(machine: StateMachine) -> bool:
     """True when a TERMINATE pseudostate is reachable."""
-    graph = vertex_graph(machine)
     terminators = [v for v in machine.all_vertices()
                    if isinstance(v, Pseudostate)
                    and v.kind is PseudostateKind.TERMINATE]
     if not terminators:
         return False
-    reached: Set[str] = set()
-    for entry in _entry_vertices(machine):
-        reached |= {entry.xmi_id} | nx.descendants(graph, entry.xmi_id)
+    reached = _reached_from_entries(machine)
     return any(t.xmi_id in reached for t in terminators)
 
 
@@ -156,8 +161,13 @@ def completion_livelocks(machine: StateMachine) -> Tuple[Tuple[State, ...], ...]
     completes immediately on entry and chains to the next forever.  The
     runtime's ``max_chain`` guard catches it dynamically; this analysis
     finds it statically.
+
+    A state lies on a livelock when its completion chain reaches it
+    again; its cycle is the states it reaches that reach it back.  Each
+    cycle lists its states by name, and the cycles come in the order of
+    their first state in :meth:`StateMachine.all_states`.
     """
-    graph = nx.DiGraph()
+    graph: Dict[str, List[str]] = {}
     for transition in machine.all_transitions():
         source, target = transition.source, transition.target
         if (isinstance(source, State) and isinstance(target, State)
@@ -166,16 +176,23 @@ def completion_livelocks(machine: StateMachine) -> Tuple[Tuple[State, ...], ...]
                 and not isinstance(target, FinalState)
                 and transition.is_completion
                 and transition.guard is None):
-            graph.add_edge(source.xmi_id, target.xmi_id)
-    by_id = {s.xmi_id: s for s in machine.all_states()}
+            graph.setdefault(source.xmi_id, []).append(target.xmi_id)
+    # every node a chain of one or more completions leads to
+    successors = {node: _reached(graph, targets)
+                  for node, targets in graph.items()}
+    states = machine.all_states()
     cycles = []
-    for component in nx.strongly_connected_components(graph):
-        if len(component) > 1 or any(
-                graph.has_edge(node, node) for node in component):
-            cycles.append(tuple(sorted(
-                (by_id[node] for node in component if node in by_id),
-                key=lambda s: s.name)))
-    return tuple(c for c in cycles if c)
+    on_cycle: Set[str] = set()
+    for state in states:
+        node = state.xmi_id
+        if node in on_cycle or node not in successors.get(node, ()):
+            continue
+        cycle = [other for other in states
+                 if other.xmi_id in successors[node]
+                 and node in successors.get(other.xmi_id, ())]
+        on_cycle.update(other.xmi_id for other in cycle)
+        cycles.append(tuple(sorted(cycle, key=lambda s: s.name)))
+    return tuple(cycles)
 
 
 def lint(machine: StateMachine) -> Dict[str, Tuple]:

@@ -4,7 +4,7 @@
 cosimulation fast path.  A flat (single-region, simple-state) machine
 is compiled once into per-state dispatch tables whose guards and
 effects are *precompiled Python closures* — ASL source is transpiled
-via :mod:`repro.codegen.transpile` and ``compile()``d to code objects,
+via :mod:`repro.asl.transpile` and ``compile()``d to code objects,
 so executing an action is one ``eval``/``exec`` of tiny bytecode
 instead of a tree walk through a freshly constructed interpreter.
 The code objects run against the same ``_asl_*`` helpers every
@@ -36,6 +36,18 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import asl
 from ..asl import SentSignal
+from ..asl.transpile import (
+    ACTION_NAMES,
+    BUILTIN_NAMES,
+    ENGINE_NAME_MARKS,
+    PYTHON_ATTR_HELPER,
+    PYTHON_PRELUDE,
+    REFUSABLE_NAMES,
+    interpreter_only,
+    is_engine_name,
+    to_python_expression,
+    to_python_statements,
+)
 from ..errors import ReproError, StateMachineError
 from ..perf import PERF
 from .events import ChangeEvent, EventKind, EventOccurrence, TimeEvent
@@ -48,7 +60,7 @@ from .kernel import (
     Transition,
     TransitionKind,
 )
-from .runtime import ACTION_NAMES, ELSE_GUARD
+from .runtime import ELSE_GUARD
 
 # ---------------------------------------------------------------------------
 # Dispatch-table compilation (the cosimulation fast path)
@@ -71,8 +83,6 @@ _GLOBALS: Optional[Dict[str, Any]] = None
 def _action_globals() -> Dict[str, Any]:
     global _GLOBALS
     if _GLOBALS is None:
-        from ..codegen.transpile import PYTHON_ATTR_HELPER, PYTHON_PRELUDE
-
         prelude: Dict[str, Any] = {}
         exec(PYTHON_PRELUDE + PYTHON_ATTR_HELPER, prelude)
         _GLOBALS = dict(
@@ -100,7 +110,7 @@ def _transpile(source: Any, site: str, mode: str) -> Any:
     ASL text, does not transpile, or holds a construct that compiled
     code would run differently from the interpreter (an operation or a
     method call, a builtin's name as a variable, a loop without a fixed
-    trip count: :func:`~repro.codegen.transpile.interpreter_only`).  A
+    trip count: :func:`~repro.asl.transpile.interpreter_only`).  A
     memoized refusal is raised afresh, naming the current ``site``.
     """
     if not isinstance(source, str):
@@ -127,14 +137,6 @@ def _transpile(source: Any, site: str, mode: str) -> Any:
 def _transpile_text(source: str, mode: str) -> Any:
     """Parse ``source`` once and ``compile()`` its Python transpilation;
     returns the code object, or why there is none."""
-    from ..codegen.transpile import (
-        ENGINE_NAME_MARKS,
-        REFUSABLE_NAMES,
-        interpreter_only,
-        to_python_expression,
-        to_python_statements,
-    )
-
     try:
         if mode == "eval":
             tree = asl.parse_expression(source)
@@ -461,8 +463,6 @@ def check_context(context: Dict[str, Any]) -> None:
     ``len(l)``, a context ``list`` breaks ``range(n)``), or where it
     calls ``_send`` or an ``_asl_*`` helper.
     """
-    from ..codegen.transpile import BUILTIN_NAMES, is_engine_name
-
     for name in context:
         if name in BUILTIN_NAMES:
             raise NotCompilable(

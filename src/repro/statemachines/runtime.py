@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..asl.transpile import ACTION_NAMES
 from ..errors import ReproError, StateMachineError
 from .events import (
     ChangeEvent,
@@ -39,9 +40,6 @@ from .kernel import (
 
 #: Guard value meaning "take this branch if nothing else fired" (choices).
 ELSE_GUARD = "else"
-
-#: Names every action's environment binds afresh and never copies back.
-ACTION_NAMES = ("event", "event_name", "now")
 
 
 class _Timer:

@@ -5,6 +5,7 @@ import pytest
 import repro.metamodel as mm
 from repro import asl
 from repro.codegen import (
+    Untranslatable,
     analyze_machine,
     check_python,
     check_systemc,
@@ -22,7 +23,6 @@ from repro.codegen import (
     verilog,
     vhdl,
 )
-from repro.codegen.transpile import Untranslatable
 from repro.errors import CodegenError
 from repro.statemachines import (
     PseudostateKind,
@@ -402,6 +402,25 @@ class TestGeneratedPythonEquivalence:
         alu = classes["Alu"]()
         assert alu.add(5) == 5
         assert alu.add(3) == 8
+
+    def test_an_operation_that_does_not_parse_skips_only_its_class(self):
+        package = mm.Model("m")
+        alu = package.add(mm.UmlClass("Alu"))
+        alu.add_attribute("x", mm.INTEGER, default=0)
+        alu.add_operation("clear").set_body("x = ;")
+        ok = package.add(mm.UmlClass("Ok"))
+        ok.add_attribute("acc", mm.INTEGER, default=0)
+        ok.add_operation("bump").set_body("acc = acc + 1; return acc;")
+        with pytest.raises(CodegenError,
+                           match="^operation 'clear' does not parse: "):
+            python_gen.generate_class(alu)
+        source = python_gen.generate_module(package)
+        assert "\n# skipped Alu: operation 'clear' does not parse: " \
+            in source
+        namespace = {}
+        exec(compile(source, "<generated>", "exec"), namespace)
+        assert "Alu" not in namespace
+        assert namespace["Ok"]().bump() == 1
 
     def test_guard_uses_event_payload(self):
         cls = mm.UmlClass("Th", is_active=True)

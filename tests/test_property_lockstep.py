@@ -416,6 +416,18 @@ class TestCliExitCodes:
                      "--until", "60", "--properties", str(bad)]) == 2
         assert "error: interaction 'hs'" in capsys.readouterr().err
 
+    def test_malformed_response_exits_two(self, cli_files, tmp_path,
+                                          capsys):
+        model_path, _, _ = cli_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"properties": [
+            {"kind": "response", "name": "read-answered", "trigger": "Read",
+             "reaction": "ReadResp", "within": "abc"}]}))
+        assert main(["simulate", model_path, "--top", "design::Top",
+                     "--until", "60", "--properties", str(bad)]) == 2
+        assert ("error: response 'read-answered': within must be a number"
+                in capsys.readouterr().err)
+
     def test_campaign_aggregates_and_exits_five(self, cli_files,
                                                 campaign_files, tmp_path,
                                                 capsys):

@@ -326,3 +326,71 @@ class TestInteractionJson:
         finally:
             tracemalloc.stop()
         assert peak < 1024 * 1024
+
+
+RECORDS = {
+    "response": {"kind": "response", "name": "r", "trigger": "Read",
+                 "reaction": "ReadResp", "within": 4.0},
+    "precedence": {"kind": "precedence", "name": "p", "first": "Read",
+                   "then": "ReadResp"},
+    "absence": {"kind": "absence", "name": "a", "never": "Nak",
+                "window": [0, 5]},
+    "bounded_liveness": {"kind": "bounded_liveness", "name": "l",
+                         "match": "Read", "at_least": 3, "by": 30.0},
+    "interaction": interaction_record(messages=HANDSHAKE),
+}
+
+
+def record(kind, **fields):
+    return {**RECORDS[kind], **fields}
+
+
+class TestKindJson:
+    """The other four kinds check their fields as the interaction does:
+    every failure is a PropertyError naming the field."""
+
+    @pytest.mark.parametrize("kind, fields, field", [
+        ("response", {"within": "abc"}, "within"),
+        ("response", {"within": None}, "within"),
+        ("response", {"within": True}, "within"),
+        ("bounded_liveness", {"at_least": "x"}, "at_least"),
+        ("bounded_liveness", {"at_least": 2.7}, "at_least"),
+        ("bounded_liveness", {"at_least": None}, "at_least"),
+        ("bounded_liveness", {"by": "x"}, "by"),
+        ("absence", {"window": 5}, "window"),
+        ("absence", {"window": [0, "5"]}, "window"),
+        ("absence", {"window": [0, 1, 2]}, "window"),
+    ], ids=["within-string", "within-null", "within-bool", "at_least-string",
+            "at_least-float", "at_least-null", "by-string", "window-int",
+            "window-string-bound", "window-triple"])
+    def test_a_malformed_field_is_a_property_error(self, kind, fields,
+                                                   field):
+        name = RECORDS[kind]["name"]
+        with pytest.raises(PropertyError,
+                           match=f"^{kind} '{name}': {field} must be"):
+            Property.from_dict(record(kind, **fields))
+
+    @pytest.mark.parametrize("kind, key", [
+        ("response", "withn"),
+        ("precedence", "window"),
+        ("absence", "windwo"),
+        ("bounded_liveness", "within"),
+        ("interaction", "complet"),
+    ])
+    def test_an_unknown_field_is_a_property_error(self, kind, key):
+        name = RECORDS[kind]["name"]
+        with pytest.raises(PropertyError,
+                           match=rf"^{kind} '{name}': unknown fields "
+                                 rf"\['{key}'\]$"):
+            Property.from_dict(record(kind, **{key: True}))
+
+    @pytest.mark.parametrize("kind", sorted(RECORDS))
+    def test_each_reference_record_builds_and_round_trips(self, kind):
+        prop = Property.from_dict(RECORDS[kind])
+        assert Property.from_dict(prop.to_dict()).to_dict() == prop.to_dict()
+
+    def test_whole_numbers_and_a_null_window_are_accepted(self):
+        prop = Property.from_dict(record("response", within=4))
+        assert prop.within == 4.0
+        assert Property.from_dict(record("absence", window=None)).window \
+            is None

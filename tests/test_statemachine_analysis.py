@@ -143,3 +143,45 @@ class TestSinksAndTermination:
         region.add_transition(a, b, guard="ready")
         region.add_transition(b, a)
         assert analysis.completion_livelocks(machine) == ()
+
+    def test_several_livelocks_come_in_state_order(self):
+        machine = StateMachine("spin")
+        region = machine.region
+        fetch, decode, spin, beta, alpha, idle = (
+            region.add_state(name) for name in
+            ("Fetch", "Decode", "Spin", "Beta", "Alpha", "Idle"))
+        region.add_transition(region.add_initial(), idle)
+        for source, target in ((beta, alpha), (alpha, beta),
+                               (spin, spin), (fetch, decode),
+                               (decode, fetch), (idle, fetch)):
+            region.add_transition(source, target)
+        region.add_transition(idle, spin, trigger="go")
+        region.add_transition(idle, beta, trigger="other")
+        cycles = analysis.completion_livelocks(machine)
+        assert [[state.name for state in cycle] for cycle in cycles] == [
+            ["Decode", "Fetch"], ["Spin"], ["Alpha", "Beta"]]
+        assert analysis.lint(machine)["completion_livelocks"] == cycles
+
+    def test_a_chain_into_a_livelock_is_not_on_it(self):
+        machine = StateMachine("lead-in")
+        region = machine.region
+        a, b, c = (region.add_state(name) for name in "ABC")
+        region.add_transition(region.add_initial(), a)
+        region.add_transition(a, b)
+        region.add_transition(b, c)
+        region.add_transition(c, b)
+        assert [[state.name for state in cycle] for cycle in
+                analysis.completion_livelocks(machine)] == [["B", "C"]]
+
+
+class TestVertexGraph:
+    def test_adjacency_dict_over_vertex_ids(self):
+        machine = build_clean()
+        graph = analysis.vertex_graph(machine)
+        by_name = {vertex.name: vertex.xmi_id
+                   for vertex in machine.all_vertices()}
+        assert set(graph) == set(by_name.values())
+        a, b = machine.find_state("A"), machine.find_state("B")
+        assert sorted(graph[a.xmi_id]) == sorted(
+            t.target.xmi_id for t in a.outgoing)
+        assert graph[b.xmi_id] == [a.xmi_id]
