@@ -93,9 +93,12 @@ def _activate_store(args: argparse.Namespace):
     the active store (possibly auto-activated from ``$REPRO_STORE``)
     is returned unchanged — None when persistence is off.
     """
-    from .store import ArtifactStore, get_active_store, set_active_store
+    from .store import get_active_store, set_active_store
+
     path = getattr(args, "store_dir", "")
     if path:
+        from .store import ArtifactStore  # loads the store's modules
+
         store = ArtifactStore(path)
         set_active_store(store)
         return store

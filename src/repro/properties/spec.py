@@ -434,7 +434,8 @@ def interaction_conformance(name: str, interaction=None,
     set is enumerated via :func:`repro.interactions.traces`, bounded by
     ``limit``) or the compact JSON-able form: ``messages`` as a list of
     ``(sender, receiver, signal)`` triples, optionally repeated under a
-    ``loop=(min, max)`` fragment.
+    ``loop=(min, max)`` fragment.  ``limit`` bounds the number of
+    traces and, for the compact form, the labels of the longest one.
     """
     from ..errors import InteractionError
 
@@ -443,7 +444,7 @@ def interaction_conformance(name: str, interaction=None,
             f"interaction {name!r}: give exactly one of interaction= "
             "or messages=")
     if interaction is None:
-        interaction = _interaction_from_spec(name, messages, loop)
+        interaction = _interaction_from_spec(name, messages, loop, limit)
     from ..interactions import traces as enumerate_traces
 
     try:
@@ -458,7 +459,7 @@ def interaction_conformance(name: str, interaction=None,
 
 
 def _interaction_from_spec(name: str, messages: Sequence[Sequence[str]],
-                           loop: Optional[Tuple[int, int]]):
+                           loop: Optional[Tuple[int, int]], limit: int):
     """Build an Interaction from (sender, receiver, signal) triples."""
     from ..interactions.model import (
         Interaction, Lifeline, Message, MessageSort)
@@ -493,6 +494,14 @@ def _interaction_from_spec(name: str, messages: Sequence[Sequence[str]],
             raise PropertyError(
                 f"interaction {name!r}: loop must be (min, max), "
                 f"got {loop!r}") from None
+        # one trace per repetition count, so the trace count never
+        # refuses a long loop, whose longest trace alone takes loop_max
+        # concatenations to build
+        labels = loop_max * len(triples)
+        if labels > limit:
+            raise PropertyError(
+                f"interaction {name!r}: loop's longest trace, {labels} "
+                f"labels, exceeded limit {limit}")
         from ..errors import InteractionError
 
         try:

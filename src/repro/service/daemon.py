@@ -44,6 +44,8 @@ the ``service.submit_to_result_s`` latency histogram), so the existing
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import time
 from typing import Any, Dict, List, Optional, Tuple
@@ -52,7 +54,7 @@ from ..errors import ServiceError
 from ..faults.runner import CampaignSpec, backoff_delay
 from ..perf import PERF
 from ..workers import Worker, WorkerPool, maybe_test_kill
-from .jobstore import Job, JobStore, job_fingerprint
+from .jobstore import Job, JobStore, job_fingerprint, read_text
 from .lifecycle import DEFAULT_LEASE_BUDGET, RECOVERABLE_STATES
 
 #: Environment hook (tests/CI): ``"<campaign name>:<max attempt>"``
@@ -194,9 +196,9 @@ class SimulationService:
             job = self.jobs[job_id]
             state = job.state
             if state == "merging":
-                payload = self.jobstore.read_result(job_id)
-                if payload is not None:
-                    self._publish(job, payload)
+                text = self.jobstore.read_result_text(job_id)
+                if text is not None:
+                    self._publish(job, text)
                     counts["republished"] += 1
                     continue
                 # no result file: the unpublished result died with the
@@ -300,6 +302,20 @@ class SimulationService:
         return not any(job.state == "queued"
                        for job in self.active.values())
 
+    def next_deadline(self) -> float:
+        """The nearest monotonic instant at which :meth:`tick` has work
+        that no worker message announces: a lease expiry, a watchdog,
+        or a backed-off job turning leasable while a worker is free
+        (``math.inf`` when nothing is due)."""
+        deadlines = []
+        for lease in self.leases.values():
+            deadlines.append(lease.worker.last_beat + self.lease_duration)
+            if lease.watchdog is not None:
+                deadlines.append(lease.watchdog)
+        if not self.draining and len(self.leases) < self.workers:
+            deadlines.extend(self.ready_at.values())
+        return min(deadlines, default=math.inf)
+
     def queue_depth(self) -> int:
         """Jobs the daemon is still responsible for (non-terminal)."""
         return len(self.active)
@@ -328,14 +344,14 @@ class SimulationService:
         """Serve a queued job from the store when its result exists."""
         if job.state != "queued" or self.store is None:
             return False
-        payload = self.store.load("result", job.fingerprint,
-                                  label=f"result {job.job_id}")
-        if payload is None:
+        text = self.store.load_text("result", job.fingerprint,
+                                    label=f"result {job.job_id}")
+        if text is None:
             return False
         # same ordering as a cold publish: result bytes land before the
         # journal says the job is done, so a journaled `hit` always has
         # its (byte-identical) payload on disk
-        self._deliver(job, payload)
+        self._deliver(job, text)
         self._journal_event(job, "hit")
         PERF.incr("service.cache_hits")
         self._record_latency(job)
@@ -365,6 +381,10 @@ class SimulationService:
         for worker, payload in finished:
             lease = by_worker[worker]
             job = self.jobs[lease.job_id]
+            if payload is not None and payload.get("ok"):
+                # the worker's file holds the payload's canonical text,
+                # which publishing writes on as it is
+                text = read_text(lease.scratch)
             self._forget_lease(lease)
             if payload is None:
                 PERF.incr("service.lease_expiries")
@@ -374,7 +394,7 @@ class SimulationService:
                     f"before writing a result")
             elif payload.get("ok"):
                 self._journal_event(job, "complete")
-                self._publish(job, payload)
+                self._publish(job, text)
             else:
                 self._journal_event(job, "fail",
                                     error=payload.get("error", "job failed"))
@@ -417,27 +437,29 @@ class SimulationService:
 
     # -- publishing ------------------------------------------------------
 
-    def _publish(self, job: Job, payload: Dict[str, Any]) -> None:
+    def _publish(self, job: Job, text: str) -> None:
         """Make a merging job's result durable, visible, and deduped.
 
-        Order matters for the crash matrix: store first (idempotent,
+        ``text`` is the payload's canonical JSON, which the store
+        envelope and the result file both embed as it is.  Order
+        matters for the crash matrix: store first (idempotent,
         content-addressed), result file second (atomic rename), the
         ``publish`` event last — every prefix of that sequence is
         re-runnable on recovery without a second visible result.
         """
         if self.store is not None:
-            self.store.save("result", job.fingerprint, payload,
-                            meta={"job": job.job_id,
-                                  "campaign": job.spec.get("name", "")},
-                            label=f"result {job.job_id}")
-        self._deliver(job, payload)
+            self.store.save_text("result", job.fingerprint, text,
+                                 meta={"job": job.job_id,
+                                       "campaign": job.spec.get("name", "")},
+                                 label=f"result {job.job_id}")
+        self._deliver(job, text)
         self._journal_event(job, "publish")
         self._record_latency(job)
         self._finish(job)
 
-    def _deliver(self, job: Job, payload: Dict[str, Any]) -> None:
+    def _deliver(self, job: Job, text: str) -> None:
         """Write the job's result file (atomic rename)."""
-        self.jobstore.write_result(job.job_id, payload)
+        self.jobstore.write_result_text(job.job_id, text)
         PERF.incr("service.published")
 
     def _record_latency(self, job: Job) -> None:
@@ -492,20 +514,25 @@ class SimulationService:
         }
 
     def result(self, job_id: str) -> Dict[str, Any]:
+        return json.loads(self.result_text(job_id))
+
+    def result_text(self, job_id: str) -> str:
+        """A done job's payload as canonical JSON text: the published
+        file's, or the store's copy when the file is gone or torn."""
         job = self._job(job_id)
         if job.state != "done":
             raise ServiceError(
                 f"job {job_id} has no result yet (state {job.state!r}"
                 + (f": {job.error}" if job.error else "") + ")")
-        payload = self.jobstore.read_result(job_id)
-        if payload is None and self.store is not None:
-            payload = self.store.load("result", job.fingerprint,
-                                      label=f"result {job_id}")
-        if payload is None:
+        text = self.jobstore.read_result_text(job_id)
+        if text is None and self.store is not None:
+            text = self.store.load_text("result", job.fingerprint,
+                                        label=f"result {job_id}")
+        if text is None:
             raise ServiceError(
                 f"job {job_id} is done but its result payload is "
                 f"missing from disk")
-        return payload
+        return text
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         job = self._job(job_id)

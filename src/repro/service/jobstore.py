@@ -90,6 +90,14 @@ def job_fingerprint(spec_data: Dict[str, Any]) -> str:
     return digest.hexdigest()
 
 
+def read_text(path: os.PathLike) -> str:
+    """A result file's text without its final newline: the payload's
+    canonical JSON, as :meth:`JobStore.write_result_text` and the pool
+    workers write it."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read().rstrip("\n")
+
+
 class Job:
     """One submitted job: persistent identity + lifecycle + bookkeeping.
 
@@ -251,18 +259,28 @@ class JobStore:
         Canonical JSON, so a cache-served copy of the same payload is
         byte-identical to the cold-run original (`cmp`-clean).
         """
-        return atomic_write(self.result_path(job_id),
-                            canonical_json(payload) + "\n",
+        return self.write_result_text(job_id, canonical_json(payload))
+
+    def write_result_text(self, job_id: str, text: str) -> Path:
+        """:meth:`write_result` for a payload's canonical JSON text; the
+        file holds ``text`` and a newline, as a pool worker's does."""
+        return atomic_write(self.result_path(job_id), text + "\n",
                             tmp_dir=self._results_tmp)
 
     def read_result(self, job_id: str) -> Optional[Dict[str, Any]]:
         """The published payload for a job, or None (absent/torn)."""
+        text = self.read_result_text(job_id)
+        return None if text is None else json.loads(text)
+
+    def read_result_text(self, job_id: str) -> Optional[str]:
+        """The published payload's canonical JSON text, or None when the
+        file is absent or does not parse (torn)."""
         try:
-            with open(self.result_path(job_id), "r",
-                      encoding="utf-8") as handle:
-                return json.load(handle)
+            text = read_text(self.result_path(job_id))
+            json.loads(text)
         except (OSError, ValueError):
             return None
+        return text
 
     def __repr__(self) -> str:
         return f"<JobStore {self.root} seq={self._seq}>"

@@ -140,9 +140,13 @@ class JobLifecycle:
     *replay* the same check runs in tolerant mode (:meth:`replay`):
     records made stale by a torn tail are counted and skipped, never
     applied, keeping replay idempotent.
+
+    A terminal state enables no transition, so a job that reaches one
+    keeps only its final state and budget and lets its runtime go: a
+    long-running daemon holds every finished job it ever served.
     """
 
-    __slots__ = ("runtime",)
+    __slots__ = ("runtime", "final")
 
     def __init__(self, budget: int = DEFAULT_LEASE_BUDGET,
                  machine: Optional[StateMachine] = None):
@@ -152,16 +156,22 @@ class JobLifecycle:
             compile_machine_cached(machine or _shared_machine()),
             context={"budget": int(budget)})
         self.runtime.start()
+        #: ``(state, budget)`` once terminal, when ``runtime`` is None
+        self.final: Optional[Tuple[str, int]] = None
 
     @property
     def state(self) -> str:
         """The single active leaf state name."""
+        if self.runtime is None:
+            return self.final[0]
         leaves = self.runtime.active_leaf_names()
         return leaves[0] if leaves else "queued"
 
     @property
     def budget(self) -> int:
         """Remaining lease failures before quarantine."""
+        if self.runtime is None:
+            return self.final[1]
         return int(self.runtime.context["budget"])
 
     @property
@@ -195,11 +205,15 @@ class JobLifecycle:
         them instead of raising, which is what makes re-replaying the
         same journal idempotent.
         """
-        if event not in JOB_EVENTS:
+        if event not in JOB_EVENTS or self.runtime is None:
             return False
         before = self.state
         self.runtime.send(event)
-        return self.state != before
+        after = self.state
+        if after in TERMINAL_STATES:
+            self.final = (after, self.budget)
+            self.runtime = None
+        return after != before
 
     def __repr__(self) -> str:
         return f"<JobLifecycle {self.state} budget={self.budget}>"

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from .. import asl
 from ..asl.transpile import ACTION_NAMES
 from ..errors import ReproError, StateMachineError
 from .events import (
@@ -769,8 +770,6 @@ class StateMachineRuntime:
 
     def _eval_asl_expression(self, source: str,
                              occurrence: Optional[EventOccurrence]) -> Any:
-        from .. import asl  # deferred: keeps package import order flexible
-
         try:
             return asl.evaluate(source, self._asl_environment(occurrence))
         except ReproError:
@@ -780,8 +779,6 @@ class StateMachineRuntime:
 
     def _exec_asl_statements(self, source: str,
                              occurrence: Optional[EventOccurrence]) -> None:
-        from .. import asl
-
         env = self._asl_environment(occurrence)
         try:
             result_env = asl.execute(source, env,

@@ -31,18 +31,37 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..errors import StoreError
-from .artifacts import (
-    ENVELOPE_VERSION,
-    STORE_ENV,
-    ArtifactStore,
-    canonical_json,
-    default_store_root,
-)
-from .graph import BUILT, REUSED, BuildGraph, BuildNode
-from .registry import MODEL_KIND, ModelRegistry
+
+if TYPE_CHECKING:
+    from .artifacts import ArtifactStore
+
+#: Environment variable naming the store root.
+STORE_ENV = "REPRO_STORE"
+
+#: The submodule that provides each public name, resolved on first
+#: access by :func:`__getattr__`, so a process that never touches a
+#: store (``repro simulate`` without ``--store`` or ``$REPRO_STORE``)
+#: loads none of them.
+_LAZY_NAMES = {
+    "ArtifactStore": "artifacts", "ENVELOPE_VERSION": "artifacts",
+    "canonical_json": "artifacts", "default_store_root": "artifacts",
+    "BUILT": "graph", "REUSED": "graph", "BuildGraph": "graph",
+    "BuildNode": "graph",
+    "MODEL_KIND": "registry", "ModelRegistry": "registry",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_NAMES:
+        from importlib import import_module
+
+        return getattr(import_module(f".{_LAZY_NAMES[name]}", __name__),
+                       name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: The process-wide active store; ``False`` = "not resolved yet" so the
 #: env-var probe runs once, not on every cache lookup.
@@ -65,6 +84,8 @@ def get_active_store() -> Optional[ArtifactStore]:
     if _ACTIVE is False:
         env = os.environ.get(STORE_ENV)
         if env:
+            from .artifacts import ArtifactStore
+
             try:
                 _ACTIVE = ArtifactStore(env)
             except StoreError:

@@ -2,10 +2,15 @@
 
 Artifacts are keyed by content fingerprints of their inputs (model
 subtree digests plus upstream artifact keys) and persisted as
-version-stamped, sorted-key JSON envelopes::
+version-stamped envelopes in canonical compact JSON
+(:func:`~repro.durable.canonical_json`: sorted keys, no spaces)::
 
-    {"version": 1, "kind": "codegen", "key": "...", "inputs": [...],
-     "meta": {...}, "payload": ..., "checksum": "..."}
+    {"checksum":"...","inputs":[...],"key":"...","kind":"codegen",
+     "meta":{...},"payload":...,"version":1}
+
+The checksum is a digest of the payload's canonical text, the bytes
+the envelope embeds.  Envelopes written indented by older versions
+carry the same checksum and still load.
 
 Durability protocol (safe under concurrent fork workers):
 
@@ -38,13 +43,11 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from ..durable import atomic_write, canonical_json
 from ..errors import StoreError
 from ..perf import PERF
+from . import STORE_ENV
 from .graph import BUILT, REUSED, BuildGraph
 
 #: Envelope format version; bumping it invalidates every stored artifact.
 ENVELOPE_VERSION = 1
-
-#: Environment variable naming the store root.
-STORE_ENV = "REPRO_STORE"
 
 
 def default_store_root() -> Path:
@@ -55,10 +58,9 @@ def default_store_root() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-def _checksum(payload: Any) -> str:
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(canonical_json(payload).encode("utf-8"))
-    return digest.hexdigest()
+def _checksum(text: str) -> str:
+    """Digest of a payload's canonical JSON text."""
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
 
 
 class ArtifactStore:
@@ -111,6 +113,19 @@ class ArtifactStore:
         miss — corrupt files are evicted so the rebuild can replace
         them.
         """
+        loaded = self._load(kind, key, inputs, label)
+        return None if loaded is None else loaded[0]
+
+    def load_text(self, kind: str, key: str,
+                  inputs: Iterable[str] = (),
+                  label: str = "") -> Optional[str]:
+        """:meth:`load`, returning the payload's canonical JSON text
+        (the checksum's input, so it costs no extra encode)."""
+        loaded = self._load(kind, key, inputs, label)
+        return None if loaded is None else loaded[1]
+
+    def _load(self, kind: str, key: str, inputs: Iterable[str],
+              label: str) -> Optional[Tuple[Any, str]]:
         path = self._path(kind, key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -124,9 +139,10 @@ class ArtifactStore:
                 or envelope.get("version") != ENVELOPE_VERSION
                 or envelope.get("kind") != kind
                 or envelope.get("key") != key
-                or "payload" not in envelope
-                or envelope.get("checksum")
-                != _checksum(envelope["payload"])):
+                or "payload" not in envelope):
+            return self._corrupt(path)
+        text = canonical_json(envelope["payload"])
+        if envelope.get("checksum") != _checksum(text):
             return self._corrupt(path)
         PERF.incr("store.hit")
         try:
@@ -134,7 +150,7 @@ class ArtifactStore:
         except OSError:
             pass
         self.graph.record(kind, key, tuple(inputs), REUSED, label)
-        return envelope["payload"]
+        return envelope["payload"], text
 
     def _corrupt(self, path: Path) -> None:
         PERF.incr("store.corrupt")
@@ -150,19 +166,29 @@ class ArtifactStore:
              meta: Optional[Dict[str, Any]] = None,
              label: str = "") -> Path:
         """Persist a payload atomically; records a ``built`` node."""
+        return self.save_text(kind, key, canonical_json(payload),
+                              inputs, meta, label)
+
+    def save_text(self, kind: str, key: str, text: str,
+                  inputs: Iterable[str] = (),
+                  meta: Optional[Dict[str, Any]] = None,
+                  label: str = "") -> Path:
+        """:meth:`save` for a payload given as its canonical JSON text,
+        which the envelope embeds as it is."""
         path = self._path(kind, key)
-        envelope = {
-            "version": ENVELOPE_VERSION,
-            "kind": kind,
-            "key": key,
+        head = canonical_json({
+            "checksum": _checksum(text),
             "inputs": sorted(str(item) for item in inputs),
+            "key": key,
+            "kind": kind,
             "meta": dict(meta or {}),
-            "payload": payload,
-            "checksum": _checksum(payload),
-        }
+        })
+        # the keys sort before "payload" and "version", so splicing both
+        # after them gives canonical_json of the whole envelope
         path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write(path, json.dumps(envelope, sort_keys=True, indent=1,
-                                      default=str), tmp_dir=self._tmp)
+        atomic_write(path, f'{head[:-1]},"payload":{text},'
+                           f'"version":{ENVELOPE_VERSION}}}',
+                     tmp_dir=self._tmp)
         PERF.incr("store.write")
         self.graph.record(kind, key, tuple(inputs), BUILT, label)
         return path

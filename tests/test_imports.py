@@ -3,7 +3,8 @@
 ``src/`` imports nothing outside the standard library, the compiled
 engine imports nothing from :mod:`repro.codegen`, and
 :mod:`repro.faults` loads its campaign runner (and with it
-:mod:`repro.durable`) on first use.  Each check runs in a fresh
+:mod:`repro.durable`) on first use, as :mod:`repro.store` loads its
+modules.  Each check runs in a fresh
 interpreter, because this test process has long since imported
 everything.
 """
@@ -174,4 +175,33 @@ def test_the_campaign_runner_loads_on_first_use():
         "False",
         "True True True",
         "module 'repro.faults' has no attribute 'no_such_name'",
+    ]
+
+
+def test_the_store_loads_on_first_use():
+    """Without ``--store`` or ``$REPRO_STORE`` a command asks for the
+    active store and gets None, loading none of the store's modules."""
+    out = run_python("""
+        import os
+        import sys
+        os.environ.pop("REPRO_STORE", None)
+        import repro.cli
+        from repro.store import get_active_store
+        store_modules = ("repro.store.artifacts", "repro.store.graph",
+                         "repro.store.registry", "repro.durable")
+        print(get_active_store(),
+              [name for name in store_modules if name in sys.modules])
+        from repro.store import ArtifactStore
+        from repro.store import artifacts
+        print(ArtifactStore is artifacts.ArtifactStore,
+              [name for name in store_modules if name not in sys.modules])
+        try:
+            repro.store.no_such_name
+        except AttributeError as error:
+            print(error)
+        """)
+    assert out.splitlines() == [
+        "None []",
+        "True ['repro.store.registry']",  # until ModelRegistry is asked
+        "module 'repro.store' has no attribute 'no_such_name'",
     ]

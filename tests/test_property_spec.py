@@ -327,6 +327,33 @@ class TestInteractionJson:
             tracemalloc.stop()
         assert peak < 1024 * 1024
 
+    def test_one_long_trace_is_refused_before_it_is_built(self):
+        # loop=[N, N] is a single trace, so the trace count never refused
+        # it: N = 16,000 took 1.1 s and N = 32,000 5.6 s (quadratic)
+        Property.from_dict(interaction_record(messages=HANDSHAKE,
+                                              loop=[1, 1]))  # imports
+        record = interaction_record(messages=HANDSHAKE,
+                                    loop=[1000000, 1000000])
+        tracemalloc.start()
+        try:
+            with pytest.raises(PropertyError,
+                               match=r"^interaction 'hs': loop's longest "
+                                     r"trace, 2000000 labels, exceeded "
+                                     r"limit 10000$"):
+                Property.from_dict(record)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+
+    def test_limit_bounds_the_labels_of_the_longest_trace(self):
+        at_limit = interaction_conformance("hs", messages=HANDSHAKE,
+                                           loop=(0, 5), limit=10)
+        assert max(map(len, at_limit.trace_set)) == 10
+        with pytest.raises(PropertyError, match="11 labels"):
+            interaction_conformance("hs", messages=HANDSHAKE[:1],
+                                    loop=(11, 11), limit=10)
+
 
 RECORDS = {
     "response": {"kind": "response", "name": "r", "trigger": "Read",

@@ -191,3 +191,24 @@ class TestReplayTolerance:
             twice.replay(event)
         assert (once.state, once.budget) == (twice.state, twice.budget)
 
+
+
+class TestTerminalRelease:
+    @pytest.mark.parametrize("path, state, budget", [
+        (["hit"], "done", 3),
+        (["lease", "start", "complete", "publish"], "done", 3),
+        (["lease", "fail"], "failed", 3),
+        (["lease", "start", "cancel"], "cancelled", 3),
+        (["lease", "expire", "lease", "expire"], "quarantined", 0),
+    ], ids=["hit", "publish", "fail", "cancel", "quarantine"])
+    def test_a_terminal_job_keeps_its_state_and_budget_only(
+            self, path, state, budget):
+        lifecycle = JobLifecycle(budget=1 if state == "quarantined" else 3)
+        for event in path:
+            lifecycle.signal(event)
+        assert lifecycle.runtime is None
+        assert (lifecycle.state, lifecycle.budget, lifecycle.terminal) \
+            == (state, budget, True)
+        for event in JOB_EVENTS:
+            assert lifecycle.replay(event) is False
+        assert lifecycle.state == state

@@ -72,6 +72,27 @@ class TestEnvelope:
         digest.update(canonical_json({"x": 1}).encode("utf-8"))
         assert envelope["checksum"] == digest.hexdigest()
 
+    def test_a_saved_envelope_is_its_own_canonical_json(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        path = store.save("result", "cafe",
+                          {"z": [1, 2.5, "\u00e9"], "a": {"b": None}},
+                          inputs=("q", "p"), meta={"job": "job-1"})
+        text = path.read_text(encoding="utf-8")
+        assert text == canonical_json(json.loads(text))
+
+    def test_an_indented_envelope_still_loads_as_a_hit(self, tmp_path):
+        """Older versions wrote ``json.dumps(indent=1)``; the checksum
+        is over the same canonical payload text, so they stay hits."""
+        store = ArtifactStore(tmp_path)
+        payload = {"b": [1, 2], "a": {"nested": True}}
+        path = store.save("result", "feed", payload, meta={"job": "j"})
+        envelope = json.loads(path.read_text())
+        path.write_text(json.dumps(envelope, sort_keys=True, indent=1))
+        hits = PERF.counter("store.hit")
+        assert store.load("result", "feed") == payload
+        assert store.load_text("result", "feed") == canonical_json(payload)
+        assert PERF.counter("store.hit") == hits + 2
+
     def test_make_key_deterministic_and_distinct(self):
         assert ArtifactStore.make_key("compile", "fp") \
             == ArtifactStore.make_key("compile", "fp")
@@ -409,3 +430,61 @@ class TestStoreCli:
         capsys.readouterr()
         assert main(["store", "info", "--store", store_dir]) == 0
         assert json.loads(capsys.readouterr().out)["artifacts"] == 0
+
+
+class TestServiceResultBytes:
+    def test_the_result_op_sends_the_canonical_payload(self, tmp_path):
+        """The daemon splices the published file's text into the
+        ``result`` response: the bytes are what encoding the response
+        would give, for a cold job and for a cache hit alike."""
+        import socket
+
+        from repro.hw import make_memory, make_soc, make_traffic_generator
+        from repro.service import (ServiceClient, ServiceServer,
+                                   SimulationService)
+
+        model = mm.Model("design")
+        package = model.create_package("design")
+        cpu = make_traffic_generator("Cpu", period=2.0,
+                                     address_range=0x1000)
+        ram = make_memory("Ram", size_bytes=0x800)
+        make_soc("Soc", masters=[cpu], slaves=[(ram, "bus", 0, 0x800)],
+                 package=package)
+        model_file = str(tmp_path / "soc.xmi")
+        xmi.write_file(model_file, model)
+        service = SimulationService(tmp_path / "state", workers=1,
+                                    store=ArtifactStore(tmp_path / "store"))
+        socket_path = str(tmp_path / "svc.sock")
+        server = ServiceServer(service, socket_path)
+        server.bind()
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll": 0.05}, daemon=True)
+        thread.start()
+        client = ServiceClient(socket_path, timeout=60.0)
+        spec = dict(model=model_file, top="design::Soc", until=10.0,
+                    seeds=[81])
+        try:
+            responses = []
+            for cached in (False, True):
+                job_id = client.submit(spec)["job_id"]
+                assert client.wait(job_id, timeout=120)["cached"] is cached
+                with socket.socket(socket.AF_UNIX,
+                                   socket.SOCK_STREAM) as sock:
+                    sock.settimeout(60.0)
+                    sock.connect(socket_path)
+                    sock.sendall(b'{"op": "result", "job_id": "%s"}\n'
+                                 % job_id.encode())
+                    data = b""
+                    while not data.endswith(b"\n"):
+                        data += sock.recv(65536)
+                published = (tmp_path / "state" / "results"
+                             / f"{job_id}.json").read_text()
+                payload = json.loads(published)
+                assert data == (canonical_json({"ok": True,
+                                                "payload": payload})
+                                + "\n").encode("utf-8")
+                responses.append(data)
+            assert responses[0] == responses[1]
+        finally:
+            client.drain()
+            thread.join(timeout=60)
