@@ -1,10 +1,13 @@
 """Code generation (subsystem S9): the paper's open question, answered.
 
-Three HDL backends share one analysis of the PSM:
+Three HDL backends and the testbenches share one analysis of the PSM
+and one RTL lowering of it (:mod:`repro.codegen.base`: the port list
+and the transition rows), which each renders in its own syntax:
 
 * :mod:`repro.codegen.vhdl` — entities + synchronous FSM architectures;
 * :mod:`repro.codegen.verilog` — modules + always-block FSMs;
 * :mod:`repro.codegen.systemc` — SC_MODULEs with SC_METHOD FSMs;
+* :mod:`repro.codegen.testbench` — VHDL and Verilog benches;
 
 and :mod:`repro.codegen.python_gen` emits executable Python from the
 model compiler's tables: exactly the machines it compiles, checked

@@ -2,19 +2,23 @@
 
 Common pieces used by all four backends (VHDL, Verilog, SystemC,
 Python): an indentation-aware :class:`CodeWriter`, identifier
-sanitization per target language, and the *machine analysis* that
+sanitization per target language, the *machine analysis* that
 reduces a UML state machine to the synthesizable view the HDL backends
 emit — states, triggers (input strobes), sends (output strobes with
 payloads), timed transitions (cycle counters) and integer context
-registers.
+registers — and the one *RTL lowering* of that view: a component's
+port list (:func:`rtl_ports`) and the ``if`` arm of each transition
+row (:func:`emit_rows`), which the HDL backends and the testbenches
+render with their own syntax.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .. import asl
+from ..asl.transpile import simple_int_assignments
 from ..errors import CodegenError
 from ..metamodel.classifiers import UmlClass
 from ..metamodel.components import Component, Port
@@ -101,15 +105,17 @@ not or pass raise return try while with yield
 """.split())
 
 
+_KEYWORDS = {"vhdl": _VHDL_KEYWORDS, "verilog": _VERILOG_KEYWORDS,
+             "systemc": _PYTHON_KEYWORDS, "python": _PYTHON_KEYWORDS}
+
+
 def sanitize(name: str, language: str = "python") -> str:
     """Make a model name a legal identifier in the target language."""
     cleaned = "".join(c if c.isalnum() or c == "_" else "_"
                       for c in name) or "unnamed"
     if cleaned[0].isdigit():
         cleaned = "_" + cleaned
-    keywords = {"vhdl": _VHDL_KEYWORDS, "verilog": _VERILOG_KEYWORDS,
-                "systemc": _PYTHON_KEYWORDS, "python": _PYTHON_KEYWORDS}
-    if cleaned.lower() in keywords.get(language, frozenset()):
+    if cleaned.lower() in _KEYWORDS.get(language, frozenset()):
         cleaned += _KEYWORD_SUFFIX
     return cleaned
 
@@ -187,6 +193,8 @@ class MachineView:
     registers: List[Tuple[str, int]]            # (context var, reset value)
     has_hierarchy: bool = False
     notes: List[str] = field(default_factory=list)
+    event_fields: List[str] = field(default_factory=list)  # event.<f> reads
+    has_timer: bool = False                     # some row waits after(n)
 
 
 def analyze_machine(machine: StateMachine,
@@ -249,6 +257,7 @@ def analyze_machine(machine: StateMachine,
 
     triggers: Set[str] = set()
     outputs: Set[Tuple[str, str]] = set()
+    event_fields: Set[str] = set()
     register_names: Dict[str, int] = {}
 
     if owner is not None:
@@ -309,6 +318,8 @@ def analyze_machine(machine: StateMachine,
             outputs.add((port or "self", signal))
         for name in collect_assigned_names(effect):
             register_names.setdefault(name, 0)
+        event_fields |= _event_fields(guard, asl.parse_expression) \
+            | _event_fields(effect, asl.parse)
 
         for leaf in source_leaves:
             view.transitions.append(TransitionView(
@@ -318,17 +329,182 @@ def analyze_machine(machine: StateMachine,
 
     for state in machine.all_states():
         for action in (state.entry, state.exit, state.do_activity):
-            for signal, args, port in collect_sends(
-                    action if isinstance(action, str) else None):
+            for signal, args, port in collect_sends(action):
                 outputs.add((port or "self", signal))
-            for name in collect_assigned_names(
-                    action if isinstance(action, str) else None):
+            for name in collect_assigned_names(action):
                 register_names.setdefault(name, 0)
 
     view.triggers = sorted(triggers)
     view.outputs = sorted(outputs)
     view.registers = sorted(register_names.items())
+    view.event_fields = sorted(event_fields)
+    view.has_timer = any(t.after_cycles for t in view.transitions)
     return view
+
+
+def _event_fields(source: Optional[str],
+                  parse: Callable[[str], asl.Node]) -> Set[str]:
+    """Every ``event.<field>`` an ASL guard (``parse`` is
+    ``asl.parse_expression``) or effect (``asl.parse``) reads."""
+    if not source:
+        return set()
+    try:
+        tree = parse(source)
+    except Exception:
+        return set()
+    return {node.name for node in asl.walk(tree)
+            if isinstance(node, asl.Attribute)
+            and node.target == asl.Name("event")}
+
+
+def component_view(component: UmlClass) -> Optional[MachineView]:
+    """The analysed machine a component's RTL comes from: its classifier
+    behavior, else its first owned state machine; None when it has
+    neither (a structural component)."""
+    machine = component.classifier_behavior
+    if not isinstance(machine, StateMachine):
+        machines = component.owned_of_type(StateMachine)
+        machine = machines[0] if machines else None
+    return analyze_machine(machine, component) if machine else None
+
+
+# ---------------------------------------------------------------------------
+# RTL lowering (the HDL backends and the testbenches)
+# ---------------------------------------------------------------------------
+
+def _trigger_port(trigger: str, language: str) -> str:
+    return f"ev_{sanitize(trigger, language).lower()}"
+
+
+def _strobe_port(port: str, signal: str, language: str) -> str:
+    return f"{sanitize(port, language)}_{sanitize(signal, language)}".lower()
+
+
+def state_constant(state: str, language: str) -> str:
+    """The encoding constant of a state: ``S_<STATE>``."""
+    return f"S_{sanitize(state, language).upper()}"
+
+
+def rtl_ports(component: UmlClass, view: Optional[MachineView],
+              language: str) -> Dict[str, str]:
+    """A component's RTL ports as ``{name: kind}`` in declaration order,
+    names sanitized for ``language``; a name repeated with the same kind
+    is declared once, with another kind it raises :class:`CodegenError`:
+
+    * ``clk`` and ``rst_n`` (kind ``control``);
+    * ``<port>_data`` for each other model port, kind its direction
+      (``in``, ``out`` or ``inout``), in attribute order (a model port
+      named ``clk`` or ``rst_n`` is that control port);
+    * ``ev_<trigger>`` input strobes (``trigger``);
+    * ``ev_<field>`` integer payloads the guards and effects read as
+      ``event.<field>`` (``field``);
+    * ``<port>_<signal>`` output strobes, one per sent signal
+      (``strobe``).
+    """
+    ports = {"clk": "control", "rst_n": "control"}
+
+    def add(name: str, kind: str) -> None:
+        if ports.setdefault(name, kind) != kind:
+            raise CodegenError(
+                f"component {component.name!r}: RTL port {name!r} would be "
+                f"both {ports[name]} and {kind}")
+
+    for port in component.attributes:
+        if isinstance(port, Port):
+            name = sanitize(port.name, language)
+            if name not in ("clk", "rst_n"):
+                add(f"{name}_data", port.direction.value)
+    if view is not None:
+        for trigger in view.triggers:
+            add(_trigger_port(trigger, language), "trigger")
+        for name in view.event_fields:
+            add(sanitize(f"ev_{name}", language), "field")
+        for port_name, signal in view.outputs:
+            add(_strobe_port(port_name, signal, language), "strobe")
+    return ports
+
+
+class RtlSyntax(NamedTuple):
+    """How one HDL spells a transition row: format strings whose ``{}``
+    holes :func:`emit_rows` fills, and the ASL expression translator."""
+
+    language: str                   # the :func:`sanitize` language
+    translate: Callable[[str], str]  # ASL expression -> HDL; may raise
+    row_open: str                   # {condition}
+    row_close: str
+    conjunction: str
+    always: str                     # the condition of an unconditional row
+    strobe_test: str                # {input strobe}
+    timer_test: str                 # {cycles}
+    untranslated_guard: str         # {guard text}, a comment
+    behavioural: str                # {effect text}, a comment
+    assign: str                     # {register} {value}
+    untranslated_assign: str        # {variable} {ASL value}, a comment
+    pulse: str                      # {output strobe}
+    timer_reset: str
+
+
+def emit_rows(writer: CodeWriter, view: MachineView, state: str,
+              syntax: RtlSyntax) -> bool:
+    """Write one ``if`` arm per row leaving ``state``, in row order;
+    False when no row leaves it.
+
+    An arm's condition joins the trigger strobe, the timer compare and
+    the translated guard; a guard that does not translate is written as
+    a comment above the arm and left out.  Its body assigns the
+    effect's integer registers (an effect that is not only integer
+    assignments and sends is written as a comment), pulses the
+    effect's send strobes and, for an external row, assigns the target
+    state and resets the timer.
+    """
+    emitted = False
+    for transition in view.transitions:
+        if transition.source != state:
+            continue
+        emitted = True
+        conditions: List[str] = []
+        if transition.trigger:
+            conditions.append(syntax.strobe_test.format(
+                _trigger_port(transition.trigger, syntax.language)))
+        if transition.after_cycles:
+            conditions.append(
+                syntax.timer_test.format(transition.after_cycles))
+        if transition.guard:
+            try:
+                conditions.append(syntax.translate(transition.guard))
+            except Exception:
+                writer.line(
+                    syntax.untranslated_guard.format(transition.guard))
+        writer.line(syntax.row_open.format(
+            syntax.conjunction.join(conditions) or syntax.always))
+        writer.indent()
+        effect = transition.effect
+        if effect:
+            assignments = simple_int_assignments(effect)
+            if assignments is None:
+                writer.line(
+                    syntax.behavioural.format(" ".join(effect.split())))
+            else:
+                for name, value in assignments:
+                    source = asl.unparse_expression(value)
+                    try:
+                        writer.line(syntax.assign.format(
+                            sanitize(name, syntax.language),
+                            syntax.translate(source)))
+                    except Exception:
+                        writer.line(syntax.untranslated_assign.format(
+                            name, source))
+            for signal, _args, port in collect_sends(effect):
+                writer.line(syntax.pulse.format(
+                    _strobe_port(port or "self", signal, syntax.language)))
+        if not transition.is_internal:
+            writer.line(syntax.assign.format(
+                "state", state_constant(transition.target, syntax.language)))
+            if view.has_timer:
+                writer.line(syntax.timer_reset)
+        writer.dedent()
+        writer.line(syntax.row_close)
+    return emitted
 
 
 def per_component(scope, language: str, generate_component,

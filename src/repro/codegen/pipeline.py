@@ -26,8 +26,9 @@ from . import python_gen, systemc, verilog, vhdl
 BACKENDS: Tuple[str, ...] = ("vhdl", "verilog", "systemc", "python")
 
 #: Part of every unit's store key: bump it whenever any backend's output
-#: changes, so that no store serves old text (2: Python from the tables).
-OUTPUT_FORMAT = 2
+#: changes, so that no store serves old text (2: Python from the tables;
+#: 3: Python refuses model names that clash with generated members).
+OUTPUT_FORMAT = 3
 
 _GENERATORS: Dict[str, Callable[[Element], Dict[str, str]]] = {
     "vhdl": vhdl.generate,

@@ -15,7 +15,7 @@ both engines.  Any other class is skipped with the compiler's reason.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .. import asl
 from ..asl.transpile import (
@@ -47,6 +47,14 @@ def _py_name(name: str) -> str:
     return sanitize(name, "python")
 
 
+#: Members of every generated class, and of one with a state machine
+#: (which also defines ``_enter_<state>`` per state).
+_MEMBERS = frozenset({"outbox", "on_send", "_send"})
+_MACHINE_MEMBERS = frozenset({"state", "now", "dispatch", "call",
+                              "advance", "_timeout", "_timers",
+                              "_timer_seq"})
+
+
 def _trees(compiled: CompiledMachine) -> List[asl.Node]:
     """The parsed ASL of every guard and action in the tables."""
     actions = [compiled.initial_transition.effect]
@@ -72,8 +80,11 @@ def generate_class(classifier: UmlClass) -> str:
     """Generate one Python class (source text) for a UML class.
 
     Raises :class:`CodegenError` with the compiler's reason when the
-    model compiler refuses the class's state machine, and naming the
-    operation when an operation body does not parse.
+    model compiler refuses the class's state machine, naming the
+    operation when an operation body does not parse, and naming the
+    attribute, operation or machine variable that is named like a
+    member of the generated class (``state``, ``outbox``, ``now``, ...);
+    reading ``now`` reads the clock, as on the engines.
     """
     compiled = None
     if isinstance(classifier.classifier_behavior, StateMachine):
@@ -96,6 +107,7 @@ def generate_class(classifier: UmlClass) -> str:
                     self_names.add(node.variable)
         self_names = self_names.difference(BUILTIN_NAMES, ACTION_NAMES) \
             | {"now"}
+    _check_members(classifier, attributes, self_names - {"now"}, compiled)
 
     writer = CodeWriter()
     writer.line(f"class {_py_name(classifier.name or 'Generated')}:")
@@ -147,6 +159,26 @@ def generate_class(classifier: UmlClass) -> str:
         _emit_machine(writer, compiled, self_names)
     writer.dedent()
     return writer.text()
+
+
+def _check_members(classifier: UmlClass, attributes: list,
+                   variables: Set[str],
+                   compiled: Optional[CompiledMachine]) -> None:
+    """Refuse a model name that would overwrite a generated member."""
+    members = set(_MEMBERS)
+    if compiled is not None:
+        members |= _MACHINE_MEMBERS | {
+            f"_enter_{_py_name(cstate.name)}"
+            for cstate in compiled.states.values()}
+    named = [("attribute", attribute.name) for attribute in attributes] \
+        + [("operation", operation.name)
+           for operation in classifier.operations
+           if operation.body is not None] \
+        + [("variable", name) for name in sorted(variables)]
+    for kind, name in named:
+        if _py_name(name) in members:
+            raise CodegenError(f"{kind} {name!r} clashes with a member "
+                               "of the generated class")
 
 
 _SEND = '''\

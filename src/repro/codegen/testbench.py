@@ -2,28 +2,40 @@
 
 A generated module is only useful with a way to drive it: this module
 emits self-contained VHDL and Verilog testbench skeletons for any
-component the HDL backends handle — clock/reset generation, one strobe
-pulse per declared trigger, and a bounded simulation window.  The
-stimulus order replays the component state machine's trigger alphabet,
-so the generated bench exercises every input at least once.
+component the HDL backends handle — clock/reset generation, one signal
+bound to every port the design declares (the port list of
+:func:`~repro.codegen.base.rtl_ports`, data inputs held at zero), one
+strobe pulse per declared trigger, and a bounded simulation window.
+The stimulus order replays the component state machine's trigger
+alphabet, so the generated bench exercises every input at least once.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from ..metamodel.classifiers import UmlClass
-from ..statemachines.kernel import StateMachine
-from .base import CodeWriter, MachineView, analyze_machine, sanitize
-from .vhdl import _collect_event_fields
+from .base import CodeWriter, component_view, rtl_ports, sanitize
 
+#: Bench signal of each kind of design port.
+_VHDL_SIGNAL = {
+    "control": "signal {} : std_logic := '0';",
+    "in": "signal {} : std_logic_vector(31 downto 0) := (others => '0');",
+    "out": "signal {} : std_logic_vector(31 downto 0);",
+    "inout": "signal {} : std_logic_vector(31 downto 0) := (others => '0');",
+    "trigger": "signal {} : std_logic := '0';",
+    "field": "signal {} : integer := 0;",
+    "strobe": "signal {} : std_logic;",
+}
 
-def _view_of(component: UmlClass) -> Optional[MachineView]:
-    machines = component.owned_of_type(StateMachine)
-    machine = component.classifier_behavior \
-        if isinstance(component.classifier_behavior, StateMachine) \
-        else (machines[0] if machines else None)
-    return analyze_machine(machine, component) if machine else None
+#: Bench net of each kind of design port.
+_VERILOG_NET = {
+    "control": "reg {} = 1'b0;",
+    "in": "wire [31:0] {} = 32'd0;",
+    "out": "wire [31:0] {};",
+    "inout": "wire [31:0] {} = 32'd0;",
+    "trigger": "reg {} = 1'b0;",
+    "field": "reg signed [31:0] {} = 32'd0;",
+    "strobe": "wire {};",
+}
 
 
 def generate_vhdl_testbench(component: UmlClass,
@@ -31,10 +43,7 @@ def generate_vhdl_testbench(component: UmlClass,
                             clock_period_ns: int = 10) -> str:
     """A VHDL testbench instantiating the generated entity."""
     entity = sanitize(component.name or "top", "vhdl")
-    view = _view_of(component)
-    triggers = view.triggers if view else []
-    fields = sorted(_collect_event_fields(view)) if view else []
-    outputs = view.outputs if view else []
+    ports = rtl_ports(component, component_view(component), "vhdl")
 
     writer = CodeWriter(indent_unit="  ")
     writer.lines(
@@ -48,17 +57,8 @@ def generate_vhdl_testbench(component: UmlClass,
         f"architecture sim of {entity}_tb is",
     )
     writer.indent()
-    writer.line("signal clk : std_logic := '0';")
-    writer.line("signal rst_n : std_logic := '0';")
-    for trigger in triggers:
-        writer.line(f"signal ev_{sanitize(trigger, 'vhdl').lower()} : "
-                    "std_logic := '0';")
-    for field in fields:
-        writer.line(f"signal ev_{sanitize(field, 'vhdl')} : integer := 0;")
-    for port_name, signal in outputs:
-        strobe = f"{sanitize(port_name, 'vhdl')}_" \
-                 f"{sanitize(signal, 'vhdl')}".lower()
-        writer.line(f"signal {strobe} : std_logic;")
+    for name, kind in ports.items():
+        writer.line(_VHDL_SIGNAL[kind].format(name))
     writer.line("signal done : boolean := false;")
     writer.dedent()
     writer.line("begin")
@@ -70,20 +70,7 @@ def generate_vhdl_testbench(component: UmlClass,
     writer.indent()
     writer.line("port map (")
     writer.indent()
-    port_maps: List[str] = ["clk => clk", "rst_n => rst_n"]
-    for trigger in triggers:
-        name = f"ev_{sanitize(trigger, 'vhdl').lower()}"
-        port_maps.append(f"{name} => {name}")
-    for field in fields:
-        name = f"ev_{sanitize(field, 'vhdl')}"
-        port_maps.append(f"{name} => {name}")
-    for port_name, signal in outputs:
-        strobe = f"{sanitize(port_name, 'vhdl')}_" \
-                 f"{sanitize(signal, 'vhdl')}".lower()
-        port_maps.append(f"{strobe} => {strobe}")
-    for index, mapping in enumerate(port_maps):
-        separator = "," if index < len(port_maps) - 1 else ""
-        writer.line(mapping + separator)
+    writer.block(",\n".join(f"{name} => {name}" for name in ports))
     writer.dedent()
     writer.line(");")
     writer.dedent()
@@ -93,8 +80,9 @@ def generate_vhdl_testbench(component: UmlClass,
     writer.indent()
     writer.line(f"wait for {2 * clock_period_ns} ns;")
     writer.line("rst_n <= '1';")
-    for trigger in triggers:
-        name = f"ev_{sanitize(trigger, 'vhdl').lower()}"
+    for name, kind in ports.items():
+        if kind != "trigger":
+            continue
         writer.line(f"wait for {cycles_per_event * clock_period_ns} ns;")
         writer.line(f"{name} <= '1';")
         writer.line(f"wait for {clock_period_ns} ns;")
@@ -114,10 +102,7 @@ def generate_verilog_testbench(component: UmlClass,
                                clock_period: int = 10) -> str:
     """A Verilog testbench instantiating the generated module."""
     module = sanitize(component.name or "top", "verilog").lower()
-    view = _view_of(component)
-    triggers = view.triggers if view else []
-    fields = sorted(_collect_event_fields(view)) if view else []
-    outputs = view.outputs if view else []
+    ports = rtl_ports(component, component_view(component), "verilog")
 
     writer = CodeWriter()
     writer.lines(
@@ -126,39 +111,20 @@ def generate_verilog_testbench(component: UmlClass,
         f"module {module}_tb ();",
     )
     writer.indent()
-    writer.line("reg clk = 1'b0;")
-    writer.line("reg rst_n = 1'b0;")
-    for trigger in triggers:
-        writer.line(f"reg ev_{sanitize(trigger, 'verilog').lower()} "
-                    "= 1'b0;")
-    for field in fields:
-        writer.line(f"reg signed [31:0] ev_{sanitize(field, 'verilog')} "
-                    "= 32'd0;")
-    for port_name, signal in outputs:
-        strobe = f"{sanitize(port_name, 'verilog')}_" \
-                 f"{sanitize(signal, 'verilog')}".lower()
-        writer.line(f"wire {strobe};")
+    for name, kind in ports.items():
+        writer.line(_VERILOG_NET[kind].format(name))
     writer.line("")
     writer.line(f"always #{clock_period // 2} clk = ~clk;")
     writer.line("")
-    connections = [".clk(clk)", ".rst_n(rst_n)"]
-    for trigger in triggers:
-        name = f"ev_{sanitize(trigger, 'verilog').lower()}"
-        connections.append(f".{name}({name})")
-    for field in fields:
-        name = f"ev_{sanitize(field, 'verilog')}"
-        connections.append(f".{name}({name})")
-    for port_name, signal in outputs:
-        strobe = f"{sanitize(port_name, 'verilog')}_" \
-                 f"{sanitize(signal, 'verilog')}".lower()
-        connections.append(f".{strobe}({strobe})")
-    writer.line(f"{module} dut ({', '.join(connections)});")
+    connections = ", ".join(f".{name}({name})" for name in ports)
+    writer.line(f"{module} dut ({connections});")
     writer.line("")
     writer.line("initial begin")
     writer.indent()
     writer.line(f"#{2 * clock_period} rst_n = 1'b1;")
-    for trigger in triggers:
-        name = f"ev_{sanitize(trigger, 'verilog').lower()}"
+    for name, kind in ports.items():
+        if kind != "trigger":
+            continue
         writer.line(f"#{cycles_per_event * clock_period} {name} = 1'b1;")
         writer.line(f"#{clock_period} {name} = 1'b0;")
     writer.line(f"#{4 * cycles_per_event * clock_period} $finish;")

@@ -279,6 +279,62 @@ class TestBackends:
             assert checker(text) == [], backend.__name__
             assert "len(q) > 0" in text  # preserved as comment
 
+    def test_a_literal_that_does_not_parse_becomes_comment(self):
+        from repro.codegen.testbench import (
+            generate_verilog_testbench,
+            generate_vhdl_testbench,
+        )
+
+        # "10²" lexes as a number, and int() rejects it with ValueError
+        comp = mm.Component("Square")
+        comp.add_attribute("n", mm.INTEGER, default=0)
+        machine = StateMachine("square")
+        region = machine.region
+        init = region.add_initial()
+        a, b = region.add_state("A"), region.add_state("B")
+        region.add_transition(init, a)
+        region.add_transition(a, b, trigger="go",
+                              guard="event.level < 10²",
+                              effect="n = 10²;")
+        comp.add_behavior(machine, as_classifier_behavior=True)
+        for backend, checker in ((vhdl, check_vhdl),
+                                 (verilog, check_verilog),
+                                 (systemc, check_systemc)):
+            text = backend.generate_component(comp)
+            assert checker(text) == [], backend.__name__
+            assert "[event.level < 10²]" in text
+            assert "effect (behavioural): n = 10²;" in text
+            assert "ev_level" not in text
+        assert check_vhdl(generate_vhdl_testbench(comp)) == []
+        assert check_verilog(generate_verilog_testbench(comp)) == []
+
+    def test_a_port_name_of_two_kinds_is_refused(self):
+        from repro.codegen.testbench import (
+            generate_verilog_testbench,
+            generate_vhdl_testbench,
+        )
+
+        # the data bus of port p and the strobe of `send Data() to "p"`
+        comp = mm.Component("Clash")
+        comp.add_port("p", direction=mm.PortDirection.IN)
+        machine = StateMachine("clash")
+        region = machine.region
+        init = region.add_initial()
+        idle = region.add_state("Idle")
+        region.add_transition(init, idle)
+        region.add_transition(idle, idle, trigger="go",
+                              effect='send Data() to "p";')
+        comp.add_behavior(machine, as_classifier_behavior=True)
+        for generate in (vhdl.generate_component,
+                         verilog.generate_component,
+                         systemc.generate_component,
+                         generate_vhdl_testbench,
+                         generate_verilog_testbench):
+            with pytest.raises(CodegenError, match="^component 'Clash': "
+                               "RTL port 'p_data' would be both in and "
+                               "strobe$"):
+                generate(comp)
+
     def test_structural_component_generates(self):
         comp = mm.Component("Glue")
         comp.add_port("a", direction=mm.PortDirection.IN)
@@ -316,7 +372,7 @@ class TestGuardOnlyEventFields:
     """An ``event.<field>`` read only in a guard is an HDL input too."""
 
     @staticmethod
-    def level_probe():
+    def level_probe(field="level"):
         comp = mm.Component("Probe")
         comp.add_attribute("n", mm.INTEGER, default=0)
         machine = StateMachine("probe")
@@ -325,9 +381,16 @@ class TestGuardOnlyEventFields:
         idle = region.add_state("Idle")
         region.add_transition(init, idle)
         region.add_transition(idle, idle, trigger="go",
-                              guard="event.level > 3", effect="n = n + 1;")
+                              guard=f"event.{field} > 3",
+                              effect="n = n + 1;")
         comp.add_behavior(machine, as_classifier_behavior=True)
         return comp
+
+    def test_a_field_named_like_a_keyword_is_declared_as_read(self):
+        text = vhdl.generate_component(self.level_probe("next"))
+        assert "ev_next : in integer" in text
+        assert "(ev_next > 3)" in text
+        assert check_vhdl(text) == []
 
     @pytest.mark.parametrize("backend,declaration,use", [
         (vhdl, "ev_level : in integer", "(ev_level > 3)"),
@@ -484,6 +547,60 @@ class TestGeneratedPythonEquivalence:
         assert f"# skipped Flat: {reason}\n" \
             in python_gen.generate_module(cls)
 
+    def test_a_model_name_that_clashes_with_a_member_skips_the_class(self):
+        def internal_go(region):
+            s = one_state(region)
+            region.add_transition(s, s, trigger="Go",
+                                  effect="outbox = 1; x = state;",
+                                  kind=TransitionKind.INTERNAL)
+
+        cls = flat_class(internal_go, state=5)
+        # the interpreter keeps the model's state: x = 5, outbox = 1
+        runtime = StateMachineRuntime(cls.classifier_behavior,
+                                      context={"state": 5}).start()
+        runtime.send("Go")
+        assert runtime.context == {"state": 5, "outbox": 1, "x": 5}
+        with pytest.raises(CodegenError, match="^attribute 'state' clashes"):
+            python_gen.generate_class(cls)
+        assert "# skipped Flat: attribute 'state' clashes with a member " \
+            "of the generated class\n" in python_gen.generate_module(cls)
+
+    @pytest.mark.parametrize("member", [
+        "state", "outbox", "on_send", "now", "dispatch", "call", "advance",
+        "_send", "_timeout", "_timers", "_timer_seq", "_enter_S"])
+    def test_an_attribute_named_like_a_member_is_refused(self, member):
+        cls = flat_class(one_state, **{member: 0})
+        with pytest.raises(CodegenError,
+                           match=f"^attribute '{member}' clashes"):
+            python_gen.generate_class(cls)
+
+    def test_an_operation_or_variable_named_like_a_member_is_refused(self):
+        def bumps_on_send(region):
+            s = one_state(region)
+            region.add_transition(s, s, trigger="Go", effect="on_send = 1;",
+                                  kind=TransitionKind.INTERNAL)
+
+        with pytest.raises(CodegenError, match="^variable 'on_send' "):
+            python_gen.generate_class(flat_class(bumps_on_send))
+        cls = flat_class(one_state)
+        cls.add_operation("advance").set_body("return 1;")
+        with pytest.raises(CodegenError, match="^operation 'advance' "):
+            python_gen.generate_class(cls)
+        plain = mm.UmlClass("Plain")
+        plain.add_attribute("outbox", mm.INTEGER, default=0)
+        with pytest.raises(CodegenError, match="^attribute 'outbox' "):
+            python_gen.generate_class(plain)
+
+    def test_reading_now_reads_the_clock(self):
+        def stamps(region):
+            a, b = two_states(region)
+            region.add_transition(a, b, after=2, effect="x = now;")
+
+        cls = flat_class(stamps, x=0)
+        generated = python_gen.compile_module(cls)["Flat"]()
+        generated.advance(3)
+        assert (generated.state, generated.x) == ("B", 2)
+
     def test_hierarchical_machine_rejected(self):
         cls = mm.UmlClass("H", is_active=True)
         machine = StateMachine("h")
@@ -498,6 +615,49 @@ class TestGeneratedPythonEquivalence:
 
 
 class TestValidators:
+    @pytest.fixture(scope="class")
+    def block0(self):
+        from repro.codegen.base import hardware_components
+        from tests.test_codegen_golden import build_psm
+
+        return next(component for component in
+                    hardware_components(build_psm())
+                    if component.name == "Block0")
+
+    @pytest.mark.parametrize("backend, check, declaration", [
+        (vhdl, check_vhdl, "    ev_start : in std_logic;\n"),
+        (verilog, check_verilog, "    input wire ev_start,\n"),
+        (systemc, check_systemc, "    sc_in<bool> ev_start;\n"),
+    ], ids=["vhdl", "verilog", "systemc"])
+    def test_a_strobe_used_but_not_declared_is_flagged(
+            self, block0, backend, check, declaration):
+        text = backend.generate_component(block0)
+        assert check(text) == []
+        assert text.count(declaration) == 1
+        assert check(text.replace(declaration, "")) \
+            == ["undeclared ev_start"]
+
+    def test_a_state_constant_missing_from_the_enum_is_flagged(self,
+                                                               block0):
+        text = vhdl.generate_component(block0)
+        enum = "type state_t is (S_IDLE, S_BUSY, S_DONE);"
+        assert enum in text
+        assert check_vhdl(text.replace(enum, enum.replace("S_IDLE, ", ""))) \
+            == ["undeclared s_idle"]
+
+    @pytest.mark.parametrize("scope", ["ip_cores", "build_seed_1",
+                                       "build_seed_5"])
+    def test_every_generated_file_and_bench_is_clean(self, scope):
+        from repro.codegen import VALIDATORS
+        from tests.test_codegen_golden import build_psm, generated_files
+
+        package = None if scope == "ip_cores" else build_psm(int(scope[-1]))
+        files = generated_files(package)
+        assert len(files) == (46 if package is None else 81)
+        assert {name: VALIDATORS[name.split("/")[0]](text)
+                for name, text in files.items()} \
+            == dict.fromkeys(files, [])
+
     def test_vhdl_validator_catches_imbalance(self):
         broken = "library ieee;\nentity X is\nbegin\n"
         assert check_vhdl(broken)

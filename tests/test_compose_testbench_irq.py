@@ -1,15 +1,29 @@
 """Tests for submachine inlining, testbench generation and the PIC core."""
 
+import re
+
 import pytest
 
 import repro.metamodel as mm
-from repro.codegen import check_verilog, check_vhdl
+from repro.codegen import check_verilog, check_vhdl, verilog, vhdl
+from repro.codegen.base import hardware_components
 from repro.codegen.testbench import (
     generate_verilog_testbench,
     generate_vhdl_testbench,
 )
 from repro.errors import StateMachineError
-from repro.hw import make_interrupt_controller, make_timer
+from repro.profiles.soc import create_soc_profile
+from repro.hw import (
+    make_arbiter,
+    make_dma,
+    make_fifo,
+    make_interrupt_controller,
+    make_memory,
+    make_retry_master,
+    make_timer,
+    make_traffic_generator,
+    make_uart_tx,
+)
 from repro.statemachines import (
     PseudostateKind,
     StateMachine,
@@ -18,6 +32,7 @@ from repro.statemachines import (
     connection_point,
     inline_submachine,
 )
+from tests.test_codegen_golden import build_psm
 
 
 def build_handshake_library():
@@ -138,6 +153,44 @@ class TestTestbenches:
         shell = mm.Component("Shell")
         bench = generate_vhdl_testbench(shell)
         assert check_vhdl(bench) == []
+
+    @pytest.mark.parametrize("factory", [
+        make_arbiter, make_dma, make_fifo, make_interrupt_controller,
+        make_memory, make_retry_master, make_timer, make_traffic_generator,
+        make_uart_tx, build_psm], ids=lambda factory: factory.__name__)
+    def test_each_bench_binds_every_port_of_its_design(self, factory):
+        # build_psm: the 16 blocks the MDA build benchmark generates
+        scope = build_psm() if factory is build_psm \
+            else factory(profile=create_soc_profile())
+        components = hardware_components(scope)
+        assert len(components) == (16 if factory is build_psm else 1)
+        for component in components:
+            entity = vhdl.generate_component(component)
+            header = entity[entity.index(" port ("):
+                            entity.index("end entity")]
+            ports = re.findall(r"^ +(\w+) :", header, re.M)
+            bench = generate_vhdl_testbench(component)
+            assert ports and ports == [
+                name for name, actual in re.findall(r"^ +(\w+) => (\w+)",
+                                                    bench, re.M)
+                if name == actual]
+            module = verilog.generate_component(component)
+            header = module[module.index("\nmodule "):module.index(");")]
+            ports = re.findall(r"(\w+),?\n", header)
+            bench = generate_verilog_testbench(component)
+            assert ports and ports == [
+                name for name, actual
+                in re.findall(r"\.(\w+)\((\w+)\)", bench)
+                if name == actual]
+
+    def test_data_inputs_are_held_at_zero(self):
+        bench = generate_vhdl_testbench(make_dma())
+        assert "signal ctrl_data : std_logic_vector(31 downto 0) " \
+            ":= (others => '0');" in bench
+        assert "signal irq_data : std_logic_vector(31 downto 0);" in bench
+        bench = generate_verilog_testbench(make_dma())
+        assert "wire [31:0] mem_data = 32'd0;" in bench
+        assert "wire [31:0] irq_data;" in bench
 
 
 class TestInterruptController:
