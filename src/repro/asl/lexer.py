@@ -21,6 +21,9 @@ KEYWORDS = frozenset({
 #: Multi-character operators, longest first so scanning is greedy.
 _TWO_CHAR_OPS = ("==", "!=", "<=", ">=")
 _ONE_CHAR_OPS = "+-*/%<>=()[]{},.;:"
+#: The digits of a number: ASCII only.  ``str.isdigit`` also takes
+#: ``²``, which ``int()`` refuses, and other scripts' digits.
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass(frozen=True)
@@ -77,16 +80,16 @@ def tokenize(source: str) -> List[Token]:
 
         start_line, start_column = line, column
 
-        if char.isdigit():
+        if char in _DIGITS:
             end = index
-            while end < length and source[end].isdigit():
+            while end < length and source[end] in _DIGITS:
                 end += 1
             is_float = False
             if end < length and source[end] == "." and end + 1 < length \
-                    and source[end + 1].isdigit():
+                    and source[end + 1] in _DIGITS:
                 is_float = True
                 end += 1
-                while end < length and source[end].isdigit():
+                while end < length and source[end] in _DIGITS:
                     end += 1
             text = source[index:end]
             tokens.append(Token("float" if is_float else "int", text,

@@ -1,10 +1,12 @@
 """ASL-to-target-language transpilers.
 
 The Python transpiler translates every ASL construct (integer
-division and ``send`` routing through a callback included); the
-compiled engine and generated Python run its output, and
-:func:`interpreter_only` names what would run differently from the
-interpreter.
+division and ``send`` routing through a callback included) in one of
+two scopes: a method of a generated class, whose variables are
+attributes of ``self`` (:func:`to_python_statements`), or a function
+of the compiled engine, whose variables are items of a scope dict
+(:func:`to_python_function`).  :func:`interpreter_only` names what
+either would run differently from the interpreter.
 
 The expression transpilers for C-family targets (SystemC) and the HDLs
 translate the integer/boolean expression subset RTL can synthesize and
@@ -18,12 +20,14 @@ engine reaches it without loading a code generator; the backends of
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union
+import keyword
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from .. import asl
 from ..errors import CodegenError
 
-#: Names every action's environment binds afresh and never copies back.
+#: Names every action binds afresh: the interpreter's environment never
+#: copies them back, and a compiled function takes them as parameters.
 ACTION_NAMES = ("event", "event_name", "now")
 
 
@@ -72,6 +76,36 @@ _PY_BUILTIN_MAP = {
 }
 
 
+class _Scope:
+    """Where the Python emitter puts ASL variables.
+
+    In a method of a generated class (``names`` is None) a name in
+    ``self_names`` is the attribute ``self.<name>``, any other name
+    stays bare, and ``send`` calls ``self._send``.  In a compiled
+    function (``names`` is a set) every variable is an item of the
+    scope dict ``_c``, :data:`ACTION_NAMES` are parameters, ``event.f``
+    is ``event['f']`` and ``send`` calls the parameter ``_send``;
+    ``names`` collects every name rendered.
+    """
+
+    __slots__ = ("self_names", "names", "send_call")
+
+    def __init__(self, self_names: Set[str] = frozenset(),
+                 names: Optional[Set[str]] = None):
+        self.self_names = self_names
+        self.names = names
+        self.send_call = "self._send" if names is None else "_send"
+
+    def variable(self, name: str) -> str:
+        names = self.names
+        if names is None:
+            return f"self.{name}" if name in self.self_names else name
+        if not name.isidentifier() or keyword.iskeyword(name):
+            raise CodegenError(f"variable {name!r} is no Python name")
+        names.add(name)
+        return name if name in ACTION_NAMES else f"_c[{name!r}]"
+
+
 def to_python_expression(expr: asl.Expr, self_names: Optional[set] = None
                          ) -> str:
     """Translate an ASL expression to Python source.
@@ -80,43 +114,57 @@ def to_python_expression(expr: asl.Expr, self_names: Optional[set] = None
     used when generating methods whose context variables are instance
     attributes.
     """
-    return _py_expr(expr, self_names or set())
+    return _py_expr(expr, _Scope(self_names or set()))
 
 
-def _py_expr(expr: asl.Expr, self_names: set) -> str:
+def to_python_function(tree: asl.Node) -> Tuple[str, Set[str]]:
+    """The source of ``def _asl_fn(_c, event, event_name, now, _send)``,
+    which runs a parsed guard (an expression, whose value it returns)
+    or action (a :class:`~repro.asl.Program`) on the scope dict ``_c``,
+    and the names it reads or binds.
+
+    Raises :class:`CodegenError` for a ``return`` in an action and for
+    a name Python cannot spell (``x²``, ``class``).
+    """
+    scope = _Scope(names=set())
+    lines = ["def _asl_fn(_c, event, event_name, now, _send):"]
+    if isinstance(tree, asl.Program):
+        _py_block(tree.body, lines, 1, scope)
+    else:
+        lines.append(f"    return {_py_expr(tree, scope)}")
+    return "\n".join(lines), scope.names
+
+
+def _py_expr(expr: asl.Expr, scope: _Scope) -> str:
     if isinstance(expr, asl.Literal):
         return repr(expr.value)
     if isinstance(expr, asl.Name):
-        name = expr.identifier
-        if name in self_names:
-            return f"self.{name}"
-        return name
+        return scope.variable(expr.identifier)
     if isinstance(expr, asl.Attribute):
-        target = _py_expr(expr.target, self_names)
+        target = _py_expr(expr.target, scope)
+        if target == "event" and scope.names is not None:
+            return f"event[{expr.name!r}]"  # the parameter dict
         # dict-style objects dominate ASL usage; getattr-with-dict-fallback
         return f"_asl_attr({target}, {expr.name!r})"
     if isinstance(expr, asl.Index):
-        return (f"{_py_expr(expr.target, self_names)}"
-                f"[{_py_expr(expr.key, self_names)}]")
+        return f"{_py_expr(expr.target, scope)}[{_py_expr(expr.key, scope)}]"
     if isinstance(expr, asl.ListLiteral):
-        return "[" + ", ".join(_py_expr(i, self_names)
-                               for i in expr.items) + "]"
+        return "[" + ", ".join(_py_expr(i, scope) for i in expr.items) + "]"
     if isinstance(expr, asl.DictLiteral):
-        pairs = ", ".join(f"{_py_expr(k, self_names)}: "
-                          f"{_py_expr(v, self_names)}"
+        pairs = ", ".join(f"{_py_expr(k, scope)}: {_py_expr(v, scope)}"
                           for k, v in expr.items)
         return "{" + pairs + "}"
     if isinstance(expr, asl.Unary):
-        operand = _py_expr(expr.operand, self_names)
+        operand = _py_expr(expr.operand, scope)
         return f"(not {operand})" if expr.op == "not" else f"(-{operand})"
     if isinstance(expr, asl.Binary):
-        left = _py_expr(expr.left, self_names)
-        right = _py_expr(expr.right, self_names)
+        left = _py_expr(expr.left, scope)
+        right = _py_expr(expr.right, scope)
         if expr.op == "/":
             return f"_asl_div({left}, {right})"
         return f"({left} {_PY_BINARY[expr.op]} {right})"
     if isinstance(expr, asl.Call):
-        args = ", ".join(_py_expr(a, self_names) for a in expr.arguments)
+        args = ", ".join(_py_expr(a, scope) for a in expr.arguments)
         callee = expr.callee
         if isinstance(callee, asl.Name):
             mapped = _PY_BUILTIN_MAP.get(callee.identifier)
@@ -125,7 +173,7 @@ def _py_expr(expr: asl.Expr, self_names: set) -> str:
             if mapped is not None:
                 return f"{mapped}({args})"
             return f"self.{callee.identifier}({args})"  # operation call
-        return f"{_py_expr(callee, self_names)}({args})"
+        return f"{_py_expr(callee, scope)}({args})"
     raise CodegenError(f"cannot translate {type(expr).__name__} to Python")
 
 
@@ -137,20 +185,20 @@ def _py_expr(expr: asl.Expr, self_names: set) -> str:
 BUILTIN_NAMES = frozenset(_PY_BUILTIN_MAP) | {"list", "print"}
 
 #: A text :func:`interpreter_only` answers for holds ``while`` or one
-#: of :data:`ENGINE_NAME_MARKS`, or its Python translation loads one of
-#: these names.
+#: of :data:`ENGINE_NAME_MARKS`, or its Python function names one of
+#: these: as a variable or a parameter, or as a global it calls.
 REFUSABLE_NAMES = BUILTIN_NAMES.union(
     ACTION_NAMES, ("self", "_asl_attr", "_asl_append"))
 
-#: Every name of the compiled engine's own globals holds one of these:
-#: the send callback ``_send`` and the prelude's ``_asl_*`` helpers.
+#: Every name the compiled code reserves holds one of these: the send
+#: callback ``_send`` and the prelude's ``_asl_*`` helpers.
 ENGINE_NAME_MARKS = ("_send", "_asl_")
 
 
 def is_engine_name(name: str) -> bool:
-    """True for ``_send`` and every ``_asl_*`` name: compiled actions
-    resolve them as globals, so a variable so named shadows them there,
-    while the interpreter has no such names."""
+    """True for ``_send`` and every ``_asl_*`` name: names the compiled
+    code reserves, which the compilable subset keeps out of ASL
+    variables and contexts, while the interpreter has no such names."""
     return name == "_send" or name.startswith("_asl_")
 
 
@@ -250,88 +298,82 @@ def _asl_attr(obj, name):
 '''
 
 
-def to_python_statements(source: Union[str, asl.Program], self_names: set,
-                         send_call: str = "self._send") -> List[str]:
-    """Translate an ASL statement block (text or parsed) to Python
-    source lines."""
+def to_python_statements(source: Union[str, asl.Program], self_names: set
+                         ) -> List[str]:
+    """Translate an ASL statement block (text or parsed) to the Python
+    source lines of a generated method (see :func:`to_python_expression`
+    for ``self_names``)."""
     program = source if isinstance(source, asl.Program) \
         else asl.parse(source)
     lines: List[str] = []
-    _py_block(program.body, lines, 0, self_names, send_call)
+    _py_block(program.body, lines, 0, _Scope(self_names))
     return lines or ["pass"]
 
 
-def _py_block(statements, lines: List[str], level: int, self_names: set,
-              send_call: str) -> None:
+def _py_block(statements, lines: List[str], level: int,
+              scope: _Scope) -> None:
     pad = "    " * level
     if not statements:
         lines.append(pad + "pass")
         return
     for statement in statements:
         if isinstance(statement, asl.Assign):
-            target = _py_assign_target(statement.target, self_names)
+            target = _py_assign_target(statement.target, scope)
             lines.append(f"{pad}{target} = "
-                         f"{_py_expr(statement.value, self_names)}")
+                         f"{_py_expr(statement.value, scope)}")
         elif isinstance(statement, asl.ExprStmt):
-            lines.append(pad + _py_expr(statement.expression, self_names))
+            lines.append(pad + _py_expr(statement.expression, scope))
         elif isinstance(statement, asl.If):
-            lines.append(f"{pad}if "
-                         f"{_py_expr(statement.condition, self_names)}:")
-            _py_block(statement.then_body, lines, level + 1, self_names,
-                      send_call)
+            lines.append(f"{pad}if {_py_expr(statement.condition, scope)}:")
+            _py_block(statement.then_body, lines, level + 1, scope)
             if statement.else_body:
                 lines.append(f"{pad}else:")
-                _py_block(statement.else_body, lines, level + 1,
-                          self_names, send_call)
+                _py_block(statement.else_body, lines, level + 1, scope)
         elif isinstance(statement, asl.While):
             lines.append(f"{pad}while "
-                         f"{_py_expr(statement.condition, self_names)}:")
-            _py_block(statement.body, lines, level + 1, self_names,
-                      send_call)
+                         f"{_py_expr(statement.condition, scope)}:")
+            _py_block(statement.body, lines, level + 1, scope)
         elif isinstance(statement, asl.For):
             # the loop variable stays bound after the loop, as in ASL
-            target = _py_assign_target(asl.Name(statement.variable),
-                                       self_names)
-            lines.append(f"{pad}for {target} in "
-                         f"{_py_expr(statement.iterable, self_names)}:")
-            _py_block(statement.body, lines, level + 1, self_names,
-                      send_call)
+            lines.append(f"{pad}for {scope.variable(statement.variable)} "
+                         f"in {_py_expr(statement.iterable, scope)}:")
+            _py_block(statement.body, lines, level + 1, scope)
         elif isinstance(statement, asl.Return):
+            if scope.names is not None:
+                raise CodegenError("'return' in an action")
             if statement.value is None:
                 lines.append(pad + "return None")
             else:
                 lines.append(f"{pad}return "
-                             f"{_py_expr(statement.value, self_names)}")
+                             f"{_py_expr(statement.value, scope)}")
         elif isinstance(statement, asl.Break):
             lines.append(pad + "break")
         elif isinstance(statement, asl.Continue):
             lines.append(pad + "continue")
         elif isinstance(statement, asl.Send):
             arguments = ", ".join(
-                f"{key}={_py_expr(value, self_names)}"
+                f"{key}={_py_expr(value, scope)}"
                 for key, value in statement.arguments)
             target = "None" if statement.target is None \
-                else _py_expr(statement.target, self_names)
+                else _py_expr(statement.target, scope)
             call_args = f"{statement.signal!r}, {target}"
             if arguments:
                 call_args += f", {arguments}"
-            lines.append(f"{pad}{send_call}({call_args})")
+            lines.append(f"{pad}{scope.send_call}({call_args})")
         else:
             raise CodegenError(
                 f"cannot translate {type(statement).__name__} to Python")
 
 
-def _py_assign_target(target: asl.Expr, self_names: set) -> str:
+def _py_assign_target(target: asl.Expr, scope: _Scope) -> str:
     if isinstance(target, asl.Name):
-        if target.identifier in self_names:
-            return f"self.{target.identifier}"
-        return target.identifier
+        return scope.variable(target.identifier)
     if isinstance(target, asl.Attribute):
-        base = _py_expr(target.target, self_names)
+        base = _py_expr(target.target, scope)
         return f"{base}[{target.name!r}]"  # ASL attr-assign targets dicts
     if isinstance(target, asl.Index):
-        return (f"{_py_expr(target.target, self_names)}"
-                f"[{_py_expr(target.key, self_names)}]")
+        return (f"{_py_expr(target.target, scope)}"
+                f"[{_py_expr(target.key, scope)}]")
     raise CodegenError("invalid assignment target")
 
 

@@ -34,11 +34,11 @@ def _c_name(name: str) -> str:
     return sanitize(name, "systemc")
 
 
-def _read_name(name: str) -> str:
-    """A name inside a translated expression: input ports are read."""
-    if name.startswith("ev_"):
-        return f"{name}.read()"
-    return _c_name(name)
+def _read_name(ports: Dict[str, str], name: str) -> str:
+    """A name inside a translated expression: a port of ``ports`` is
+    read, a register is not."""
+    name = _c_name(name)
+    return f"{name}.read()" if name in ports else name
 
 
 #: Declaration of each kind of port :func:`rtl_ports` lists.
@@ -52,9 +52,10 @@ _PORT = {
     "strobe": "sc_out<bool> {};",
 }
 
+#: ``translate`` reads ports, so each component fills it with its own.
 _SYNTAX = RtlSyntax(
     language="systemc",
-    translate=partial(to_c_expression, rename=_read_name),
+    translate=to_c_expression,
     row_open="if ({}) {{", row_close="}", conjunction=" && ",
     always="true", strobe_test="{}.read()", timer_test="timer >= {}u",
     untranslated_guard="// guard (not translatable): [{}]",
@@ -68,6 +69,8 @@ def generate_component(component: UmlClass) -> str:
     view = component_view(component)
     module = _c_name(component.name or "Top")
     ports = rtl_ports(component, view, "systemc")
+    syntax = _SYNTAX._replace(translate=partial(
+        to_c_expression, rename=partial(_read_name, ports)))
     strobes = [name for name, kind in ports.items() if kind == "strobe"]
 
     writer = CodeWriter()
@@ -146,7 +149,7 @@ def generate_component(component: UmlClass) -> str:
         for state in view.states:
             writer.line(f"case {state_constant(state, 'systemc')}: {{")
             writer.indent()
-            emit_rows(writer, view, state, _SYNTAX)
+            emit_rows(writer, view, state, syntax)
             writer.line("break;")
             writer.dedent()
             writer.line("}")

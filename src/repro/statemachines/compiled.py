@@ -3,12 +3,13 @@
 :func:`compile_machine` / :class:`CompiledRuntime` are the
 cosimulation fast path.  A flat (single-region, simple-state) machine
 is compiled once into per-state dispatch tables whose guards and
-effects are *precompiled Python closures* — ASL source is transpiled
-via :mod:`repro.asl.transpile` and ``compile()``d to code objects,
-so executing an action is one ``eval``/``exec`` of tiny bytecode
-instead of a tree walk through a freshly constructed interpreter.
-The code objects run against the same ``_asl_*`` helpers every
-generated Python module embeds.  Unlike
+effects are *Python functions* — each ASL text is transpiled by
+:mod:`repro.asl.transpile`, the emitter of generated Python modules,
+into ``def _asl_fn(_c, event, event_name, now, _send)``, in which
+every ASL variable is an item of the scope dict ``_c``; running an
+action is one call of tiny bytecode instead of a tree walk through a
+freshly constructed interpreter.  The functions call the same
+``_asl_*`` helpers every generated Python module embeds.  Unlike
 :func:`~repro.statemachines.flatten.flatten`, the compiled form keeps
 the live ``context`` and the runtime clock, so data-dependent guards
 and ``after(n)`` time triggers work exactly as in the interpreter.
@@ -20,12 +21,12 @@ single guard or effect that does not transpile, is refused with
 :class:`NotCompilable`, :func:`compile_fallback_reason` names why, and
 the caller runs the whole machine on the interpreter.
 
-Compilation is cached in two layers.  Code objects are keyed by their
-ASL source text (and eval/exec mode), so every parse of a model shares
-them.  Dispatch tables are kept on the machine, against the model's
-generation (:func:`compile_machine_cached`), so the parts and seeds of
-one parsed model share one table, each fresh parse builds its own, and
-the table is freed with its model.
+Compilation is cached in two layers.  Functions are keyed by their
+ASL source text (and guard or action mode), so every parse of a model
+shares them.  Dispatch tables are kept on the machine, against the
+model's generation (:func:`compile_machine_cached`), so the parts and
+seeds of one parsed model share one table, each fresh parse builds its
+own, and the table is freed with its model.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from .. import asl
 from ..asl import SentSignal
 from ..asl.transpile import (
-    ACTION_NAMES,
     BUILTIN_NAMES,
     ENGINE_NAME_MARKS,
     PYTHON_ATTR_HELPER,
@@ -45,8 +45,7 @@ from ..asl.transpile import (
     REFUSABLE_NAMES,
     interpreter_only,
     is_engine_name,
-    to_python_expression,
-    to_python_statements,
+    to_python_function,
 )
 from ..errors import ReproError, StateMachineError
 from ..perf import PERF
@@ -71,12 +70,12 @@ class NotCompilable(StateMachineError):
     why (the ``interpreter: <reason>`` label of an engine binding)."""
 
 
-#: Globals every compiled action executes against, built on first use.
-#: ``__builtins__`` is emptied so generated code resolves exactly the
-#: interpreter's builtin set — an undefined ASL name raises instead of
-#: finding a Python builtin the interpreter would not have.  The
-#: ``_asl_*`` helpers are built from the prelude text every generated
-#: Python module embeds, so both run one copy of ASL's runtime helpers.
+#: Globals of every compiled guard and action, built on first use.
+#: ``__builtins__`` is emptied so the functions resolve exactly the
+#: interpreter's builtin set: a call the transpiler emits of any other
+#: name (an operation call's ``self``) raises.  The ``_asl_*`` helpers
+#: are built from the prelude text every generated Python module
+#: embeds, so both run one copy of ASL's runtime helpers.
 _GLOBALS: Optional[Dict[str, Any]] = None
 
 
@@ -94,15 +93,16 @@ def _action_globals() -> Dict[str, Any]:
     return _GLOBALS
 
 
-#: (ASL source text, mode) -> its code object, or the refusal reason
-#: that follows the site's name.  Code objects are immutable, so every
-#: parse of a model shares one per distinct text; cleared when full.
+#: (ASL source text, mode) -> its function, or the refusal reason that
+#: follows the site's name.  A function keeps no state (it runs on the
+#: scope dict it is given), so every parse of a model shares one per
+#: distinct text; cleared when full.
 _TRANSPILE_MEMO: Dict[Tuple[str, str], Any] = {}
 _TRANSPILE_MEMO_MAX = 1024
 
 
 def _transpile(source: Any, site: str, mode: str) -> Any:
-    """The code object of ``source``'s Python transpilation (``mode`` is
+    """The function of ``source``'s Python transpilation (``mode`` is
     ``"eval"`` for a guard, ``"exec"`` for an action), memoized on the
     text and the mode.
 
@@ -135,55 +135,56 @@ def _transpile(source: Any, site: str, mode: str) -> Any:
 
 
 def _transpile_text(source: str, mode: str) -> Any:
-    """Parse ``source`` once and ``compile()`` its Python transpilation;
-    returns the code object, or why there is none."""
+    """Parse ``source`` once, ``compile()`` its Python function and bind
+    it to the action globals; returns the function, or why there is
+    none."""
     try:
-        if mode == "eval":
-            tree = asl.parse_expression(source)
-            python_source = to_python_expression(tree)
-        else:
-            tree = asl.parse(source)
-            python_source = "\n".join(
-                to_python_statements(tree, set(), send_call="_send"))
+        tree = asl.parse_expression(source) if mode == "eval" \
+            else asl.parse(source)
+        python_source, names = to_python_function(tree)
         with warnings.catch_warnings():
             # Python's own compile-time hints (``3[a]``: "not
             # subscriptable") are no ASL diagnostics; the action raises
             # AslRuntimeError when it runs, as on the interpreter
             warnings.simplefilter("ignore", SyntaxWarning)
-            # optimize=2 drops a leading string statement, which Python
-            # would store as the action's ``__doc__`` variable
-            code = compile(python_source, "<asl>", mode, optimize=2)
+            code = compile(python_source, "<asl>", "exec")
     except (ReproError, SyntaxError) as exc:
         return f"does not transpile: {exc}"
-    # the walk, skipped where it can find nothing
+    namespace: Dict[str, Any] = {}
+    exec(code, _action_globals(), namespace)
+    function = namespace["_asl_fn"]
+    # the walk, skipped where it can find nothing: the names are the
+    # variables and parameters, co_names the helpers and builtins called
     if "while" in source \
             or any(mark in source for mark in ENGINE_NAME_MARKS) \
-            or not REFUSABLE_NAMES.isdisjoint(code.co_names):
+            or not REFUSABLE_NAMES.isdisjoint(names) \
+            or not REFUSABLE_NAMES.isdisjoint(function.__code__.co_names):
         reason = interpreter_only(tree)
         if reason is not None:
             return reason
-    return code
+    return function
 
 
 def _compile_guard(guard, site: str) -> Optional[Callable]:
-    """Compile a guard into ``g(runtime, env, occurrence) -> bool``.
+    """Compile a guard into ``g(runtime, occurrence) -> bool``.
 
-    Returns None for the always-true guard.  The ``env`` argument is the
-    shared per-dispatch environment (guards cannot mutate the context,
-    so one copy serves every candidate — exactly the interpreter's
-    upfront guard phase).
+    Returns None for the always-true guard.  The guard reads the live
+    context: every guard of a step runs before any effect of it (the
+    interpreter's upfront guard phase), and an expression cannot bind.
     """
     if guard is None:
         return None
     if isinstance(guard, str) and guard.strip() == ELSE_GUARD:
-        def never(runtime, env, occurrence):
+        def never(runtime, occurrence):
             return False
         return never
-    code = _transpile(guard, site, "eval")
+    function = _transpile(guard, site, "eval")
 
-    def run_compiled(runtime, env, occurrence, _code=code, _src=guard):
+    def run_compiled(runtime, occurrence, _fn=function, _src=guard):
         try:
-            return bool(eval(_code, runtime._globals, env))
+            # an expression sends nothing: no send callback
+            return bool(_fn(runtime.context, occurrence.parameters,
+                            occurrence.name, runtime.time, None))
         except ReproError:
             raise
         except Exception as exc:
@@ -194,32 +195,28 @@ def _compile_guard(guard, site: str) -> Optional[Callable]:
 def _compile_action(action, site: str) -> Optional[Callable]:
     """Compile an effect/entry/exit into ``a(runtime, occurrence)``.
 
-    Same semantics as the interpreter: fresh environment copy in, full
-    copy-back out — temporaries intentionally leak into the context.
+    Same semantics as the interpreter: the action runs on a copy of the
+    context, which replaces the context's variables only when it
+    succeeds — temporaries intentionally leak into the context, and
+    sends made before a failure stay sent.
     """
     if action is None:
         return None
-    code = _transpile(action, site, "exec")
+    function = _transpile(action, site, "exec")
 
-    def run_compiled(runtime, occurrence, _code=code, _src=action):
+    def run_compiled(runtime, occurrence, _fn=function, _src=action):
         env = dict(runtime.context)
-        if occurrence is not None:
-            env["event"] = dict(occurrence.parameters)
-            env["event_name"] = occurrence.name
-        else:
-            env["event"] = {}
-            env["event_name"] = ""
-        env["now"] = runtime.time
         try:
-            exec(_code, runtime._globals, env)
+            if occurrence is None:
+                _fn(env, {}, "", runtime.time, runtime._emit)
+            else:
+                _fn(env, occurrence.parameters, occurrence.name,
+                    runtime.time, runtime._emit)
         except ReproError:
             raise
         except Exception as exc:
             raise asl.action_error(_src, exc) from exc
-        context = runtime.context
-        for key, value in env.items():
-            if key not in ACTION_NAMES:
-                context[key] = value
+        runtime.context.update(env)
     return run_compiled
 
 
@@ -431,7 +428,7 @@ def compile_machine_cached(machine: StateMachine) -> CompiledMachine:
     single dispatch table, which the pre-fork campaign warm-up relies
     on.  The record lives and dies with its model: no global table
     holds a parsed model alive.  A fresh parse of a model builds fresh
-    tables (``by_timer`` keys on ``id(TimeEvent)``) from code objects
+    tables (``by_timer`` keys on ``id(TimeEvent)``) from functions
     of the first layer, which are keyed on their ASL source text and
     shared across parses.  A refusal is kept as its reason and raised
     as a fresh :class:`NotCompilable` on every hit.
@@ -457,11 +454,11 @@ def compile_machine_cached(machine: StateMachine) -> CompiledMachine:
 
 def check_context(context: Dict[str, Any]) -> None:
     """Raise :class:`NotCompilable` when a variable of the initial
-    ``context`` is named like an ASL builtin or one of the compiled
-    engine's own globals: compiled code would read the variable where
-    the interpreter calls the builtin (a context ``len`` breaks
-    ``len(l)``, a context ``list`` breaks ``range(n)``), or where it
-    calls ``_send`` or an ``_asl_*`` helper.
+    ``context`` is named like an ASL builtin or a name the compiled
+    code reserves (``_send``, ``_asl_*``): the compilable subset keeps
+    these names out of its variables, in the ASL text
+    (:func:`~repro.asl.transpile.interpreter_only`) and in the context
+    alike.
     """
     for name in context:
         if name in BUILTIN_NAMES:
@@ -479,14 +476,17 @@ class CompiledRuntime:
     harness uses (``start``/``dispatch``/``send``/``advance_time``/
     ``context``/``time``/``active_leaf_names``), with run-to-completion
     steps reduced to: dict lookup of the candidate list, upfront guard
-    ``eval``s, then effect ``exec``s in declaration order until the
-    first external firing.
+    calls on the live context, then effect calls in declaration order
+    until the first external firing.  Each guard and effect is a
+    function of the machine's shared tables, called with the context
+    (an effect: a copy of it), the event's parameters and name, the
+    clock and :meth:`_emit`.
     """
 
     __slots__ = ("compiled", "context", "time", "is_terminated",
                  "signal_sink", "trace_bus", "trace_part", "_state",
                  "_timers", "_timer_seq", "_queue", "_draining",
-                 "_globals", "_started")
+                 "_started")
 
     def __init__(self, compiled: CompiledMachine,
                  context: Optional[Dict[str, Any]] = None,
@@ -508,8 +508,6 @@ class CompiledRuntime:
         self._timer_seq = 0
         self._queue: deque = deque()
         self._draining = False
-        self._globals = dict(_action_globals())
-        self._globals["_send"] = self._emit
         self._started = False
 
     # -- public API (parity with StateMachineRuntime) --------------------
@@ -541,11 +539,13 @@ class CompiledRuntime:
 
     def send(self, name: str, **parameters: Any) -> "CompiledRuntime":
         """Shorthand: dispatch a signal occurrence by name."""
-        return self.dispatch(EventOccurrence.signal(name, **parameters))
+        return self.dispatch(EventOccurrence(name, EventKind.SIGNAL,
+                                             parameters))
 
     def call(self, name: str, **parameters: Any) -> "CompiledRuntime":
         """Shorthand: dispatch a call occurrence by name."""
-        return self.dispatch(EventOccurrence.call(name, **parameters))
+        return self.dispatch(EventOccurrence(name, EventKind.CALL,
+                                             parameters))
 
     def advance_time(self, delta: float) -> "CompiledRuntime":
         """Advance the runtime clock, firing due time triggers in order."""
@@ -554,7 +554,7 @@ class CompiledRuntime:
             raise StateMachineError("time cannot move backwards")
         deadline = self.time + delta
         timers = self._timers
-        while True:
+        while timers:
             best = None
             for timer in timers:
                 if timer[0] <= deadline and (best is None or timer < best):
@@ -665,13 +665,9 @@ class CompiledRuntime:
         if len(candidates) == 1 and candidates[0].guard is None:
             enabled = candidates
         else:
-            env = dict(self.context)
-            env["event"] = dict(occurrence.parameters)
-            env["event_name"] = occurrence.name
-            env["now"] = self.time
             enabled = [candidate for candidate in candidates
                        if candidate.guard is None
-                       or candidate.guard(self, env, occurrence)]
+                       or candidate.guard(self, occurrence)]
         fired = False
         for candidate in enabled:
             fired = True

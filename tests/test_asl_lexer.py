@@ -63,6 +63,19 @@ class TestTokens:
             asl.tokenize("a $ b")
         assert info.value.line == 1
 
+    @pytest.mark.parametrize("source, column", [
+        ("x < 10\u00b2", 7),       # a superscript two
+        ("x < \u0661\u0662", 5),   # Arabic-Indic one, two
+    ], ids=["superscript", "arabic-indic"])
+    def test_only_ascii_digits_make_a_number(self, source, column):
+        # str.isdigit() takes both; int() would refuse the first, and
+        # read the second as 12
+        for scan in (asl.tokenize, asl.parse_expression):
+            with pytest.raises(AslSyntaxError) as info:
+                scan(source)
+            assert (info.value.line, info.value.column) == (1, column)
+            assert "unexpected character" in str(info.value)
+
     def test_eof_token_terminates(self):
         tokens = asl.tokenize("")
         assert len(tokens) == 1

@@ -285,7 +285,7 @@ class TestBackends:
             generate_vhdl_testbench,
         )
 
-        # "10²" lexes as a number, and int() rejects it with ValueError
+        # "10²" does not lex: "²" is no ASCII digit
         comp = mm.Component("Square")
         comp.add_attribute("n", mm.INTEGER, default=0)
         machine = StateMachine("square")
@@ -402,6 +402,25 @@ class TestGuardOnlyEventFields:
         text = backend.generate_component(self.level_probe())
         assert use in text
         assert declaration in text
+
+    def test_systemc_reads_ports_not_registers(self):
+        # a register whose name starts like an event port is no port
+        comp = mm.Component("Counter")
+        comp.add_attribute("ev_count", mm.INTEGER, default=0)
+        machine = StateMachine("counter")
+        region = machine.region
+        idle = region.add_state("Idle")
+        region.add_transition(region.add_initial(), idle)
+        region.add_transition(idle, idle, trigger="tick",
+                              guard="ev_count < 3",
+                              effect="ev_count = ev_count + 1;")
+        comp.add_behavior(machine, as_classifier_behavior=True)
+        text = systemc.generate_component(comp)
+        assert "int ev_count;" in text
+        assert "if (ev_tick.read() && (ev_count < 3)) {" in text
+        assert "ev_count = (ev_count + 1);" in text
+        assert "ev_count.read()" not in text
+        assert check_systemc(text) == []
 
     def test_both_testbenches_drive_the_field(self):
         from repro.codegen.testbench import (

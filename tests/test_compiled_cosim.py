@@ -20,6 +20,7 @@ import weakref
 import pytest
 
 from repro import asl, xmi
+from repro.cli import main
 from repro.engine import ENGINE_MODES, TraceBus, TraceRecorder
 from repro.errors import AslRuntimeError, StateMachineError
 from repro.faults import FaultCampaign, FaultSpec
@@ -760,6 +761,105 @@ class TestCompileMemo:
             assert reason.startswith("guard does not transpile: ")
             assert "recursion" in reason
         assert delta(before) == (2, 0)
+
+
+class TestFunctionForm:
+    """Each guard and effect runs as one Python function over the part's
+    context.  It refuses what the compiler refused before, and fails,
+    sends and reads as the interpreter does."""
+
+    @pytest.mark.parametrize("site, text", [
+        ("effect", "x = 1; return;"),
+        ("effect", "if (x > 1) { return; }"),
+        ("effect", "class = 1;"),
+        ("effect", "None = 2;"),
+        ("effect", "x = None;"),
+        ("effect", "x = lambda + 1;"),
+        ("guard", "def > 2"),
+        ("effect", "x\u00b2 = 1;"),
+        ("guard", "x < 10\u00b2"),
+        ("effect", "x = 10\u00b2;"),
+    ], ids=["return", "nested-return", "keyword", "none", "none-read",
+            "keyword-read", "keyword-guard", "no-identifier", "digit-guard",
+            "digit-effect"])
+    def test_what_python_spells_only_in_a_function_is_refused(
+            self, site, text):
+        reason = compile_fallback_reason(
+            one_state_machine("Refused", **{site: text}))
+        assert reason.startswith(f"{site} does not transpile: ")
+        if "10" in text:
+            assert "unexpected character '\u00b2'" in reason
+
+    @staticmethod
+    def both_engines(machine, context):
+        """An interpreted and a compiled runtime of ``machine``, each
+        with its own copy of ``context`` and its own list of sends."""
+        assert compile_fallback_reason(machine) is None
+        logs = ([], [])
+        runtimes = (
+            StateMachineRuntime(machine, context=dict(context),
+                                signal_sink=logs[0].append),
+            CompiledRuntime(compile_machine(machine), context=dict(context),
+                            signal_sink=logs[1].append))
+        return [(runtime.start(), sent)
+                for runtime, sent in zip(runtimes, logs)]
+
+    def test_a_failing_effect_keeps_the_context_and_its_sends(self):
+        machine = one_state_machine(
+            "Failing", effect='x = 5; send Out(v=x) to "p"; y = pop(l);')
+        for runtime, sent in self.both_engines(machine, {"x": 0, "l": []}):
+            with pytest.raises(AslRuntimeError):
+                runtime.send("Go")
+            assert runtime.context == {"x": 0, "l": []}
+            assert sent == [asl.SentSignal("Out", {"v": 5}, "p")]
+
+    def test_an_undefined_variable_is_named(self):
+        machine = one_state_machine("Undefined", effect="z = y + 1;")
+        for runtime, _sent in self.both_engines(machine, {}):
+            with pytest.raises(AslRuntimeError, match="'y'"):
+                runtime.send("Go")
+            assert runtime.context == {}
+
+    def test_names_python_would_normalize_stay_apart(self):
+        # Python source normalizes identifiers (NFKC): the ligature
+        # U+FB01 would be the name "fi"; the interpreter keeps both
+        machine = one_state_machine(
+            "Ligature", effect="\ufb01 = 1; fi = 2; s = \ufb01 + 10;")
+        for runtime, _sent in self.both_engines(machine, {}):
+            runtime.send("Go")
+            assert runtime.context == {"\ufb01": 1, "fi": 2, "s": 11}
+
+    def test_the_guard_phase_reads_the_unmodified_context(self):
+        machine = StateMachine("GuardPhase")
+        region = machine.region
+        s, t = region.add_state("S"), region.add_state("T")
+        region.add_transition(region.add_initial(), s)
+        region.add_transition(s, s, trigger="Go", effect="x = 1;",
+                              kind=TransitionKind.INTERNAL)
+        region.add_transition(s, t, trigger="Go", guard="x == 0")
+        for runtime, _sent in self.both_engines(machine, {"x": 0}):
+            runtime.send("Go")
+            assert runtime.active_leaf_names() == ("T",)
+            assert runtime.context == {"x": 1}
+
+    def test_generate_skips_a_class_whose_literal_does_not_lex(
+            self, tmp_path, capsys):
+        model = Model("digits")
+        owner = model.add(Component("Counter"))
+        owner.add_attribute("x", default=0)
+        owner.add_behavior(
+            one_state_machine("CounterBehavior", guard="x < 10\u00b2",
+                              effect="x = x + 1;"),
+            as_classifier_behavior=True)
+        path = str(tmp_path / "digits.xmi")
+        xmi.write_file(path, model)
+        out = tmp_path / "out"
+        assert main(["generate", path, "--backend", "all",
+                     "-o", str(out)]) == 0
+        assert "0 invalid" in capsys.readouterr().out
+        assert "# skipped Counter: guard does not transpile: unexpected " \
+            "character '\u00b2' (line 1, column 7)" \
+            in (out / "python" / "generated.py").read_text(encoding="utf-8")
 
 
 def run_pair(top_factory, until=200.0, contexts=None):
