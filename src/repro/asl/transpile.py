@@ -5,8 +5,11 @@ division and ``send`` routing through a callback included) in one of
 two scopes: a method of a generated class, whose variables are
 attributes of ``self`` (:func:`to_python_statements`), or a function
 of the compiled engine, whose variables are items of a scope dict
-(:func:`to_python_function`).  :func:`interpreter_only` names what
-either would run differently from the interpreter.
+(:func:`to_python_function`).  The function scope is the one place
+that decides the ASL half of the compilable subset: while it renders
+a guard or an action, it raises :class:`Untranslatable` at the first
+construct that the function would run differently from the
+interpreter.  The generated-class scope refuses nothing.
 
 The expression transpilers for C-family targets (SystemC) and the HDLs
 translate the integer/boolean expression subset RTL can synthesize and
@@ -21,7 +24,7 @@ engine reaches it without loading a code generator; the backends of
 from __future__ import annotations
 
 import keyword
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Union
 
 from .. import asl
 from ..errors import CodegenError
@@ -76,34 +79,53 @@ _PY_BUILTIN_MAP = {
 }
 
 
-class _Scope:
-    """Where the Python emitter puts ASL variables.
+#: Every name the interpreter resolves as a builtin, plus ``list``,
+#: which ``range`` is emitted with.  Python code resolves them as
+#: globals, so a variable of one of these names shadows the builtin
+#: there, while the interpreter keeps calls apart from values; and a
+#: builtin read as a value is another object in Python, or none.
+BUILTIN_NAMES = frozenset(_PY_BUILTIN_MAP) | {"list", "print"}
 
-    In a method of a generated class (``names`` is None) a name in
+
+class _Scope:
+    """Where the Python emitter puts ASL variables, and what it refuses.
+
+    In a method of a generated class (``function`` false) a name in
     ``self_names`` is the attribute ``self.<name>``, any other name
-    stays bare, and ``send`` calls ``self._send``.  In a compiled
-    function (``names`` is a set) every variable is an item of the
-    scope dict ``_c``, :data:`ACTION_NAMES` are parameters, ``event.f``
-    is ``event['f']`` and ``send`` calls the parameter ``_send``;
-    ``names`` collects every name rendered.
+    stays bare, ``send`` calls ``self._send``, and nothing is refused.
+    In a compiled function every variable is an item of the scope dict
+    ``_c``, :data:`ACTION_NAMES` are parameters, ``event.f`` is
+    ``event['f']``, ``send`` calls the parameter ``_send``, and the
+    emitter raises at the first construct that the function would run
+    differently from the interpreter (:func:`to_python_function`).
+    ``for_depth`` counts the ``for`` bodies being rendered.
     """
 
-    __slots__ = ("self_names", "names", "send_call")
+    __slots__ = ("self_names", "function", "send_call", "for_depth")
 
     def __init__(self, self_names: Set[str] = frozenset(),
-                 names: Optional[Set[str]] = None):
+                 function: bool = False):
         self.self_names = self_names
-        self.names = names
-        self.send_call = "self._send" if names is None else "_send"
+        self.function = function
+        self.send_call = "_send" if function else "self._send"
+        self.for_depth = 0
 
-    def variable(self, name: str) -> str:
-        names = self.names
-        if names is None:
+    def variable(self, name: str, bound: bool = False) -> str:
+        """The Python of the variable ``name``: read, or ``bound`` (by
+        an assignment or a loop, or assigned through: ``name.f = v``)."""
+        if not self.function:
             return f"self.{name}" if name in self.self_names else name
+        if name in ACTION_NAMES:
+            if bound:
+                raise Untranslatable(f"assigns {name!r}")
+            if name == "event":
+                raise Untranslatable("uses 'event' as a value")
+            return name
+        if name in BUILTIN_NAMES:
+            raise Untranslatable(f"uses builtin name {name!r} as a variable")
         if not name.isidentifier() or keyword.iskeyword(name):
             raise CodegenError(f"variable {name!r} is no Python name")
-        names.add(name)
-        return name if name in ACTION_NAMES else f"_c[{name!r}]"
+        return f"_c[{name!r}]"
 
 
 def to_python_expression(expr: asl.Expr, self_names: Optional[set] = None
@@ -117,22 +139,55 @@ def to_python_expression(expr: asl.Expr, self_names: Optional[set] = None
     return _py_expr(expr, _Scope(self_names or set()))
 
 
-def to_python_function(tree: asl.Node) -> Tuple[str, Set[str]]:
+def to_python_function(tree: asl.Node) -> str:
     """The source of ``def _asl_fn(_c, event, event_name, now, _send)``,
     which runs a parsed guard (an expression, whose value it returns)
-    or action (a :class:`~repro.asl.Program`) on the scope dict ``_c``,
-    and the names it reads or binds.
+    or action (a :class:`~repro.asl.Program`) on the scope dict ``_c``
+    as the interpreter runs it.
 
-    Raises :class:`CodegenError` for a ``return`` in an action and for
-    a name Python cannot spell (``x²``, ``class``).
+    Raises :class:`Untranslatable` at the first construct, in source
+    order, that the function would run differently from the
+    interpreter.  The message completes a sentence about the text:
+
+    * ``"calls operation 'f'"``: a call of a bare name that is no ASL
+      builtin is emitted as a method call on ``self``, so it runs only
+      where the generated code has a receiver;
+    * ``"calls method 'get'"``: ``obj.name(...)`` is emitted through
+      ``_asl_attr``, which reads a dict's *item* ``name`` where the
+      interpreter calls the dict's method;
+    * ``"uses builtin name 'len' as a variable"``: reading, assigning
+      or looping over a name in :data:`BUILTIN_NAMES`: the interpreter
+      reads ``x = pop;`` as its builtin, where the function reads the
+      missing variable, and in a generated class the variable would
+      shadow the global;
+    * ``"has a while loop"``, ``"appends in a for loop"``: a loop whose
+      trip count is not fixed when it starts (``append`` may grow the
+      list a ``for`` walks).  Python runs it without the interpreter's
+      step bound, so a runaway loop hangs instead of raising;
+    * ``"assigns 'now'"``, ``"uses 'event' as a value"``: binding a
+      name of :data:`ACTION_NAMES` or assigning through it, or
+      ``event`` other than in ``event.f`` or ``event[k]``: generated
+      Python shares them across one step (``now`` is its clock).
+
+    Raises :class:`CodegenError` for what a function body would run
+    but the subset leaves out: a ``return`` in an action and a
+    variable Python cannot spell (``x²``, ``class``).
     """
-    scope = _Scope(names=set())
+    scope = _Scope(function=True)
     lines = ["def _asl_fn(_c, event, event_name, now, _send):"]
     if isinstance(tree, asl.Program):
         _py_block(tree.body, lines, 1, scope)
     else:
         lines.append(f"    return {_py_expr(tree, scope)}")
-    return "\n".join(lines), scope.names
+    return "\n".join(lines)
+
+
+def _reads_event_field(expr: asl.Expr, scope: _Scope) -> bool:
+    """``expr`` is ``event.f`` or ``event[k]`` in a compiled function,
+    which reads one field of the parameter dict ``event``."""
+    target = expr.target
+    return scope.function and isinstance(target, asl.Name) \
+        and target.identifier == "event"
 
 
 def _py_expr(expr: asl.Expr, scope: _Scope) -> str:
@@ -141,13 +196,14 @@ def _py_expr(expr: asl.Expr, scope: _Scope) -> str:
     if isinstance(expr, asl.Name):
         return scope.variable(expr.identifier)
     if isinstance(expr, asl.Attribute):
-        target = _py_expr(expr.target, scope)
-        if target == "event" and scope.names is not None:
-            return f"event[{expr.name!r}]"  # the parameter dict
+        if _reads_event_field(expr, scope):
+            return f"event[{expr.name!r}]"
         # dict-style objects dominate ASL usage; getattr-with-dict-fallback
-        return f"_asl_attr({target}, {expr.name!r})"
+        return f"_asl_attr({_py_expr(expr.target, scope)}, {expr.name!r})"
     if isinstance(expr, asl.Index):
-        return f"{_py_expr(expr.target, scope)}[{_py_expr(expr.key, scope)}]"
+        target = "event" if _reads_event_field(expr, scope) \
+            else _py_expr(expr.target, scope)
+        return f"{target}[{_py_expr(expr.key, scope)}]"
     if isinstance(expr, asl.ListLiteral):
         return "[" + ", ".join(_py_expr(i, scope) for i in expr.items) + "]"
     if isinstance(expr, asl.DictLiteral):
@@ -164,129 +220,31 @@ def _py_expr(expr: asl.Expr, scope: _Scope) -> str:
             return f"_asl_div({left}, {right})"
         return f"({left} {_PY_BINARY[expr.op]} {right})"
     if isinstance(expr, asl.Call):
-        args = ", ".join(_py_expr(a, scope) for a in expr.arguments)
-        callee = expr.callee
-        if isinstance(callee, asl.Name):
-            mapped = _PY_BUILTIN_MAP.get(callee.identifier)
-            if mapped == "list(range":
-                return f"list(range({args}))"
-            if mapped is not None:
-                return f"{mapped}({args})"
-            return f"self.{callee.identifier}({args})"  # operation call
-        return f"{_py_expr(callee, scope)}({args})"
+        return _py_call(expr, scope)
     raise CodegenError(f"cannot translate {type(expr).__name__} to Python")
 
 
-#: Every name the interpreter resolves as a builtin, plus ``list``,
-#: which ``range`` is emitted with.  Python code resolves them as
-#: globals, so a variable of one of these names shadows the builtin
-#: there, while the interpreter keeps calls apart from values; and a
-#: builtin read as a value is another object in Python, or none.
-BUILTIN_NAMES = frozenset(_PY_BUILTIN_MAP) | {"list", "print"}
-
-#: A text :func:`interpreter_only` answers for holds ``while`` or one
-#: of :data:`ENGINE_NAME_MARKS`, or its Python function names one of
-#: these: as a variable or a parameter, or as a global it calls.
-REFUSABLE_NAMES = BUILTIN_NAMES.union(
-    ACTION_NAMES, ("self", "_asl_attr", "_asl_append"))
-
-#: Every name the compiled code reserves holds one of these: the send
-#: callback ``_send`` and the prelude's ``_asl_*`` helpers.
-ENGINE_NAME_MARKS = ("_send", "_asl_")
-
-
-def is_engine_name(name: str) -> bool:
-    """True for ``_send`` and every ``_asl_*`` name: names the compiled
-    code reserves, which the compilable subset keeps out of ASL
-    variables and contexts, while the interpreter has no such names."""
-    return name == "_send" or name.startswith("_asl_")
-
-
-def _variable_reason(name: str) -> Optional[str]:
-    """Why a variable named ``name`` runs only on the interpreter."""
-    if name in BUILTIN_NAMES:
-        return f"uses builtin name {name!r} as a variable"
-    if is_engine_name(name):
-        return f"uses engine name {name!r} as a variable"
-    return None
-
-
-def interpreter_only(tree: asl.Node) -> Optional[str]:
-    """The first construct in the ASL ``tree`` (in source order) that
-    its Python translation, run as a free-standing action, would run
-    differently from the interpreter, or None.  The answer completes
-    a sentence about the text:
-
-    * ``"calls operation 'f'"``: a call of a bare name that is no ASL
-      builtin is emitted as a method call on ``self``, so it runs only
-      where the generated code has a receiver;
-    * ``"calls method 'get'"``: ``obj.name(...)`` is emitted through
-      ``_asl_attr``, which reads a dict's *item* ``name`` where the
-      interpreter calls the dict's method;
-    * ``"uses builtin name 'len' as a variable"``: reading, assigning
-      or looping over a name in :data:`BUILTIN_NAMES`;
-    * ``"uses engine name '_send' as a variable"``: the same for
-      ``_send`` or an ``_asl_*`` name (:func:`is_engine_name`);
-    * ``"has a while loop"``, ``"appends in a for loop"``: a loop whose
-      trip count is not fixed when it starts (``append`` may grow the
-      list a ``for`` walks).  Python runs it without the interpreter's
-      step bound, so a runaway loop hangs instead of raising;
-    * ``"assigns 'now'"``, ``"uses 'event' as a value"``: binding a
-      name the engines bind afresh for every action (``ACTION_NAMES``),
-      or ``event`` other than in ``event.f`` or ``event[k]``: generated
-      Python shares them across one step (``now`` is its clock).
-    """
-    pending: list = [(tree, False)]  # (node, inside a for body)
-    while pending:
-        node, in_for = pending.pop()
-        if isinstance(node, tuple):
-            pending.extend((item, in_for) for item in reversed(node))
-            continue
-        if not isinstance(node, asl.Node):
-            continue  # a field that is no node: an operator, a literal
-        if isinstance(node, asl.While):
-            return "has a while loop"
-        if isinstance(node, asl.Call):
-            callee = node.callee
-            if isinstance(callee, asl.Attribute):
-                return f"calls method {callee.name!r}"
-            if isinstance(callee, asl.Name):
-                if callee.identifier not in _PY_BUILTIN_MAP:
-                    return f"calls operation {callee.identifier!r}"
-                if in_for and callee.identifier == "append":
-                    return "appends in a for loop"
-                # a builtin's name as the callee is no variable
-                pending.append((node.arguments, in_for))
-                continue
-        elif isinstance(node, (asl.Attribute, asl.Index)) \
-                and isinstance(node.target, asl.Name) \
-                and node.target.identifier == "event":
-            pending.append((getattr(node, "key", None), in_for))
-            continue  # a read of one field
-        elif isinstance(node, asl.Name):
-            if node.identifier == "event":
-                return "uses 'event' as a value"
-            reason = _variable_reason(node.identifier)
-            if reason is not None:
-                return reason
-        elif isinstance(node, asl.Assign):
-            # ``event.f = v`` changes the event each action copies
-            bound = getattr(node.target, "target", node.target)
-            if getattr(bound, "identifier", None) in ACTION_NAMES:
-                return f"assigns {bound.identifier!r}"
-        elif isinstance(node, asl.For):
-            if node.variable in ACTION_NAMES:
-                return f"assigns {node.variable!r}"
-            reason = _variable_reason(node.variable)
-            if reason is not None:
-                return reason
-            pending.append((node.body, True))
-            pending.append((node.iterable, in_for))
-            continue
-        # the dataclass fields, first field on top: source order
-        pending.extend((field, in_for)
-                       for field in reversed(list(vars(node).values())))
-    return None
+def _py_call(expr: asl.Call, scope: _Scope) -> str:
+    # the callee before the arguments: source order
+    callee = expr.callee
+    if isinstance(callee, asl.Name):
+        name = callee.identifier
+        mapped = _PY_BUILTIN_MAP.get(name)
+        if scope.function:
+            if mapped is None:
+                raise Untranslatable(f"calls operation {name!r}")
+            if name == "append" and scope.for_depth:
+                raise Untranslatable("appends in a for loop")
+        # a builtin's name as the callee is no variable
+        function = f"self.{name}" if mapped is None else mapped
+    elif isinstance(callee, asl.Attribute) and scope.function:
+        raise Untranslatable(f"calls method {callee.name!r}")
+    else:
+        function = _py_expr(callee, scope)
+    args = ", ".join(_py_expr(a, scope) for a in expr.arguments)
+    if function == "list(range":
+        return f"list(range({args}))"
+    return f"{function}({args})"
 
 
 #: Attribute-access helper injected alongside the prelude.
@@ -330,16 +288,21 @@ def _py_block(statements, lines: List[str], level: int,
                 lines.append(f"{pad}else:")
                 _py_block(statement.else_body, lines, level + 1, scope)
         elif isinstance(statement, asl.While):
+            if scope.function:
+                raise Untranslatable("has a while loop")
             lines.append(f"{pad}while "
                          f"{_py_expr(statement.condition, scope)}:")
             _py_block(statement.body, lines, level + 1, scope)
         elif isinstance(statement, asl.For):
             # the loop variable stays bound after the loop, as in ASL
-            lines.append(f"{pad}for {scope.variable(statement.variable)} "
+            variable = scope.variable(statement.variable, bound=True)
+            lines.append(f"{pad}for {variable} "
                          f"in {_py_expr(statement.iterable, scope)}:")
+            scope.for_depth += 1
             _py_block(statement.body, lines, level + 1, scope)
+            scope.for_depth -= 1
         elif isinstance(statement, asl.Return):
-            if scope.names is not None:
+            if scope.function:
                 raise CodegenError("'return' in an action")
             if statement.value is None:
                 lines.append(pad + "return None")
@@ -367,13 +330,16 @@ def _py_block(statements, lines: List[str], level: int,
 
 def _py_assign_target(target: asl.Expr, scope: _Scope) -> str:
     if isinstance(target, asl.Name):
-        return scope.variable(target.identifier)
-    if isinstance(target, asl.Attribute):
-        base = _py_expr(target.target, scope)
-        return f"{base}[{target.name!r}]"  # ASL attr-assign targets dicts
-    if isinstance(target, asl.Index):
-        return (f"{_py_expr(target.target, scope)}"
-                f"[{_py_expr(target.key, scope)}]")
+        return scope.variable(target.identifier, bound=True)
+    if isinstance(target, (asl.Attribute, asl.Index)):
+        # assigning through a name binds it: ``event.f = v`` changes
+        # the event each action copies
+        base = target.target
+        base = _py_assign_target(base, scope) \
+            if isinstance(base, asl.Name) else _py_expr(base, scope)
+        if isinstance(target, asl.Attribute):
+            return f"{base}[{target.name!r}]"  # ASL attr-assign targets dicts
+        return f"{base}[{_py_expr(target.key, scope)}]"
     raise CodegenError("invalid assignment target")
 
 

@@ -15,6 +15,7 @@ both engines.  Any other class is skipped with the compiler's reason.
 
 from __future__ import annotations
 
+import unicodedata
 from typing import Dict, List, Optional, Set, Tuple
 
 from .. import asl
@@ -83,8 +84,9 @@ def generate_class(classifier: UmlClass) -> str:
     model compiler refuses the class's state machine, naming the
     operation when an operation body does not parse, and naming the
     attribute, operation or machine variable that is named like a
-    member of the generated class (``state``, ``outbox``, ``now``, ...);
-    reading ``now`` reads the clock, as on the engines.
+    member of the generated class (``state``, ``outbox``, ``now``, ...)
+    or that differs from its NFKC form (``ﬁ``); reading ``now`` reads
+    the clock, as on the engines.
     """
     compiled = None
     if isinstance(classifier.classifier_behavior, StateMachine):
@@ -164,7 +166,10 @@ def generate_class(classifier: UmlClass) -> str:
 def _check_members(classifier: UmlClass, attributes: list,
                    variables: Set[str],
                    compiled: Optional[CompiledMachine]) -> None:
-    """Refuse a model name that would overwrite a generated member."""
+    """Refuse a model name that would overwrite a generated member, or
+    that Python would read as another: Python normalizes identifiers
+    to NFKC, so ``self.ﬁ`` is ``self.fi``, while the engines keep the
+    two ASL names apart."""
     members = set(_MEMBERS)
     if compiled is not None:
         members |= _MACHINE_MEMBERS | {
@@ -179,6 +184,10 @@ def _check_members(classifier: UmlClass, attributes: list,
         if _py_name(name) in members:
             raise CodegenError(f"{kind} {name!r} clashes with a member "
                                "of the generated class")
+        normalized = unicodedata.normalize("NFKC", name)
+        if normalized != name:
+            raise CodegenError(f"{kind} {name!r} is not in NFKC form: "
+                               f"Python reads it as {normalized!r}")
 
 
 _SEND = '''\

@@ -10,9 +10,10 @@ restart-on-failure and checkpoint campaigns engine-agnostic.
   run-to-completion interpreter, or (with ``prefer_compiled`` and the
   machine inside the compilable subset) the dispatch-table
   :class:`~repro.statemachines.compiled.CompiledRuntime`.  Compilation
-  is all or nothing per machine: a refused machine, or one whose
-  initial context names a variable like an ASL builtin, runs entirely
-  on the interpreter, labelled with the reason.
+  is all or nothing per machine: a refused machine runs entirely on
+  the interpreter, labelled with the reason.  The verdict is the
+  machine's, with one exception from the context: a callable under a
+  builtin's name, which the interpreter calls in place of the builtin.
 * :class:`~repro.activities.graph.Activity` — the token-game
   :class:`~repro.activities.runtime.ActivityRuntime`.
 """
@@ -23,11 +24,11 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..activities.graph import Activity
 from ..activities.runtime import ActivityRuntime
+from ..asl.transpile import BUILTIN_NAMES
 from ..perf import PERF
 from ..statemachines.compiled import (
     CompiledRuntime,
     NotCompilable,
-    check_context,
     compile_machine_cached,
 )
 from ..statemachines.kernel import StateMachine
@@ -70,7 +71,12 @@ def build_engine_factory(behavior: Any, *,
     if prefer_compiled:
         try:
             compiled = compile_machine_cached(behavior)
-            check_context(context)
+            for name, value in context.items():
+                # compiled code calls the builtin; the interpreter
+                # calls a context callable of its name in its place
+                if name in BUILTIN_NAMES and callable(value):
+                    raise NotCompilable(
+                        f"context callable {name!r} shadows a builtin")
         except NotCompilable as refusal:
             PERF.incr("cosim.interpreted_parts")
             label = f"interpreter: {refusal}"

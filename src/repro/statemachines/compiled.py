@@ -38,13 +38,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from .. import asl
 from ..asl import SentSignal
 from ..asl.transpile import (
-    BUILTIN_NAMES,
-    ENGINE_NAME_MARKS,
     PYTHON_ATTR_HELPER,
     PYTHON_PRELUDE,
-    REFUSABLE_NAMES,
-    interpreter_only,
-    is_engine_name,
+    Untranslatable,
     to_python_function,
 )
 from ..errors import ReproError, StateMachineError
@@ -110,8 +106,10 @@ def _transpile(source: Any, site: str, mode: str) -> Any:
     ASL text, does not transpile, or holds a construct that compiled
     code would run differently from the interpreter (an operation or a
     method call, a builtin's name as a variable, a loop without a fixed
-    trip count: :func:`~repro.asl.transpile.interpreter_only`).  A
-    memoized refusal is raised afresh, naming the current ``site``.
+    trip count: the emitter,
+    :func:`~repro.asl.transpile.to_python_function`, refuses the first
+    in source order).  A memoized refusal is raised afresh, naming the
+    current ``site``.
     """
     if not isinstance(source, str):
         raise NotCompilable(f"{site} has type {type(source).__name__}")
@@ -141,28 +139,20 @@ def _transpile_text(source: str, mode: str) -> Any:
     try:
         tree = asl.parse_expression(source) if mode == "eval" \
             else asl.parse(source)
-        python_source, names = to_python_function(tree)
+        python_source = to_python_function(tree)
         with warnings.catch_warnings():
             # Python's own compile-time hints (``3[a]``: "not
             # subscriptable") are no ASL diagnostics; the action raises
             # AslRuntimeError when it runs, as on the interpreter
             warnings.simplefilter("ignore", SyntaxWarning)
             code = compile(python_source, "<asl>", "exec")
+    except Untranslatable as refusal:
+        return str(refusal)
     except (ReproError, SyntaxError) as exc:
         return f"does not transpile: {exc}"
     namespace: Dict[str, Any] = {}
     exec(code, _action_globals(), namespace)
-    function = namespace["_asl_fn"]
-    # the walk, skipped where it can find nothing: the names are the
-    # variables and parameters, co_names the helpers and builtins called
-    if "while" in source \
-            or any(mark in source for mark in ENGINE_NAME_MARKS) \
-            or not REFUSABLE_NAMES.isdisjoint(names) \
-            or not REFUSABLE_NAMES.isdisjoint(function.__code__.co_names):
-        reason = interpreter_only(tree)
-        if reason is not None:
-            return reason
-    return function
+    return namespace["_asl_fn"]
 
 
 def _compile_guard(guard, site: str) -> Optional[Callable]:
@@ -304,9 +294,13 @@ def compile_fallback_reason(machine: StateMachine) -> Optional[str]:
     reason string, and the caller runs the whole machine on the
     interpreter; the Python code generator skips the class.  None
     means the machine is compiled (and memoized by
-    :func:`compile_machine_cached`).  A machine that compiles may
-    still need the interpreter for a given context: see
-    :func:`check_context`.
+    :func:`compile_machine_cached`).  The verdict depends on the
+    machine alone: every variable of a compiled action is an item of
+    the part's context, so a context key shadows no name the compiled
+    code uses.  (A context *callable* named like a builtin would run
+    differently: the interpreter calls it in place of the builtin, so
+    :func:`~repro.engine.registry.build_engine_factory` runs such a
+    part on the interpreter.)
     """
     try:
         compile_machine_cached(machine)
@@ -450,23 +444,6 @@ def compile_machine_cached(machine: StateMachine) -> CompiledMachine:
     if isinstance(outcome, str):
         raise NotCompilable(outcome)
     return outcome
-
-
-def check_context(context: Dict[str, Any]) -> None:
-    """Raise :class:`NotCompilable` when a variable of the initial
-    ``context`` is named like an ASL builtin or a name the compiled
-    code reserves (``_send``, ``_asl_*``): the compilable subset keeps
-    these names out of its variables, in the ASL text
-    (:func:`~repro.asl.transpile.interpreter_only`) and in the context
-    alike.
-    """
-    for name in context:
-        if name in BUILTIN_NAMES:
-            raise NotCompilable(
-                f"context variable {name!r} shadows a builtin")
-        if is_engine_name(name):
-            raise NotCompilable(
-                f"context variable {name!r} shadows an engine name")
 
 
 class CompiledRuntime:

@@ -11,8 +11,8 @@ compiled binding picks (:func:`~repro.engine.build_engine_factory`).
 Both must end in the same configuration, context and sent signals, or
 both must raise :class:`~repro.errors.AslRuntimeError` (the texts may
 differ: the interpreter words its own errors).  An example the binding
-sends to the interpreter (a text the compiler refuses, or a context
-variable named like a builtin) is skipped and replaced.
+sends to the interpreter (a text the compiler refuses) is skipped and
+replaced.
 
 Generated programs always terminate and stay small: a ``for`` loop
 walks a literal list or ``range`` of at most two items, a ``while``
@@ -35,12 +35,21 @@ from repro.statemachines import StateMachine, TransitionKind
 CONTEXT_NAMES = ("a", "b", "s", "l", "d", "p")
 #: names no context binds: reading one first fails on both engines
 FREE_NAMES = ("x", "y")
-#: builtins' names, which a program may also use as variables and a
-#: context may also bind, each now and then: compiled code resolves
-#: builtins as Python names, so only the interpreter runs those alike
+#: builtins' names, which a program may also use as variables, now
+#: and then: compiled code resolves builtins as Python names, so only
+#: the interpreter runs those alike
 BUILTIN_VARIABLES = ("len", "list", "range")
-#: the names a program reads and assigns: a builtin's name one in 12
-VARIABLES = (CONTEXT_NAMES + FREE_NAMES) * 4 + BUILTIN_VARIABLES
+#: the names compiled code keeps for itself (the send callback, a
+#: prelude helper, the scope dict), which are ASL variables like any
+#: other: every compiled variable is an item of the scope dict
+ENGINE_VARIABLES = ("_send", "_asl_div", "_c")
+#: the names a program reads and assigns: a builtin's name one in 13,
+#: an engine's name one in 13
+VARIABLES = (CONTEXT_NAMES + FREE_NAMES) * 4 + BUILTIN_VARIABLES \
+    + ENGINE_VARIABLES
+#: builtins' names a context may also bind, each now and then: a call
+#: of the builtin calls it on both engines, whatever the variable holds
+BUILTIN_KEYS = ("len", "list", "range", "sum")
 
 small_ints = st.integers(min_value=0, max_value=9)
 short_strings = st.text(alphabet="ab ", max_size=3)
@@ -52,7 +61,7 @@ values = st.one_of(
 )
 contexts = st.tuples(
     st.fixed_dictionaries({name: values for name in CONTEXT_NAMES}),
-    st.sampled_from((None,) * 9 + BUILTIN_VARIABLES), values,
+    st.sampled_from((None,) * 9 + BUILTIN_KEYS), values,
 ).map(lambda t: dict(t[0], w=0, **({t[1]: t[2]} if t[1] else {})))
 
 literals = st.one_of(small_ints, st.booleans(), short_strings) \

@@ -25,11 +25,13 @@ from repro.codegen import (
 )
 from repro.errors import CodegenError
 from repro.statemachines import (
+    CompiledRuntime,
     PseudostateKind,
     StateMachine,
     StateMachineRuntime,
     TransitionKind,
     compile_fallback_reason,
+    compile_machine_cached,
 )
 
 
@@ -609,6 +611,36 @@ class TestGeneratedPythonEquivalence:
         plain.add_attribute("outbox", mm.INTEGER, default=0)
         with pytest.raises(CodegenError, match="^attribute 'outbox' "):
             python_gen.generate_class(plain)
+
+    def test_a_name_python_normalizes_skips_the_class(self):
+        # Python reads the identifier ``ﬁ`` as ``fi``: the generated
+        # class merged two variables that both engines keep apart
+        def ligature(region):
+            s = one_state(region)
+            region.add_transition(s, s, trigger="Go",
+                                  effect="ﬁ = 1; fi = 2; s = ﬁ + 10;",
+                                  kind=TransitionKind.INTERNAL)
+
+        cls = flat_class(ligature)
+        machine = cls.classifier_behavior
+        assert compile_fallback_reason(machine) is None
+        for runtime in (StateMachineRuntime(machine),
+                        CompiledRuntime(compile_machine_cached(machine))):
+            runtime.start().send("Go")
+            assert runtime.context == {"ﬁ": 1, "fi": 2, "s": 11}
+        reason = "variable 'ﬁ' is not in NFKC form: Python reads it as 'fi'"
+        with pytest.raises(CodegenError, match=f"^{reason}$"):
+            python_gen.generate_class(cls)
+        assert f"# skipped Flat: {reason}\n" \
+            in python_gen.generate_module(cls)
+        attribute = mm.UmlClass("Attribute")
+        attribute.add_attribute("x²", mm.INTEGER, default=0)
+        with pytest.raises(CodegenError, match="^attribute 'x²' is not in "):
+            python_gen.generate_class(attribute)
+        operation = mm.UmlClass("Operation")
+        operation.add_operation("ﬁll").set_body("return 1;")
+        with pytest.raises(CodegenError, match="^operation 'ﬁll' is not in "):
+            python_gen.generate_class(operation)
 
     def test_reading_now_reads_the_clock(self):
         def stamps(region):

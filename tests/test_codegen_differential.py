@@ -7,7 +7,8 @@ region, two to four simple states, signal triggers over two or three
 names and integer ``after`` timers, internal and external rows with
 several rows per key, and an initial effect.  Guards and effects come
 from ``test_asl_differential.py``'s strategies, over the class's int
-and bool attributes and two free names.  Each machine is the classifier
+and bool attributes, two free names and two names the compiled code
+keeps for itself (``_asl_div``, ``_c``).  Each machine is the classifier
 behaviour of a class, and a script interleaves signals with integer
 ``advance`` calls.
 
@@ -49,7 +50,10 @@ from .test_asl_differential import (
 ATTRIBUTES = {"a": st.integers(min_value=0, max_value=9),
               "b": st.integers(min_value=0, max_value=9),
               "p": st.booleans()}
-VARIABLES = tuple(ATTRIBUTES) + FREE_NAMES
+#: the variables of guards and effects: the attributes, two free names
+#: and two names the compiled code keeps for itself (``_send`` is a
+#: member of the generated class, which skips a class that binds it)
+VARIABLES = tuple(ATTRIBUTES) + FREE_NAMES + ("_asl_div", "_c")
 SIGNALS = ("Go", "Stop", "Tick")
 #: what a generated object holds besides the model's variables
 MEMBERS = {"on_send", "outbox", "state", "now", "_timers", "_timer_seq"}

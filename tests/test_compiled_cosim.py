@@ -388,31 +388,57 @@ class TestAllOrNothing:
         assert errors[0] == errors[1] == \
             "execution exceeded 1000000 steps (runaway loop?)"
 
-    @pytest.mark.parametrize("effect, context, label", [
-        # the compiled engine's own globals: the send callback and the
-        # ASL prelude's helpers
-        ("_send = 1; send X(v=1);", {},
-         "effect uses engine name '_send' as a variable"),
-        ("_asl_div = 0; x = 7 / 2;", {},
-         "effect uses engine name '_asl_div' as a variable"),
-        ("for _asl_pop in l { x = _asl_pop; }", {"l": [1, 2]},
-         "effect uses engine name '_asl_pop' as a variable"),
-        ("send X(v=1); x = 1;", {"_send": 1},
-         "context variable '_send' shadows an engine name"),
-        ("x = 7 / 2;", {"_asl_div": 0},
-         "context variable '_asl_div' shadows an engine name"),
+    @pytest.mark.parametrize("effect, context, x", [
+        # the compiled engine's own names, the send callback and the ASL
+        # prelude's helpers, as variables and as context keys
+        ("_send = 1; send X(v=1);", {}, None),
+        ("_asl_div = 0; x = 7 / 2;", {}, 3),
+        ("for _asl_pop in l { x = _asl_pop; }", {"l": [1, 2]}, 2),
+        ("send X(v=1); x = 1;", {"_send": 1}, 1),
+        ("x = 7 / 2;", {"_asl_div": 0}, 3),
+        # data under a builtin's name: a call of the builtin calls it on
+        # both engines
+        ("x = len(l);", {"len": 5, "l": [1, 2]}, 2),
+        ("x = range(2);", {"list": 1}, [0, 1]),
     ], ids=["assigned-send", "assigned-asl-helper", "asl-helper-loop",
-            "context-send", "context-asl-helper"])
-    def test_engine_names_run_the_part_on_the_interpreter(
-            self, effect, context, label):
+            "context-send", "context-asl-helper", "context-len",
+            "context-list"])
+    def test_reserved_names_compile(self, effect, context, x):
+        # every compiled variable is an item of the scope dict: it
+        # shadows neither the send callback, nor a helper, nor a builtin
         interpreted, compiled = run_pair(
             lambda: one_part_top(effect), until=3.0,
             contexts={"p": context})
-        assert compiled.compile_report["p"] == f"interpreter: {label}"
+        assert compiled.compile_report["p"] == "compiled"
         assert compiled.context_of("p") == interpreted.context_of("p")
         assert compiled.message_log == interpreted.message_log
         # the effect ran: it bound a variable of its own
         assert compiled.context_of("p").keys() - context.keys()
+        if x is not None:
+            assert compiled.context_of("p")["x"] == x
+
+    def test_a_builtin_named_callable_runs_the_part_on_the_interpreter(self):
+        # the interpreter calls a context callable in place of the
+        # builtin of its name; compiled code would call the builtin
+        context = {"len": lambda value: 99, "l": [1, 2]}
+        interpreted, compiled = run_pair(
+            lambda: one_part_top("x = len(l);"), until=3.0,
+            contexts={"p": context})
+        assert compiled.compile_report["p"] == \
+            "interpreter: context callable 'len' shadows a builtin"
+        assert compiled.context_of("p") == interpreted.context_of("p")
+        assert compiled.context_of("p")["x"] == 99
+
+    @pytest.mark.parametrize("effect, label", [
+        ("d.get(1); while (x) { }", "effect calls method 'get'"),
+        ("while (x) { d.get(1); }", "effect has a while loop"),
+        # one pass: what the emitter cannot render comes second here
+        ("d.get(1); return;", "effect calls method 'get'"),
+    ], ids=["method-first", "while-first", "method-before-return"])
+    def test_a_refusal_names_the_first_fault_in_source_order(self, effect,
+                                                             label):
+        assert compile_fallback_reason(
+            one_state_machine("Faults", effect=effect)) == label
 
     @pytest.mark.parametrize("key, effect, context", [
         ("_send", "send X(v=1); x = 1;", {}),
@@ -420,8 +446,9 @@ class TestAllOrNothing:
     ], ids=["adds-send", "adds-len"])
     def test_a_callable_action_runs_the_part_on_the_interpreter(
             self, key, effect, context):
-        # a callable that bound an engine's or a builtin's name after
-        # check_context broke the ASL effect that ran after it
+        # the callable action keeps the whole part on the interpreter,
+        # so the ASL effect after it meets the engine's or builtin's
+        # name the callable bound exactly as the reference does
         def top():
             top = Component("One")
             owner = Component("Owner")
@@ -482,13 +509,8 @@ class TestAllOrNothing:
          "effect uses builtin name 'pop' as a variable"),
         ("for sum in l { x = sum; }", {"l": [1, 2]},
          "effect uses builtin name 'sum' as a variable"),
-        # context variables named like builtins
-        ("x = len(l);", {"len": 5, "l": [1, 2]},
-         "context variable 'len' shadows a builtin"),
-        ("x = range(2);", {"list": 1},
-         "context variable 'list' shadows a builtin"),
     ], ids=["append-in-for", "assigned-builtin", "builtin-value",
-            "builtin-loop-variable", "context-len", "context-list"])
+            "builtin-loop-variable"])
     def test_what_only_the_interpreter_runs_alike_runs_there(
             self, effect, context, label):
         interpreted, compiled = run_pair(

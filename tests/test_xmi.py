@@ -282,8 +282,8 @@ class TestErrors:
 
 class TestDeepNesting:
     """The reader builds the tree with an explicit stack, and
-    ``all_owned`` walks it with one, so nesting depth is bounded by
-    memory, not by the interpreter's recursion limit."""
+    ``all_owned`` and the writer walk it with one, so nesting depth is
+    bounded by memory, not by the interpreter's recursion limit."""
 
     DEPTH = 3000
 
@@ -309,6 +309,15 @@ class TestDeepNesting:
         assert mm.model_fingerprint(model) == \
             mm.model_fingerprint(xmi.read_model(
                 self.deep_chain_text()).model)
+
+    @pytest.mark.parametrize("pretty", [False, True],
+                             ids=["compact", "pretty"])
+    def test_a_chain_of_nested_packages_writes_back(self, pretty):
+        # the writer walks with an explicit stack too
+        model = xmi.read_model(self.deep_chain_text()).model
+        text = xmi.write_model(model, pretty=pretty)
+        assert mm.model_fingerprint(xmi.read_model(text).model) == \
+            mm.model_fingerprint(model)
 
     def test_an_edit_deep_in_the_chain_changes_the_fingerprint(self):
         model = xmi.read_model(self.deep_chain_text()).model
