@@ -27,7 +27,7 @@ import random
 from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..errors import ActivityError
+from ..errors import ActivityError, ReproError
 from .graph import Activity, ActivityEdge
 from .nodes import (
     AcceptEventAction,
@@ -256,6 +256,9 @@ class TokenEngine:
             return [else_index]
         return []
 
+    # An ASL failure that is no ReproError leaves the guard and the
+    # action as asl.action_error, as on the state-machine engines.
+
     def _guard_passes(self, guard, token: Any) -> bool:
         if callable(guard):
             return bool(guard(self.env, token))
@@ -263,7 +266,12 @@ class TokenEngine:
 
         scope = dict(self.env)
         scope["token"] = None if token is CONTROL else token
-        return bool(asl.evaluate(guard, scope))
+        try:
+            return bool(asl.evaluate(guard, scope))
+        except ReproError:
+            raise
+        except Exception as exc:
+            raise asl.action_error(guard, exc) from exc
 
     def _has_capacity(self, node: ObjectNode) -> bool:
         if node.upper_bound is None:
@@ -385,7 +393,12 @@ class TokenEngine:
         scope = dict(self.env)
         scope.update(consumed)
         interpreter = asl.Interpreter(scope, signal_sink=self.signal_sink)
-        interpreter.execute(behavior)
+        try:
+            interpreter.execute(behavior)
+        except ReproError:
+            raise
+        except Exception as exc:
+            raise asl.action_error(behavior, exc) from exc
         self._writeback(scope, consumed)
         return {pin.name: scope.get(pin.name) for pin in action.output_pins}
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import TransformError
-from ..metamodel.element import Element
 from ..metamodel.model import Model, model_fingerprint
 from ..profiles.core import Profile
 from ..xmi.reader import read_model
@@ -98,7 +97,6 @@ class Transformation:
                         touched += 1
             if touched:
                 applications[rule.name] = touched
-            context.refresh_target_index()
 
         psm.name = f"{pim.name}_{self.platform.name}"
         return TransformationResult(

@@ -11,8 +11,8 @@ appears in a trace link naming the rule that synthesized it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 from ..metamodel.element import Element
 from ..metamodel.model import Model
@@ -41,15 +41,10 @@ class TransformationContext:
         self.profile = profile
         self.trace: List[TraceLink] = []
         self._source_index = source.build_id_index()
-        self._target_index = target.build_id_index()
 
     def source_of(self, target_element: Element) -> Optional[Element]:
         """The PIM element with the same id, if the clone preserved it."""
         return self._source_index.get(target_element.xmi_id)
-
-    def target_of(self, source_id: str) -> Optional[Element]:
-        """The PSM element carrying a given PIM id."""
-        return self._target_index.get(source_id)
 
     def record(self, rule: str, source: Optional[Element],
                target: Element, note: str = "") -> None:
@@ -57,11 +52,6 @@ class TransformationContext:
         self.trace.append(TraceLink(
             rule, source.xmi_id if source is not None else "",
             target.xmi_id, note))
-        self._target_index[target.xmi_id] = target
-
-    def refresh_target_index(self) -> None:
-        """Re-index the target after rules added elements."""
-        self._target_index = self.target.build_id_index()
 
 
 class TransformationRule:
@@ -119,10 +109,6 @@ class TransformationResult:
     def rules_applied(self) -> int:
         """Total rule applications."""
         return sum(self.applications.values())
-
-    def trace_for(self, source_id: str) -> Tuple[TraceLink, ...]:
-        """All trace links for one PIM element."""
-        return tuple(t for t in self.trace if t.source_id == source_id)
 
     def completeness(self) -> float:
         """Fraction of PIM elements represented in the PSM.

@@ -15,12 +15,13 @@ behind UML multiplicity strings such as ``"0..*"``.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, List, Optional, Tuple, Type, TypeVar
+from typing import Callable, Iterator, List, Optional, Tuple, Type, TypeVar
 
 from .._ids import next_id
 from ..errors import ModelError
 
 E = TypeVar("E", bound="Element")
+T = TypeVar("T")
 
 
 class VisibilityKind(enum.Enum):
@@ -162,10 +163,9 @@ class Element:
         """Set the attribute and bump the owning tree's generation.
 
         The generation counter lives on the tree root and increments on
-        every attribute assignment anywhere in the tree; the transform
-        cache uses it to invalidate memoized fingerprints in O(1).
-        Writes go through ``__dict__`` directly so the bump itself never
-        re-enters this hook.
+        every attribute assignment anywhere in the tree; :meth:`memo`
+        keys on it.  Writes go through ``__dict__`` directly so the bump
+        itself never re-enters this hook.
         """
         object.__setattr__(self, name, value)
         target: Element = self
@@ -194,6 +194,29 @@ class Element:
         the *root's* counter.
         """
         return self.__dict__.get("_generation", 0)
+
+    def memo(self, compute: Callable[["Element"], T]) -> T:
+        """``compute(self)``, computed once per edit of this tree.
+
+        The one cache of values derived from a model tree: a machine's
+        walk, validation and compiled tables, and fingerprints.  The
+        values live on this element, keyed by ``compute``, in one
+        record, ``__dict__["_memo"]``, held against the identity and
+        generation of the tree's root: any edit in the tree, or a move
+        into another tree, drops them all.  Written through
+        ``__dict__``, the record bumps no generation, fingerprints skip
+        it, and it dies with the element.  A ``compute`` that raises
+        records nothing, so it raises again on the next call.
+        """
+        root = self.root()
+        key = (id(root), root.generation)
+        record = self.__dict__.get("_memo")
+        if record is None or record[0] != key:
+            record = self.__dict__["_memo"] = (key, {})
+        values = record[1]
+        if compute not in values:
+            values[compute] = compute(self)
+        return values[compute]
 
     # -- ownership tree -------------------------------------------------
 

@@ -4,12 +4,12 @@ A :class:`Model` is the top-level package of a UML model.  It provides
 indexed lookup by ``xmi_id``, typed iteration, and summary statistics
 used by the metrics package and the benchmark workload generators.
 
-Also here: :func:`model_fingerprint`, the content-addressed hash over
-an ownership tree that keys the MDA transform cache.  Two independently
-built but structurally identical models fingerprint the same (the hash
-walks content, not ``xmi_id`` identities), and any mutation changes the
-fingerprint.  Recomputation is O(1) for an unchanged tree: the digest
-is cached per :attr:`Element.generation`.
+Also here: :func:`element_fingerprint` (alias :func:`model_fingerprint`),
+the content-addressed hash over an ownership subtree that keys the MDA
+transform and codegen stores.  Two independently built but structurally
+identical models fingerprint the same (the hash walks content, not
+``xmi_id`` identities), and any mutation changes the fingerprint.  An
+unchanged tree answers from :meth:`Element.memo`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import re
-from typing import Any, Dict, Iterator, Optional, Tuple, Type, TypeVar
+from typing import Any, Dict, Iterator, Optional, Type, TypeVar
 
 from ..errors import LookupFailed
 from .element import Element, Multiplicity
@@ -26,11 +26,8 @@ from .namespaces import Package
 E = TypeVar("E", bound=Element)
 
 #: Attributes excluded from the fingerprint: identity (fresh per run),
-#: tree bookkeeping (covered by the walk itself), the cache fields and
-#: the state machine validation and compile records.
-_FP_SKIP = frozenset(
-    {"xmi_id", "_owner", "_owned", "_generation", "_fp_cache",
-     "_subtree_fp_cache", "_validated", "_compiled"})
+#: tree bookkeeping (covered by the walk itself) and the memo record.
+_FP_SKIP = frozenset({"xmi_id", "_owner", "_owned", "_generation", "_memo"})
 
 #: Where :func:`repro.profiles.core.apply_stereotype` keeps an element's
 #: stereotype applications (not owned, so no walk reaches them).
@@ -105,28 +102,6 @@ def _encode_applications(applications: Any, index: Dict[int, int],
                        for tag in stereotype.tags}, index, out)
 
 
-def model_fingerprint(root: Element) -> str:
-    """Stable content hash of the ownership tree rooted at ``root``.
-
-    The digest covers every element's metaclass and attributes in
-    pre-order, and each element's stereotype applications with their
-    tagged values; in-tree element references hash as walk positions, so
-    the result is independent of ``xmi_id`` allocation.  Cached against
-    :attr:`Element.generation` — repeat calls on an unchanged tree are
-    a dict lookup.
-    """
-    generation = root.__dict__.get("_generation", 0)
-    cached = root.__dict__.get("_fp_cache")
-    if cached is not None and cached[0] == generation:
-        return cached[1]
-
-    digest = _subtree_digest(root)
-    # store via __dict__ so the cache write itself does not bump the
-    # generation counter and invalidate what it just computed
-    root.__dict__["_fp_cache"] = (generation, digest)
-    return digest
-
-
 def _subtree_digest(top: Element) -> str:
     """Uncached content hash of the ownership subtree under ``top``."""
     elements = [top]
@@ -153,23 +128,20 @@ def _subtree_digest(top: Element) -> str:
 def element_fingerprint(element: Element) -> str:
     """Stable content hash of the subtree rooted at ``element``.
 
-    Like :func:`model_fingerprint` but usable on any element of a tree:
-    the walk covers only ``element`` and its transitively owned children,
-    so sibling subtrees of the same model fingerprint independently —
-    editing one state machine changes only that machine's subtree digest.
-    References *out* of the subtree hash by type and name (the same rule
-    whole-model fingerprints apply to cross-tree references).
-
-    Cached against the owning tree root's generation counter, so repeat
-    calls on an unchanged tree are a dict lookup.
+    The digest covers every element's metaclass and attributes in
+    pre-order, and each element's stereotype applications with their
+    tagged values; references inside the subtree hash as walk
+    positions, so the result is independent of ``xmi_id`` allocation.
+    References *out* of the subtree hash by type and name, so sibling
+    subtrees of one model fingerprint independently: editing one state
+    machine changes only that machine's digest.  Memoized
+    (:meth:`Element.memo`).
     """
-    generation = element.root().__dict__.get("_generation", 0)
-    cached = element.__dict__.get("_subtree_fp_cache")
-    if cached is not None and cached[0] == generation:
-        return cached[1]
-    digest = _subtree_digest(element)
-    element.__dict__["_subtree_fp_cache"] = (generation, digest)
-    return digest
+    return element.memo(_subtree_digest)
+
+
+#: A whole model's fingerprint is its root's subtree digest.
+model_fingerprint = element_fingerprint
 
 
 class Model(Package):

@@ -23,10 +23,11 @@ the caller runs the whole machine on the interpreter.
 
 Compilation is cached in two layers.  Functions are keyed by their
 ASL source text (and guard or action mode), so every parse of a model
-shares them.  Dispatch tables are kept on the machine, against the
-model's generation (:func:`compile_machine_cached`), so the parts and
-seeds of one parsed model share one table, each fresh parse builds its
-own, and the table is freed with its model.
+shares them.  Dispatch tables are kept in the machine's
+:meth:`~repro.metamodel.element.Element.memo`
+(:func:`compile_machine_cached`), so the parts and seeds of one parsed
+model share one table, each fresh parse builds its own, and the table
+is freed with its model.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from ..errors import ReproError, StateMachineError
 from ..perf import PERF
 from .events import ChangeEvent, EventKind, EventOccurrence, TimeEvent
 from .kernel import (
-    MachineWalk,
     Pseudostate,
     PseudostateKind,
     State,
@@ -309,10 +309,8 @@ def compile_fallback_reason(machine: StateMachine) -> Optional[str]:
     return None
 
 
-def _structure_reason(machine: StateMachine,
-                      walk: MachineWalk) -> Optional[str]:
-    """The first structural feature outside the compilable subset;
-    ``walk`` is the machine's :meth:`~StateMachine.walk`."""
+def _structure_reason(machine: StateMachine) -> Optional[str]:
+    """The first structural feature outside the compilable subset."""
     regions = machine.regions
     if len(regions) != 1:
         return f"machine has {len(regions)} top-level regions"
@@ -322,6 +320,7 @@ def _structure_reason(machine: StateMachine,
         return f"machine fails validation: {exc}"
     if regions[0].initial is None:
         return "machine has no initial pseudostate"
+    walk = machine.walk()
     for state in walk.states:
         if not state.is_simple:
             return f"composite state {state.name!r}"
@@ -352,19 +351,16 @@ def compile_machine(machine: StateMachine) -> CompiledMachine:
 
     Raises :class:`NotCompilable` (a :class:`StateMachineError`) naming
     the first feature outside the compilable subset (see
-    :func:`compile_fallback_reason`).  The structure check and the
-    tables take the machine's parts from one :meth:`~StateMachine.walk`.
+    :func:`compile_fallback_reason`).  The structure check, validation
+    and the tables take the machine's parts from its memoized
+    :meth:`~StateMachine.walk`.
     """
-    walk = machine.walk()
-    reason = _structure_reason(machine, walk)
+    reason = _structure_reason(machine)
     if reason is not None:
         raise NotCompilable(reason)
+    walk = machine.walk()
 
     with PERF.timed("sm.compile_s"):
-        # transitions by source, each list in declaration order
-        outgoing: Dict[int, List[Any]] = {}
-        for transition in walk.transitions:
-            outgoing.setdefault(id(transition.source), []).append(transition)
         cstates: Dict[int, CompiledState] = {}
         by_name: Dict[str, CompiledState] = {}
         for state in walk.states:
@@ -380,7 +376,7 @@ def compile_machine(machine: StateMachine) -> CompiledMachine:
             by_key: Dict[Tuple[EventKind, str], List[CompiledTransition]] = {}
             by_timer: Dict[int, List[CompiledTransition]] = {}
             timer_specs: List[Tuple[float, TimeEvent]] = []
-            for transition in outgoing.get(id(state), ()):
+            for transition in walk.outgoing.get(state, ()):
                 compiled = CompiledTransition(
                     transition.kind is TransitionKind.INTERNAL,
                     cstates[id(transition.target)],
@@ -401,7 +397,7 @@ def compile_machine(machine: StateMachine) -> CompiledMachine:
             cstate.timer_specs = tuple(timer_specs)
 
         initial = machine.regions[0].initial
-        initial_transition = outgoing[id(initial)][0]
+        initial_transition = walk.outgoing[initial][0]
         initial_effect = _compile_action(initial_transition.effect, "effect")
         initial_state = cstates[id(initial_transition.target)]
 
@@ -411,39 +407,32 @@ def compile_machine(machine: StateMachine) -> CompiledMachine:
 
 
 def compile_machine_cached(machine: StateMachine) -> CompiledMachine:
-    """Memoized :func:`compile_machine`, invalidated by model mutation.
-
-    This is the second of the two compile layers.  The outcome is kept
-    on the machine itself, in ``machine.__dict__["_compiled"]``, against
-    its tree root's identity and generation counter (the way
-    :meth:`~StateMachine.validate` keeps its record), so a machine
-    edited after compilation recompiles, while N identical part
-    instances (and N campaign seeds over one parsed model) share a
-    single dispatch table, which the pre-fork campaign warm-up relies
-    on.  The record lives and dies with its model: no global table
-    holds a parsed model alive.  A fresh parse of a model builds fresh
-    tables (``by_timer`` keys on ``id(TimeEvent)``) from functions
-    of the first layer, which are keyed on their ASL source text and
-    shared across parses.  A refusal is kept as its reason and raised
-    as a fresh :class:`NotCompilable` on every hit.
+    """:func:`compile_machine`, memoized in the machine's
+    :meth:`~repro.metamodel.element.Element.memo`: the second compile
+    layer.  N part instances (and N campaign seeds) of one parsed model
+    share one dispatch table, which the pre-fork campaign warm-up relies
+    on; a fresh parse builds fresh tables (``by_timer`` keys on
+    ``id(TimeEvent)``) from the first layer's shared functions.  A
+    refusal is kept as its reason and raised as a fresh
+    :class:`NotCompilable` on every hit.
     """
-    root = machine.root()
-    key = (id(root), root.generation)
-    record = machine.__dict__.get("_compiled")
-    if record is not None and record[0] == key:
-        PERF.incr("sm.compile_cache_hits")
-        outcome = record[1]
-    else:
-        try:
-            outcome = compile_machine(machine)
-        except NotCompilable as refusal:
-            outcome = str(refusal)
-        # through __dict__: the record must not bump the generation
-        machine.__dict__["_compiled"] = (key, outcome)
-        PERF.incr("sm.compile_cache_misses")
+    PERF.incr("sm.compile_cache_hits")  # a miss takes it back
+    outcome = machine.memo(_compile_outcome)
     if isinstance(outcome, str):
         raise NotCompilable(outcome)
     return outcome
+
+
+def _compile_outcome(machine: StateMachine) -> Any:
+    """What :func:`compile_machine_cached` memoizes: the tables, or the
+    refusal's reason.  It runs on a miss, so it turns the hit its caller
+    counted into a miss."""
+    PERF.incr("sm.compile_cache_hits", -1)
+    PERF.incr("sm.compile_cache_misses")
+    try:
+        return compile_machine(machine)
+    except NotCompilable as refusal:
+        return str(refusal)
 
 
 class CompiledRuntime:

@@ -14,7 +14,7 @@ callables — the runtime accepts both.
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from ..errors import StateMachineError
 from ..metamodel.element import Element
@@ -61,19 +61,19 @@ class Vertex(NamedElement):
 
     @property
     def outgoing(self) -> Tuple["Transition", ...]:
-        """Transitions leaving this vertex (searched across the machine)."""
+        """The machine's transitions leaving this vertex."""
         machine = self.machine
         if machine is None:
             return ()
-        return tuple(t for t in machine.all_transitions() if t.source is self)
+        return machine.walk().outgoing.get(self, ())
 
     @property
     def incoming(self) -> Tuple["Transition", ...]:
-        """Transitions entering this vertex."""
+        """The machine's transitions entering this vertex."""
         machine = self.machine
         if machine is None:
             return ()
-        return tuple(t for t in machine.all_transitions() if t.target is self)
+        return machine.walk().incoming.get(self, ())
 
     @property
     def machine(self) -> Optional["StateMachine"]:
@@ -377,38 +377,49 @@ class StateMachine(PackageableElement):
 
     def all_regions(self) -> Tuple[Region, ...]:
         """Every region, including those nested in composite states."""
-        return self.descendants_of_type(Region)
+        return self.walk().regions
 
     def all_vertices(self) -> Tuple[Vertex, ...]:
         """Every vertex in the machine."""
-        return self.descendants_of_type(Vertex)
+        return self.walk().vertices
 
     def all_states(self) -> Tuple[State, ...]:
         """Every state in the machine."""
-        return self.descendants_of_type(State)
+        return self.walk().states
 
     def all_transitions(self) -> Tuple[Transition, ...]:
         """Every transition in the machine."""
-        return self.descendants_of_type(Transition)
+        return self.walk().transitions
 
     def walk(self) -> "MachineWalk":
         """Every region, vertex, state and transition of the machine,
-        each in pre-order, from one walk of its ownership tree."""
+        each in pre-order, and the transitions leaving and entering each
+        vertex: one walk of its tree per edit (:meth:`Element.memo`)."""
+        return self.memo(StateMachine._walk_tree)
+
+    def _walk_tree(self) -> "MachineWalk":
         regions: List[Region] = []
         vertices: List[Vertex] = []
         states: List[State] = []
         transitions: List[Transition] = []
+        outgoing: Dict[Vertex, List[Transition]] = {}
+        incoming: Dict[Vertex, List[Transition]] = {}
         for element in self.all_owned():
             if isinstance(element, Transition):
                 transitions.append(element)
+                outgoing.setdefault(element.source, []).append(element)
+                incoming.setdefault(element.target, []).append(element)
             elif isinstance(element, Vertex):
                 vertices.append(element)
                 if isinstance(element, State):
                     states.append(element)
             elif isinstance(element, Region):
                 regions.append(element)
-        return MachineWalk(tuple(regions), tuple(vertices), tuple(states),
-                           tuple(transitions))
+        return MachineWalk(
+            tuple(regions), tuple(vertices), tuple(states),
+            tuple(transitions),
+            {vertex: tuple(found) for vertex, found in outgoing.items()},
+            {vertex: tuple(found) for vertex, found in incoming.items()})
 
     def find_state(self, name: str) -> State:
         """Lookup any state in the machine by (unqualified) name."""
@@ -423,23 +434,13 @@ class StateMachine(PackageableElement):
         Checks: every non-empty region has an initial pseudostate whose
         single outgoing transition is triggerless and guard-free; join/
         fork arities; transitions stay inside the machine.  A pass is
-        recorded against the tree root's generation, so repeat calls on
-        an unchanged tree (one per runtime) return at once; a defective
-        machine raises on every call.  The record is written through
-        ``__dict__``, so it neither bumps the generation nor enters
-        fingerprints.
+        memoized (:meth:`Element.memo`); a defective machine raises on
+        every call.
         """
-        root = self.root()
-        passed = (id(root), root.generation)
-        if self.__dict__.get("_validated") != passed:
-            self._check_structure()
-            self.__dict__["_validated"] = passed
+        self.memo(StateMachine._check_structure)
 
     def _check_structure(self) -> None:
         walk = self.walk()
-        outgoing: dict = {}
-        for transition in walk.transitions:
-            outgoing.setdefault(id(transition.source), []).append(transition)
         for region in walk.regions:
             initial = region.initial
             if initial is None and region.states:
@@ -448,7 +449,7 @@ class StateMachine(PackageableElement):
                     "pseudostate"
                 )
             if initial is not None:
-                outs = outgoing.get(id(initial), ())
+                outs = walk.outgoing.get(initial, ())
                 if len(outs) != 1:
                     raise StateMachineError(
                         f"initial pseudostate of region {region.name!r} "
@@ -462,12 +463,12 @@ class StateMachine(PackageableElement):
         for vertex in walk.vertices:
             if isinstance(vertex, Pseudostate):
                 if vertex.kind is PseudostateKind.FORK \
-                        and len(outgoing.get(id(vertex), ())) < 2:
+                        and len(walk.outgoing.get(vertex, ())) < 2:
                     raise StateMachineError(
                         f"fork {vertex.name!r} needs >= 2 outgoing transitions"
                     )
-                if vertex.kind is PseudostateKind.JOIN and sum(
-                        t.target is vertex for t in walk.transitions) < 2:
+                if vertex.kind is PseudostateKind.JOIN \
+                        and len(walk.incoming.get(vertex, ())) < 2:
                     raise StateMachineError(
                         f"join {vertex.name!r} needs >= 2 incoming transitions"
                     )
@@ -481,9 +482,14 @@ class StateMachine(PackageableElement):
 
 
 class MachineWalk(NamedTuple):
-    """What :meth:`StateMachine.walk` collects, each in pre-order."""
+    """What :meth:`StateMachine.walk` collects, each in pre-order.  It
+    is shared by every caller until the next edit: read it only."""
 
     regions: Tuple[Region, ...]
     vertices: Tuple[Vertex, ...]
     states: Tuple[State, ...]
     transitions: Tuple[Transition, ...]
+    #: vertex -> the transitions leaving it, in declaration order
+    outgoing: Dict[Vertex, Tuple[Transition, ...]]
+    #: vertex -> the transitions entering it, in declaration order
+    incoming: Dict[Vertex, Tuple[Transition, ...]]

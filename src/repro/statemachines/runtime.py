@@ -16,7 +16,7 @@ source strings interpreted by :mod:`repro.asl` against the runtime's
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import asl
 from ..asl.transpile import ACTION_NAMES
@@ -96,20 +96,19 @@ class StateMachineRuntime:
         self._started = False
         self._draining = False
         self._exit_log: Optional[Set[State]] = None
-        self._outgoing: Dict[int, List[Transition]] = {}
-        self._incoming: Dict[int, List[Transition]] = {}
-        for transition in machine.all_transitions():
-            self._outgoing.setdefault(id(transition.source), []).append(transition)
-            self._incoming.setdefault(id(transition.target), []).append(transition)
+        walk = machine.walk()
+        self._outgoing = walk.outgoing
+        self._incoming = walk.incoming
+        for transition in walk.transitions:
             for event in transition.triggers:
                 if isinstance(event, ChangeEvent):
                     self._change_events.append(event)
 
-    def _outgoing_of(self, vertex: Vertex) -> List[Transition]:
-        return self._outgoing.get(id(vertex), [])
+    def _outgoing_of(self, vertex: Vertex) -> Tuple[Transition, ...]:
+        return self._outgoing.get(vertex, ())
 
-    def _incoming_of(self, vertex: Vertex) -> List[Transition]:
-        return self._incoming.get(id(vertex), [])
+    def _incoming_of(self, vertex: Vertex) -> Tuple[Transition, ...]:
+        return self._incoming.get(vertex, ())
 
     # ------------------------------------------------------------------
     # public API

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.activities import Activity, TokenEngine, explore
-from repro.errors import ActivityError
+from repro.errors import ActivityError, AslRuntimeError
 
 
 def linear_activity():
@@ -164,6 +164,27 @@ class TestControlNodes:
         engine = TokenEngine(activity, env={"f": True})
         engine.run()
         assert "yes" in engine.fired_nodes
+
+    @pytest.mark.parametrize("guard, behavior", [
+        ("pop(l) > 0", "x = 1;"),
+        ("true", "x = pop(l);"),
+    ], ids=["guard", "action"])
+    def test_a_python_error_in_asl_is_an_asl_runtime_error(
+            self, guard, behavior):
+        activity = Activity("pops")
+        decision = activity.add_decision()
+        work = activity.add_action("work", behavior)
+        final = activity.add_final()
+        activity.chain(activity.add_initial(), decision)
+        activity.flow(decision, work, guard=guard)
+        activity.flow(decision, final, guard="else")
+        activity.flow(work, final)
+        failing = guard if "pop" in guard else behavior
+        with pytest.raises(AslRuntimeError) as raised:
+            TokenEngine(activity, env={"l": []}).run()
+        assert str(raised.value) == \
+            f"action failed: pop from empty list (in {failing!r})"
+        assert isinstance(raised.value.__cause__, IndexError)
 
     def test_fork_join_synchronize(self):
         activity = Activity("fj")

@@ -9,9 +9,10 @@ Activity + StateMachine case."""
 import pytest
 
 import repro.metamodel as mm
+from repro import xmi
 from repro.activities import Activity
 from repro.engine import ENGINE_MODES, TOKEN, TraceBus, TraceRecorder
-from repro.faults import FaultCampaign, FaultSpec
+from repro.faults import CampaignSpec, FaultCampaign, FaultSpec, run_campaign
 from repro.simulation import SystemSimulation
 from repro.statemachines import StateMachine
 from repro.statemachines.kernel import TransitionKind
@@ -226,3 +227,61 @@ class TestDegradationPolicies:
                 sim.run(until=40.0)
                 results.append(fingerprint(sim))
         assert results[0] == results[1]
+
+
+#: ASL text that fails with a Python error, not a ReproError
+POP_EMPTY = "l = []; x = pop(l);"
+
+
+def write_failing_model(path, activity):
+    """A pinger (:func:`make_driver`) and a worker whose behaviour, an
+    activity or a state machine, runs POP_EMPTY on the Ping."""
+    worker = mm.Component("Worker")
+    worker.add_port("link")
+    if activity:
+        behavior = Activity("Work")
+        behavior.chain(behavior.add_initial(),
+                       behavior.add_accept_event("wait", event="Ping"),
+                       behavior.add_action("work", POP_EMPTY))
+    else:
+        behavior = StateMachine("Work")
+        region = behavior.region
+        wait = region.add_state("Wait")
+        region.add_transition(region.add_initial(), wait)
+        region.add_transition(wait, region.add_state("Done"),
+                              trigger="Ping", effect=POP_EMPTY)
+    worker.add_behavior(behavior, as_classifier_behavior=True)
+    pinger = make_driver(pings=1)
+    top = mm.Component("Top")
+    p_worker = top.add_part("worker", worker)
+    p_pinger = top.add_part("pinger", pinger)
+    top.connect(worker.port("link"), pinger.port("link"),
+                p_worker, p_pinger, check=False)
+    model = mm.Model("m")
+    for component in (worker, pinger, top):
+        model.add(component)
+    xmi.write_file(str(path), model)
+    return str(path)
+
+
+class TestAslFailureInACampaign:
+    """A Python error inside ASL text ends a seed as the same
+    ``sim_error`` row whether an activity or a state machine ran it,
+    serially and on a worker pool: it neither aborts the sweep nor
+    counts as a worker failure."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_activity_failure_is_the_state_machine_sim_error(
+            self, tmp_path, workers):
+        expected = ("AslRuntimeError: action failed: pop from empty list "
+                    f"(in {POP_EMPTY!r})")
+        for activity in (False, True):
+            path = write_failing_model(tmp_path / f"{activity}.xmi",
+                                       activity)
+            result = run_campaign(
+                CampaignSpec(seeds=[1, 2], model=path, top="Top",
+                             until=10.0),
+                workers=workers, max_retries=1)
+            assert result.failures == []
+            assert [row["sim_error"] for row in result.rows] == \
+                [expected, expected]
