@@ -95,9 +95,16 @@ class FaultSpec:
     def matches(self, now: float, part: str, port: str, peer: str,
                 connector: str, signal: str) -> bool:
         """True when this spec applies to a routed signal at ``now``."""
-        if self.window is not None \
-                and not self.window[0] <= now < self.window[1]:
-            return False
+        return self.in_window(now) \
+            and self.at_site(part, port, peer, connector, signal)
+
+    def in_window(self, now: float) -> bool:
+        """True when ``now`` lies in the window (always, without one)."""
+        return self.window is None or self.window[0] <= now < self.window[1]
+
+    def at_site(self, part: str, port: str, peer: str, connector: str,
+                signal: str) -> bool:
+        """True when the site fields admit a hop, whatever the time."""
         if self.part is not None and self.part != part:
             return False
         if self.port is not None and self.port != port:

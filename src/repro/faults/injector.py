@@ -29,13 +29,15 @@ from .report import ResilienceReport
 
 #: A held (reorder) message: peer part, signal, arguments, latency.
 _Held = Tuple[str, str, Dict[str, Any], float]
+#: A hop's site: sender part, sender port, peer part, connector, signal.
+_Site = Tuple[str, str, str, str, str]
 
 
 class FaultInjector:
     """Applies a :class:`FaultCampaign` to routed cosimulation traffic."""
 
     __slots__ = ("simulation", "campaign", "seed", "rng", "report",
-                 "_fired", "_held")
+                 "_fired", "_held", "_sites")
 
     def __init__(self, simulation, campaign: FaultCampaign,
                  seed: Optional[int] = None,
@@ -49,6 +51,9 @@ class FaultInjector:
         self._fired: List[int] = [0] * len(campaign.faults)
         #: per-spec held message awaiting its reorder partner
         self._held: Dict[int, _Held] = {}
+        #: site -> the (index, spec) pairs, in campaign order, whose
+        #: site fields admit it
+        self._sites: Dict[_Site, Tuple[Tuple[int, FaultSpec], ...]] = {}
 
     # -- the interception point -------------------------------------------
 
@@ -125,12 +130,19 @@ class FaultInjector:
     def _match(self, now: float, part: str, port: str, peer: str,
                connector: str, signal: str
                ) -> Tuple[Optional[FaultSpec], int]:
-        """First enabled matching spec (site, window, budget, dice)."""
-        for index, spec in enumerate(self.campaign.faults):
+        """First enabled spec at the site (budget, window, dice)."""
+        site = (part, port, peer, connector, signal)
+        candidates = self._sites.get(site)
+        if candidates is None:
+            candidates = self._sites[site] = tuple(
+                (index, spec)
+                for index, spec in enumerate(self.campaign.faults)
+                if spec.at_site(*site))
+        for index, spec in candidates:
             if spec.max_count is not None \
                     and self._fired[index] >= spec.max_count:
                 continue
-            if not spec.matches(now, part, port, peer, connector, signal):
+            if not spec.in_window(now):
                 continue
             if spec.probability < 1.0 \
                     and self.rng.random() >= spec.probability:

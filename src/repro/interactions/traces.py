@@ -36,6 +36,10 @@ from .model import (
 
 Trace = Tuple[str, ...]
 
+#: The fewest labels a loop's longest trace may always hold: below it a
+#: small ``limit`` bounds the trace count alone.
+LOOP_LABELS_FLOOR = 1_000
+
 
 def _guard_allows(operand: InteractionOperand,
                   env: Optional[Dict[str, Any]]) -> bool:
@@ -141,6 +145,16 @@ def _fragment_traces(fragment, env: Optional[Dict[str, Any]],
                                fragment.loop_max, limit):
             raise InteractionError(
                 f"trace enumeration exceeded limit {limit}")
+        labels = fragment.loop_max * max(map(len, body), default=0)
+        bound = max(limit, LOOP_LABELS_FLOOR)
+        if labels > bound:
+            raise InteractionError(
+                f"loop's longest trace, {labels} labels, exceeded limit "
+                f"{bound}")
+        if len(body) == 1:
+            # one trace per repetition count, each built in one step
+            return [body[0] * repetitions for repetitions
+                    in range(fragment.loop_min, fragment.loop_max + 1)]
         # Repetition r extends repetition r - 1 by one body trace: the
         # order of the product of r body choices, built once.
         power: List[Trace] = [()]
@@ -198,9 +212,13 @@ def traces(interaction: Interaction, env: Optional[Dict[str, Any]] = None,
     """The interaction's trace set (deduplicated, deterministic order).
 
     ``limit`` bounds how many traces, counted with multiplicity, any
-    fragment or fragment sequence may yield; past it the enumeration
-    raises :class:`~repro.errors.InteractionError`.  It counts traces,
-    not labels.  A loop's count is checked before the loop is built.
+    fragment or fragment sequence may yield.  It also bounds the labels
+    of a loop's longest trace, ``loop_max`` times the longest trace of
+    its body, though never below :data:`LOOP_LABELS_FLOOR` (1,000
+    labels), so a small ``limit`` bounds the trace count alone.  Past
+    either bound the enumeration raises
+    :class:`~repro.errors.InteractionError`; a loop's count and labels
+    are checked before the loop is built.
     """
     interaction.validate()
     raw = _sequence_traces(interaction.fragments, env, limit)

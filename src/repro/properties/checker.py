@@ -2,11 +2,15 @@
 
 One :class:`PropertyChecker` subscribes to exactly the trace kinds its
 suite needs and advances one small monitor automaton per property on
-each received event.  Everything is driven by *event timestamps in
-simulated time* — deadline expiry is detected when an observed event
-(or the run's finalization) carries a time past the deadline, never by
-a wall clock — so verdicts, violation records, and the ordinals of the
-emitted ``property_violation`` events are deterministic and identical
+each received event that the property can match: an index from a
+record's ``(kind, part, signal)`` to the monitors that can match it,
+filled the first time each key is seen, skips the rest, and a timed
+monitor is advanced only once one of its deadlines can have passed.
+Everything is driven by *event timestamps in simulated time* — deadline
+expiry is detected when an observed event (or the run's finalization)
+carries a time past the deadline, never by a wall clock — so verdicts,
+violation records, and the ordinals of the emitted
+``property_violation`` events are deterministic and identical
 across the interpreted and compiled engines.
 
 Violations are first-class robustness events.  Each one
@@ -30,14 +34,18 @@ verdicts survive rollback recovery exactly like coverage does.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+import math
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from ..engine import PROPERTY_VIOLATION, TraceBus, TraceEvent
+from ..engine import (MESSAGE_DELIVERED, PROPERTY_VIOLATION, TraceBus,
+                      TraceEvent)
 from ..errors import PropertyError, PropertyViolationError
 from ..perf import PERF
 from .spec import (
     AbsenceProperty,
     BoundedLivenessProperty,
+    EventMatch,
     InteractionConformanceProperty,
     PrecedenceProperty,
     Property,
@@ -61,15 +69,30 @@ class _Monitor:
 
     * :meth:`advance` — simulated time reached ``t`` (called before
       feeding the event stamped ``t``); detects strict deadline expiry.
-      Only monitors with ``timed = True`` are driven — the checker
-      skips the call for the untimed automata on the hot path.
-    * :meth:`feed` — one subscribed event (monitors re-check matching).
+      The checker calls it only on ``timed`` monitors, and only once
+      ``t`` is later than :attr:`due`.
+    * :meth:`feed` — one subscribed event that :meth:`wants` (monitors
+      re-check matching); any other event would leave the monitor as
+      it is.
     * :meth:`finalize` — the run ended at ``t``; inclusive deadline
       expiry and end-of-trace obligations (exact conformance).
     """
 
     #: True for monitors whose :meth:`advance` does work (deadlines).
     timed = False
+    #: :meth:`advance` at a time ``t`` detects nothing unless
+    #: ``t > due``.
+    due = math.inf
+    #: the atoms :meth:`feed` checks
+    matchers: Tuple[EventMatch, ...] = ()
+
+    def wants(self, kind: str, part: str, signal: Any) -> bool:
+        """Whether a record of this ``kind`` at ``part`` carrying this
+        ``signal`` (``data.get("signal", "")``) can match an atom; the
+        atom still checks the sender."""
+        return any(match.kind == kind and match.part in (None, part)
+                   and match.signal in (None, signal)
+                   for match in self.matchers)
 
     def advance(self, t: float) -> List[Violation]:
         return []
@@ -97,18 +120,23 @@ class _ResponseMonitor(_Monitor):
 
     def __init__(self, prop: ResponseProperty):
         self.prop = prop
+        self.matchers = (prop.trigger, prop.reaction)
         #: open obligations as (trigger_t, deadline) pairs, FIFO.
-        self.pending: List[Tuple[float, float]] = []
+        self.pending: Deque[Tuple[float, float]] = deque()
         self.triggers = 0
         self.discharged = 0
         self.unmatched_reactions = 0
+
+    @property
+    def due(self) -> float:
+        return self.pending[0][1] if self.pending else math.inf
 
     def _expire(self, t: float, inclusive: bool) -> List[Violation]:
         out: List[Violation] = []
         while self.pending:
             trigger_t, deadline = self.pending[0]
             if deadline < t or (inclusive and deadline == t):
-                self.pending.pop(0)
+                self.pending.popleft()
                 out.append({
                     "t": t,
                     "reason": (f"no {self.prop.reaction.describe()} within "
@@ -126,7 +154,7 @@ class _ResponseMonitor(_Monitor):
     def feed(self, event: TraceEvent) -> List[Violation]:
         if self.prop.reaction.matches(event):
             if self.pending:
-                self.pending.pop(0)
+                self.pending.popleft()
                 self.discharged += 1
             else:
                 self.unmatched_reactions += 1
@@ -149,7 +177,8 @@ class _ResponseMonitor(_Monitor):
                 "unmatched_reactions": self.unmatched_reactions}
 
     def load(self, snap: Dict[str, Any]) -> None:
-        self.pending = [(entry[0], entry[1]) for entry in snap["pending"]]
+        self.pending = deque((entry[0], entry[1])
+                             for entry in snap["pending"])
         self.triggers = snap["triggers"]
         self.discharged = snap["discharged"]
         self.unmatched_reactions = snap["unmatched_reactions"]
@@ -160,6 +189,7 @@ class _PrecedenceMonitor(_Monitor):
 
     def __init__(self, prop: PrecedenceProperty):
         self.prop = prop
+        self.matchers = (prop.first, prop.then)
         self.armed = False
         self.firsts = 0
         self.thens = 0
@@ -199,6 +229,7 @@ class _AbsenceMonitor(_Monitor):
 
     def __init__(self, prop: AbsenceProperty):
         self.prop = prop
+        self.matchers = (prop.never,)
         self.occurrences = 0
 
     def feed(self, event: TraceEvent) -> List[Violation]:
@@ -231,8 +262,15 @@ class _LivenessMonitor(_Monitor):
 
     def __init__(self, prop: BoundedLivenessProperty):
         self.prop = prop
+        self.matchers = (prop.match,)
         self.count = 0
         self.reported = False
+
+    @property
+    def due(self) -> float:
+        if self.reported or self.count >= self.prop.at_least:
+            return math.inf
+        return self.prop.by
 
     def _shortfall(self, t: float) -> Violation:
         return {"t": t,
@@ -286,8 +324,13 @@ class _ConformanceMonitor(_Monitor):
         self.dead = False
         self.consumed = 0
 
+    def wants(self, kind: str, part: str, signal: Any) -> bool:
+        suffix = f"->{part}:{signal}"
+        return kind == MESSAGE_DELIVERED and any(
+            label.endswith(suffix) for label in self.prop.alphabet)
+
     def feed(self, event: TraceEvent) -> List[Violation]:
-        if self.dead:
+        if self.dead or event.kind != MESSAGE_DELIVERED:
             return []
         sender = event.data.get("sender", "env")
         if sender == "env" and not self.prop.include_env:
@@ -379,9 +422,13 @@ class PropertyChecker:
         self.on_violation = on_violation
         self._monitors: List[Tuple[Property, _Monitor]] = [
             (prop, _build_monitor(prop)) for prop in self.suite]
-        #: hot-path split: only timed monitors need advance() per event
         self._timed = [(prop, monitor) for prop, monitor in self._monitors
                        if monitor.timed]
+        #: (kind, part, signal) -> (the monitors that want such a
+        #: record, in suite order; whether one of them is timed)
+        self._index: Dict[Tuple[str, str, Any],
+                          Tuple[List[Tuple[Property, _Monitor]], bool]] = {}
+        self._gate()
         self._violations: Dict[str, List[Violation]] = {
             prop.name: [] for prop in self.suite}
         self._finalized_at: Optional[float] = None
@@ -392,13 +439,35 @@ class PropertyChecker:
 
     def _ingest(self, event: TraceEvent) -> None:
         PERF.incr("properties.events")
-        t = event.t
-        for prop, monitor in self._timed:
-            for violation in monitor.advance(t):
-                self._report_violation(prop, violation, witness=event)
-        for prop, monitor in self._monitors:
+        if event.t > self._due:
+            self._advance(event)
+        key = (event.kind, event.part, event.data.get("signal", ""))
+        entry = self._index.get(key)
+        if entry is None:
+            fed = [(prop, monitor) for prop, monitor in self._monitors
+                   if monitor.wants(*key)]
+            entry = self._index[key] = (
+                fed, any(monitor.timed for _prop, monitor in fed))
+        fed, timed = entry
+        for prop, monitor in fed:
             for violation in monitor.feed(event):
                 self._report_violation(prop, violation, witness=event)
+        if timed:
+            self._gate()
+
+    def _advance(self, event: TraceEvent) -> None:
+        """Advance, in suite order, the timed monitors that are due."""
+        t = event.t
+        for prop, monitor in self._timed:
+            if t > monitor.due:
+                for violation in monitor.advance(t):
+                    self._report_violation(prop, violation, witness=event)
+        self._gate()
+
+    def _gate(self) -> None:
+        """``_due``: the earliest ``due`` of the timed monitors."""
+        self._due = min((monitor.due for _prop, monitor in self._timed),
+                        default=math.inf)
 
     def finalize(self, now: float) -> None:
         """End-of-run sweep at simulated time ``now`` (idempotent).
@@ -412,6 +481,7 @@ class PropertyChecker:
         for prop, monitor in self._monitors:
             for violation in monitor.finalize(now):
                 self._report_violation(prop, violation, witness=None)
+        self._gate()
         self._finalized_at = now
 
     def _report_violation(self, prop: Property, violation: Violation,
@@ -428,12 +498,14 @@ class PropertyChecker:
 
         part = witness.part if witness is not None else ""
         # Nested emit: the violation lands immediately after its witness
-        # in every subscriber's stream (ordinal = witness + 1 when the
-        # kind is observed; unobserved kinds cost nothing, as ever).
-        self.bus.emit(PROPERTY_VIOLATION, record["t"], part,
-                      {"property": prop.name, "property_kind": prop.kind,
-                       "reason": record["reason"],
-                       "sequence": len(self._violations[prop.name])})
+        # in every subscriber's stream (ordinal = witness + 1); with no
+        # subscriber for the kind, no payload is built.
+        if PROPERTY_VIOLATION in self.bus.active_kinds:
+            self.bus.emit(PROPERTY_VIOLATION, record["t"], part,
+                          {"property": prop.name,
+                           "property_kind": prop.kind,
+                           "reason": record["reason"],
+                           "sequence": len(self._violations[prop.name])})
 
         simulation = self.simulation
         if simulation is None:
@@ -512,6 +584,7 @@ class PropertyChecker:
         """Rewind monitors and violation lists to a snapshot."""
         for prop, monitor in self._monitors:
             monitor.load(snap["monitors"][prop.name])
+        self._gate()
         self._violations = {
             name: [dict(v) for v in violations]
             for name, violations in snap["violations"].items()}

@@ -435,7 +435,9 @@ def interaction_conformance(name: str, interaction=None,
     ``limit``) or the compact JSON-able form: ``messages`` as a list of
     ``(sender, receiver, signal)`` triples, optionally repeated under a
     ``loop=(min, max)`` fragment.  ``limit`` bounds the number of
-    traces and, for the compact form, the labels of the longest one.
+    traces and the labels of a loop's longest trace: for the compact
+    form exactly, for an ``Interaction`` as
+    :func:`repro.interactions.traces` does (never below 1,000 labels).
     """
     from ..errors import InteractionError
 
@@ -495,8 +497,8 @@ def _interaction_from_spec(name: str, messages: Sequence[Sequence[str]],
                 f"interaction {name!r}: loop must be (min, max), "
                 f"got {loop!r}") from None
         # one trace per repetition count, so the trace count never
-        # refuses a long loop, whose longest trace alone takes loop_max
-        # concatenations to build
+        # refuses a long loop: its longest trace is bounded by ``limit``
+        # itself, before anything is built
         labels = loop_max * len(triples)
         if labels > limit:
             raise PropertyError(

@@ -288,10 +288,14 @@ class SimulationService:
     # -- the scheduler tick ----------------------------------------------
 
     def tick(self) -> None:
-        """One scheduling round: reap, expire, lease."""
+        """One scheduling round: reap, expire, lease, then forget the
+        store's build graph, which the daemon never reads and which
+        would otherwise hold a node for every load and save."""
         self._reap()
         if not self.draining:
             self._grant_leases()
+        if self.store is not None:
+            self.store.graph.reset()
 
     def idle(self) -> bool:
         """No live leases and nothing leasable right now?"""

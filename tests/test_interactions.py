@@ -1,5 +1,7 @@
 """Tests for sequence diagram structure and trace semantics."""
 
+import time
+
 import pytest
 
 from repro.errors import InteractionError
@@ -196,6 +198,37 @@ class TestTraces:
         loop.add_operand().add(alt)
         alt.add_operand("go").add(Message("m", a, b))
         assert traces(interaction, env={"go": False}) == [()]
+
+    @staticmethod
+    def repeated(count, signals):
+        """One ``loop(count, count)`` over a message per signal."""
+        interaction = Interaction("i")
+        a = interaction.add_lifeline("a")
+        b = interaction.add_lifeline("b")
+        operand = interaction.loop(count, count).add_operand()
+        for signal in signals:
+            operand.add(Message(signal, a, b))
+        return interaction
+
+    def test_a_loop_longer_than_the_limit_is_refused(self):
+        # one trace, so the trace count alone let it through
+        assert traces(self.repeated(1000, "m"), limit=1_000) \
+            == [("a->b:m",) * 1000]
+        with pytest.raises(InteractionError,
+                           match="^loop's longest trace, 1001 labels, "
+                                 "exceeded limit 1000$"):
+            traces(self.repeated(1001, "m"), limit=1_000)
+
+    def test_a_small_limit_bounds_only_the_trace_count(self):
+        assert traces(self.repeated(500, "m"), limit=1) \
+            == [("a->b:m",) * 500]
+
+    def test_one_long_trace_is_built_at_once(self):
+        # built by 32,000 growing concatenations, this took about 5 s
+        start = time.perf_counter()
+        (trace,) = traces(self.repeated(32_000, "xy"))
+        assert time.perf_counter() - start < 0.5
+        assert trace == ("a->b:x", "a->b:y") * 32_000
 
 
 class TestCounting:

@@ -16,6 +16,7 @@ from repro.engine import (
     TraceEvent,
 )
 from repro.errors import PropertyError
+from repro.interactions import Interaction, Message
 from repro.properties import (
     EventMatch,
     Property,
@@ -226,6 +227,17 @@ class TestInteractionTrie:
         prop = interaction_conformance(
             "hs", messages=[("a", "b", "Go")], loop=(1, 2))
         assert prop.trace_set == (("a->b:Go",), ("a->b:Go", "a->b:Go"))
+
+    def test_an_interaction_with_a_long_loop_is_refused(self):
+        interaction = Interaction("h")
+        cpu = interaction.add_lifeline("cpu")
+        ram = interaction.add_lifeline("ram")
+        operand = interaction.loop(6000, 6000).add_operand()
+        operand.add(Message("Read", cpu, ram))
+        operand.add(Message("ReadResp", ram, cpu))
+        with pytest.raises(PropertyError,
+                           match="12000 labels, exceeded limit 10000$"):
+            interaction_conformance("h", interaction=interaction)
 
     def test_exactly_one_source(self):
         with pytest.raises(PropertyError):

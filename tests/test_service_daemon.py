@@ -331,6 +331,22 @@ class TestRetention:
         service.shutdown()
         assert retained < 2000, f"{retained:.0f} bytes per finished job"
 
+    def test_a_tick_empties_the_build_graph(self, tmp_path, model_file,
+                                            campaign_file):
+        """The store records a build-graph node for every load and save,
+        and the daemon never reads them: each tick drops them."""
+        store = ArtifactStore(tmp_path / "store")
+        service = make_service(tmp_path, store=store)
+        spec = make_spec(model_file, campaign_file, seeds=[44])
+        store.save("result",
+                   job_fingerprint(CampaignSpec.from_dict(spec).to_dict()),
+                   {"ok": True, "result": {}})
+        for _ in range(200):
+            assert service.submit(spec)["cached"] is True
+            service.tick()
+        assert store.graph.nodes == []
+        service.shutdown()
+
 
 class TestAdmission:
     def test_reject_beyond_depth(self, tmp_path, model_file,
