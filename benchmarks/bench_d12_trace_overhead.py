@@ -5,12 +5,10 @@ and fault events) can replace the per-channel observation hooks only
 if an *unobserved* bus is effectively free on the cosimulation hot
 path.
 
-Measured: the D8 producer/bus/memory SoC executed four ways —
+Measured: the D8 producer/bus/memory SoC executed three ways —
 
-* **bus off** (``bus=False``: no bus object at all),
-* **empty bus** (a live TraceBus with zero subscribers — the
-  acceptance-criterion configuration: every emit site must reduce to
-  an attribute/set-membership check),
+* **empty bus** (a live TraceBus with zero subscribers — the baseline:
+  every emit site reduces to an attribute/set-membership check),
 * **default bus** (the harness's built-in message-log/resilience
   subscribers; no engine-level kinds active),
 * **engine subscriber** (a wildcard subscriber: every transition,
@@ -18,11 +16,12 @@ Measured: the D8 producer/bus/memory SoC executed four ways —
   TraceEvent).
 
 Reported: kernel events/second per mode and the overhead of each mode
-against bus-off, for both the interpreted and the compiled engine.
-Acceptance (PR 3): the *empty* bus costs <= 5% of bus-off throughput;
-the figure recorded in BENCH_PR3.json is measured on an idle machine —
-the CI shape test only asserts a loose floor because shared runners
-jitter.
+against the empty bus, for both the interpreted and the compiled
+engine.  PR 3's acceptance compared the empty bus with a simulation
+that had no bus object at all; BENCH_PR3.json recorded the empty bus
+at -7.2 % (compiled) and -10.8 % (interpreted) overhead against it,
+i.e. within noise, so that mode is gone and every simulation has a
+bus.  A slower unobserved bus shows in perfbench ``cosim`` ``warm_s``.
 """
 
 import time
@@ -34,7 +33,7 @@ from repro.simulation import SystemSimulation
 SIM_TIME = 400.0
 REPEATS = 3
 
-MODES = ("bus off", "empty bus", "default bus", "engine subscriber")
+MODES = ("empty bus", "default bus", "engine subscriber")
 
 
 def build_system():
@@ -45,9 +44,7 @@ def build_system():
 
 
 def _run_once(mode, engine="interpreted"):
-    if mode == "bus off":
-        bus = False
-    elif mode in ("default bus", "empty bus"):
+    if mode in ("default bus", "empty bus"):
         bus = None
     else:
         bus = TraceBus()
@@ -61,8 +58,8 @@ def _run_once(mode, engine="interpreted"):
                                   default_latency=1.0, bus=bus,
                                   engine=engine)
     if mode == "empty bus":
-        # the acceptance-criterion configuration: a live bus with zero
-        # subscribers (even the built-in message log detached)
+        # the baseline: a live bus with zero subscribers (even the
+        # built-in message log detached)
         for subscription in simulation._builtin_subscriptions:
             subscription.cancel()
     start = time.perf_counter()
@@ -109,18 +106,9 @@ class TestShape:
         assert len(counts) == 1
 
     def test_trace_event_counts_scale_with_observation(self):
-        off, empty, default, engine = (_run_once(mode) for mode in MODES)
-        assert off["trace_events"] == 0
+        empty, default, engine = (_run_once(mode) for mode in MODES)
         assert empty["trace_events"] == 0
         assert 0 < default["trace_events"] < engine["trace_events"]
-
-    def test_empty_bus_overhead_is_bounded(self):
-        # the real acceptance number (<= 5%) is measured off-CI and
-        # recorded in BENCH_PR3.json; here only a loose floor so the
-        # guarantee can't silently rot into a 2x regression
-        off = measure("bus off", "compiled")["events_per_s"]
-        empty = measure("empty bus", "compiled")["events_per_s"]
-        assert empty >= 0.7 * off
 
 
 def test_benchmark_default_bus(benchmark):

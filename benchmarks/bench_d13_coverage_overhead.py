@@ -8,9 +8,9 @@ run on RTL works on executable UML models.
 
 Measured, per engine (interpreted and compiled):
 
-* **bus off** (``bus=False``) and **default bus** — context rows; the
-  cost of *materializing* engine-level trace events at all is a PR 3
-  property (D12), not something a subscriber can undo.
+* **default bus** — context row; the cost of *materializing*
+  engine-level trace events at all is a PR 3 property (D12), not
+  something a subscriber can undo.
 * **materialized** — a TraceBus with one no-op subscriber on the five
   engine kinds: every engine event is built and delivered but nothing
   consumes it.  This is the **baseline** for the acceptance criterion,
@@ -76,7 +76,7 @@ SIM_TIME = 400.0
 REPEATS = 3
 SEEDS = (0, 1, 2, 3, 4)
 
-MODES = ("bus off", "default bus", "materialized", "materialized full",
+MODES = ("default bus", "materialized", "materialized full",
          "coverage", "profiler", "flight", "verification")
 
 #: SystemSimulation options per consumer mode.
@@ -124,9 +124,7 @@ def closure_campaign(seed):
 
 def _run_once(mode, engine="interpreted"):
     options = CONSUMERS.get(mode, {})
-    if mode == "bus off":
-        bus = False
-    elif mode == "default bus":
+    if mode == "default bus":
         bus = None
     elif mode in ("materialized", "materialized full"):
         bus = TraceBus()
@@ -216,21 +214,18 @@ def closure_curve(seeds=None):
 
 
 def table():
-    """Rows: observation mode vs throughput per engine (overheads vs
-    bus-off and vs the materialized baseline), then the closure curve."""
+    """Rows: observation mode vs throughput per engine (overhead vs the
+    materialized baseline), then the closure curve."""
     rows = []
     for engine in ENGINE_MODES:
         group = measure_group(engine)
         throughput = {row["mode"]: row["events_per_s"] for row in group}
-        bus_off = throughput["bus off"]
         for row in group:
             # flight records every kind, so its floor is the wildcard
             # materialization row, not the five-kind one
             floor = throughput["materialized full"] \
                 if row["mode"] in ("flight", "materialized full") \
                 else throughput["materialized"]
-            row["overhead_vs_bus_off_pct"] = round(
-                100.0 * (bus_off - row["events_per_s"]) / bus_off, 1)
             row["overhead_vs_materialized_pct"] = round(
                 100.0 * (floor - row["events_per_s"]) / floor, 1)
         rows.extend(group)

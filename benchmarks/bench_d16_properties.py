@@ -10,8 +10,8 @@ intensity.
 
 Measured, per engine (interpreted and compiled):
 
-* **bus off** / **default bus** — context rows (the cost of having a
-  message stream at all is a PR 3 property, D12).
+* **default bus** — context row (the cost of having a message stream
+  at all is a PR 3 property, D12).
 * **materialized** — a TraceBus with one no-op subscriber on
   ``message_delivered``.  This is the **baseline** for the acceptance
   criterion: the checker subscribes to exactly the message kinds its
@@ -71,8 +71,7 @@ SEEDS = (1, 2, 3, 4, 5)
 #: Drop probabilities swept by the pass-rate curve.
 INTENSITIES = (0.0, 0.05, 0.15, 0.3)
 
-MODES = ("bus off", "default bus", "materialized", "checker",
-         "checker x3")
+MODES = ("default bus", "materialized", "checker", "checker x3")
 
 
 def build_system():
@@ -112,9 +111,7 @@ def reference_suite(copies=1):
 
 def _run_once(mode, engine="interpreted"):
     options = {}
-    if mode == "bus off":
-        bus = False
-    elif mode == "default bus":
+    if mode == "default bus":
         bus = None
     elif mode == "materialized":
         bus = TraceBus()
@@ -228,11 +225,8 @@ def table():
     for engine in ENGINE_MODES:
         group = measure_group(engine)
         throughput = {row["mode"]: row["events_per_s"] for row in group}
-        bus_off = throughput["bus off"]
         floor = throughput["materialized"]
         for row in group:
-            row["overhead_vs_bus_off_pct"] = round(
-                100.0 * (bus_off - row["events_per_s"]) / bus_off, 1)
             row["overhead_vs_materialized_pct"] = round(
                 100.0 * (floor - row["events_per_s"]) / floor, 1)
         rows.extend(group)

@@ -42,6 +42,7 @@ section).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -829,6 +830,18 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float (``float`` also reads nan, inf)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_run_arguments(command: argparse.ArgumentParser) -> None:
     """Declare the run flags ``simulate``, ``campaign`` and ``submit``
     share, with one destination and default each."""
@@ -839,8 +852,8 @@ def _add_run_arguments(command: argparse.ArgumentParser) -> None:
                          help="fault campaign JSON file to inject "
                               "(campaign and submit sweep it per "
                               "seed; see docs/FAULTS.md)")
-    command.add_argument("--until", type=float, default=100.0)
-    command.add_argument("--quantum", type=float, default=1.0)
+    command.add_argument("--until", type=_finite_float, default=100.0)
+    command.add_argument("--quantum", type=_finite_float, default=1.0)
     command.add_argument("--engine", default="compiled",
                          choices=ENGINE_MODES,
                          help="execution engine (default compiled; "

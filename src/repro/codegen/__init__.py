@@ -30,12 +30,7 @@ from ..asl.transpile import (
     to_vhdl_expression,
 )
 from . import python_gen, systemc, testbench, validators, verilog, vhdl
-from .pipeline import (
-    BACKENDS,
-    generate_all,
-    generate_all_parallel,
-    generate_units,
-)
+from .pipeline import BACKENDS, generate_all, generate_all_parallel
 from .base import (
     CodeWriter,
     MachineView,
@@ -63,5 +58,5 @@ __all__ = [
     "to_verilog_expression", "to_vhdl_expression",
     "VALIDATORS", "check_python", "check_systemc", "check_verilog",
     "check_vhdl",
-    "BACKENDS", "generate_all", "generate_all_parallel", "generate_units",
+    "BACKENDS", "generate_all", "generate_all_parallel",
 ]

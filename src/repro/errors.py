@@ -3,10 +3,25 @@
 Every error raised by the library derives from :class:`ReproError`, so
 callers can catch one base type.  Subsystems raise the most specific
 subclass that applies; messages always name the offending element where
-one exists.
+one exists.  The JSON spec readers share the type checks below.
 """
 
 from __future__ import annotations
+
+import sys
+from typing import Any
+
+
+def is_json_number(value: Any) -> bool:
+    """Whether a decoded JSON value is a number a float can hold (not
+    ``true``/``false``, nor an integer literal beyond the float range)."""
+    return isinstance(value, float) or (
+        is_json_integer(value) and abs(value) <= sys.float_info.max)
+
+
+def is_json_integer(value: Any) -> bool:
+    """Whether a decoded JSON value is an integer (``2.0`` is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class ReproError(Exception):

@@ -25,9 +25,10 @@ and be replayed bit-identically (``simulate --faults campaign.json``).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import FaultError
+from ..errors import FaultError, is_json_integer, is_json_number
 
 #: The supported fault kinds.
 FAULT_KINDS = ("drop", "duplicate", "corrupt", "delay", "reorder")
@@ -64,7 +65,7 @@ class FaultSpec:
                 f"unknown fault kind {kind!r}; choose from {FAULT_KINDS}")
         if window is not None:
             window = tuple(float(edge) for edge in window)
-            if len(window) != 2 or window[0] > window[1]:
+            if len(window) != 2 or not window[0] <= window[1]:
                 raise FaultError(
                     f"fault window must be [start, end] with start <= end, "
                     f"got {window!r}")
@@ -73,8 +74,10 @@ class FaultSpec:
                 f"fault probability must be in [0, 1], got {probability}")
         if max_count is not None and max_count <= 0:
             raise FaultError(f"max_count must be positive, got {max_count}")
-        if delay < 0 or jitter < 0:
-            raise FaultError("delay and jitter cannot be negative")
+        if not (0 <= delay < math.inf and 0 <= jitter < math.inf):
+            raise FaultError(
+                f"delay and jitter must be finite and non-negative, "
+                f"got {delay!r} and {jitter!r}")
         if xor is not None and xor == 0:
             raise FaultError("a zero XOR mask corrupts nothing")
         self.kind = kind
@@ -150,22 +153,46 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultSpec":
-        """Build a spec from a JSON object, rejecting unknown keys."""
+        """Build a spec from a JSON object of known, well-typed keys."""
         if not isinstance(data, dict):
             raise FaultError(f"fault spec must be an object, got {data!r}")
         if "kind" not in data:
             raise FaultError(f"fault spec missing 'kind': {data!r}")
-        known = {"kind", "part", "port", "peer", "connector", "signal",
-                 "window", "probability", "max_count", "delay", "jitter",
-                 "field", "xor", "name"}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - set(_SPEC_FIELDS), key=str)
         if unknown:
             raise FaultError(
                 f"unknown fault spec key(s) {unknown} in {data!r}")
+        for key, value in data.items():
+            accepts, expected = _SPEC_FIELDS[key]
+            if not accepts(value):
+                raise FaultError(f"fault spec {key} must be {expected}, "
+                                 f"got {value!r}")
         return cls(**data)
 
     def __repr__(self) -> str:
         return f"<FaultSpec {self.name!r} {self.kind} at {self.site()}>"
+
+
+def _is_window(value: Any) -> bool:
+    return value is None or (isinstance(value, (list, tuple))
+                             and len(value) == 2
+                             and all(map(is_json_number, value)))
+
+
+#: Each fault-spec field's JSON type: a predicate on the decoded value
+#: and the phrase an error names it by.  FaultSpec then checks ranges.
+_SPEC_FIELDS: Dict[str, Tuple[Callable[[Any], bool], str]] = {
+    field: (accepts, expected) for accepts, expected, fields in (
+        (lambda value: isinstance(value, str), "a string",
+         ("kind", "name")),
+        (lambda value: value is None or isinstance(value, str),
+         "a string or null",
+         ("part", "port", "peer", "connector", "signal", "field")),
+        (is_json_number, "a number", ("probability", "delay", "jitter")),
+        (lambda value: value is None or is_json_integer(value),
+         "an integer or null", ("max_count", "xor")),
+        (_is_window, "[start, end] numbers or null", ("window",)))
+    for field in fields}
 
 
 class FaultCampaign:
@@ -207,10 +234,14 @@ class FaultCampaign:
         raw_faults = data.get("faults", [])
         if not isinstance(raw_faults, list):
             raise FaultError("campaign 'faults' must be a list")
+        name, seed = data.get("name", "campaign"), data.get("seed", 0)
+        if not isinstance(name, str):
+            raise FaultError(f"campaign name must be a string, got {name!r}")
+        if not is_json_integer(seed):
+            raise FaultError(f"campaign seed must be an integer, got {seed!r}")
         return cls(faults=[FaultSpec.from_dict(entry)
                            for entry in raw_faults],
-                   name=data.get("name", "campaign"),
-                   seed=data.get("seed", 0))
+                   name=name, seed=seed)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultCampaign":

@@ -71,10 +71,10 @@ class FaultInjector:
         self._fired[index] += 1
         PERF.incr("faults.injected")
         kind = spec.kind
-        # Report writes stay direct (deterministic even with the bus
-        # off); the trace event is observation only.
-        bus = getattr(simulation, "bus", None)
-        if bus is not None and FAULT in bus.active_kinds:
+        # Report writes stay direct (deterministic whoever subscribes);
+        # the trace event is observation only.
+        bus = simulation.bus
+        if FAULT in bus.active_kinds:
             record = bus.emit(FAULT, now, part,
                               {"fault": spec.name, "kind": kind,
                                "signal": signal, "peer": peer,

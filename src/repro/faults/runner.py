@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -93,13 +94,16 @@ def backoff_delay(base: float, attempt: int, token: Any = 0) -> float:
 
 
 def _coerce(field: str, value: Any, kind: type) -> Any:
-    """``kind(value)``, or a :class:`FaultError` naming the spec field."""
+    """``kind(value)``, or a :class:`FaultError` naming the spec field;
+    a float must be finite (Python's ``json`` reads NaN and Infinity)."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        noun = "a number" if kind is float else "an integer"
-        raise FaultError(f"campaign spec {field} must be {noun}, "
-                         f"got {value!r}") from None
+        result = kind(value)
+        if kind is not float or math.isfinite(result):
+            return result
+    except (TypeError, ValueError, OverflowError):
+        pass
+    noun = "a finite number" if kind is float else "an integer"
+    raise FaultError(f"campaign spec {field} must be {noun}, got {value!r}")
 
 
 class CampaignSpec:
@@ -152,7 +156,7 @@ class CampaignSpec:
                 f"got {builder!r}")
         try:
             seeds = [int(seed) for seed in seeds]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise FaultError(f"campaign spec seeds must be a list of "
                              f"integers, got {seeds!r}") from None
         if not seeds:

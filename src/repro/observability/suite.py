@@ -30,10 +30,6 @@ class ObservabilitySuite:
                  flight_dump: Optional[str] = None,
                  causality: bool = False):
         bus = simulation.bus
-        if bus is None:
-            raise SimulationError(
-                "observability needs a trace bus; construct the "
-                "simulation without bus=False")
         self.simulation = simulation
         self.coverage: Optional[CoverageCollector] = None
         self.profiler: Optional[SimProfiler] = None

@@ -35,7 +35,7 @@ from itertools import chain
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..engine import KINDS, MESSAGE_DELIVERED, PROPERTY_VIOLATION, TraceEvent
-from ..errors import PropertyError
+from ..errors import PropertyError, is_json_integer, is_json_number
 
 #: Shorthand accepted wherever an atom is expected: an EventMatch, a
 #: signal name, or a mapping of EventMatch fields.
@@ -534,7 +534,7 @@ def _absence_from_dict(data: Dict[str, Any]) -> AbsenceProperty:
     window = data.get("window")
     if window is not None:
         if (not isinstance(window, (list, tuple)) or len(window) != 2
-                or not all(_is_number(bound) for bound in window)):
+                or not all(is_json_number(bound) for bound in window)):
             raise _invalid("absence", data["name"], "window",
                            "[t0, t1] numbers", window)
         window = tuple(window)
@@ -545,7 +545,7 @@ def _liveness_from_dict(data: Dict[str, Any]) -> BoundedLivenessProperty:
     kind = "bounded_liveness"
     _check_fields(data, kind, ("name", "match", "at_least", "by"))
     at_least = data["at_least"]
-    if not _is_integer(at_least):
+    if not is_json_integer(at_least):
         raise _invalid(kind, data["name"], "at_least", "an integer",
                        at_least)
     return BoundedLivenessProperty(data["name"], data["match"], at_least,
@@ -576,7 +576,7 @@ def _interaction_from_dict(data: Dict[str, Any]) -> InteractionConformanceProper
         loop = data.get("loop")
         if loop is not None:
             if (not isinstance(loop, (list, tuple)) or len(loop) != 2
-                    or not all(_is_integer(bound) for bound in loop)):
+                    or not all(is_json_integer(bound) for bound in loop)):
                 raise invalid("loop", "[min, max] integers", loop)
             loop = tuple(loop)
         return interaction_conformance(name, messages=messages, loop=loop,
@@ -600,20 +600,10 @@ def _is_strings(value: Any) -> bool:
             and all(isinstance(item, str) for item in value))
 
 
-def _is_number(value: Any) -> bool:
-    """Whether a JSON value is a number (``true`` and ``false`` are not)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_integer(value: Any) -> bool:
-    """Whether a JSON value is an integer (``2.0`` is not)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _number(data: Dict[str, Any], kind: str, field: str) -> Any:
     """The number ``data[field]``, or a :class:`PropertyError`."""
     value = data[field]
-    if not _is_number(value):
+    if not is_json_number(value):
         raise _invalid(kind, data["name"], field, "a number", value)
     return value
 

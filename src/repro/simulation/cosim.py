@@ -29,8 +29,7 @@ injection and every quarantine/restart is emitted as a typed
 and the resilience quarantine accounting are plain bus subscribers;
 engine-level events (RTC steps, transitions, state entries/exits,
 token firings) flow on the same bus when a subscriber asks for them.
-``bus=False`` disables the bus entirely (benchmark mode: no message
-log, no quarantine-drop accounting); passing a
+Every simulation has a bus: ``bus=None`` makes a fresh one; passing a
 :class:`~repro.engine.TraceBus` shares one stream across observers
 (note: the harness's own subscribers then see every event on that bus,
 so avoid sharing one bus between concurrently running simulations).
@@ -90,6 +89,7 @@ typed ``supervisor_decision`` trace event, and the rollback itself as
 
 from __future__ import annotations
 
+import math
 import time as _time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -149,6 +149,13 @@ class PartInstance:
 Route = Tuple[str, str, float, str]  # (peer part, peer port, latency, conn)
 
 
+def _check_step(name: str, value: Any) -> None:
+    """Refuse a time step a kernel clock cannot advance by (NaN, inf)."""
+    if not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise SimulationError(
+            f"{name} must be a finite positive number, got {value!r}")
+
+
 class SystemSimulation:
     """Executes a component assembly as a discrete-event cosimulation."""
 
@@ -167,7 +174,7 @@ class SystemSimulation:
                  checkpoint_interval: Optional[float] = None,
                  max_queue: Optional[int] = None,
                  overflow_policy: str = "raise",
-                 bus: Any = None,
+                 bus: Optional[TraceBus] = None,
                  coverage: bool = False,
                  profile: bool = False,
                  flight_recorder: int = 0,
@@ -182,10 +189,9 @@ class SystemSimulation:
         if engine not in ENGINE_MODES:
             raise SimulationError(
                 f"unknown engine {engine!r}; choose from {ENGINE_MODES}")
-        if checkpoint_interval is not None and checkpoint_interval <= 0:
-            raise SimulationError(
-                f"checkpoint_interval must be positive, "
-                f"got {checkpoint_interval}")
+        _check_step("quantum", quantum)
+        if checkpoint_interval is not None:
+            _check_step("checkpoint_interval", checkpoint_interval)
         self.top = top
         self.simulator = Simulator(max_queue=max_queue,
                                    overflow_policy=overflow_policy)
@@ -206,7 +212,7 @@ class SystemSimulation:
         #: ({"t", "runtime", "received", "sent"})
         self._part_snapshots: Dict[str, Dict[str, Any]] = {}
         #: (time, sender, receiver, signal) for every delivered message
-        #: (maintained by a bus subscriber; empty with ``bus=False``)
+        #: (maintained by a bus subscriber)
         self.message_log: List[Tuple[float, str, str, str]] = []
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -217,26 +223,19 @@ class SystemSimulation:
         self.compile_report: Dict[str, str] = {}
         #: structured record of faults injected and failures survived
         self.resilience = ResilienceReport()
-        # bus=None -> fresh bus; bus=False -> disabled; else shared bus.
-        if bus is False:
-            self._bus: Optional[TraceBus] = None
-        elif bus is None:
-            self._bus = TraceBus()
-        elif isinstance(bus, TraceBus):
-            self._bus = bus
-        else:
+        # bus=None -> fresh bus; else shared bus.
+        if bus is None:
+            bus = TraceBus()
+        elif not isinstance(bus, TraceBus):
             raise SimulationError(
-                f"bus must be None, False or a TraceBus, got {bus!r}")
+                f"bus must be None or a TraceBus, got {bus!r}")
+        self._bus: TraceBus = bus
         #: the harness's own subscriptions (cancellable, e.g. to measure
         #: the cost of a bus with zero subscribers)
-        self._builtin_subscriptions: Tuple[Any, ...] = ()
-        if self._bus is not None:
-            self._builtin_subscriptions = (
-                self._bus.subscribe(self._record_delivery,
-                                    kinds=(MESSAGE_DELIVERED,)),
-                self._bus.subscribe(self._record_drop,
-                                    kinds=(MESSAGE_DROPPED,)),
-            )
+        self._builtin_subscriptions: Tuple[Any, ...] = (
+            bus.subscribe(self._record_delivery, kinds=(MESSAGE_DELIVERED,)),
+            bus.subscribe(self._record_drop, kinds=(MESSAGE_DROPPED,)),
+        )
         #: callbacks fired as ``hook(reason, detail)`` when a
         #: SimulationError escapes :meth:`run` or a part is quarantined
         #: (the flight recorder's auto-dump registers here); hook
@@ -282,10 +281,6 @@ class SystemSimulation:
         #: property_violation it provokes — post-mortems read causally.
         self.property_checker: Any = None
         if properties is not None:
-            if self._bus is None:
-                raise SimulationError(
-                    "properties= needs the trace bus; it cannot be "
-                    "combined with bus=False")
             from ..properties import PropertyChecker
 
             self.property_checker = PropertyChecker(
@@ -304,8 +299,8 @@ class SystemSimulation:
     # ------------------------------------------------------------------
 
     @property
-    def bus(self) -> Optional[TraceBus]:
-        """The simulation's trace bus (None when disabled)."""
+    def bus(self) -> TraceBus:
+        """The simulation's trace bus."""
         return self._bus
 
     def _record_delivery(self, event: TraceEvent) -> None:
@@ -441,16 +436,15 @@ class SystemSimulation:
         detail = f"{type(error).__name__}: {error}"
         has_snapshot = part_name in self._part_snapshots
         action, label = self.supervisor.decide(part_name, has_snapshot)
-        if self._bus is not None \
-                and SUPERVISOR_DECISION in self._bus.active_kinds:
+        bus = self._bus
+        if SUPERVISOR_DECISION in bus.active_kinds:
             data = {"action": action, "label": label, "reason": detail}
             data.update(self.supervisor.budgets(part_name))
-            record = self._bus.emit(SUPERVISOR_DECISION, now, part_name,
-                                    data)
-            if self._bus.causal and record is not None:
+            record = bus.emit(SUPERVISOR_DECISION, now, part_name, data)
+            if bus.causal and record is not None:
                 # the restore/restart/quarantine record descends from
                 # this decision
-                self._bus.cause = record.ordinal
+                bus.cause = record.ordinal
         self.resilience.record_part_failure(now, part_name, detail, label)
         if action == "restore":
             self.resilience.record_restore(part_name)
@@ -462,9 +456,7 @@ class SystemSimulation:
             return
         self.resilience.record_quarantine(now, part_name)
         self._quarantined.add(part_name)
-        if self._bus is not None:
-            self._bus.emit(PART_QUARANTINED, now, part_name,
-                           {"reason": detail})
+        bus.emit(PART_QUARANTINED, now, part_name, {"reason": detail})
         self._fire_incident("part_quarantined", f"{part_name}: {detail}")
 
     def _fire_incident(self, reason: str, detail: str) -> None:
@@ -486,9 +478,8 @@ class SystemSimulation:
         runtime.time = self.simulator.now
         runtime.start()
         instance.runtime = runtime
-        if self._bus is not None:
-            self._bus.emit(PART_RESTARTED, self.simulator.now, part_name,
-                           {"reason": detail})
+        self._bus.emit(PART_RESTARTED, self.simulator.now, part_name,
+                       {"reason": detail})
 
     def _restore_part(self, part_name: str, detail: str = "") -> None:
         """Roll a part back to its last good recovery snapshot.
@@ -506,9 +497,8 @@ class SystemSimulation:
         instance.runtime.restore(snap["runtime"])
         instance.received = snap["received"]
         instance.sent = snap["sent"]
-        if self._bus is not None:
-            self._bus.emit(PART_RESTORED, self.simulator.now, part_name,
-                           {"reason": detail, "snapshot_t": snap["t"]})
+        self._bus.emit(PART_RESTORED, self.simulator.now, part_name,
+                       {"reason": detail, "snapshot_t": snap["t"]})
 
     def take_part_checkpoints(self) -> int:
         """Snapshot every healthy part's engine for rollback recovery.
@@ -530,7 +520,7 @@ class SystemSimulation:
                 "sent": instance.sent,
             }
             taken += 1
-        if self._bus is not None and CHECKPOINT in self._bus.active_kinds:
+        if CHECKPOINT in self._bus.active_kinds:
             if self._bus.causal:
                 # checkpoints are roots, not consequences of whatever
                 # record happened to precede the tick
@@ -549,6 +539,8 @@ class SystemSimulation:
     # ------------------------------------------------------------------
 
     def _make_sink(self, part_name: str) -> Callable[[SentSignal], None]:
+        bus = self._bus
+
         def sink(sent: SentSignal) -> None:
             self.parts[part_name].sent += 1
             if sent.target is None:
@@ -566,52 +558,37 @@ class SystemSimulation:
                         f"{port_name!r}, but no connector is attached")
                 # dangling output: drop (counted), like an unconnected pin
                 self.messages_dropped += 1
-                if self._bus is not None \
-                        and MESSAGE_DROPPED in self._bus.active_kinds:
-                    self._bus.emit(MESSAGE_DROPPED, self.simulator.now,
-                                   part_name, {"signal": sent.signal,
-                                               "port": port_name,
-                                               "reason": "unrouted"})
+                if MESSAGE_DROPPED in bus.active_kinds:
+                    bus.emit(MESSAGE_DROPPED, self.simulator.now,
+                             part_name, {"signal": sent.signal,
+                                         "port": port_name,
+                                         "reason": "unrouted"})
                 return
-            bus = self._bus
-            routed = bus is not None and MESSAGE_ROUTED in bus.active_kinds
-            causal = bus is not None and bus.causal
+            routed = MESSAGE_ROUTED in bus.active_kinds
+            causal = bus.causal
             # each routed record (not the transition that sent it) is
             # the proximate cause of its delivery; the register is
             # restored per hop so sibling hops stay siblings
             origin = bus.cause if causal else None
             injector = self._injector
-            if injector is None:
-                for peer_part, _peer_port, latency, conn in routes:
-                    if routed:
-                        record = bus.emit(
-                            MESSAGE_ROUTED, self.simulator.now,
-                            part_name, {"signal": sent.signal,
-                                        "port": port_name,
-                                        "peer": peer_part,
-                                        "connector": conn})
-                        if causal and record is not None:
-                            bus.cause = record.ordinal
+            for peer_part, _peer_port, latency, conn in routes:
+                if routed:
+                    record = bus.emit(MESSAGE_ROUTED, self.simulator.now,
+                                      part_name, {"signal": sent.signal,
+                                                  "port": port_name,
+                                                  "peer": peer_part,
+                                                  "connector": conn})
+                    if causal and record is not None:
+                        bus.cause = record.ordinal
+                if injector is None:
                     self._schedule_delivery(peer_part, sent.signal,
                                             sent.arguments, latency,
                                             sender=part_name)
-                    if causal:
-                        bus.cause = origin
-            else:
-                for peer_part, _peer_port, latency, conn in routes:
-                    if routed:
-                        record = bus.emit(
-                            MESSAGE_ROUTED, self.simulator.now,
-                            part_name, {"signal": sent.signal,
-                                        "port": port_name,
-                                        "peer": peer_part,
-                                        "connector": conn})
-                        if causal and record is not None:
-                            bus.cause = record.ordinal
+                else:
                     injector.route(part_name, port_name, peer_part, conn,
                                    sent.signal, sent.arguments, latency)
-                    if causal:
-                        bus.cause = origin
+                if causal:
+                    bus.cause = origin
         return sink
 
     def _schedule_delivery(self, part_name: str, signal: str,
@@ -622,14 +599,13 @@ class SystemSimulation:
         # executing later, is caused by whatever record scheduled it
         # (a routed message, a fault injection, a transition self-send).
         bus = self._bus
-        cause = bus.cause if bus is not None and bus.causal else None
+        cause = bus.cause if bus.causal else None
 
         def deliver() -> None:
             instance = self.parts[part_name]
             if instance.runtime is None:
                 return
-            bus = self._bus
-            causal = bus is not None and bus.causal
+            causal = bus.causal
             if causal:
                 bus.cause = cause
             if part_name in self._quarantined:
@@ -650,7 +626,7 @@ class SystemSimulation:
                 return
             instance.received += 1
             self.messages_delivered += 1
-            if bus is not None and MESSAGE_DELIVERED in bus.active_kinds:
+            if MESSAGE_DELIVERED in bus.active_kinds:
                 record = bus.emit(MESSAGE_DELIVERED, self.simulator.now,
                                   part_name,
                                   {"signal": signal, "sender": sender})
@@ -666,25 +642,23 @@ class SystemSimulation:
 
     def _drop_quarantined(self, part_name: str, signal: str,
                           sender: str) -> None:
-        if self._bus is not None \
-                and MESSAGE_DROPPED in self._bus.active_kinds:
+        if MESSAGE_DROPPED in self._bus.active_kinds:
             self._bus.emit(MESSAGE_DROPPED, self.simulator.now, part_name,
                            {"signal": signal, "sender": sender,
                             "reason": "quarantined"})
         else:
-            # keep the resilience count deterministic even with the bus
-            # off or unobserved (the subscriber normally does this)
+            # keep the resilience count deterministic with the built-in
+            # subscriber cancelled (it normally does this)
             self.resilience.bump("quarantine_dropped")
 
     def _sync_runtime(self, instance: PartInstance) -> None:
         runtime = instance.runtime
         if runtime is not None and runtime.time < self.simulator.now \
                 and instance.name not in self._quarantined:
-            bus = self._bus
-            if bus is not None and bus.causal:
+            if self._bus.causal:
                 # timer chains fired by the advance root themselves at
                 # their own event records
-                bus.cause = None
+                self._bus.cause = None
             try:
                 runtime.step(self.simulator.now)
             except Exception as error:  # noqa: BLE001 - policy decides
@@ -719,15 +693,19 @@ class SystemSimulation:
     def run(self, until: float,
             timeout: Optional[float] = None,
             max_events: int = 10_000_000,
-            max_events_at_instant: Optional[int] = None,
-            detect_deadlock: bool = False) -> "SystemSimulation":
+            max_events_at_instant: Optional[int] = None
+            ) -> "SystemSimulation":
         """Run the cosimulation up to simulated time ``until`` (chainable).
 
         ``timeout`` arms the kernel's wall-clock watchdog;
         ``max_events_at_instant`` arms the livelock (zero-delay storm)
         heuristic.  Kernel incidents are recorded in :attr:`resilience`
-        before the exception propagates.
+        before the exception propagates.  It starts no generator process,
+        so the kernel's deadlock check has nothing to find.
         """
+        if not isinstance(until, (int, float)) or not math.isfinite(until):
+            raise SimulationError(
+                f"until must be a finite number, got {until!r}")
         start = _time.perf_counter()
         events_before = self.simulator.events_processed
         self.simulator.every(self.quantum, self._sync_all, until=until)
@@ -740,8 +718,7 @@ class SystemSimulation:
         try:
             self.simulator.run(until=until, max_events=max_events,
                                timeout=timeout,
-                               max_events_at_instant=max_events_at_instant,
-                               detect_deadlock=detect_deadlock)
+                               max_events_at_instant=max_events_at_instant)
             if self._injector is not None:
                 # deliver reorder-held messages that never found a partner
                 leftovers = self._injector.flush()
@@ -777,9 +754,8 @@ class SystemSimulation:
         if instance.name in self._quarantined:
             instance.runtime.time = until
             return
-        bus = self._bus
-        if bus is not None and bus.causal:
-            bus.cause = None
+        if self._bus.causal:
+            self._bus.cause = None
         try:
             instance.runtime.step(until)
         except Exception as error:  # noqa: BLE001 - policy decides
@@ -813,7 +789,7 @@ class SystemSimulation:
             "messages_delivered": self.messages_delivered,
             "messages_dropped": self.messages_dropped,
             "message_log_len": len(self.message_log),
-            "bus": self._bus.checkpoint() if self._bus is not None else None,
+            "bus": self._bus.checkpoint(),
             "quarantined": set(self._quarantined),
             "supervisor": self.supervisor.snapshot(),
             "part_snapshots": dict(self._part_snapshots),
@@ -838,8 +814,7 @@ class SystemSimulation:
         self.messages_delivered = snap["messages_delivered"]
         self.messages_dropped = snap["messages_dropped"]
         del self.message_log[snap["message_log_len"]:]
-        if self._bus is not None and snap.get("bus") is not None:
-            self._bus.restore(snap["bus"])
+        self._bus.restore(snap["bus"])
         self._quarantined = set(snap["quarantined"])
         self.supervisor.restore_state(snap["supervisor"])
         self._part_snapshots = dict(snap["part_snapshots"])
@@ -949,8 +924,7 @@ class SystemSimulation:
             "restarts": sum(self.supervisor.restart_counts.values()),
             "restores": sum(self.supervisor.restore_counts.values()),
             "kernel_events_dropped": self.simulator.events_dropped,
-            "trace_events": (self._bus.events_emitted
-                             if self._bus is not None else 0),
+            "trace_events": self._bus.events_emitted,
             "wall_s": self.wall_time_s,
             "events_per_s": (round(events / self.wall_time_s)
                              if self.wall_time_s > 0 else 0),

@@ -227,7 +227,7 @@ class Simulator:
         """
         if self._closed:
             raise SimulationError("cannot schedule on a closed simulator")
-        if interval <= 0:
+        if not interval > 0:  # NaN too
             raise SimulationError("recurring interval must be positive")
         if self._ticks and any(t.stopped for t in self._ticks):
             self._ticks = [t for t in self._ticks if not t.stopped]

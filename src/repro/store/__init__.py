@@ -1,17 +1,15 @@
 """repro.store: the content-addressed artifact store and build graph.
 
 PR 8's refactor of the model-processing pipeline into explicit build
-stages.  The PIM→PSM transform (:mod:`repro.mda.engine`) and per-unit
-code generation (:mod:`repro.codegen.pipeline`) key their output by
-the content fingerprints of the model slice they read plus their
-upstream artifacts, persist it in an :class:`ArtifactStore`, and
-record a node in the store's :class:`BuildGraph`.  Editing one
-component of a system model therefore regenerates only that
-component's units; siblings are served warm, byte-identically.  The
-store also keeps registered models, service results and observability
-reports.  Compiled state machines are not stored: the in-process memo
-of :func:`repro.statemachines.compile_machine_cached` is their only
-cache.
+stages.  The PIM→PSM transform (:mod:`repro.mda.engine`) keys its
+output by the content fingerprints of the model and profiles it reads,
+persists it in an :class:`ArtifactStore`, and records a node in the
+store's :class:`BuildGraph`.  The store keeps transform, model, result
+and report artifacts.  Generated code is not stored (older stores may
+hold ``codegen`` artifacts nothing reads; ``repro store gc --kind
+codegen`` evicts them), nor are compiled state machines: the
+in-process memo of :func:`repro.statemachines.compile_machine_cached`
+is their only cache.
 
 Activation
 ----------

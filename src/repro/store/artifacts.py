@@ -5,7 +5,7 @@ subtree digests plus upstream artifact keys) and persisted as
 version-stamped envelopes in canonical compact JSON
 (:func:`~repro.durable.canonical_json`: sorted keys, no spaces)::
 
-    {"checksum":"...","inputs":[...],"key":"...","kind":"codegen",
+    {"checksum":"...","inputs":[...],"key":"...","kind":"transform",
      "meta":{...},"payload":...,"version":1}
 
 The checksum is a digest of the payload's canonical text, the bytes

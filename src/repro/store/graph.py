@@ -1,15 +1,13 @@
 """The explicit build graph over pipeline stages.
 
-Every store-mediated stage of the model-processing pipeline — PIM→PSM
-transform, per-unit codegen — and every stored model, result or report
-records a :class:`BuildNode` here: the artifact kind, its
-content-addressed key, the input fingerprints it declared (the model
-slice it read plus upstream artifact keys), and whether the artifact
-was **built** (cold: the stage ran) or **reused** (warm: served from
-the disk store).  The graph is what makes incremental regeneration
-*checkable*: after editing exactly one component of a multi-part
-model, the counters must show one ``built`` codegen node per backend
-and warm reuses for every sibling unit.
+The store-mediated stage of the model-processing pipeline — the
+PIM→PSM transform — and every stored model, result or report records a
+:class:`BuildNode` here: the artifact kind, its content-addressed key,
+the input fingerprints it declared (the model and profile
+fingerprints it read), and whether the artifact was **built** (cold:
+the stage ran) or **reused** (warm: served from the disk store).  The
+graph is what makes warm starts *checkable*: a rebuild of an unedited
+model must show ``{"transform": {"built": 0, "reused": 1}}``.
 
 The graph is per-:class:`~repro.store.artifacts.ArtifactStore` instance
 and in-memory only; it describes *this process's* build activity, not
@@ -19,7 +17,7 @@ the store's whole history.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: Node status values.
 BUILT = "built"
@@ -30,7 +28,7 @@ REUSED = "reused"
 class BuildNode:
     """One stage execution: an artifact and the inputs that keyed it."""
 
-    kind: str                       # "transform" | "codegen" | ...
+    kind: str                       # "transform" | "model" | ...
     key: str                        # content-addressed artifact key
     inputs: Tuple[str, ...]         # input fingerprints / upstream keys
     status: str                     # BUILT or REUSED
@@ -49,18 +47,6 @@ class BuildGraph:
         self.nodes.append(node)
         return node
 
-    # -- counters (the incremental-rebuild assertions) -------------------
-
-    def built(self, kind: Optional[str] = None) -> int:
-        """How many artifacts were cold-built (optionally of one kind)."""
-        return sum(1 for node in self.nodes if node.status == BUILT
-                   and (kind is None or node.kind == kind))
-
-    def reused(self, kind: Optional[str] = None) -> int:
-        """How many artifacts were served warm from the store."""
-        return sum(1 for node in self.nodes if node.status == REUSED
-                   and (kind is None or node.kind == kind))
-
     def counts(self) -> Dict[str, Dict[str, int]]:
         """``{kind: {"built": n, "reused": n}}`` over all recorded nodes."""
         table: Dict[str, Dict[str, int]] = {}
@@ -75,5 +61,4 @@ class BuildGraph:
         self.nodes.clear()
 
     def __repr__(self) -> str:
-        return (f"<BuildGraph {len(self.nodes)} nodes "
-                f"built={self.built()} reused={self.reused()}>")
+        return f"<BuildGraph {len(self.nodes)} nodes {self.counts()}>"

@@ -113,11 +113,27 @@ class TestSpecValidation:
         ({"seeds": [1], "builder": "m:f", "checkpoint_interval": "abc"},
          "checkpoint_interval"),
         ({"seeds": [1], "builder": "m:f", "quantum": 0}, "quantum"),
+        ({"seeds": [1], "builder": "m:f", "max_restarts": float("inf")},
+         "max_restarts"),
+        ({"seeds": [float("inf")], "builder": "m:f"}, "seeds"),
+        ({"seeds": [1], "builder": "m:f", "until": float("nan")}, "until"),
+        ({"seeds": [1], "builder": "m:f", "until": float("inf")}, "until"),
+        ({"seeds": [1], "builder": "m:f", "quantum": float("nan")},
+         "quantum"),
+        ({"seeds": [1], "builder": "m:f", "quantum": float("inf")},
+         "quantum"),
+        ({"seeds": [1], "builder": "m:f",
+          "checkpoint_interval": float("nan")}, "checkpoint_interval"),
+        ({"seeds": [1], "builder": "m:f",
+          "checkpoint_interval": float("inf")}, "checkpoint_interval"),
     ], ids=["unknown-key", "missing-seeds", "scalar-seeds",
             "non-integer-seed", "non-numeric-until", "batched-engine",
             "null-engine", "legacy-compiled-key", "unknown-part-policy",
             "negative-checkpoint-interval",
-            "non-numeric-checkpoint-interval", "zero-quantum"])
+            "non-numeric-checkpoint-interval", "zero-quantum",
+            "infinite-max-restarts", "infinite-seed", "nan-until",
+            "infinite-until", "nan-quantum", "infinite-quantum",
+            "nan-checkpoint-interval", "infinite-checkpoint-interval"])
     def test_malformed_dict_raises_fault_error(self, data, field):
         # specs arrive as plain data from the socket API and journals;
         # a value SystemSimulation would reject must fail here, before

@@ -89,6 +89,23 @@ class TestBasics:
         with pytest.raises(SimulationError):
             sim.send("ghost", "Ping")
 
+    @pytest.mark.parametrize("field", ("quantum", "checkpoint_interval"))
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), 0.0,
+                                       -1.0, "1"))
+    def test_a_time_step_must_be_finite_and_positive(self, field, value):
+        # a NaN quantum would run the kernel to t = nan, delivering
+        # nothing
+        with pytest.raises(SimulationError, match=field):
+            SystemSimulation(build_pair(), **{field: value})
+
+    @pytest.mark.parametrize("until", (float("nan"), float("inf"), None))
+    def test_run_needs_a_finite_horizon(self, until):
+        with SystemSimulation(build_pair()) as sim:
+            with pytest.raises(SimulationError, match="until"):
+                sim.run(until=until)
+            assert sim.simulator.now == 0.0
+            assert not sim.resilience.kernel_incidents
+
 
 #: observer name -> the SystemSimulation keywords that attach it; each
 #: one holds the simulation it observes

@@ -154,5 +154,5 @@ class TestHarnessIsEngineAgnostic:
         owner = mm.Component("Owner")
         owner.add_behavior(simple_machine(), as_classifier_behavior=True)
         top.add_part("p", owner)
-        with SystemSimulation(top, bus=False) as sim:
+        with SystemSimulation(top) as sim:
             assert conforms(sim.parts["p"].runtime)

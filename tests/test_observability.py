@@ -440,10 +440,6 @@ class TestObservabilitySuite:
             sim.run(until=5.0)
             assert sim.observability is None
 
-    def test_requires_a_bus(self):
-        with pytest.raises(SimulationError):
-            SystemSimulation(soc_top(), bus=False, coverage=True)
-
     def test_unknown_profile_metric_rejected(self):
         with SystemSimulation(soc_top(), profile=True) as sim:
             sim.run(until=5.0)

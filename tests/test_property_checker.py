@@ -358,13 +358,6 @@ class TestEscalationPolicies:
         assert report.verdict == "violated"
         assert not sim.resilience.part_failures
 
-    def test_properties_require_the_bus(self):
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError):
-            SystemSimulation(soc_top(), bus=False,
-                             properties=nak_suite())
-
 
 class TestExitCodeVocabulary:
     def test_exit_codes_are_disjoint_and_pinned(self):

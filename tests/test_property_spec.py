@@ -128,6 +128,20 @@ class TestPropertyValidation:
         with pytest.raises(PropertyError):
             Property.from_dict({"kind": "eventually", "name": "x"})
 
+    @pytest.mark.parametrize("field, extra", [
+        ("within", {"kind": "response", "trigger": {"signal": "A"},
+                    "reaction": {"signal": "B"}}),
+        ("window", {"kind": "absence", "never": {"signal": "A"}}),
+    ])
+    def test_from_dict_refuses_a_number_beyond_float_range(self, field,
+                                                           extra):
+        # json reads a 400-digit integer as an int, which float() and
+        # every deadline computation refuse with OverflowError
+        huge = 10 ** 400
+        value = [0, huge] if field == "window" else huge
+        with pytest.raises(PropertyError, match=field):
+            Property.from_dict({"name": "p", field: value, **extra})
+
     def test_from_dict_reports_missing_fields(self):
         with pytest.raises(PropertyError, match="within"):
             Property.from_dict({"kind": "response", "name": "r",

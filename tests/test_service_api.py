@@ -98,6 +98,22 @@ class TestDispatch:
         assert "engine" in response["error"]
         assert PERF.counter("service.internal_errors") == before
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_restarts", float("inf")), ("quantum", float("nan"))])
+    def test_a_non_finite_spec_number_is_a_typed_envelope(
+            self, server, field, value):
+        # Python's json reads Infinity and NaN; neither may reach a
+        # worker or escape as an internal error
+        before = PERF.counter("service.internal_errors")
+        response = server.handle_line(json.dumps(
+            {"op": "submit",
+             "spec": {"seeds": [1], "builder": "m:f",
+                      field: value}}).encode("utf-8"))
+        assert response["ok"] is False
+        assert response["error"].startswith("FaultError: ")
+        assert field in response["error"]
+        assert PERF.counter("service.internal_errors") == before
+
     def test_refusals_are_envelopes_not_crashes(self, server):
         response = server.handle_line(
             b'{"op": "result", "job_id": "job-999999"}')

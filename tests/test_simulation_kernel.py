@@ -263,6 +263,11 @@ class TestRecurringTick:
         sim.run(until=6.0)
         assert ticks == [2.0, 4.0, 6.0]
 
+    @pytest.mark.parametrize("interval", (0.0, -1.0, float("nan")))
+    def test_a_recurring_interval_must_be_positive(self, interval):
+        with pytest.raises(SimulationError, match="recurring interval"):
+            Simulator().every(interval, lambda: None)
+
     def test_unbounded_tick_runs_until_horizon(self):
         sim = Simulator()
         ticks = []
